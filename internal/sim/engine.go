@@ -12,6 +12,13 @@
 // higher layers (internal/mem, internal/cpu) and are expressed purely
 // in terms of WaitUntil/Park/Wake.
 //
+// Each process body runs on its own goroutine, and exactly one of them
+// holds the baton at a time. A process that waits picks its own
+// successor from the queue: if that is itself it keeps running with no
+// goroutine switch at all, otherwise it hands the baton straight to the
+// successor, one switch per event. Run only starts the first process
+// and then sleeps until the queue drains or a body panics.
+//
 // One Engine simulates one execution on one host goroutine chain; it
 // is not safe for concurrent use. Host-level parallelism belongs one
 // layer up (internal/runner), across independent engines.
@@ -19,6 +26,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 
 	"fdt/internal/trace"
@@ -49,8 +57,17 @@ type Engine struct {
 	dispatched uint64
 	live       map[*Proc]struct{}
 	fault      *procFault
-	// stepHook, when non-nil, is invoked before each event dispatch.
-	// Used by tests to observe scheduling order.
+	// halt wakes Run: the process that finds the queue empty, or whose
+	// body panicked, sends on it instead of handing the baton on. An
+	// aborted Run also uses it to wait for each released process.
+	halt chan struct{}
+	// aborted is set while an aborted Run releases the processes left
+	// blocked on their batons; each one then exits without running
+	// model code.
+	aborted bool
+	// stepHook, when non-nil, is invoked before each event dispatch, on
+	// whichever goroutine dispatches (a process or Run). Used by tests
+	// to observe scheduling order.
 	stepHook func(t uint64, p *Proc)
 	// tracer receives kernel-level trace events (dispatches, blocked
 	// spans) when simTrace is set; the cached boolean keeps the
@@ -73,6 +90,7 @@ func NewEngine() *Engine {
 		events: make(eventHeap, 0, initialHeapCap),
 		cur:    make([]*Proc, 0, 64),
 		live:   make(map[*Proc]struct{}),
+		halt:   make(chan struct{}),
 	}
 }
 
@@ -232,15 +250,14 @@ func (e *Engine) next() *Proc {
 type Proc struct {
 	eng  *Engine
 	name string
-	// baton is the single rendezvous channel between the engine and
-	// the process. Exactly one side holds the baton at a time and the
-	// two strictly alternate — engine sends to resume the process,
-	// process sends to yield back — so one unbuffered channel replaces
-	// the previous resume/yield pair and halves the channel operations
-	// per handoff.
+	// baton resumes the process: it blocks receiving on it whenever it
+	// is not running, and whoever dispatches it next sends on it — the
+	// process that yielded just before, or Run for the first event.
+	// The process never sends on its own baton, and a process that is
+	// its own successor skips the channel altogether. An aborted Run
+	// closes it to release the process.
 	baton  chan struct{}
 	parked bool
-	done   bool
 	// track and parkedAt support kernel-level tracing; both are
 	// maintained only while the engine's simTrace flag is set.
 	track    trace.TrackID
@@ -254,9 +271,9 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Now() uint64 { return p.eng.now }
 
 // Spawn creates a process that will first run at the current simulated
-// time. The body runs on its own goroutine but only while the engine
-// has handed it the baton, so body code may freely touch shared model
-// state without host-level locking.
+// time. The body runs on its own goroutine but only while it holds the
+// baton, so body code may freely touch shared model state without
+// host-level locking.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 	p := &Proc{
 		eng:   e,
@@ -268,29 +285,81 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 	}
 	e.live[p] = struct{}{}
 	go func() {
-		<-p.baton
-		defer func() {
-			if r := recover(); r != nil {
-				// Surface model-code panics from the engine's Run so
-				// they carry the process name and reach the caller's
-				// goroutine instead of crashing the host process.
-				e.fault = &procFault{proc: p, value: r}
-			}
-			p.done = true
-			delete(e.live, p)
-			p.baton <- struct{}{}
-		}()
+		defer p.exit()
+		p.wait()
 		body(p)
 	}()
 	e.schedule(e.now, p)
 	return p
 }
 
-// yield hands the baton back to the engine and blocks until the
-// engine resumes this process.
-func (p *Proc) yield() {
-	p.baton <- struct{}{}
+// dispatch does the accounting for delivering the next event to p. It
+// runs on whichever goroutine picked p: Run for the first event, the
+// yielding process for every later one.
+func (e *Engine) dispatch(p *Proc) {
+	e.dispatched++
+	if e.stepHook != nil {
+		e.stepHook(e.now, p)
+	}
+	if e.simTrace {
+		e.tracer.Emit(trace.CatSim, trace.Event{
+			Cycle: e.now, Track: p.track, Kind: trace.Instant, Name: "dispatch",
+		})
+	}
+}
+
+// handoff dispatches the next pending process by passing it the
+// baton, or wakes Run when no event remains. It reports whether the
+// caller p is itself the next process, in which case nothing was sent
+// and p simply keeps running.
+func (e *Engine) handoff(p *Proc) bool {
+	q := e.next()
+	if q == nil {
+		e.halt <- struct{}{}
+		return false
+	}
+	e.dispatch(q)
+	if q == p {
+		return true
+	}
+	q.baton <- struct{}{}
+	return false
+}
+
+// wait blocks until the process is dispatched. A process released by
+// an aborted Run exits here instead, without returning to model code.
+func (p *Proc) wait() {
 	<-p.baton
+	if p.eng.aborted {
+		runtime.Goexit()
+	}
+}
+
+// yield gives up the baton after the process has queued itself or
+// parked, and returns when the process is dispatched again.
+func (p *Proc) yield() {
+	if !p.eng.handoff(p) {
+		p.wait()
+	}
+}
+
+// exit ends the process goroutine. A normal exit hands the baton on; a
+// panic is recorded for Run, which re-raises it on the caller's
+// goroutine with the process name instead of crashing the host
+// process; a process released by an aborted Run only reports back.
+func (p *Proc) exit() {
+	e := p.eng
+	r := recover()
+	delete(e.live, p)
+	switch {
+	case e.aborted:
+		e.halt <- struct{}{}
+	case r != nil:
+		e.fault = &procFault{proc: p, value: r}
+		e.halt <- struct{}{}
+	default:
+		e.handoff(p)
+	}
 }
 
 // WaitUntil blocks the process until the simulated clock reaches t.
@@ -349,34 +418,23 @@ func (e *Engine) wake(q *Proc) {
 	e.schedule(e.now, q)
 }
 
-// Run dispatches events until none remain. It panics if live processes
-// remain parked with an empty event queue (model deadlock), naming the
-// stuck processes.
+// Run dispatches events until none remain. It panics if a process body
+// panics, naming the process, or if live processes remain parked with
+// an empty event queue (model deadlock), naming the stuck processes.
+// Either way the remaining processes are released first, so an aborted
+// Run leaks no goroutines. Run hands the first event to its process and
+// then sleeps; the processes dispatch one another until the queue
+// drains or a body panics.
 func (e *Engine) Run() {
-	for {
-		p := e.next()
-		if p == nil {
-			break
-		}
-		if p.done {
-			continue
-		}
-		e.dispatched++
-		if e.stepHook != nil {
-			e.stepHook(e.now, p)
-		}
-		if e.simTrace {
-			e.tracer.Emit(trace.CatSim, trace.Event{
-				Cycle: e.now, Track: p.track, Kind: trace.Instant, Name: "dispatch",
-			})
-		}
+	if p := e.next(); p != nil {
+		e.dispatch(p)
 		p.baton <- struct{}{}
-		<-p.baton
-		if e.fault != nil {
-			f := e.fault
-			e.fault = nil
-			panic(fmt.Sprintf("sim: process %q panicked: %v", f.proc.name, f.value))
-		}
+		<-e.halt
+	}
+	if f := e.fault; f != nil {
+		e.fault = nil
+		e.abort()
+		panic(fmt.Sprintf("sim: process %q panicked: %v", f.proc.name, f.value))
 	}
 	if len(e.live) > 0 {
 		names := make([]string, 0, len(e.live))
@@ -384,6 +442,30 @@ func (e *Engine) Run() {
 			names = append(names, p.name)
 		}
 		sort.Strings(names)
+		e.abort()
 		panic(fmt.Sprintf("sim: deadlock: %d processes parked forever: %v", len(names), names))
 	}
+}
+
+// abort releases every live process after a failed Run. Each one is
+// blocked on its baton — parked, queued, or never started — and exits
+// through runtime.Goexit when its baton closes. They go one at a time,
+// each reporting back on halt, so any deferred model code still runs
+// alone. The queue is cleared with them.
+func (e *Engine) abort() {
+	procs := make([]*Proc, 0, len(e.live))
+	for p := range e.live {
+		procs = append(procs, p)
+	}
+	e.aborted = true
+	for _, p := range procs {
+		close(p.baton)
+		<-e.halt
+	}
+	e.aborted = false
+	clear(e.cur)
+	e.cur = e.cur[:0]
+	e.curHead = 0
+	clear(e.events)
+	e.events = e.events[:0]
 }

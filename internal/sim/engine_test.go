@@ -205,6 +205,8 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	trace := func() []string {
 		e := NewEngine()
 		var tr []string
+		// The hook runs on process goroutines: it only records, and the
+		// comparison happens after Run returns.
 		e.stepHook = func(tm uint64, p *Proc) {
 			tr = append(tr, fmt.Sprintf("%d:%s", tm, p.Name()))
 		}
@@ -241,6 +243,7 @@ func TestPropertyClockMonotone(t *testing.T) {
 		e := NewEngine()
 		var last uint64
 		ok := true
+		// Recorded on process goroutines, checked after Run returns.
 		e.stepHook = func(tm uint64, p *Proc) {
 			if tm < last {
 				ok = false

@@ -11,6 +11,7 @@ package sim
 // event count and final clock (determinism).
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -42,10 +43,13 @@ func runProgram(t *testing.T, p fuzzProgram) (uint64, uint64) {
 	t.Helper()
 	e := NewEngine()
 
+	// The hook runs on process goroutines, where t.Fatalf is illegal:
+	// record the first violation and report it once Run has returned.
 	var lastDispatch uint64
+	var backwards string
 	e.stepHook = func(now uint64, _ *Proc) {
-		if now < lastDispatch {
-			t.Fatalf("dispatch time went backwards: %d after %d", now, lastDispatch)
+		if now < lastDispatch && backwards == "" {
+			backwards = fmt.Sprintf("dispatch time went backwards: %d after %d", now, lastDispatch)
 		}
 		lastDispatch = now
 	}
@@ -89,6 +93,9 @@ func runProgram(t *testing.T, p fuzzProgram) (uint64, uint64) {
 	})
 	e.Run()
 
+	if backwards != "" {
+		t.Fatal(backwards)
+	}
 	if done != p.workers {
 		t.Fatalf("%d of %d workers finished", done, p.workers)
 	}
