@@ -35,6 +35,7 @@ import (
 	"strings"
 	"time"
 
+	"fdt/internal/cliflags"
 	"fdt/internal/core"
 	"fdt/internal/experiments"
 	"fdt/internal/machine"
@@ -60,32 +61,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jsonDir   = fs.String("json", "", "directory to write per-experiment JSON files into")
 		parallel  = fs.Int("parallel", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial)")
 		cacheDir  = fs.String("cache-dir", "", "disk run-store directory shared with fdtd (warm runs are loaded, new runs persisted)")
-		useSample = fs.Bool("sampled", false, "execute kernels in sampled mode (steady-state fast-forward; see DESIGN.md Section 11)")
-		sampleTol = fs.Float64("sample-tol", 0, "sampled-mode stability tolerance (0 = default)")
-		sampleWin = fs.Int("sample-window", 0, "sampled-mode detailed-window length in iterations (0 = default)")
-		budget    = fs.Float64("power-budget", 0, "average-chip-power cap in nominal-active-core units (0 = unconstrained; implies -freq-ladder default)")
-		ladderStr = fs.String("freq-ladder", "", "P-state ladder: \"default\" or comma-separated MHz values, nominal first (empty = single-frequency machine)")
 	)
+	fl := cliflags.Register(fs, cliflags.Power|cliflags.Sampled)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	ladder, err := machine.ResolveDVFS(*budget, *ladderStr)
+	rs, err := fl.Spec()
 	if err != nil {
 		fmt.Fprintln(stderr, "fdtreport:", err)
 		return 2
 	}
-	dvfs := *budget > 0 || !ladder.Trivial()
+	// -corun and -mapping restrict the interference family (nil keeps
+	// its defaults).
+	var pairs [][2]string
+	var mappings []machine.Mapping
 	if *corunPair != "" {
-		if _, _, err := workloads.ParsePair(*corunPair); err != nil {
+		a, b, err := workloads.ParsePair(*corunPair)
+		if err != nil {
 			fmt.Fprintln(stderr, "fdtreport:", err)
 			return 2
 		}
+		pairs = [][2]string{{a.Name, b.Name}}
 	}
 	if *mapStr != "" {
-		if _, err := machine.ParseMapping(*mapStr); err != nil {
+		mp, err := machine.ParseMapping(*mapStr)
+		if err != nil {
 			fmt.Fprintln(stderr, "fdtreport:", err)
 			return 2
 		}
+		mappings = []machine.Mapping{mp}
 	}
 
 	runner.SetWorkers(*parallel)
@@ -100,25 +104,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "[run store %s: %d entries ~%.1f KiB]\n\n",
 			st.Dir(), entries, float64(bytes)/1024)
 	}
-	o := experiments.DefaultOptions()
+	// The ladder and budget flow to every model-driven experiment via
+	// Options.Power; measurement-driven runners (hill-climbing, hybrid
+	// probes) and the co-run family execute the ladder at nominal
+	// frequency and simply gain energy accounting. The pareto family
+	// pins its own ladder/budget grid regardless.
+	o := experiments.Options{Cfg: rs.Cfg, Mode: rs.Mode, Power: rs.Power}
 	if *fast {
 		o.SweepThreads = []int{1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20, 24, 32}
-	}
-	if dvfs {
-		// The ladder and budget flow to every model-driven experiment
-		// via Options.Power; measurement-driven runners (hill-climbing,
-		// hybrid probes) and the co-run family execute the ladder at
-		// nominal frequency and simply gain energy accounting. The
-		// pareto family pins its own ladder/budget grid regardless.
-		o.Cfg = o.Cfg.WithFreq(ladder)
-		pp := core.PowerParams{Budget: *budget, LockState: -1}
-		o.Power = &pp
-	}
-	if *useSample {
-		o.Mode = core.SampledMode()
-		o.Mode.Params.Tol = *sampleTol
-		o.Mode.Params.WindowIters = *sampleWin
-		o.Mode.Params = o.Mode.Params.WithDefaults()
 	}
 
 	// The experiment catalogue is shared with the fdtd daemon
@@ -133,10 +126,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				continue
 			}
 			runners[i].Run = func() (string, string, any) {
-				f, err := runInterference(o, *corunPair, *mapStr)
-				if err != nil {
-					return "interference: " + err.Error(), "", nil
-				}
+				f := experiments.RunInterferencePairs(o, pairs, mappings)
 				return f.String(), f.CSV(), f
 			}
 		}
@@ -211,26 +201,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 			st.Hits, st.Puts, sEntries, float64(sBytes)/1024)
 	}
 	return 0
-}
-
-// runInterference applies the -corun / -mapping restrictions to the
-// interference family (nil = family defaults).
-func runInterference(o experiments.Options, pair, mapStr string) (experiments.Interference, error) {
-	var pairs [][2]string
-	if pair != "" {
-		a, b, err := workloads.ParsePair(pair)
-		if err != nil {
-			return experiments.Interference{}, err
-		}
-		pairs = [][2]string{{a.Name, b.Name}}
-	}
-	var mappings []machine.Mapping
-	if mapStr != "" {
-		mp, err := machine.ParseMapping(mapStr)
-		if err != nil {
-			return experiments.Interference{}, err
-		}
-		mappings = []machine.Mapping{mp}
-	}
-	return experiments.RunInterferencePairs(o, pairs, mappings), nil
 }

@@ -11,6 +11,7 @@
 //	fdtsim -workload ed -policy bat -trace ed.trace.json
 //	fdtsim -workload isort -check
 //	fdtsim -workload ep -policy hillclimb
+//	fdtsim -workload phaseshift -policy adaptive
 //	fdtsim -workload ed -sampled             # steady-state fast-forward
 //	fdtsim -list
 //
@@ -25,8 +26,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
+	"fdt/internal/cliflags"
 	"fdt/internal/core"
 	"fdt/internal/invariant"
 	"fdt/internal/machine"
@@ -45,47 +46,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fdtsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		workload   = fs.String("workload", "pagemine", "workload name (see -list)")
-		corun      = fs.String("corun", "", "co-schedule two workloads as \"a+b\" (overrides -workload; see -list)")
-		mapping    = fs.String("mapping", "packed", "thread-to-core mapping for -corun: packed, scattered, smt")
-		policy     = fs.String("policy", "sat+bat", "threading policy: sat, bat, sat+bat, static")
-		threads    = fs.Int("threads", 0, "thread count for -policy static (0 = all cores)")
-		cores      = fs.Int("cores", 32, "cores on the simulated chip")
-		bandwidth  = fs.Float64("bandwidth", 1.0, "off-chip bandwidth scale factor")
-		verify     = fs.Bool("verify", true, "verify the workload's computed results")
-		list       = fs.Bool("list", false, "list workloads and exit")
-		dumpCtrs   = fs.Bool("counters", false, "dump the machine's counter set")
-		sparkline  = fs.Bool("sparkline", false, "sample the run and print bus/active-core sparklines")
-		traceOut   = fs.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto)")
-		check      = fs.Bool("check", false, "arm the runtime invariant checker (conservation, queueing, coherence, controller equations)")
-		useSample  = fs.Bool("sampled", false, "execute kernels in sampled mode (steady-state fast-forward; see DESIGN.md Section 11)")
-		sampleTol  = fs.Float64("sample-tol", 0, "sampled-mode stability tolerance (0 = default)")
-		sampleWin  = fs.Int("sample-window", 0, "sampled-mode detailed-window length in iterations (0 = default)")
-		probeIters = fs.Int("probe-iters", 0, "probe chunk length in iterations for -policy hillclimb/hybrid (0 = default)")
-		minGain    = fs.Float64("min-gain", 0, "fractional speedup a probed size needs to win, for -policy hillclimb/hybrid (0 = default)")
-		budget     = fs.Float64("power-budget", 0, "average-chip-power cap in nominal-active-core units (0 = unconstrained; implies -freq-ladder default)")
-		ladderStr  = fs.String("freq-ladder", "", "P-state ladder: \"default\" or comma-separated MHz values, nominal first (empty = single-frequency machine)")
+		workload  = fs.String("workload", "pagemine", "workload name (see -list)")
+		corun     = fs.String("corun", "", "co-schedule two workloads as \"a+b\" (overrides -workload; see -list)")
+		mapping   = fs.String("mapping", "packed", "thread-to-core mapping for -corun: packed, scattered, smt")
+		policy    = fs.String("policy", "sat+bat", "threading policy (see -list)")
+		threads   = fs.Int("threads", 0, "thread count for -policy static (0 = all cores)")
+		verify    = fs.Bool("verify", true, "verify the workload's computed results")
+		list      = fs.Bool("list", false, "list workloads and exit")
+		dumpCtrs  = fs.Bool("counters", false, "dump the machine's counter set")
+		sparkline = fs.Bool("sparkline", false, "sample the run and print bus/active-core sparklines")
+		traceOut  = fs.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto)")
+		check     = fs.Bool("check", false, "arm the runtime invariant checker (conservation, queueing, coherence, controller equations)")
 	)
+	fl := cliflags.Register(fs, cliflags.Machine|cliflags.Power|cliflags.Sampled|cliflags.Probe)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *probeIters < 0 {
-		fmt.Fprintf(stderr, "fdtsim: -probe-iters %d, want >= 0 (0 = default)\n", *probeIters)
-		return 2
-	}
-	if *minGain < 0 || *minGain >= 1 {
-		fmt.Fprintf(stderr, "fdtsim: -min-gain %g, want in [0, 1)\n", *minGain)
-		return 2
-	}
-	ladder, err := machine.ResolveDVFS(*budget, *ladderStr)
+	rs, err := fl.Spec()
 	if err != nil {
 		fmt.Fprintln(stderr, "fdtsim:", err)
 		return 2
 	}
-	dvfs := *budget > 0 || !ladder.Trivial()
 
 	if *list {
-		printList(stdout)
+		cliflags.PrintList(stdout)
 		return 0
 	}
 
@@ -98,133 +82,143 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	hillClimb, hybrid := false, false
-	var pol core.Policy
-	switch strings.ToLower(*policy) {
-	case "hillclimb", "hill-climb":
-		hillClimb = true
-	case "hybrid":
-		hybrid = true
-	default:
-		var err error
-		pol, err = parsePolicy(*policy, *threads)
-		if err != nil {
-			fmt.Fprintln(stderr, "fdtsim:", err)
-			return 2
-		}
-	}
-	if dvfs && (hillClimb || hybrid) {
-		fmt.Fprintf(stderr, "fdtsim: -policy %s does not support -power-budget/-freq-ladder (its probes time real chunks at nominal frequency)\n", *policy)
+	rs.Control, err = fl.Control(*policy)
+	if err != nil {
+		fmt.Fprintln(stderr, "fdtsim:", err)
 		return 2
 	}
-
-	// Invariant accounting, tracing and hill-climb probing all need
-	// every cycle simulated; they win over -sampled.
-	md := core.ExactMode()
-	if *useSample {
-		switch {
-		case *check:
-			fmt.Fprintln(stdout, "note: -check forces exact execution (invariant accounting needs every cycle simulated)")
-		case *traceOut != "":
-			fmt.Fprintln(stdout, "note: -trace forces exact execution (a golden trace must record every event)")
-		case hillClimb:
-			fmt.Fprintln(stdout, "note: -policy hillclimb forces exact execution (its probes time real chunks)")
-		case hybrid:
-			fmt.Fprintln(stdout, "note: -policy hybrid forces exact execution (its refinement probes time real chunks)")
-		default:
-			md = core.SampledMode()
-			md.Params.Tol = *sampleTol
-			md.Params.WindowIters = *sampleWin
-			md.Params = md.Params.WithDefaults()
-		}
+	if s, ok := rs.Control.Policy.(core.Static); ok && s.N == 0 {
+		rs.Control.Policy = core.Static{N: *threads}
+	}
+	rs.Corun, rs.Trace, rs.Check = *corun != "", *traceOut != "", *check
+	if err := rs.Validate(); err != nil {
+		fmt.Fprintln(stderr, "fdtsim:", err)
+		return 2
+	}
+	if note := rs.ExactNote(); note != "" {
+		fmt.Fprintln(stdout, "note:", note)
+		rs.Mode = core.ExactMode()
 	}
 
-	cfg := machine.DefaultConfig().WithCores(*cores).WithBandwidth(*bandwidth).WithFreq(ladder)
-	m := machine.MustNew(cfg)
-	var samples *machine.SampleLog
-	if *sparkline {
-		samples = m.StartSampler(0)
-	}
-	var tr *trace.Tracer
-	if *traceOut != "" {
-		tr = trace.New(1<<19, trace.CatMem|trace.CatSync|trace.CatCtl)
-		m.AttachTracer(tr)
-	}
-	var ck *invariant.Checker
-	if *check {
-		ck = invariant.New()
-		m.AttachChecker(ck)
-	}
-
-	if *corun != "" {
-		if hillClimb || hybrid {
-			fmt.Fprintf(stderr, "fdtsim: -policy %s does not support -corun (its probes own the whole machine)\n", *policy)
-			return 2
-		}
-		if dvfs {
-			fmt.Fprintln(stderr, "fdtsim: -corun does not support -power-budget/-freq-ladder (per-team power attribution is not modeled)")
-			return 2
-		}
-		return runCorun(m, *corun, *mapping, pol, md, *verify, *dumpCtrs, ck, samples, stdout, stderr)
-	}
-
-	hc := core.HillClimb{ProbeIters: *probeIters, MinGain: *minGain}
-	hy := core.Hybrid{HP: core.HybridParams{ProbeIters: *probeIters, MinGain: *minGain}}
-	pp := core.PowerParams{Budget: *budget, LockState: -1}
 	// Instrumented runs (sparklines, tracing, invariants, counter dumps)
-	// need the machine built here, with the observers attached; plain
-	// runs route through the keyed run cache so repeated invocations in
-	// one process (and the experiment figures) share the simulation.
+	// and co-runs need the machine built here, with the observers
+	// attached; plain runs route through the keyed run cache so repeated
+	// invocations in one process (and the experiment figures) share the
+	// simulation.
 	instrumented := *sparkline || *traceOut != "" || *check || *dumpCtrs
-	var w core.Workload
-	var res core.RunResult
-	if instrumented {
-		w = info.Factory(m)
-		switch {
-		case hillClimb:
-			res = hc.Run(m, w)
-		case hybrid:
-			res = hy.Run(m, w)
-		default:
-			ctl := core.NewController(pol)
-			ctl.Mode = md
-			if dvfs {
-				ctl.Power = &pp
-			}
-			res = ctl.Run(m, w)
+	var (
+		m       *machine.Machine
+		samples *machine.SampleLog
+		tr      *trace.Tracer
+		ck      *invariant.Checker
+	)
+	if instrumented || *corun != "" {
+		m = machine.MustNew(rs.Cfg)
+		if *sparkline {
+			samples = m.StartSampler(0)
 		}
-	} else {
-		f := func(mm *machine.Machine) core.Workload {
-			w = info.Factory(mm)
+		if *traceOut != "" {
+			tr = trace.New(1<<19, trace.CatMem|trace.CatSync|trace.CatCtl)
+			m.AttachTracer(tr)
+		}
+		if *check {
+			ck = invariant.New()
+			m.AttachChecker(ck)
+		}
+	}
+	// Keep every built workload instance for -verify (RunCorunOn
+	// instantiates its tenants serially).
+	var built []core.Workload
+	keep := func(f core.Factory) core.Factory {
+		return func(mm *machine.Machine) core.Workload {
+			w := f(mm)
+			built = append(built, w)
 			return w
 		}
-		switch {
-		case hillClimb:
-			res = core.RunHillClimbKeyed(cfg, info.Name, f, hc)
-		case hybrid:
-			res = core.RunHybridKeyed(cfg, info.Name, f, hy)
-		case dvfs:
-			res = core.RunPolicyBudgetKeyedMode(cfg, info.Name, f, pol, pp, md)
-		default:
-			res = core.RunPolicyKeyedMode(cfg, info.Name, f, pol, md)
+	}
+	var sampled bool
+	if *corun != "" {
+		var code int
+		if sampled, code = runCorun(m, *corun, *mapping, rs.Control, rs.Mode, keep, stdout, stderr); code != 0 {
+			return code
+		}
+	} else {
+		rs.Workload, rs.Factory = info.Name, keep(info.Factory)
+		var res core.RunResult
+		if instrumented {
+			res = rs.RunOn(m)
+		} else {
+			res = rs.Run()
+		}
+		report(stdout, res, info, fl, rs)
+		sampled = res.Sampled != nil
+		if tr != nil {
+			meta := map[string]string{
+				"workload":     res.Workload,
+				"policy":       res.Policy,
+				"cores":        fmt.Sprintf("%d", fl.Cores),
+				"bandwidth":    fmt.Sprintf("%g", fl.Bandwidth),
+				"total_cycles": fmt.Sprintf("%d", res.TotalCycles),
+			}
+			if err := trace.WriteChromeFile(*traceOut, tr, meta); err != nil {
+				fmt.Fprintln(stderr, "fdtsim:", err)
+				return 1
+			}
+			fmt.Fprintf(stdout, "trace      %d events (%d dropped) -> %s\n", tr.Len(), tr.Dropped(), *traceOut)
 		}
 	}
 
+	if *dumpCtrs {
+		fmt.Fprintf(stdout, "counters   %s\n", m.Ctrs)
+	}
+	if samples != nil {
+		fmt.Fprintln(stdout, samples)
+	}
+	if ck != nil {
+		fmt.Fprintf(stdout, "invariants %s\n", ck.Report())
+		if err := ck.Err(); err != nil {
+			fmt.Fprintln(stderr, "fdtsim:", err)
+			return 1
+		}
+	}
+	if !*verify {
+		return 0
+	}
+	if sampled {
+		// Fast-forwarded iterations never execute their host-side
+		// computation, so the workload's arrays are incomplete by
+		// construction — result verification only means something on
+		// an exact run.
+		fmt.Fprintln(stdout, "verify     skipped (sampled run: extrapolated iterations compute no results)")
+		return 0
+	}
+	for _, w := range built {
+		label := ""
+		if *corun != "" {
+			label = w.Name() + " "
+		}
+		v, ok := w.(workloads.Verifier)
+		if !ok {
+			fmt.Fprintf(stdout, "verify     %s(no verifier)\n", label)
+			continue
+		}
+		if err := v.Verify(); err != nil {
+			fmt.Fprintf(stdout, "verify     %sFAIL: %v\n", label, err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "verify     %sok\n", label)
+	}
+	return 0
+}
+
+// report prints one run's timing, power and per-kernel decisions.
+func report(stdout io.Writer, res core.RunResult, info workloads.Info, fl *cliflags.Flags, rs core.RunSpec) {
 	fmt.Fprintf(stdout, "workload   %s (%s)\n", res.Workload, info.Class)
 	fmt.Fprintf(stdout, "policy     %s\n", res.Policy)
-	if dvfs {
-		names := make([]string, len(ladder.States))
-		for i, s := range ladder.States {
-			names[i] = s.Name
-		}
-		budgetStr := "unconstrained"
-		if *budget > 0 {
-			budgetStr = fmt.Sprintf("%.2f", *budget)
-		}
-		fmt.Fprintf(stdout, "machine    %d cores, %.2gx bandwidth, ladder %s, budget %s\n",
-			*cores, *bandwidth, strings.Join(names, ">"), budgetStr)
+	if line := fl.PowerLine(rs); line != "" {
+		fmt.Fprintf(stdout, "machine    %d cores, %.2gx bandwidth, %s\n", fl.Cores, fl.Bandwidth, line)
 	} else {
-		fmt.Fprintf(stdout, "machine    %d cores, %.2gx bandwidth\n", *cores, *bandwidth)
+		fmt.Fprintf(stdout, "machine    %d cores, %.2gx bandwidth\n", fl.Cores, fl.Bandwidth)
 	}
 	fmt.Fprintf(stdout, "exec time  %d cycles\n", res.TotalCycles)
 	fmt.Fprintf(stdout, "power      %.2f avg active cores\n", res.AvgActiveCores)
@@ -247,106 +241,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "sampled    %d detailed + %d skipped iters (%.1f%% skipped), %d fast-forwards, %d re-entries, %d cycles extrapolated\n",
 			s.DetailedIters, s.SkippedIters, 100*s.SkippedFrac(), s.FastForwards, s.Reentries, s.SkippedCycles)
 	}
-
-	if *dumpCtrs {
-		fmt.Fprintf(stdout, "counters   %s\n", m.Ctrs)
-	}
-	if samples != nil {
-		fmt.Fprintln(stdout, samples)
-	}
-	if tr != nil {
-		meta := map[string]string{
-			"workload":     res.Workload,
-			"policy":       res.Policy,
-			"cores":        fmt.Sprintf("%d", *cores),
-			"bandwidth":    fmt.Sprintf("%g", *bandwidth),
-			"total_cycles": fmt.Sprintf("%d", res.TotalCycles),
-		}
-		if err := writeChromeFile(*traceOut, tr, meta); err != nil {
-			fmt.Fprintln(stderr, "fdtsim:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "trace      %d events (%d dropped) -> %s\n", tr.Len(), tr.Dropped(), *traceOut)
-	}
-	if *check {
-		fmt.Fprintf(stdout, "invariants %s\n", ck.Report())
-		if err := ck.Err(); err != nil {
-			fmt.Fprintln(stderr, "fdtsim:", err)
-			return 1
-		}
-	}
-
-	if *verify {
-		if res.Sampled != nil {
-			// Fast-forwarded iterations never execute their host-side
-			// computation, so the workload's arrays are incomplete by
-			// construction — result verification only means something
-			// on an exact run.
-			fmt.Fprintln(stdout, "verify     skipped (sampled run: extrapolated iterations compute no results)")
-		} else if v, ok := w.(workloads.Verifier); ok {
-			if err := v.Verify(); err != nil {
-				fmt.Fprintf(stdout, "verify     FAIL: %v\n", err)
-				return 1
-			}
-			fmt.Fprintln(stdout, "verify     ok")
-		} else {
-			fmt.Fprintln(stdout, "verify     (workload has no verifier)")
-		}
-	}
-	return 0
-}
-
-func writeChromeFile(path string, tr *trace.Tracer, meta map[string]string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteChrome(f, tr, meta); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // runCorun executes a co-scheduled pair — each workload its own
 // thread team under the mapping, each with an independent controller
 // of the requested policy — and prints the makespan plus a per-tenant
-// report.
-func runCorun(m *machine.Machine, pair, mapping string, pol core.Policy, md core.Mode,
-	verify, dumpCtrs bool, ck *invariant.Checker, samples *machine.SampleLog, stdout, stderr io.Writer) int {
+// report. It reports whether any tenant ran sampled.
+func runCorun(m *machine.Machine, pair, mapping string, ctl core.Control, md core.Mode,
+	keep func(core.Factory) core.Factory, stdout, stderr io.Writer) (sampled bool, code int) {
 	a, b, err := workloads.ParsePair(pair)
 	if err != nil {
 		fmt.Fprintf(stderr, "fdtsim: %v (try -list)\n", err)
-		return 2
+		return false, 2
 	}
 	mp, err := machine.ParseMapping(mapping)
 	if err != nil {
 		fmt.Fprintln(stderr, "fdtsim:", err)
-		return 2
+		return false, 2
 	}
-
-	// Wrap the factories to keep the built instances for -verify
-	// (RunCorunOn instantiates them serially).
-	var built []core.Workload
 	spec := func(info workloads.Info) core.TeamSpec {
-		return core.TeamSpec{
-			Workload: info.Name,
-			Factory: func(mm *machine.Machine) core.Workload {
-				w := info.Factory(mm)
-				built = append(built, w)
-				return w
-			},
-			Policy: pol,
-		}
+		return core.TeamSpec{Workload: info.Name, Factory: keep(info.Factory), Policy: ctl.Policy, Monitor: ctl.Monitor}
 	}
 	res, err := core.RunCorunOn(m, mp, []core.TeamSpec{spec(a), spec(b)}, md)
 	if err != nil {
 		fmt.Fprintln(stderr, "fdtsim:", err)
-		return 2
+		return false, 2
 	}
 
 	fmt.Fprintf(stdout, "corun      %s + %s (mapping %s)\n", a.Name, b.Name, res.Mapping)
-	fmt.Fprintf(stdout, "policy     %s\n", pol.Name())
+	fmt.Fprintf(stdout, "policy     %s\n", ctl.Name())
 	fmt.Fprintf(stdout, "machine    %d cores\n", m.Cfg.Mem.Cores)
 	fmt.Fprintf(stdout, "makespan   %d cycles\n", res.TotalCycles)
 	fmt.Fprintf(stdout, "power      %.2f avg active cores (whole machine)\n", res.AvgActiveCores)
@@ -360,100 +283,7 @@ func runCorun(m *machine.Machine, pair, mapping string, pol core.Policy, md core
 			fmt.Fprintf(stdout, "  kernel %-20s threads=%-3d pcs=%-3d pbw=%-3d csfrac=%.3f%% bu1=%.2f%% train=%d iters (%d cyc) total=%d cyc\n",
 				k.Kernel, d.Threads, d.PCS, d.PBW, 100*d.CSFraction, 100*d.BusUtil1, k.TrainIters, k.TrainCycles, k.Cycles)
 		}
+		sampled = sampled || t.Sampled != nil
 	}
-
-	if dumpCtrs {
-		fmt.Fprintf(stdout, "counters   %s\n", m.Ctrs)
-	}
-	if samples != nil {
-		fmt.Fprintln(stdout, samples)
-	}
-	if ck != nil {
-		fmt.Fprintf(stdout, "invariants %s\n", ck.Report())
-		if err := ck.Err(); err != nil {
-			fmt.Fprintln(stderr, "fdtsim:", err)
-			return 1
-		}
-	}
-	if verify {
-		sampled := false
-		for _, t := range res.Teams {
-			if t.Sampled != nil {
-				sampled = true
-			}
-		}
-		if sampled {
-			fmt.Fprintln(stdout, "verify     skipped (sampled run: extrapolated iterations compute no results)")
-		} else {
-			for _, w := range built {
-				if v, ok := w.(workloads.Verifier); ok {
-					if err := v.Verify(); err != nil {
-						fmt.Fprintf(stdout, "verify     %s FAIL: %v\n", w.Name(), err)
-						return 1
-					}
-					fmt.Fprintf(stdout, "verify     %s ok\n", w.Name())
-				} else {
-					fmt.Fprintf(stdout, "verify     %s (no verifier)\n", w.Name())
-				}
-			}
-		}
-	}
-	return 0
-}
-
-// printList renders the full `fdtsim -list` inventory: workloads,
-// synthetic extras, combinators, policies, mappings and execution
-// modes.
-func printList(stdout io.Writer) {
-	fmt.Fprintln(stdout, "WORKLOADS (Table 2)")
-	fmt.Fprintf(stdout, "  %-10s %-12s %-28s %s\n", "NAME", "CLASS", "PROBLEM", "INPUT")
-	for _, info := range workloads.All() {
-		fmt.Fprintf(stdout, "  %-10s %-12s %-28s %s\n", info.Name, info.Class, info.Problem, info.Input)
-	}
-	fmt.Fprintln(stdout, "\nEXTRAS (synthetic, outside Table 2)")
-	for _, info := range workloads.Extras() {
-		if strings.HasPrefix(info.Name, "gauntlet/") {
-			continue
-		}
-		fmt.Fprintf(stdout, "  %-10s %-12s %-28s %s\n", info.Name, info.Class, info.Problem, info.Input)
-	}
-	fmt.Fprintln(stdout, "\nGAUNTLET (adversarial robustness family; run with -workload gauntlet/<member>)")
-	for _, gm := range workloads.GauntletMembers() {
-		fmt.Fprintf(stdout, "  %-18s breaks: %s\n", gm.Name, gm.Breaks)
-	}
-	fmt.Fprintln(stdout, "\nCOMBINATORS")
-	fmt.Fprintf(stdout, "  %-10s %s\n", "corun", "co-schedule two workloads as concurrent teams: -corun a+b (e.g. pagemine+mg)")
-	fmt.Fprintln(stdout, "\nPOLICIES (-policy)")
-	for _, p := range [][2]string{
-		{"sat", "synchronization-aware threading: Eq. 3 from trained critical-section time"},
-		{"bat", "bandwidth-aware threading: Eq. 5 from trained bus utilization"},
-		{"sat+bat", "combined FDT: min of both estimates, Eq. 7 (aliases: combined, fdt)"},
-		{"static", "fixed thread count: -threads N (0 = all cores)"},
-		{"hillclimb", "model-free baseline: times real chunks and climbs to a local optimum"},
-		{"hybrid", "model seed + bounded measured probes, falls back to pure measurement on model breakdown"},
-	} {
-		fmt.Fprintf(stdout, "  %-10s %s\n", p[0], p[1])
-	}
-	fmt.Fprintln(stdout, "\nMAPPINGS (-mapping, with -corun)")
-	for _, mp := range machine.Mappings() {
-		fmt.Fprintf(stdout, "  %-10s %s\n", mp, mp.Describe())
-	}
-	fmt.Fprintln(stdout, "\nMODES")
-	fmt.Fprintf(stdout, "  %-10s %s\n", "exact", "every cycle simulated (default)")
-	fmt.Fprintf(stdout, "  %-10s %s\n", "sampled", "steady-state fast-forward: -sampled, tuned by -sample-tol/-sample-window")
-}
-
-func parsePolicy(name string, threads int) (core.Policy, error) {
-	switch strings.ToLower(name) {
-	case "sat":
-		return core.SAT{}, nil
-	case "bat":
-		return core.BAT{}, nil
-	case "sat+bat", "combined", "fdt":
-		return core.Combined{}, nil
-	case "static":
-		return core.Static{N: threads}, nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q (want sat, bat, sat+bat or static)", name)
-	}
+	return sampled, 0
 }

@@ -58,6 +58,9 @@ func TestBadInvocations(t *testing.T) {
 		{"-power-budget", "5", "-policy", "hybrid"},
 		{"-power-budget", "5", "-corun", "pagemine+mg"},
 		{"-freq-ladder", "default", "-corun", "pagemine+mg"},
+		{"-cores", "4"},   // not a multiple of the 8 L3 banks
+		{"-cores", "128"}, // beyond the directory's 64-core sharer mask
+		{"-bandwidth", "0"},
 	}
 	for _, args := range cases {
 		var out, errb bytes.Buffer

@@ -27,10 +27,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 
+	"fdt/internal/cliflags"
 	"fdt/internal/core"
 	"fdt/internal/experiments"
 	"fdt/internal/machine"
@@ -40,132 +43,126 @@ import (
 )
 
 func main() {
-	var (
-		workload   = flag.String("workload", "ed", "workload name")
-		corun      = flag.String("corun", "", "co-schedule two workloads as \"a+b\" and sweep the mapping dimension instead of thread counts")
-		mapStr     = flag.String("mapping", "", "with -corun: sweep only this mapping (packed, scattered, smt; default all valid)")
-		threadStr  = flag.String("threads", "", "comma-separated static thread counts (default 1..cores)")
-		cores      = flag.Int("cores", 32, "cores on the simulated chip")
-		bandwidth  = flag.Float64("bandwidth", 1.0, "off-chip bandwidth scale factor")
-		policies   = flag.String("policies", "sat,bat,sat+bat", "feedback policies to place on the curve")
-		parallel   = flag.Int("parallel", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial)")
-		cacheDir   = flag.String("cache-dir", "", "disk run-store directory shared with fdtd (warm runs are loaded, new runs persisted)")
-		jsonPath   = flag.String("json", "", "write the sweep and policy runs as JSON to this file (\"-\" for stdout)")
-		useSample  = flag.Bool("sampled", false, "execute sweep points in sampled mode (steady-state fast-forward)")
-		sampleTol  = flag.Float64("sample-tol", 0, "sampled-mode stability tolerance (0 = default)")
-		sampleWin  = flag.Int("sample-window", 0, "sampled-mode detailed-window length in iterations (0 = default)")
-		verifyAcc  = flag.Bool("verify", false, "with -sampled: also run every point exactly and print the error table")
-		probeIters = flag.Int("probe-iters", 0, "probe chunk length in iterations for hillclimb/hybrid policies (0 = default)")
-		minGain    = flag.Float64("min-gain", 0, "fractional speedup a probed size needs to win, for hillclimb/hybrid policies (0 = default)")
-		budget     = flag.Float64("power-budget", 0, "average-chip-power cap in nominal-active-core units (0 = unconstrained; implies -freq-ladder default)")
-		ladderStr  = flag.String("freq-ladder", "", "P-state ladder: \"default\" or comma-separated MHz values, nominal first (empty = single-frequency machine)")
-	)
-	flag.Parse()
-	if *probeIters < 0 {
-		fmt.Fprintf(os.Stderr, "fdtsweep: -probe-iters %d, want >= 0 (0 = default)\n", *probeIters)
-		os.Exit(2)
-	}
-	if *minGain < 0 || *minGain >= 1 {
-		fmt.Fprintf(os.Stderr, "fdtsweep: -min-gain %g, want in [0, 1)\n", *minGain)
-		os.Exit(2)
-	}
-	ladder, err := machine.ResolveDVFS(*budget, *ladderStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fdtsweep:", err)
-		os.Exit(2)
-	}
-	dvfs := *budget > 0 || !ladder.Trivial()
-	pp := core.PowerParams{Budget: *budget, LockState: -1}
-	runner.SetWorkers(*parallel)
-	if *cacheDir != "" {
-		if _, err := core.OpenRunStore(*cacheDir); err != nil {
-			fmt.Fprintln(os.Stderr, "fdtsweep:", err)
-			os.Exit(1)
-		}
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	md := core.ExactMode()
-	if *useSample {
-		md = core.SampledMode()
-		md.Params.Tol = *sampleTol
-		md.Params.WindowIters = *sampleWin
-		md.Params = md.Params.WithDefaults()
+// run is the testable command body: flag errors and invalid
+// combinations return 2, unwritable outputs and store failures 1.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fdtsweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		workload  = fs.String("workload", "ed", "workload name")
+		corun     = fs.String("corun", "", "co-schedule two workloads as \"a+b\" and sweep the mapping dimension instead of thread counts")
+		mapStr    = fs.String("mapping", "", "with -corun: sweep only this mapping (packed, scattered, smt; default all valid)")
+		threadStr = fs.String("threads", "", "comma-separated static thread counts (default 1..cores)")
+		policies  = fs.String("policies", "sat,bat,sat+bat", "feedback policies to place on the curve (see fdtsim -list)")
+		parallel  = fs.Int("parallel", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial)")
+		cacheDir  = fs.String("cache-dir", "", "disk run-store directory shared with fdtd (warm runs are loaded, new runs persisted)")
+		jsonPath  = fs.String("json", "", "write the sweep and policy runs as JSON to this file (\"-\" for stdout)")
+		verifyAcc = fs.Bool("verify", false, "with -sampled: also run every point exactly and print the error table")
+	)
+	fl := cliflags.Register(fs, cliflags.Machine|cliflags.Power|cliflags.Sampled|cliflags.Probe)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	rs, err := fl.Spec()
+	if err != nil {
+		fmt.Fprintln(stderr, "fdtsweep:", err)
+		return 2
 	}
 
 	if *corun != "" {
-		if dvfs {
-			fmt.Fprintln(os.Stderr, "fdtsweep: -corun does not support -power-budget/-freq-ladder (per-team power attribution is not modeled)")
-			os.Exit(2)
+		rs.Control = core.Control{Policy: core.Combined{}}
+		rs.Corun = true
+		if err := rs.Validate(); err != nil {
+			fmt.Fprintln(stderr, "fdtsweep:", err)
+			return 2
 		}
-		cfg := machine.DefaultConfig().WithCores(*cores).WithBandwidth(*bandwidth)
-		os.Exit(runCorunSweep(cfg, *corun, *mapStr, md, *jsonPath))
+		runner.SetWorkers(*parallel)
+		return runCorunSweep(rs.Cfg, *corun, *mapStr, rs.Mode, *jsonPath, stdout, stderr)
 	}
 
 	info, ok := workloads.ByName(*workload)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "fdtsweep: unknown workload %q\n", *workload)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "fdtsweep: unknown workload %q\n", *workload)
+		return 2
 	}
-	cfg := machine.DefaultConfig().WithCores(*cores).WithBandwidth(*bandwidth).WithFreq(ladder)
-	factory := func(m *machine.Machine) core.Workload { return info.Factory(m) }
-
-	counts, err := parseThreads(*threadStr, *cores)
+	rs.Workload, rs.Factory = info.Name, info.Factory
+	counts, err := parseThreads(*threadStr, fl.Cores)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fdtsweep:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "fdtsweep:", err)
+		return 2
+	}
+	// Every placement is validated before the sweep simulates anything.
+	rs.Control = core.Control{Policy: core.Static{}}
+	if err := rs.Validate(); err != nil {
+		fmt.Fprintln(stderr, "fdtsweep:", err)
+		return 2
+	}
+	var placements []core.RunSpec
+	for _, pname := range strings.Split(*policies, ",") {
+		if strings.TrimSpace(pname) == "" {
+			continue
+		}
+		p := rs
+		if p.Control, err = fl.Control(pname); err != nil {
+			fmt.Fprintln(stderr, "fdtsweep:", err)
+			return 2
+		}
+		if err := p.Validate(); err != nil {
+			fmt.Fprintln(stderr, "fdtsweep:", err)
+			return 2
+		}
+		if note := p.ExactNote(); note != "" {
+			fmt.Fprintln(stdout, "# note:", note)
+		}
+		placements = append(placements, p)
 	}
 
-	var sweep []core.RunResult
-	if dvfs {
-		sweep = core.SweepBudgetKeyedMode(cfg, info.Name, factory, counts, pp, md)
-	} else {
-		sweep = core.SweepKeyedMode(cfg, info.Name, factory, counts, md)
+	runner.SetWorkers(*parallel)
+	if *cacheDir != "" {
+		if _, err := core.OpenRunStore(*cacheDir); err != nil {
+			fmt.Fprintln(stderr, "fdtsweep:", err)
+			return 1
+		}
+		defer core.DetachRunStore()
 	}
+
+	sweep := core.Sweep(rs, counts, nil)
 	base := sweep[0].TotalCycles // normalize to the 1-thread run
-	fmt.Printf("# %s on %d cores, %.2gx bandwidth (time normalized to %d threads)\n",
-		info.Name, *cores, *bandwidth, counts[0])
-	if dvfs {
-		names := make([]string, len(ladder.States))
-		for i, s := range ladder.States {
-			names[i] = s.Name
-		}
-		budgetStr := "unconstrained"
-		if *budget > 0 {
-			budgetStr = fmt.Sprintf("%.2f", *budget)
-		}
-		fmt.Printf("# ladder %s, budget %s\n", strings.Join(names, ">"), budgetStr)
+	fmt.Fprintf(stdout, "# %s on %d cores, %.2gx bandwidth (time normalized to %d threads)\n",
+		info.Name, fl.Cores, fl.Bandwidth, counts[0])
+	if line := fl.PowerLine(rs); line != "" {
+		fmt.Fprintf(stdout, "# %s\n", line)
 	}
-	fmt.Printf("%8s %12s %10s %10s %10s\n", "threads", "cycles", "norm.time", "bus.util", "power")
+	fmt.Fprintf(stdout, "%8s %12s %10s %10s %10s\n", "threads", "cycles", "norm.time", "bus.util", "power")
 	times := make([]uint64, len(sweep))
 	for i, r := range sweep {
 		times[i] = r.TotalCycles
-		fmt.Printf("%8d %12d %10.3f %9.1f%% %10.2f\n",
+		fmt.Fprintf(stdout, "%8d %12d %10.3f %9.1f%% %10.2f\n",
 			counts[i], r.TotalCycles,
 			float64(r.TotalCycles)/float64(base),
 			100*float64(r.BusBusyCycles)/float64(r.TotalCycles),
 			r.AvgActiveCores)
 	}
 	bestIdx, bestCycles := stats.ArgMinUint(times)
-	fmt.Printf("# minimum at %d threads (%d cycles)\n", counts[bestIdx], bestCycles)
+	fmt.Fprintf(stdout, "# minimum at %d threads (%d cycles)\n", counts[bestIdx], bestCycles)
 
-	out := sweepJSON{
+	out := sweepJSON{SweepJobResult: experiments.SweepJobResult{
 		Workload:   info.Name,
-		Cores:      *cores,
-		Bandwidth:  *bandwidth,
+		Cores:      fl.Cores,
 		Threads:    counts,
 		Sweep:      sweep,
 		MinThreads: counts[bestIdx],
-	}
+	}, Bandwidth: fl.Bandwidth}
 
-	if *useSample && *verifyAcc {
-		var exact []core.RunResult
-		if dvfs {
-			exact = core.SweepBudgetKeyedMode(cfg, info.Name, factory, counts, pp, core.ExactMode())
-		} else {
-			exact = core.SweepKeyed(cfg, info.Name, factory, counts)
-		}
-		fmt.Printf("# sampled-vs-exact verification\n")
-		fmt.Printf("%8s %12s %12s %9s %8s %8s %9s %8s\n",
+	if rs.Mode.Sampled && *verifyAcc {
+		ex := rs
+		ex.Mode = core.ExactMode()
+		exact := core.Sweep(ex, counts, nil)
+		fmt.Fprintf(stdout, "# sampled-vs-exact verification\n")
+		fmt.Fprintf(stdout, "%8s %12s %12s %9s %8s %8s %9s %8s\n",
 			"threads", "exact.cyc", "sampled.cyc", "cyc.err", "exact.pw", "smpl.pw", "pw.err", "skipped")
 		var cycErrs, pwErrs []float64
 		var points []verifyPoint
@@ -173,13 +170,13 @@ func main() {
 			sp := sweep[i]
 			cycErr := relErr(float64(sp.TotalCycles), float64(ex.TotalCycles))
 			pwErr := relErr(sp.AvgActiveCores, ex.AvgActiveCores)
-			cycErrs = append(cycErrs, 1+absF(cycErr))
-			pwErrs = append(pwErrs, 1+absF(pwErr))
+			cycErrs = append(cycErrs, 1+math.Abs(cycErr))
+			pwErrs = append(pwErrs, 1+math.Abs(pwErr))
 			skipped := 0.0
 			if sp.Sampled != nil {
 				skipped = sp.Sampled.SkippedFrac()
 			}
-			fmt.Printf("%8d %12d %12d %8.2f%% %8.2f %8.2f %8.2f%% %7.1f%%\n",
+			fmt.Fprintf(stdout, "%8d %12d %12d %8.2f%% %8.2f %8.2f %8.2f%% %7.1f%%\n",
 				counts[i], ex.TotalCycles, sp.TotalCycles, 100*cycErr,
 				ex.AvgActiveCores, sp.AvgActiveCores, 100*pwErr, 100*skipped)
 			points = append(points, verifyPoint{
@@ -190,68 +187,34 @@ func main() {
 		}
 		gCyc := stats.Gmean(cycErrs) - 1
 		gPw := stats.Gmean(pwErrs) - 1
-		fmt.Printf("# gmean |cycle err| %.3f%%, gmean |power err| %.3f%%\n", 100*gCyc, 100*gPw)
+		fmt.Fprintf(stdout, "# gmean |cycle err| %.3f%%, gmean |power err| %.3f%%\n", 100*gCyc, 100*gPw)
 		out.Verify = &verifyJSON{Points: points, GmeanCycleErr: gCyc, GmeanPowerErr: gPw}
 	}
 
-	for _, pname := range strings.Split(*policies, ",") {
-		pname = strings.TrimSpace(pname)
-		if pname == "" {
-			continue
-		}
-		var r core.RunResult
-		switch strings.ToLower(pname) {
-		case "hillclimb", "hill-climb":
-			// Hill-climbing and the hybrid are not model-driven Policies
-			// — their probes time real chunks — so their keyed runners
-			// always execute exact.
-			if dvfs {
-				fmt.Fprintf(os.Stderr, "fdtsweep: policy %q does not support -power-budget/-freq-ladder (its probes time real chunks at nominal frequency)\n", pname)
-				os.Exit(2)
-			}
-			r = core.RunHillClimbKeyed(cfg, info.Name, factory,
-				core.HillClimb{ProbeIters: *probeIters, MinGain: *minGain})
-		case "hybrid":
-			if dvfs {
-				fmt.Fprintf(os.Stderr, "fdtsweep: policy %q does not support -power-budget/-freq-ladder (its probes time real chunks at nominal frequency)\n", pname)
-				os.Exit(2)
-			}
-			r = core.RunHybridKeyed(cfg, info.Name, factory,
-				core.Hybrid{HP: core.HybridParams{ProbeIters: *probeIters, MinGain: *minGain}})
-		default:
-			pol, err := experiments.PolicyByName(pname)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fdtsweep:", err)
-				os.Exit(2)
-			}
-			if dvfs {
-				r = core.RunPolicyBudgetKeyedMode(cfg, info.Name, factory, pol, pp, md)
-			} else {
-				r = core.RunPolicyKeyedMode(cfg, info.Name, factory, pol, md)
-			}
-		}
+	for _, p := range placements {
+		r := p.Run()
 		out.Policies = append(out.Policies, r)
-		fmt.Printf("# %-8s -> ", r.Policy)
+		fmt.Fprintf(stdout, "# %-8s -> ", r.Policy)
 		for _, k := range r.Kernels {
-			fmt.Printf("[%s threads=%d", k.Kernel, k.Decision.Threads)
+			fmt.Fprintf(stdout, "[%s threads=%d", k.Kernel, k.Decision.Threads)
 			if k.Decision.Freq != "" {
-				fmt.Printf(" freq=%s", k.Decision.Freq)
+				fmt.Fprintf(stdout, " freq=%s", k.Decision.Freq)
 			}
-			fmt.Printf(" pcs=%d pbw=%d csfrac=%.2f%% bu1=%.2f%%] ",
+			fmt.Fprintf(stdout, " pcs=%d pbw=%d csfrac=%.2f%% bu1=%.2f%%] ",
 				k.Decision.PCS, k.Decision.PBW,
 				100*k.Decision.CSFraction, 100*k.Decision.BusUtil1)
 		}
-		fmt.Printf("time=%.3f power=%.2f", float64(r.TotalCycles)/float64(base), r.AvgActiveCores)
+		fmt.Fprintf(stdout, "time=%.3f power=%.2f", float64(r.TotalCycles)/float64(base), r.AvgActiveCores)
 		if r.Energy != nil {
-			fmt.Printf(" energy=%.0f", r.Energy.Total)
+			fmt.Fprintf(stdout, " energy=%.0f", r.Energy.Total)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, out); err != nil {
-			fmt.Fprintln(os.Stderr, "fdtsweep:", err)
-			os.Exit(1)
+		if err := writeJSON(*jsonPath, out, stdout); err != nil {
+			fmt.Fprintln(stderr, "fdtsweep:", err)
+			return 1
 		}
 	}
 
@@ -260,11 +223,12 @@ func main() {
 	if hits+misses > 0 {
 		rate = 100 * float64(hits) / float64(hits+misses)
 	}
-	fmt.Printf("# [%d workers; run cache: %d hits / %d misses (%.1f%% hit rate)]\n",
+	fmt.Fprintf(stdout, "# [%d workers; run cache: %d hits / %d misses (%.1f%% hit rate)]\n",
 		runner.Workers(), hits, misses, rate)
 	if st, ok := core.RunStoreStats(); ok {
-		fmt.Printf("# [run store: %d loads / %d saves]\n", st.Hits, st.Puts)
+		fmt.Fprintf(stdout, "# [run store: %d loads / %d saves]\n", st.Hits, st.Puts)
 	}
+	return 0
 }
 
 // runCorunSweep is the -corun mode: instead of the thread dimension,
@@ -272,17 +236,17 @@ func main() {
 // Every mapping row reports each tenant solo on its partition (the
 // interference-free control) against the co-run, under combined
 // SAT+BAT controllers.
-func runCorunSweep(cfg machine.Config, pair, mapStr string, md core.Mode, jsonPath string) int {
+func runCorunSweep(cfg machine.Config, pair, mapStr string, md core.Mode, jsonPath string, stdout, stderr io.Writer) int {
 	a, b, err := workloads.ParsePair(pair)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fdtsweep:", err)
+		fmt.Fprintln(stderr, "fdtsweep:", err)
 		return 2
 	}
 	mappings := []machine.Mapping{machine.MapPacked, machine.MapScattered, machine.MapSMT}
 	if mapStr != "" {
 		mp, err := machine.ParseMapping(mapStr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fdtsweep:", err)
+			fmt.Fprintln(stderr, "fdtsweep:", err)
 			return 2
 		}
 		mappings = []machine.Mapping{mp}
@@ -292,9 +256,9 @@ func runCorunSweep(cfg machine.Config, pair, mapStr string, md core.Mode, jsonPa
 		{Workload: a.Name, Factory: a.Factory, Policy: core.Combined{}},
 		{Workload: b.Name, Factory: b.Factory, Policy: core.Combined{}},
 	}
-	fmt.Printf("# corun %s + %s on %d cores under sat+bat (solo runs use the same partition, empty machine)\n",
+	fmt.Fprintf(stdout, "# corun %s + %s on %d cores under sat+bat (solo runs use the same partition, empty machine)\n",
 		a.Name, b.Name, cfg.Mem.Cores)
-	fmt.Printf("%-10s %-10s %12s %12s %9s %8s %8s %9s\n",
+	fmt.Fprintf(stdout, "%-10s %-10s %12s %12s %9s %8s %8s %9s\n",
 		"mapping", "workload", "solo.cyc", "corun.cyc", "slowdown", "thr.solo", "thr.co", "bus.share")
 	out := corunSweepJSON{PairA: a.Name, PairB: b.Name, Cores: cfg.Mem.Cores}
 	for _, mp := range mappings {
@@ -303,7 +267,7 @@ func runCorunSweep(cfg machine.Config, pair, mapStr string, md core.Mode, jsonPa
 			// An invalid mapping for this config (e.g. smt without
 			// planes) is only an error when explicitly requested.
 			if mapStr != "" {
-				fmt.Fprintln(os.Stderr, "fdtsweep:", err)
+				fmt.Fprintln(stderr, "fdtsweep:", err)
 				return 2
 			}
 			continue
@@ -312,7 +276,7 @@ func runCorunSweep(cfg machine.Config, pair, mapStr string, md core.Mode, jsonPa
 		for i := range specs {
 			solo, err := core.RunSolo(cfg, mp, len(specs), i, specs[i], md)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "fdtsweep:", err)
+				fmt.Fprintln(stderr, "fdtsweep:", err)
 				return 2
 			}
 			ct := co.Teams[i]
@@ -320,7 +284,7 @@ func runCorunSweep(cfg machine.Config, pair, mapStr string, md core.Mode, jsonPa
 			if solo.TotalCycles > 0 {
 				slow = 100 * (float64(ct.TotalCycles)/float64(solo.TotalCycles) - 1)
 			}
-			fmt.Printf("%-10s %-10s %12d %12d %8.1f%% %8.1f %8.1f %8.1f%%\n",
+			fmt.Fprintf(stdout, "%-10s %-10s %12d %12d %8.1f%% %8.1f %8.1f %8.1f%%\n",
 				mp, specs[i].Workload, solo.TotalCycles, ct.TotalCycles, slow,
 				solo.AvgThreads(), ct.AvgThreads(), 100*ct.BusShare)
 			row.Solo = append(row.Solo, solo)
@@ -328,13 +292,13 @@ func runCorunSweep(cfg machine.Config, pair, mapStr string, md core.Mode, jsonPa
 		out.Rows = append(out.Rows, row)
 	}
 	if jsonPath != "" {
-		if err := writeJSON(jsonPath, out); err != nil {
-			fmt.Fprintln(os.Stderr, "fdtsweep:", err)
+		if err := writeJSON(jsonPath, out, stdout); err != nil {
+			fmt.Fprintln(stderr, "fdtsweep:", err)
 			return 1
 		}
 	}
 	hits, misses := core.RunCacheStats()
-	fmt.Printf("# [run cache: %d hits / %d misses]\n", hits, misses)
+	fmt.Fprintf(stdout, "# [run cache: %d hits / %d misses]\n", hits, misses)
 	return 0
 }
 
@@ -354,17 +318,13 @@ type corunSweepRow struct {
 	Solo     []core.TeamResult `json:"solo"`
 }
 
-// sweepJSON is fdtsweep's machine-readable output: the full RunResult
-// of every sweep point and policy run.
+// sweepJSON is fdtsweep's machine-readable output: the fdtd sweep
+// job's result shape plus the machine's bandwidth and the -verify
+// audit.
 type sweepJSON struct {
-	Workload   string           `json:"workload"`
-	Cores      int              `json:"cores"`
-	Bandwidth  float64          `json:"bandwidth"`
-	Threads    []int            `json:"threads"`
-	Sweep      []core.RunResult `json:"sweep"`
-	MinThreads int              `json:"min_threads"`
-	Policies   []core.RunResult `json:"policies,omitempty"`
-	Verify     *verifyJSON      `json:"verify,omitempty"`
+	experiments.SweepJobResult
+	Bandwidth float64     `json:"bandwidth"`
+	Verify    *verifyJSON `json:"verify,omitempty"`
 }
 
 // verifyJSON is the -sampled -verify accuracy audit: per-point
@@ -394,21 +354,14 @@ func relErr(got, want float64) float64 {
 	return (got - want) / want
 }
 
-func absF(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-func writeJSON(path string, v any) error {
+func writeJSON(path string, v any, stdout io.Writer) error {
 	blob, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
 	blob = append(blob, '\n')
 	if path == "-" {
-		_, err = os.Stdout.Write(blob)
+		_, err = stdout.Write(blob)
 		return err
 	}
 	return os.WriteFile(path, blob, 0o644)

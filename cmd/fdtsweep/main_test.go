@@ -2,50 +2,20 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"os/exec"
 	"strings"
 	"testing"
 )
 
-// fdtsweep's flags live in main() and exit through os.Exit, so the
-// tests re-exec the test binary as the command: TestMain intercepts
-// the child before any tests run and hands os.Args to main(). Args
-// are joined with the ASCII unit separator (NUL is not legal in
-// environment values).
-const sweepArgsEnv = "FDTSWEEP_TEST_ARGS"
-
-func TestMain(m *testing.M) {
-	if raw := os.Getenv(sweepArgsEnv); raw != "" {
-		os.Args = append([]string{"fdtsweep"}, strings.Split(raw, "\x1f")...)
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-// execSweep runs fdtsweep with args in a child process and returns
-// its exit code with the combined output streams.
+// execSweep runs fdtsweep with args and returns its exit code with the
+// two output streams.
 func execSweep(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), sweepArgsEnv+"="+strings.Join(args, "\x1f"))
 	var out, errb bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, &errb
-	err := cmd.Run()
-	code := 0
-	if ee, ok := err.(*exec.ExitError); ok {
-		code = ee.ExitCode()
-	} else if err != nil {
-		t.Fatalf("exec %v: %v", args, err)
-	}
+	code := run(args, &out, &errb)
 	return code, out.String(), errb.String()
 }
 
 func TestSweepBadInvocations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("re-exec child processes")
-	}
 	cases := [][]string{
 		{"-workload", "nosuch"},
 		{"-threads", "notanumber"},
@@ -58,6 +28,7 @@ func TestSweepBadInvocations(t *testing.T) {
 		{"-freq-ladder", "default", "-corun", "pagemine+mg"},
 		{"-workload", "ed", "-threads", "1,2", "-power-budget", "5", "-policies", "hillclimb"},
 		{"-workload", "ed", "-threads", "1,2", "-power-budget", "5", "-policies", "hybrid"},
+		{"-cores", "4"}, // not a multiple of the 8 L3 banks
 	}
 	for _, args := range cases {
 		code, _, errb := execSweep(t, args...)
@@ -69,7 +40,7 @@ func TestSweepBadInvocations(t *testing.T) {
 
 func TestSweepPowerBudget(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full simulated sweep in a child process")
+		t.Skip("full simulated sweep")
 	}
 	code, out, errb := execSweep(t,
 		"-workload", "ed", "-cores", "16", "-threads", "1,4",

@@ -27,6 +27,7 @@ import (
 	"os"
 	"strings"
 
+	"fdt/internal/cliflags"
 	"fdt/internal/core"
 	"fdt/internal/invariant"
 	"fdt/internal/machine"
@@ -44,47 +45,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fdttrace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		workload  = fs.String("workload", "phaseshift", "workload name (see -list)")
-		corun     = fs.String("corun", "", "trace two co-scheduled workloads as \"a+b\" (overrides -workload)")
-		mapping   = fs.String("mapping", "packed", "thread-to-core mapping for -corun: packed, scattered, smt")
-		policy    = fs.String("policy", "adaptive", "threading policy: sat, bat, sat+bat, static, adaptive, hybrid")
-		threads   = fs.Int("threads", 0, "thread count for -policy static (0 = all cores)")
-		cores     = fs.Int("cores", 32, "cores on the simulated chip")
-		bandwidth = fs.Float64("bandwidth", 1.0, "off-chip bandwidth scale factor")
-		out       = fs.String("o", "trace.json", "Chrome trace-event JSON output path")
-		timeline  = fs.String("timeline", "", "also write a plain-text utilization timeline to this path")
-		interval  = fs.Uint64("interval", 10000, "timeline bin width in cycles")
-		events    = fs.String("events", "mem,sync,ctl", "traced categories, comma-separated: sim, mem, sync, ctl (or all)")
-		bufCap    = fs.Int("buf", 1<<19, "trace ring-buffer capacity in events (newest kept on overflow)")
-		list      = fs.Bool("list", false, "list workloads and exit")
-		check     = fs.Bool("check", false, "arm the runtime invariant checker (conservation, queueing, coherence, controller equations)")
-		useSample = fs.Bool("sampled", false, "ignored: traces always execute exactly (kept for flag parity with fdtsim)")
-		budget    = fs.Float64("power-budget", 0, "average-chip-power cap in nominal-active-core units (0 = unconstrained; implies -freq-ladder default)")
-		ladderStr = fs.String("freq-ladder", "", "P-state ladder: \"default\" or comma-separated MHz values, nominal first (empty = single-frequency machine)")
+		workload = fs.String("workload", "phaseshift", "workload name (see -list)")
+		corun    = fs.String("corun", "", "trace two co-scheduled workloads as \"a+b\" (overrides -workload)")
+		mapping  = fs.String("mapping", "packed", "thread-to-core mapping for -corun: packed, scattered, smt")
+		policy   = fs.String("policy", "adaptive", "threading policy (see fdtsim -list)")
+		threads  = fs.Int("threads", 0, "thread count for -policy static (0 = all cores)")
+		out      = fs.String("o", "trace.json", "Chrome trace-event JSON output path")
+		timeline = fs.String("timeline", "", "also write a plain-text utilization timeline to this path")
+		interval = fs.Uint64("interval", 10000, "timeline bin width in cycles")
+		events   = fs.String("events", "mem,sync,ctl", "traced categories, comma-separated: sim, mem, sync, ctl (or all)")
+		bufCap   = fs.Int("buf", 1<<19, "trace ring-buffer capacity in events (newest kept on overflow)")
+		list     = fs.Bool("list", false, "list workloads and exit")
+		check    = fs.Bool("check", false, "arm the runtime invariant checker (conservation, queueing, coherence, controller equations)")
 	)
+	fl := cliflags.Register(fs, cliflags.Machine|cliflags.Power)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	ladder, errDVFS := machine.ResolveDVFS(*budget, *ladderStr)
-	if errDVFS != nil {
-		fmt.Fprintln(stderr, "fdttrace:", errDVFS)
+	rs, err := fl.Spec()
+	if err != nil {
+		fmt.Fprintln(stderr, "fdttrace:", err)
 		return 2
-	}
-	dvfs := *budget > 0 || !ladder.Trivial()
-	if *useSample {
-		// A golden trace must record every simulated event;
-		// fast-forwarded regions would leave silent gaps.
-		fmt.Fprintln(stdout, "note: fdttrace always executes exactly (a golden trace must record every event); -sampled ignored")
 	}
 
 	if *list {
-		fmt.Fprintf(stdout, "%-10s %-12s %-28s %s\n", "NAME", "CLASS", "PROBLEM", "INPUT")
-		for _, info := range workloads.All() {
-			fmt.Fprintf(stdout, "%-10s %-12s %-28s %s\n", info.Name, info.Class, info.Problem, info.Input)
-		}
-		for _, info := range workloads.Extras() {
-			fmt.Fprintf(stdout, "%-10s %-12s %-28s %s\n", info.Name, info.Class, info.Problem, info.Input)
-		}
+		cliflags.PrintList(stdout)
 		return 0
 	}
 
@@ -102,9 +87,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "fdttrace:", err)
 		return 2
 	}
+	rs.Control, err = fl.Control(*policy)
+	if err != nil {
+		fmt.Fprintln(stderr, "fdttrace:", err)
+		return 2
+	}
+	if s, ok := rs.Control.Policy.(core.Static); ok && s.N == 0 {
+		rs.Control.Policy = core.Static{N: *threads}
+	}
+	rs.Corun, rs.Trace, rs.Check = *corun != "", true, *check
+	if err := rs.Validate(); err != nil {
+		fmt.Fprintln(stderr, "fdttrace:", err)
+		return 2
+	}
 
-	cfg := machine.DefaultConfig().WithCores(*cores).WithBandwidth(*bandwidth).WithFreq(ladder)
-	m := machine.MustNew(cfg)
+	m := machine.MustNew(rs.Cfg)
 	tr := trace.New(*bufCap, mask)
 	m.AttachTracer(tr)
 	var ck *invariant.Checker
@@ -114,22 +111,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var res core.RunResult
 	meta := map[string]string{
-		"cores":     fmt.Sprintf("%d", *cores),
-		"bandwidth": fmt.Sprintf("%g", *bandwidth),
+		"cores":     fmt.Sprintf("%d", fl.Cores),
+		"bandwidth": fmt.Sprintf("%g", fl.Bandwidth),
+		"policy":    rs.Control.Name(),
 	}
-	if dvfs {
-		meta["budget"] = fmt.Sprintf("%g", *budget)
-		meta["ladder"] = ladder.Key()
+	if rs.Power != nil {
+		meta["budget"] = fmt.Sprintf("%g", fl.Budget)
+		meta["ladder"] = rs.Cfg.Freq.Key()
 	}
 	if *corun != "" {
-		if dvfs {
-			fmt.Fprintln(stderr, "fdttrace: -corun does not support -power-budget/-freq-ladder (per-team power attribution is not modeled)")
-			return 2
-		}
-		if strings.ToLower(*policy) == "hybrid" {
-			fmt.Fprintln(stderr, "fdttrace: -policy hybrid does not support -corun (its probes own the whole machine)")
-			return 2
-		}
 		a, b, err := workloads.ParsePair(*corun)
 		if err != nil {
 			fmt.Fprintf(stderr, "fdttrace: %v (try -list)\n", err)
@@ -141,21 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		spec := func(i workloads.Info) core.TeamSpec {
-			s := core.TeamSpec{Workload: i.Name, Factory: i.Factory}
-			switch strings.ToLower(*policy) {
-			case "adaptive":
-				s.Policy = core.Combined{}
-				p := core.DefaultMonitorParams()
-				s.Monitor = &p
-			default:
-				pol, err := parsePolicy(*policy, *threads)
-				if err != nil {
-					fmt.Fprintln(stderr, "fdttrace:", err)
-					os.Exit(2)
-				}
-				s.Policy = pol
-			}
-			return s
+			return core.TeamSpec{Workload: i.Name, Factory: i.Factory, Policy: rs.Control.Policy, Monitor: rs.Control.Monitor}
 		}
 		co, err := core.RunCorunOn(m, mp, []core.TeamSpec{spec(a), spec(b)}, core.ExactMode())
 		if err != nil {
@@ -164,7 +140,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		meta["corun"] = a.Name + "+" + b.Name
 		meta["mapping"] = co.Mapping
-		meta["policy"] = policyLabel(*policy, co.Teams[0].Policy)
 		meta["total_cycles"] = fmt.Sprintf("%d", co.TotalCycles)
 		res = co.Teams[0].RunResult
 		res.Workload = a.Name + "+" + b.Name
@@ -174,50 +149,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 			res.Kernels = append(res.Kernels, t.Kernels...)
 		}
 	} else {
-		w := info.Factory(m)
-		pp := core.PowerParams{Budget: *budget, LockState: -1}
-		switch strings.ToLower(*policy) {
-		case "adaptive":
-			ctl := core.NewAdaptiveController(core.Combined{}, core.DefaultMonitorParams())
-			if dvfs {
-				ctl.Power = &pp
-			}
-			res = ctl.Run(m, w)
-		case "hybrid":
-			if dvfs {
-				fmt.Fprintln(stderr, "fdttrace: -policy hybrid does not support -power-budget/-freq-ladder (its probes time real chunks at nominal frequency)")
-				return 2
-			}
-			res = core.Hybrid{}.Run(m, w)
-		default:
-			pol, err := parsePolicy(*policy, *threads)
-			if err != nil {
-				fmt.Fprintln(stderr, "fdttrace:", err)
-				return 2
-			}
-			ctl := core.NewController(pol)
-			if dvfs {
-				ctl.Power = &pp
-			}
-			res = ctl.Run(m, w)
-		}
+		rs.Factory = info.Factory
+		res = rs.RunOn(m)
 		meta["workload"] = res.Workload
-		meta["policy"] = policyLabel(*policy, res.Policy)
 		meta["total_cycles"] = fmt.Sprintf("%d", res.TotalCycles)
 	}
-	if err := writeChromeFile(*out, tr, meta); err != nil {
+	if err := trace.WriteChromeFile(*out, tr, meta); err != nil {
 		fmt.Fprintln(stderr, "fdttrace:", err)
 		return 1
 	}
 	if *timeline != "" {
-		if err := writeTimelineFile(*timeline, tr, *interval); err != nil {
+		if err := trace.WriteTimelineFile(*timeline, tr, *interval); err != nil {
 			fmt.Fprintln(stderr, "fdttrace:", err)
 			return 1
 		}
 	}
 
 	fmt.Fprintf(stdout, "workload   %s under %s: %d cycles, %.2f avg active cores\n",
-		res.Workload, policyLabel(*policy, res.Policy), res.TotalCycles, res.AvgActiveCores)
+		res.Workload, rs.Control.Name(), res.TotalCycles, res.AvgActiveCores)
 	if res.Energy != nil {
 		fmt.Fprintf(stdout, "energy     %.0f core-cycles (%.2f avg chip power, table-driven)\n",
 			res.Energy.Total, res.Energy.AvgPower)
@@ -246,39 +195,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// policyLabel names the effective policy: the adaptive pseudo-policy
-// wraps the combined SAT+BAT policy in a monitored controller.
-func policyLabel(requested, resolved string) string {
-	if strings.ToLower(requested) == "adaptive" {
-		return "adaptive(" + resolved + ")"
-	}
-	return resolved
-}
-
-func writeChromeFile(path string, tr *trace.Tracer, meta map[string]string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteChrome(f, tr, meta); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeTimelineFile(path string, tr *trace.Tracer, interval uint64) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteTimeline(f, tr, interval); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // parseCategories resolves the -events flag to a category mask.
 func parseCategories(s string) (trace.Category, error) {
 	if strings.EqualFold(strings.TrimSpace(s), "all") {
@@ -304,19 +220,4 @@ func parseCategories(s string) (trace.Category, error) {
 		return 0, fmt.Errorf("no event categories selected")
 	}
 	return mask, nil
-}
-
-func parsePolicy(name string, threads int) (core.Policy, error) {
-	switch strings.ToLower(name) {
-	case "sat":
-		return core.SAT{}, nil
-	case "bat":
-		return core.BAT{}, nil
-	case "sat+bat", "combined", "fdt":
-		return core.Combined{}, nil
-	case "static":
-		return core.Static{N: threads}, nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q (want sat, bat, sat+bat, static or adaptive)", name)
-	}
 }

@@ -38,6 +38,8 @@ func TestBadInvocations(t *testing.T) {
 		{"-freq-ladder", "800,1600"}, // must be strictly descending
 		{"-power-budget", "5", "-policy", "hybrid"},
 		{"-power-budget", "5", "-corun", "pagemine+mg"},
+		{"-cores", "4"}, // not a multiple of the 8 L3 banks
+		{"-sampled"},    // traces always execute exactly
 	}
 	for _, args := range cases {
 		var out, errb bytes.Buffer

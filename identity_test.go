@@ -39,8 +39,11 @@ func identityRuns() []core.RunResult {
 		for _, pol := range []core.Policy{core.Static{N: 1}, core.SAT{}, core.BAT{}} {
 			out = append(out, core.RunPolicyKeyed(cfg, info.Name, info.Factory, pol))
 		}
-		out = append(out, core.RunAdaptiveKeyed(cfg, info.Name, info.Factory,
-			core.Combined{}, core.DefaultMonitorParams()))
+		adaptive, err := core.ParseController("adaptive")
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, core.RunSpec{Cfg: cfg, Workload: info.Name, Factory: info.Factory, Control: adaptive}.Run())
 	}
 	return out
 }

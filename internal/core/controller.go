@@ -265,14 +265,32 @@ func (ctl *Controller) runBody(w Workload, res *RunResult) func(c *thread.Ctx) {
 		ctl.st = &sampled.Stats{}
 		res.Sampled = ctl.st
 	}
+	return kernelLoop(w, res, ctl.runKernel)
+}
+
+// kernelLoop is the master thread of one workload execution: it sets
+// the workload up, then runs its kernels in order through kernel,
+// appending each result to res.
+func kernelLoop(w Workload, res *RunResult, kernel func(*thread.Ctx, Kernel) KernelResult) func(*thread.Ctx) {
 	return func(c *thread.Ctx) {
 		if sw, ok := w.(SetupWorkload); ok {
 			sw.Setup(c)
 		}
 		for _, k := range w.Kernels() {
-			res.Kernels = append(res.Kernels, ctl.runKernel(c, k))
+			res.Kernels = append(res.Kernels, kernel(c, k))
 		}
 	}
+}
+
+// runWorkload executes w on the fresh machine m kernel by kernel — the
+// shared frame of the controllers that bring their own kernel loop —
+// and reports the run's timing and power.
+func runWorkload(m *machine.Machine, w Workload, policy string, kernel func(*thread.Ctx, Kernel) KernelResult) RunResult {
+	res := RunResult{Workload: w.Name(), Policy: policy}
+	thread.Run(m, kernelLoop(w, &res, kernel))
+	res.TotalCycles = m.Eng.Now()
+	res.AvgActiveCores = m.Power.AverageActiveCores(res.TotalCycles)
+	return res
 }
 
 // ctlTrace emits the controller's pipeline onto the trace's
@@ -367,63 +385,17 @@ func (ctl *Controller) runKernel(c *thread.Ctx, k Kernel) KernelResult {
 		}
 	}
 
-	if ctl.Monitor == nil {
-		return ctl.runTrainOnce(c, k, n, cores, start, ct)
-	}
-	return ctl.runAdaptive(c, k, n, cores, start, ct)
+	return ctl.runTrained(c, k, n, cores, start, ct)
 }
 
-// runTrainOnce is Fig 7's three-stage flow: train on a peeled prefix,
-// estimate once, execute the remainder as a single chunk.
-func (ctl *Controller) runTrainOnce(c *thread.Ctx, k Kernel, n, cores int, start uint64, ct ctlTrace) KernelResult {
-	m := c.Machine()
-	dvfs := ctl.dvfsOn(m)
-	cc := newCtlCheck(m)
-	cc.atDecision(c, start)
-	if dvfs {
-		ctl.setFreq(c, ctl.trainState(m))
-	}
-	out := Sampler{Params: ctl.Params}.Sample(c, k, ctl.Policy, 0, n)
-	ctl.countTraining(out.Train.Iters)
-	var d Decision
-	var tr TrainResult
-	if dvfs {
-		d, tr = Estimator{Params: ctl.Params}.EstimateDVFS(ctl.Policy, out, cores, m.Cfg.Freq, ctl.powerParams(), ctl.trainState(m))
-	} else {
-		d, tr = Estimator{Params: ctl.Params}.Estimate(ctl.Policy, out, cores)
-	}
-	trainCycles := c.CPU.CycleCount() - start
-	ct.span("sample", k.Name(), start, c.CPU.CycleCount(), uint64(out.Train.Iters), 0, 0)
-	ct.decision(k.Name(), c.CPU.CycleCount(), d)
-	if !dvfs {
-		// The checker re-derives the Eq. 3/5/7 decision, which assumes
-		// the unconstrained nominal-frequency Estimate stage; the DVFS
-		// search is covered by its own estimator tests instead.
-		cc.decision(ctl.Policy, tr, cores, d, c.CPU.CycleCount())
-	}
-	if dvfs {
-		ctl.setFreq(c, d.FreqIndex)
-	}
-	execStart := c.CPU.CycleCount()
-	ctl.execute(c, k, d.Threads, out.Next, n)
-	ct.span("execute", k.Name(), execStart, c.CPU.CycleCount(), uint64(d.Threads), uint64(out.Next), uint64(n))
-	return KernelResult{
-		Kernel:      k.Name(),
-		Decision:    d,
-		TrainIters:  out.Train.Iters,
-		TrainCycles: trainCycles,
-		Cycles:      c.CPU.CycleCount() - start,
-	}
-}
-
-// runAdaptive is the phase-adaptive flow: the pipeline loops
-// Sample -> Estimate -> Execute-with-Monitor until the kernel's
-// iterations are exhausted, re-entering the Sample stage at every
-// detected phase change (up to MaxRetrains). Tails too short to
-// re-train on, and the remainder after the retrain budget is spent,
-// execute unmonitored with the current decision.
-func (ctl *Controller) runAdaptive(c *thread.Ctx, k Kernel, n, cores int, start uint64, ct ctlTrace) KernelResult {
-	mp := *ctl.Monitor
+// runTrained is the training pipeline: Sample -> Estimate -> Execute,
+// once for a train-once controller (Fig 7's three-stage flow). With
+// monitoring on, execution runs under the Monitor and the pipeline
+// re-enters the Sample stage at every detected phase change (up to
+// MaxRetrains); tails too short to re-train on, and the remainder
+// after the retrain budget is spent, execute unmonitored with the
+// current decision.
+func (ctl *Controller) runTrained(c *thread.Ctx, k Kernel, n, cores int, start uint64, ct ctlTrace) KernelResult {
 	sampler := Sampler{Params: ctl.Params}
 	estimator := Estimator{Params: ctl.Params}
 	m := c.Machine()
@@ -451,24 +423,27 @@ func (ctl *Controller) runAdaptive(c *thread.Ctx, k Kernel, n, cores int, start 
 		trainCycles := c.CPU.CycleCount() - phaseStart
 		ct.span("sample", k.Name(), phaseStart, c.CPU.CycleCount(), uint64(out.Train.Iters), uint64(iter), 0)
 		ct.decision(k.Name(), c.CPU.CycleCount(), d)
-		if !dvfs {
-			cc.decision(ctl.Policy, tr, cores, d, c.CPU.CycleCount())
-		}
 		if dvfs {
 			// The Monitor's calibration interval rebases its
 			// expectations on the first executed interval, absorbing
 			// the frequency shift between training and execution.
 			ctl.setFreq(c, d.FreqIndex)
+		} else {
+			// The checker re-derives the Eq. 3/5/7 decision, which
+			// assumes the unconstrained nominal-frequency Estimate
+			// stage; the DVFS search is covered by its own estimator
+			// tests instead.
+			cc.decision(ctl.Policy, tr, cores, d, c.CPU.CycleCount())
 		}
 
 		var stop int
 		var dr *Drift
 		execStart := c.CPU.CycleCount()
-		if kr.Retrains >= mp.MaxRetrains {
+		if ctl.Monitor == nil || kr.Retrains >= ctl.Monitor.MaxRetrains {
 			ctl.execute(c, k, d.Threads, out.Next, n)
 			stop = n
 		} else {
-			mo := NewMonitor(mp, estimator.Steady(out))
+			mo := NewMonitor(*ctl.Monitor, estimator.Steady(out))
 			if ctl.Mode.Sampled {
 				stop, dr = Executor{}.ExecuteSampled(c, k, d.Threads, out.Next, n, ctl.Mode.Params, ctl.st, mo)
 			} else {
@@ -508,6 +483,9 @@ func (ctl *Controller) runAdaptive(c *thread.Ctx, k Kernel, n, cores int, start 
 	}
 	kr.Decision = kr.Phases[0].Decision
 	kr.Cycles = c.CPU.CycleCount() - start
+	if ctl.Monitor == nil {
+		kr.Phases = nil // a train-once kernel is its one phase
+	}
 	return kr
 }
 

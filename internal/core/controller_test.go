@@ -253,7 +253,7 @@ func TestOracleFindsBestStatic(t *testing.T) {
 	// near the analytic optimum and its time must be minimal.
 	cfg := machine.DefaultConfig().WithCores(8)
 	f := newSynthFactory(60, 960, 60, 0)
-	or := Oracle(cfg, f, 0.01)
+	or := Oracle(RunSpec{Cfg: cfg, Factory: f}, nil, 0.01)
 	if or.Threads < 3 || or.Threads > 5 {
 		t.Errorf("oracle picked %d threads, want ~4", or.Threads)
 	}

@@ -61,17 +61,6 @@ func teamName(i int, workload string) string {
 	return fmt.Sprintf("t%d:%s", i, workload)
 }
 
-// buildController assembles one tenant's controller from its spec.
-func (s TeamSpec) buildController(md Mode) *Controller {
-	ctl := NewController(s.Policy)
-	if s.Monitor != nil {
-		mp := *s.Monitor
-		ctl.Monitor = &mp
-	}
-	ctl.Mode = md
-	return ctl
-}
-
 // RunCorunOn co-schedules the specs on m — tenant i on partition i of
 // len(specs) under the mapping — and runs all programs to completion.
 // Each tenant gets an independent controller sampling its own team
@@ -91,7 +80,7 @@ func RunCorunOn(m *machine.Machine, mp machine.Mapping, specs []TeamSpec, md Mod
 	results := make([]RunResult, len(specs))
 	mains := make([]thread.TeamMain, len(specs))
 	for i, s := range specs {
-		ctl := s.buildController(md)
+		ctl := Control{Policy: s.Policy, Monitor: s.Monitor}.controller(md)
 		results[i] = RunResult{Workload: s.Workload, Policy: ctl.Policy.Name()}
 		w := s.Factory(m)
 		mains[i] = thread.TeamMain{Team: teams[i], Main: ctl.runBody(w, &results[i])}
@@ -169,7 +158,7 @@ func RunSoloOn(m *machine.Machine, mp machine.Mapping, nTeams, slot int, spec Te
 	}
 	start := m.Eng.Now()
 
-	ctl := spec.buildController(md)
+	ctl := Control{Policy: spec.Policy, Monitor: spec.Monitor}.controller(md)
 	res := RunResult{Workload: spec.Workload, Policy: ctl.Policy.Name()}
 	w := spec.Factory(m)
 	done := thread.RunTeams(m, []thread.TeamMain{

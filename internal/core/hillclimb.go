@@ -33,18 +33,7 @@ func (HillClimb) Name() string { return "hill-climb" }
 // power and per-kernel decisions (TrainIters counts the probed
 // iterations).
 func (h HillClimb) Run(m *machine.Machine, w Workload) RunResult {
-	res := RunResult{Workload: w.Name(), Policy: h.Name()}
-	thread.Run(m, func(c *thread.Ctx) {
-		if sw, ok := w.(SetupWorkload); ok {
-			sw.Setup(c)
-		}
-		for _, k := range w.Kernels() {
-			res.Kernels = append(res.Kernels, h.runKernel(c, k))
-		}
-	})
-	res.TotalCycles = m.Eng.Now()
-	res.AvgActiveCores = m.Power.AverageActiveCores(res.TotalCycles)
-	return res
+	return runWorkload(m, w, h.Name(), h.runKernel)
 }
 
 func (h HillClimb) runKernel(c *thread.Ctx, k Kernel) KernelResult {

@@ -156,18 +156,8 @@ func (Hybrid) Name() string { return "hybrid" }
 // occupancy and per-kernel decisions (TrainIters counts sampling and
 // probe iterations; Fallbacks/Recoveries count state transitions).
 func (h Hybrid) Run(m *machine.Machine, w Workload) RunResult {
-	res := RunResult{Workload: w.Name(), Policy: h.Name()}
-	thread.Run(m, func(c *thread.Ctx) {
-		if sw, ok := w.(SetupWorkload); ok {
-			sw.Setup(c)
-		}
-		for _, k := range w.Kernels() {
-			res.Kernels = append(res.Kernels, h.runKernel(c, k))
-		}
-	})
+	res := runWorkload(m, w, h.Name(), h.runKernel)
 	m.FinishCheck()
-	res.TotalCycles = m.Eng.Now()
-	res.AvgActiveCores = m.Power.AverageActiveCores(res.TotalCycles)
 	res.BusBusyCycles = m.Ctrs.Counter(counters.BusBusyCycles).Read()
 	return res
 }

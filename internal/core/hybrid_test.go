@@ -270,6 +270,11 @@ func TestHybridIllegalFallbackCaught(t *testing.T) {
 	}
 }
 
+// keyedRun executes a controller through a keyed RunSpec.
+func keyedRun(cfg machine.Config, wkey string, f Factory, ctl Control) RunResult {
+	return RunSpec{Cfg: cfg, Workload: wkey, Factory: f, Control: ctl}.Run()
+}
+
 // TestRunHybridKeyedMemoizes: identical (config, wkey, tuning) calls
 // must simulate once; different tunings and empty keys must not
 // collide.
@@ -278,8 +283,8 @@ func TestRunHybridKeyedMemoizes(t *testing.T) {
 	f := newSynthFactory(400, 2000, 50, 0)
 
 	h0, _ := RunCacheStats()
-	r1 := RunHybridKeyed(cfg, "synth/hybrid-memo", f, Hybrid{})
-	r2 := RunHybridKeyed(cfg, "synth/hybrid-memo", f, Hybrid{})
+	r1 := keyedRun(cfg, "synth/hybrid-memo", f, Control{Hybrid: &Hybrid{}})
+	r2 := keyedRun(cfg, "synth/hybrid-memo", f, Control{Hybrid: &Hybrid{}})
 	h1, _ := RunCacheStats()
 	if h1 == h0 {
 		t.Error("second identical call did not hit the cache")
@@ -291,13 +296,13 @@ func TestRunHybridKeyedMemoizes(t *testing.T) {
 	// A different tuning is a different run.
 	hp := DefaultHybridParams()
 	hp.ProbeIters = 12
-	r3 := RunHybridKeyed(cfg, "synth/hybrid-memo", f, Hybrid{HP: hp})
+	r3 := keyedRun(cfg, "synth/hybrid-memo", f, Control{Hybrid: &Hybrid{HP: hp}})
 	if r3.Kernels[0].TrainIters == r1.Kernels[0].TrainIters && r3.TotalCycles == r1.TotalCycles {
 		t.Log("different tuning produced identical run (possible, but suspicious)")
 	}
 	h2, m2 := RunCacheStats()
 	_ = h2
-	r4 := RunHybridKeyed(cfg, "synth/hybrid-memo", f, Hybrid{HP: hp})
+	r4 := keyedRun(cfg, "synth/hybrid-memo", f, Control{Hybrid: &Hybrid{HP: hp}})
 	h3, m3 := RunCacheStats()
 	if m3 != m2 {
 		t.Error("repeated tuned call re-simulated (tuning not in the content address?)")
@@ -311,7 +316,7 @@ func TestRunHybridKeyedMemoizes(t *testing.T) {
 
 	// Empty workload key bypasses the cache entirely.
 	_, mBefore := RunCacheStats()
-	RunHybridKeyed(cfg, "", f, Hybrid{})
+	keyedRun(cfg, "", f, Control{Hybrid: &Hybrid{}})
 	_, mAfter := RunCacheStats()
 	if mAfter != mBefore {
 		t.Error("empty wkey touched the cache")
@@ -325,8 +330,8 @@ func TestRunHillClimbKeyedMemoizes(t *testing.T) {
 	f := newSynthFactory(400, 2000, 50, 0)
 
 	h0, _ := RunCacheStats()
-	r1 := RunHillClimbKeyed(cfg, "synth/hc-memo", f, HillClimb{})
-	r2 := RunHillClimbKeyed(cfg, "synth/hc-memo", f, HillClimb{})
+	r1 := keyedRun(cfg, "synth/hc-memo", f, Control{HillClimb: &HillClimb{}})
+	r2 := keyedRun(cfg, "synth/hc-memo", f, Control{HillClimb: &HillClimb{}})
 	h1, _ := RunCacheStats()
 	if h1 == h0 {
 		t.Error("second identical call did not hit the cache")
@@ -336,14 +341,14 @@ func TestRunHillClimbKeyedMemoizes(t *testing.T) {
 	}
 
 	_, m0 := RunCacheStats()
-	RunHillClimbKeyed(cfg, "synth/hc-memo", f, HillClimb{ProbeIters: 16})
+	keyedRun(cfg, "synth/hc-memo", f, Control{HillClimb: &HillClimb{ProbeIters: 16}})
 	_, m1 := RunCacheStats()
 	if m1 == m0 {
 		t.Error("different tuning hit the same cache entry")
 	}
 
 	_, mBefore := RunCacheStats()
-	RunHillClimbKeyed(cfg, "", f, HillClimb{})
+	keyedRun(cfg, "", f, Control{HillClimb: &HillClimb{}})
 	_, mAfter := RunCacheStats()
 	if mAfter != mBefore {
 		t.Error("empty wkey touched the cache")

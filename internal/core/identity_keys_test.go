@@ -12,8 +12,9 @@ import (
 // goldenKeys regenerates the run-cache content addresses that
 // testdata/identity_keys_pr9.txt captured from the pre-DVFS tree: a
 // spread of machine configs × policies × modes plus the monitor,
-// hill-climb and hybrid key forms. The golden file is a hard identity
-// pin — if any key changes, previously cached/persisted runs would be
+// hill-climb and hybrid key forms, each built through RunSpec.Key —
+// the path every run takes. The golden file is a hard identity pin —
+// if any key changes, previously cached/persisted runs would be
 // silently resimulated (or worse, collide), so a diff here is a
 // compatibility break, not a test to update casually.
 func goldenKeys() []string {
@@ -28,16 +29,16 @@ func goldenKeys() []string {
 	for _, cfg := range cfgs {
 		for _, pol := range pols {
 			for _, md := range []Mode{ExactMode(), SampledMode()} {
-				keys = append(keys, runKey(cfg, "pagemine", pol)+md.key())
+				keys = append(keys, RunSpec{Cfg: cfg, Workload: "pagemine", Control: Control{Policy: pol}, Mode: md}.Key())
 			}
 		}
-		mp := DefaultMonitorParams()
-		keys = append(keys, runKey(cfg, "ed", Combined{})+fmt.Sprintf("|monitor/%+v", mp))
-		hc := HillClimb{}
-		keys = append(keys, ConfigKey(cfg)+"|ed"+fmt.Sprintf("|policy/hill-climb/%+v", hc))
-		h := Hybrid{}
-		keys = append(keys, ConfigKey(cfg)+"|ed"+
-			fmt.Sprintf("|policy/hybrid/seed=combined/%+v|train/%+v", h.HP, h.Params))
+		for _, name := range []string{"adaptive", "hillclimb", "hybrid"} {
+			ctl, err := ParseController(name)
+			if err != nil {
+				panic(err)
+			}
+			keys = append(keys, RunSpec{Cfg: cfg, Workload: "ed", Control: ctl}.Key())
+		}
 	}
 	return keys
 }
@@ -60,6 +61,17 @@ func TestRunCacheKeysIdentityPR9(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("key %d drifted from PR 9:\n got %s\nwant %s", i, got[i], want[i])
+		}
+	}
+	// Measured controllers always execute exactly, so asking for
+	// sampling must not move their keys.
+	for _, name := range []string{"hillclimb", "hybrid"} {
+		ctl, _ := ParseController(name)
+		exact := RunSpec{Cfg: machine.DefaultConfig(), Workload: "ed", Control: ctl}
+		sampled := exact
+		sampled.Mode = SampledMode()
+		if exact.Key() != sampled.Key() {
+			t.Errorf("%s: sampled key %q differs from exact key %q", name, sampled.Key(), exact.Key())
 		}
 	}
 	// Default power parameters must be invisible in run keys, so
@@ -95,5 +107,26 @@ func TestRunCacheKeysFreqFragment(t *testing.T) {
 	lock := PowerParams{Budget: 0, LockState: 2}
 	if got, want := lock.key(), "|power/b=0,lock=2"; got != want {
 		t.Errorf("lock-only key = %q, want %q", got, want)
+	}
+
+	// Through RunSpec.Key: a budgeted sweep point keys its power
+	// fragment before its mode fragment; an adaptive run under a
+	// budget is forced exact, so it keeps no mode fragment at all.
+	md := SampledMode()
+	point := RunSpec{Cfg: cfg, Workload: "ed", Control: Control{Policy: Static{N: 4}}, Mode: md, Power: &pp}
+	if got, want := point.Key(), key+"|ed|static/4|power/b=4,lock=-1|sampled/"+md.Params.Key(); got != want {
+		t.Errorf("budget sweep key = %q, want %q", got, want)
+	}
+	adaptive, err := ParseController("adaptive")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ad := RunSpec{Cfg: cfg, Workload: "ed", Control: adaptive, Mode: md, Power: &pp}
+	want := key + "|ed|policy/SAT+BAT" + fmt.Sprintf("|monitor/%+v", *adaptive.Monitor) + "|power/b=4,lock=-1"
+	if got := ad.Key(); got != want {
+		t.Errorf("adaptive budget key = %q, want %q", got, want)
+	}
+	if ad.ExactNote() == "" {
+		t.Error("adaptive run under a budget forced exact without a note")
 	}
 }

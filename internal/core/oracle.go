@@ -2,46 +2,13 @@ package core
 
 import (
 	"fdt/internal/machine"
+	"fdt/internal/stats"
 )
 
 // Factory builds a fresh workload instance on a fresh machine. Every
 // simulated execution needs its own machine and workload state, so
 // sweeps and the oracle take factories rather than instances.
 type Factory func(m *machine.Machine) Workload
-
-// RunPolicy builds a fresh machine and workload and executes it under
-// the given policy — the one-call entry point used by sweeps,
-// examples and benchmarks.
-func RunPolicy(cfg machine.Config, f Factory, pol Policy) RunResult {
-	return RunPolicyMode(cfg, f, pol, ExactMode())
-}
-
-// RunPolicyMode is RunPolicy in an explicit execution mode (exact or
-// sampled; see Mode).
-func RunPolicyMode(cfg machine.Config, f Factory, pol Policy, md Mode) RunResult {
-	m := machine.MustNew(cfg)
-	ctl := NewController(pol)
-	ctl.Mode = md
-	return ctl.Run(m, f(m))
-}
-
-// Sweep runs the workload once per requested static thread count and
-// returns the results in the same order — the baseline curves of
-// Figs 2, 4, 8, 10, 12 and 13. The independent simulations fan out
-// over the runner's worker pool; results are identical to a serial
-// sweep because each point runs on its own fresh machine.
-func Sweep(cfg machine.Config, f Factory, threadCounts []int) []RunResult {
-	return SweepKeyed(cfg, "", f, threadCounts)
-}
-
-// SweepAll sweeps static thread counts 1..cores.
-func SweepAll(cfg machine.Config, f Factory) []RunResult {
-	counts := make([]int, cfg.Mem.Cores)
-	for i := range counts {
-		counts[i] = i + 1
-	}
-	return Sweep(cfg, f, counts)
-}
 
 // OracleResult is the best static configuration found by exhaustive
 // offline search.
@@ -51,30 +18,29 @@ type OracleResult struct {
 	Threads int
 	// Run is the execution with that static count.
 	Run RunResult
-	// Sweep holds every static run, indexed by thread count - 1.
+	// Sweep holds every static run, in the order of the searched
+	// counts.
 	Sweep []RunResult
 }
 
 // Oracle implements the paper's best-static-policy comparison
-// (Section 6.3): simulate the application for every possible thread
-// count and select the fewest threads within tolerance (fractional,
-// e.g. 0.01) of the minimum execution time. This requires offline
-// knowledge FDT does not need — it is the upper bound FDT is compared
-// against in Fig 15.
-func Oracle(cfg machine.Config, f Factory, tolerance float64) OracleResult {
-	sweep := SweepAll(cfg, f)
-	best := sweep[0].TotalCycles
-	for _, r := range sweep[1:] {
-		if r.TotalCycles < best {
-			best = r.TotalCycles
+// (Section 6.3): simulate s at every thread count in counts (nil =
+// 1..cores) and select the fewest threads within tolerance
+// (fractional, e.g. 0.01) of the minimum execution time. This requires
+// offline knowledge FDT does not need — it is the upper bound FDT is
+// compared against in Fig 15.
+func Oracle(s RunSpec, counts []int, tolerance float64) OracleResult {
+	if counts == nil {
+		counts = make([]int, s.Cfg.Mem.Cores)
+		for i := range counts {
+			counts[i] = i + 1
 		}
 	}
-	limit := float64(best) * (1 + tolerance)
+	sweep := Sweep(s, counts, nil)
+	times := make([]uint64, len(sweep))
 	for i, r := range sweep {
-		if float64(r.TotalCycles) <= limit {
-			return OracleResult{Threads: i + 1, Run: r, Sweep: sweep}
-		}
+		times[i] = r.TotalCycles
 	}
-	// Unreachable: the minimum itself is always within tolerance.
-	return OracleResult{Threads: len(sweep), Run: sweep[len(sweep)-1], Sweep: sweep}
+	idx := stats.FewestWithin(times, tolerance)
+	return OracleResult{Threads: counts[idx], Run: sweep[idx], Sweep: sweep}
 }

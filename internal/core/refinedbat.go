@@ -39,17 +39,7 @@ func (RefinedBAT) Name() string { return "BAT-refined" }
 // Run executes the workload under refined BAT. Mirrors
 // Controller.Run's contract.
 func (r RefinedBAT) Run(m *machine.Machine, w Workload) RunResult {
-	res := RunResult{Workload: w.Name(), Policy: r.Name()}
-	thread.Run(m, func(c *thread.Ctx) {
-		if sw, ok := w.(SetupWorkload); ok {
-			sw.Setup(c)
-		}
-		for _, k := range w.Kernels() {
-			res.Kernels = append(res.Kernels, r.runKernel(c, k))
-		}
-	})
-	res.TotalCycles = m.Eng.Now()
-	res.AvgActiveCores = m.Power.AverageActiveCores(res.TotalCycles)
+	res := runWorkload(m, w, r.Name(), r.runKernel)
 	res.BusBusyCycles = m.Ctrs.Counter(counters.BusBusyCycles).Read()
 	return res
 }

@@ -90,7 +90,7 @@ func ConfigKey(cfg machine.Config) string {
 // policyKey resolves a policy to its cache identity on a machine with
 // the given core count. Static counts are normalized (Static{} and
 // Static{N: cores} are the same run); trained policies are identified
-// by name, which is sufficient because RunPolicy always trains with
+// by name, which is sufficient because RunSpec always trains with
 // DefaultTrainingParams. Custom controllers must not use the cache.
 //
 // A memoized RunResult carries the Policy label of whichever
@@ -103,198 +103,7 @@ func policyKey(pol Policy, cores int) string {
 	return "policy/" + pol.Name()
 }
 
-// runKey composes the full content address for one simulated run.
-func runKey(cfg machine.Config, wkey string, pol Policy) string {
-	return ConfigKey(cfg) + "|" + wkey + "|" + policyKey(pol, machineContexts(cfg))
-}
-
 // machineContexts mirrors machine.Machine.Contexts for a config.
 func machineContexts(cfg machine.Config) int {
 	return cfg.Mem.Cores * cfg.SMTContexts
-}
-
-// RunPolicyKeyed is RunPolicy with a workload cache key: wkey names
-// the workload and its parameters (e.g. "pagemine" or
-// "pagemine/pb=2560"). The first call per (config, wkey, policy)
-// simulates; later calls — from any figure, on any worker — return
-// the memoized result. An empty wkey disables caching and is
-// equivalent to RunPolicy.
-func RunPolicyKeyed(cfg machine.Config, wkey string, f Factory, pol Policy) RunResult {
-	return RunPolicyKeyedMode(cfg, wkey, f, pol, ExactMode())
-}
-
-// RunPolicyKeyedMode is RunPolicyKeyed in an explicit execution mode.
-// Sampled runs append the mode's parameters to the content address, so
-// they never collide with exact runs (whose keys are unchanged).
-func RunPolicyKeyedMode(cfg machine.Config, wkey string, f Factory, pol Policy, md Mode) RunResult {
-	if wkey == "" {
-		return RunPolicyMode(cfg, f, pol, md)
-	}
-	return runCache.Do(runKey(cfg, wkey, pol)+md.key(), func() RunResult {
-		return RunPolicyMode(cfg, f, pol, md)
-	})
-}
-
-// RunPolicyBudget is RunPolicy under explicit power parameters: the
-// controller's Estimate stage searches the (threads, frequency) plane
-// within pp's budget (and lock) on cfg's ladder.
-func RunPolicyBudget(cfg machine.Config, f Factory, pol Policy, pp PowerParams) RunResult {
-	return RunPolicyBudgetMode(cfg, f, pol, pp, ExactMode())
-}
-
-// RunPolicyBudgetMode is RunPolicyBudget in an explicit execution
-// mode.
-func RunPolicyBudgetMode(cfg machine.Config, f Factory, pol Policy, pp PowerParams, md Mode) RunResult {
-	m := machine.MustNew(cfg)
-	ctl := NewController(pol)
-	ctl.Mode = md
-	ctl.Power = &pp
-	return ctl.Run(m, f(m))
-}
-
-// RunPolicyBudgetKeyed is RunPolicyBudget through the run cache. The
-// power parameters join the content address (default parameters
-// contribute nothing, so unconstrained runs share entries with
-// RunPolicyKeyed).
-func RunPolicyBudgetKeyed(cfg machine.Config, wkey string, f Factory, pol Policy, pp PowerParams) RunResult {
-	return RunPolicyBudgetKeyedMode(cfg, wkey, f, pol, pp, ExactMode())
-}
-
-// RunPolicyBudgetKeyedMode is RunPolicyBudgetKeyed in an explicit
-// execution mode.
-func RunPolicyBudgetKeyedMode(cfg machine.Config, wkey string, f Factory, pol Policy, pp PowerParams, md Mode) RunResult {
-	if wkey == "" {
-		return RunPolicyBudgetMode(cfg, f, pol, pp, md)
-	}
-	return runCache.Do(runKey(cfg, wkey, pol)+pp.key()+md.key(), func() RunResult {
-		return RunPolicyBudgetMode(cfg, f, pol, pp, md)
-	})
-}
-
-// RunAdaptiveBudgetKeyed is RunAdaptiveKeyed under explicit power
-// parameters: the adaptive pipeline re-runs the (threads, frequency)
-// search at every phase change.
-func RunAdaptiveBudgetKeyed(cfg machine.Config, wkey string, f Factory, pol Policy, mp MonitorParams, pp PowerParams) RunResult {
-	run := func() RunResult {
-		m := machine.MustNew(cfg)
-		ctl := NewAdaptiveController(pol, mp)
-		ctl.Power = &pp
-		return ctl.Run(m, f(m))
-	}
-	if wkey == "" {
-		return run()
-	}
-	key := runKey(cfg, wkey, pol) + fmt.Sprintf("|monitor/%+v", mp) + pp.key()
-	return runCache.Do(key, run)
-}
-
-// RunAdaptive runs the workload on a fresh machine under a
-// phase-adaptive (monitored) controller.
-func RunAdaptive(cfg machine.Config, f Factory, pol Policy, mp MonitorParams) RunResult {
-	return RunAdaptiveMode(cfg, f, pol, mp, ExactMode())
-}
-
-// RunAdaptiveMode is RunAdaptive in an explicit execution mode.
-func RunAdaptiveMode(cfg machine.Config, f Factory, pol Policy, mp MonitorParams, md Mode) RunResult {
-	m := machine.MustNew(cfg)
-	ctl := NewAdaptiveController(pol, mp)
-	ctl.Mode = md
-	return ctl.Run(m, f(m))
-}
-
-// RunAdaptiveKeyed is RunAdaptive through the run cache. The monitor
-// configuration joins the content address, so an adaptive run never
-// collides with the train-once run of the same (config, workload,
-// policy) triple — or with an adaptive run under different monitoring.
-func RunAdaptiveKeyed(cfg machine.Config, wkey string, f Factory, pol Policy, mp MonitorParams) RunResult {
-	return RunAdaptiveKeyedMode(cfg, wkey, f, pol, mp, ExactMode())
-}
-
-// RunAdaptiveKeyedMode is RunAdaptiveKeyed in an explicit execution
-// mode.
-func RunAdaptiveKeyedMode(cfg machine.Config, wkey string, f Factory, pol Policy, mp MonitorParams, md Mode) RunResult {
-	if wkey == "" {
-		return RunAdaptiveMode(cfg, f, pol, mp, md)
-	}
-	key := runKey(cfg, wkey, pol) + fmt.Sprintf("|monitor/%+v", mp) + md.key()
-	return runCache.Do(key, func() RunResult {
-		return RunAdaptiveMode(cfg, f, pol, mp, md)
-	})
-}
-
-// SweepKeyed runs the workload once per requested static thread count,
-// fanning the independent simulations out over the runner's worker
-// pool and memoizing each point under wkey. Results are ordered by
-// thread count exactly as a serial sweep would produce them.
-func SweepKeyed(cfg machine.Config, wkey string, f Factory, threadCounts []int) []RunResult {
-	return SweepKeyedMode(cfg, wkey, f, threadCounts, ExactMode())
-}
-
-// SweepKeyedMode is SweepKeyed in an explicit execution mode.
-func SweepKeyedMode(cfg machine.Config, wkey string, f Factory, threadCounts []int, md Mode) []RunResult {
-	out := make([]RunResult, len(threadCounts))
-	runner.Map(len(threadCounts), func(i int) {
-		out[i] = RunPolicyKeyedMode(cfg, wkey, f, Static{N: threadCounts[i]}, md)
-	})
-	return out
-}
-
-// SweepBudgetKeyedMode is SweepKeyedMode under explicit power
-// parameters: every static point runs budget-clamped on cfg's ladder
-// (budgetStaticThreads), so a sweep's curve stays comparable to the
-// budgeted policy placements drawn onto it.
-func SweepBudgetKeyedMode(cfg machine.Config, wkey string, f Factory, threadCounts []int, pp PowerParams, md Mode) []RunResult {
-	out := make([]RunResult, len(threadCounts))
-	runner.Map(len(threadCounts), func(i int) {
-		out[i] = RunPolicyBudgetKeyedMode(cfg, wkey, f, Static{N: threadCounts[i]}, pp, md)
-	})
-	return out
-}
-
-// RunHillClimb executes the workload under the hill-climbing
-// allocation baseline (see HillClimb). Hill-climbing measures real
-// probe chunks, so it always runs exact — sampling would falsify the
-// very measurements it climbs on.
-func RunHillClimb(cfg machine.Config, f Factory, hc HillClimb) RunResult {
-	m := machine.MustNew(cfg)
-	return hc.Run(m, f(m))
-}
-
-// RunHillClimbKeyed is RunHillClimb through the run cache. The
-// climber's tuning joins the content address, so runs with different
-// probe lengths or gain thresholds never collide.
-func RunHillClimbKeyed(cfg machine.Config, wkey string, f Factory, hc HillClimb) RunResult {
-	if wkey == "" {
-		return RunHillClimb(cfg, f, hc)
-	}
-	key := ConfigKey(cfg) + "|" + wkey + fmt.Sprintf("|policy/hill-climb/%+v", hc)
-	return runCache.Do(key, func() RunResult {
-		return RunHillClimb(cfg, f, hc)
-	})
-}
-
-// RunHybrid executes the workload under the hybrid model+measurement
-// controller. Like hill-climbing it always runs exact: the refinement
-// probes time real chunks.
-func RunHybrid(cfg machine.Config, f Factory, h Hybrid) RunResult {
-	m := machine.MustNew(cfg)
-	return h.Run(m, f(m))
-}
-
-// RunHybridKeyed is RunHybrid through the run cache. The hybrid tuning
-// (probe budget, residual thresholds, monitor cadence) joins the
-// content address.
-func RunHybridKeyed(cfg machine.Config, wkey string, f Factory, h Hybrid) RunResult {
-	if wkey == "" {
-		return RunHybrid(cfg, f, h)
-	}
-	seed := "combined"
-	if h.Policy != nil {
-		seed = h.Policy.Name()
-	}
-	key := ConfigKey(cfg) + "|" + wkey +
-		fmt.Sprintf("|policy/hybrid/seed=%s/%+v|train/%+v", seed, h.HP, h.Params)
-	return runCache.Do(key, func() RunResult {
-		return RunHybrid(cfg, f, h)
-	})
 }

@@ -42,10 +42,10 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 		fac := testFactory(t, name)
 
 		runner.SetWorkers(1)
-		serial := core.Sweep(cfg, fac, threads)
+		serial := core.Sweep(core.RunSpec{Cfg: cfg, Factory: fac}, threads, nil)
 
 		runner.SetWorkers(8)
-		parallel := core.Sweep(cfg, fac, threads)
+		parallel := core.Sweep(core.RunSpec{Cfg: cfg, Factory: fac}, threads, nil)
 		runner.SetWorkers(0)
 
 		if len(serial) != len(parallel) {

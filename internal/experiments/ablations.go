@@ -45,10 +45,11 @@ func (a Ablation) String() string {
 	return b.String()
 }
 
-func ablationRow(cfgName, workload string, cfg machine.Config, pol core.Policy, md core.Mode) AblationRow {
+func ablationRow(o Options, cfgName, workload string, cfg machine.Config, pol core.Policy) AblationRow {
 	// Keyed by workload name; the machine fingerprint in the cache key
 	// keeps each ablation's config variant distinct.
-	r := core.RunPolicyKeyedMode(cfg, workload, factory(workload), pol, md)
+	o.Cfg = cfg
+	r := o.run(workload, core.Control{Policy: pol})
 	k := r.Kernels[0]
 	return AblationRow{
 		Config:     cfgName,
@@ -69,8 +70,8 @@ func AblationRowBuffer(o Options) Ablation {
 	off := o.Cfg
 	off.Mem.ModelRowBuffer = false
 	a.Rows = append(a.Rows,
-		ablationRow("row-buffer on", "ed", on, core.BAT{}, o.Mode),
-		ablationRow("row-buffer off", "ed", off, core.BAT{}, o.Mode),
+		ablationRow(o, "row-buffer on", "ed", on, core.BAT{}),
+		ablationRow(o, "row-buffer off", "ed", off, core.BAT{}),
 	)
 	return a
 }
@@ -84,8 +85,8 @@ func AblationCoherence(o Options) Ablation {
 	off := o.Cfg
 	off.Mem.ModelCoherence = false
 	a.Rows = append(a.Rows,
-		ablationRow("coherence on", "pagemine", on, core.SAT{}, o.Mode),
-		ablationRow("coherence off", "pagemine", off, core.SAT{}, o.Mode),
+		ablationRow(o, "coherence on", "pagemine", on, core.SAT{}),
+		ablationRow(o, "coherence off", "pagemine", off, core.SAT{}),
 	)
 	return a
 }
@@ -101,7 +102,7 @@ func AblationStoreBuffer(o Options) Ablation {
 		cfg := o.Cfg
 		cfg.Mem.StoreBufferEntries = entries
 		a.Rows = append(a.Rows,
-			ablationRow(fmt.Sprintf("store buffer %d", entries), "transpose", cfg, core.BAT{}, o.Mode))
+			ablationRow(o, fmt.Sprintf("store buffer %d", entries), "transpose", cfg, core.BAT{}))
 	}
 	return a
 }
@@ -140,8 +141,8 @@ func AblationStabilityWindow(o Options) Ablation {
 func AblationTrainingOverhead(o Options) Ablation {
 	a := Ablation{Title: "FDT training vs hill-climbing allocation search"}
 	for _, name := range []string{"pagemine", "ed", "bscholes"} {
-		fdt := core.RunPolicyKeyedMode(o.Cfg, name, factory(name), core.Combined{}, o.Mode)
-		hc := core.RunHillClimbKeyed(o.Cfg, name, factory(name), core.HillClimb{})
+		fdt := o.run(name, core.Control{Policy: core.Combined{}})
+		hc := o.run(name, core.Control{HillClimb: &core.HillClimb{}})
 		a.Rows = append(a.Rows,
 			AblationRow{
 				Config: "FDT (SAT+BAT)", Workload: name,
@@ -166,7 +167,7 @@ func AblationTrainingOverhead(o Options) Ablation {
 func AblationRefinedBAT(o Options) Ablation {
 	a := Ablation{Title: "BAT vs refined BAT (future work, Section 9)"}
 	for _, name := range []string{"ed", "convert", "transpose"} {
-		plain := core.RunPolicyKeyedMode(o.Cfg, name, factory(name), core.BAT{}, o.Mode)
+		plain := o.run(name, core.Control{Policy: core.BAT{}})
 		m := machine.MustNew(o.Cfg)
 		refined := core.RefinedBAT{}.Run(m, factory(name)(m))
 		a.Rows = append(a.Rows,
@@ -197,8 +198,8 @@ func AblationPrefetcher(o Options) Ablation {
 	on := o.Cfg
 	on.Mem.PrefetchNextLine = true
 	a.Rows = append(a.Rows,
-		ablationRow("no prefetcher (paper)", "ed", off, core.BAT{}, o.Mode),
-		ablationRow("next-line prefetcher", "ed", on, core.BAT{}, o.Mode),
+		ablationRow(o, "no prefetcher (paper)", "ed", off, core.BAT{}),
+		ablationRow(o, "next-line prefetcher", "ed", on, core.BAT{}),
 	)
 	return a
 }
@@ -214,8 +215,9 @@ func AblationPrefetcher(o Options) Ablation {
 func AblationAdaptive(o Options) Ablation {
 	a := Ablation{Title: "train-once vs phase-adaptive FDT (phaseshift)"}
 	const name = "phaseshift"
-	once := core.RunPolicyKeyedMode(o.Cfg, name, factory(name), core.Combined{}, o.Mode)
-	ad := core.RunAdaptiveKeyedMode(o.Cfg, name, factory(name), core.Combined{}, core.DefaultMonitorParams(), o.Mode)
+	mp := core.DefaultMonitorParams()
+	once := o.run(name, core.Control{Policy: core.Combined{}})
+	ad := o.run(name, core.Control{Policy: core.Combined{}, Monitor: &mp})
 	ok, ak := once.Kernels[0], ad.Kernels[0]
 	a.Rows = append(a.Rows,
 		AblationRow{

@@ -116,7 +116,7 @@ func RunFig15(o Options) Fig15 {
 	f.Rows = make([]Fig15Row, len(AllWorkloads))
 	runner.Map(len(AllWorkloads), func(i int) {
 		name := AllWorkloads[i]
-		oracle := oracleOver(o, name, factory(name))
+		oracle := core.Oracle(o.spec(name, factory(name), core.Control{}), o.threads(), 0.01)
 		fdt := runNamed(o, name, core.Combined{})
 		base := runNamed(o, name, core.Static{})
 		f.Rows[i] = Fig15Row{
@@ -140,19 +140,6 @@ func RunFig15(o Options) Fig15 {
 	f.GmeanFDTPower = stats.Gmean(fp)
 	f.GmeanOraclePwr = stats.Gmean(op)
 	return f
-}
-
-// oracleOver runs the oracle restricted to the options' sweep set,
-// with the sweep memoized under the workload key.
-func oracleOver(o Options, wkey string, fac core.Factory) core.OracleResult {
-	ts := o.threads()
-	runs := core.SweepKeyedMode(o.Cfg, wkey, fac, ts, o.Mode)
-	times := make([]uint64, len(runs))
-	for i, r := range runs {
-		times[i] = r.TotalCycles
-	}
-	idx := stats.FewestWithin(times, 0.01)
-	return core.OracleResult{Threads: ts[idx], Run: runs[idx], Sweep: runs}
 }
 
 // String renders the figure.

@@ -13,7 +13,6 @@ import (
 
 	"fdt/internal/core"
 	"fdt/internal/machine"
-	"fdt/internal/runner"
 	"fdt/internal/stats"
 	"fdt/internal/workloads"
 )
@@ -43,19 +42,16 @@ type Options struct {
 	Power *core.PowerParams
 }
 
-// powerOn reports whether runs need the budget-aware entry points: an
-// explicit budget, or a non-trivial ladder on the machine (which by
-// itself arms the controller's (threads, frequency) search).
-func (o Options) powerOn() bool {
-	return o.Power != nil || !o.Cfg.Freq.Trivial()
+// spec describes one run of a workload under ctl on the options'
+// machine, in their mode and under their power budget; wkey keys it in
+// the run cache.
+func (o Options) spec(wkey string, f core.Factory, ctl core.Control) core.RunSpec {
+	return core.RunSpec{Cfg: o.Cfg, Workload: wkey, Factory: f, Control: ctl, Mode: o.Mode, Power: o.Power}
 }
 
-// pp resolves the effective power parameters.
-func (o Options) pp() core.PowerParams {
-	if o.Power != nil {
-		return *o.Power
-	}
-	return core.DefaultPowerParams()
+// run executes (or recalls) a registered workload under ctl.
+func (o Options) run(name string, ctl core.Control) core.RunResult {
+	return o.spec(name, factory(name), ctl).Run()
 }
 
 // ProgressFunc receives experiment progress events. Implementations
@@ -134,12 +130,7 @@ type Curve struct {
 // runNamed executes (or recalls) a registered workload under a policy
 // through the process-wide run cache, keyed by the workload name.
 func runNamed(o Options, name string, pol core.Policy) core.RunResult {
-	var r core.RunResult
-	if o.powerOn() {
-		r = core.RunPolicyBudgetKeyedMode(o.Cfg, name, factory(name), pol, o.pp(), o.Mode)
-	} else {
-		r = core.RunPolicyKeyedMode(o.Cfg, name, factory(name), pol, o.Mode)
-	}
+	r := o.run(name, core.Control{Policy: pol})
 	o.emit(ProgressEvent{Workload: name, Policy: r.Policy, Cycles: r.TotalCycles, Total: 1})
 	return r
 }
@@ -151,8 +142,15 @@ func runNamed(o Options, name string, pol core.Policy) core.RunResult {
 // Options' progress sink from its worker goroutine.
 func sweep(o Options, name string) Curve {
 	ts := o.threads()
-	runs := sweepRuns(o, name, ts)
-	base := runs[0].TotalCycles
+	c, times := curveOf(name, ts, sweepRuns(o, name, ts))
+	idx, minCycles := stats.ArgMinUint(times)
+	c.MinThreads, c.MinCycles = ts[idx], minCycles
+	return c
+}
+
+// curveOf tabulates a sweep's runs as a curve normalized to its first
+// point; the caller picks the minimum from the returned cycles.
+func curveOf(name string, ts []int, runs []core.RunResult) (Curve, []uint64) {
 	c := Curve{Workload: name}
 	times := make([]uint64, len(runs))
 	for i, r := range runs {
@@ -160,35 +158,22 @@ func sweep(o Options, name string) Curve {
 		c.Points = append(c.Points, SweepPoint{
 			Threads:  ts[i],
 			Cycles:   r.TotalCycles,
-			NormTime: float64(r.TotalCycles) / float64(base),
+			NormTime: float64(r.TotalCycles) / float64(runs[0].TotalCycles),
 			BusUtil:  machine.BusUtilization(r.BusBusyCycles, r.TotalCycles),
 			Power:    r.AvgActiveCores,
 		})
 	}
-	idx, minCycles := stats.ArgMinUint(times)
-	c.MinThreads = ts[idx]
-	c.MinCycles = minCycles
-	return c
+	return c, times
 }
 
-// sweepRuns is core.SweepKeyedMode with per-point progress reporting:
-// identical scheduling (runner worker pool), identical results,
-// identical cache keys.
+// sweepRuns is core.Sweep with per-point progress reporting.
 func sweepRuns(o Options, name string, ts []int) []core.RunResult {
-	f := factory(name)
-	out := make([]core.RunResult, len(ts))
-	runner.Map(len(ts), func(i int) {
-		if o.powerOn() {
-			out[i] = core.RunPolicyBudgetKeyedMode(o.Cfg, name, f, core.Static{N: ts[i]}, o.pp(), o.Mode)
-		} else {
-			out[i] = core.RunPolicyKeyedMode(o.Cfg, name, f, core.Static{N: ts[i]}, o.Mode)
-		}
+	return core.Sweep(o.spec(name, factory(name), core.Control{}), ts, func(i int, r core.RunResult) {
 		o.emit(ProgressEvent{
-			Workload: name, Policy: out[i].Policy, Threads: ts[i],
-			Cycles: out[i].TotalCycles, Index: i, Total: len(ts),
+			Workload: name, Policy: r.Policy, Threads: ts[i],
+			Cycles: r.TotalCycles, Index: i, Total: len(ts),
 		})
 	})
-	return out
 }
 
 // PolicyPoint is where a feedback policy lands on a curve.

@@ -60,29 +60,6 @@ func gauntletPolicies() []string {
 	return []string{"serial", "sat", "bat", "sat+bat", "adaptive", "hill-climb", "hybrid"}
 }
 
-// gauntletRun executes one controller on one member (exact mode,
-// through the run cache).
-func gauntletRun(o Options, name, policy string) core.RunResult {
-	f := factory(name)
-	switch policy {
-	case "serial":
-		return core.RunPolicyKeyed(o.Cfg, name, f, core.Static{N: 1})
-	case "sat":
-		return core.RunPolicyKeyed(o.Cfg, name, f, core.SAT{})
-	case "bat":
-		return core.RunPolicyKeyed(o.Cfg, name, f, core.BAT{})
-	case "sat+bat":
-		return core.RunPolicyKeyed(o.Cfg, name, f, core.Combined{})
-	case "adaptive":
-		return core.RunAdaptiveKeyed(o.Cfg, name, f, core.Combined{}, core.DefaultMonitorParams())
-	case "hill-climb":
-		return core.RunHillClimbKeyed(o.Cfg, name, f, core.HillClimb{})
-	case "hybrid":
-		return core.RunHybridKeyed(o.Cfg, name, f, core.Hybrid{})
-	}
-	panic(fmt.Sprintf("experiments: unknown gauntlet policy %q", policy))
-}
-
 // RunGauntlet executes the family: every member swept for its static
 // oracle, every controller scored against it. Runs fan out over the
 // worker pool and memoize like every other figure.
@@ -103,7 +80,11 @@ func RunGauntlet(o Options) Gauntlet {
 	curves := make([]Curve, len(members))
 	runner.Map(len(jobs)+len(members), func(i int) {
 		if i < len(jobs) {
-			runs[i] = gauntletRun(exact, members[jobs[i].member].Name, policies[jobs[i].policy])
+			ctl, err := core.ParseController(policies[jobs[i].policy])
+			if err != nil {
+				panic("experiments: " + err.Error())
+			}
+			runs[i] = exact.run(members[jobs[i].member].Name, ctl)
 			return
 		}
 		curves[i-len(jobs)] = sweep(exact, members[i-len(jobs)].Name)

@@ -99,9 +99,8 @@ func paretoOptions(o Options) Options {
 // runBudget executes (or recalls) a workload under a policy with
 // explicit power parameters through the run cache.
 func runBudget(o Options, name string, pol core.Policy, pp core.PowerParams) core.RunResult {
-	r := core.RunPolicyBudgetKeyedMode(o.Cfg, name, factory(name), pol, pp, o.Mode)
-	o.emit(ProgressEvent{Workload: name, Policy: r.Policy, Cycles: r.TotalCycles, Total: 1})
-	return r
+	o.Power = &pp
+	return runNamed(o, name, pol)
 }
 
 // paretoPoint condenses a run into its frontier placement.

@@ -57,8 +57,10 @@ func TestSampledErrorGate(t *testing.T) {
 			t.Fatalf("unknown workload %q", p.workload)
 		}
 		cfg := o.Cfg.WithBandwidth(p.bandwidth)
-		exact := core.SweepKeyedMode(cfg, info.Name, info.Factory, counts, core.ExactMode())
-		sampled := core.SweepKeyedMode(cfg, info.Name, info.Factory, counts, md)
+		spec := core.RunSpec{Cfg: cfg, Workload: info.Name, Factory: info.Factory}
+		exact := core.Sweep(spec, counts, nil)
+		spec.Mode = md
+		sampled := core.Sweep(spec, counts, nil)
 		if _, seen := perFig[p.figure]; !seen {
 			order = append(order, p.figure)
 		}

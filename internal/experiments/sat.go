@@ -7,6 +7,7 @@ import (
 	"fdt/internal/core"
 	"fdt/internal/machine"
 	"fdt/internal/runner"
+	"fdt/internal/stats"
 	"fdt/internal/workloads"
 )
 
@@ -76,13 +77,13 @@ func RunFig09(o Options) Fig09 {
 	runner.Map(len(Fig09PageSizes), func(i int) {
 		pb := Fig09PageSizes[i]
 		fac, wkey := pageMineSized(pb)
-		runs := core.SweepKeyedMode(o.Cfg, wkey, fac, o.threads(), o.Mode)
+		runs := core.Sweep(o.spec(wkey, fac, core.Control{}), o.threads(), nil)
 		times := make([]uint64, len(runs))
 		for j, r := range runs {
 			times[j] = r.TotalCycles
 		}
 		best := o.threads()[fewestIdx(times)]
-		sat := core.RunPolicyKeyedMode(o.Cfg, wkey, fac, core.SAT{}, o.Mode)
+		sat := o.spec(wkey, fac, core.Control{Policy: core.SAT{}}).Run()
 		f.PageBytes[i] = pb
 		f.BestThreads[i] = best
 		f.SATThreads[i] = chosenThreads(sat)
@@ -142,34 +143,16 @@ func RunFig10(o Options) Fig10 {
 	run := func(pageBytes int) (Curve, PolicyPoint) {
 		fac, wkey := pageMineSized(pageBytes)
 		ts := o.threads()
-		runs := core.SweepKeyedMode(o.Cfg, wkey, fac, ts, o.Mode)
-		c := Curve{Workload: fmt.Sprintf("pagemine-%dB", pageBytes)}
-		base := runs[0].TotalCycles
-		times := make([]uint64, len(runs))
-		for i, r := range runs {
-			times[i] = r.TotalCycles
-			c.Points = append(c.Points, SweepPoint{
-				Threads:  ts[i],
-				Cycles:   r.TotalCycles,
-				NormTime: float64(r.TotalCycles) / float64(base),
-				BusUtil:  machine.BusUtilization(r.BusBusyCycles, r.TotalCycles),
-				Power:    r.AvgActiveCores,
-			})
-		}
+		c, times := curveOf(fmt.Sprintf("pagemine-%dB", pageBytes), ts, core.Sweep(o.spec(wkey, fac, core.Control{}), ts, nil))
 		idx := fewestIdx(times)
 		c.MinThreads, c.MinCycles = ts[idx], times[idx]
-		sat := core.RunPolicyKeyedMode(o.Cfg, wkey, fac, core.SAT{}, o.Mode)
+		sat := o.spec(wkey, fac, core.Control{Policy: core.SAT{}}).Run()
 		pp := PolicyPoint{
 			Policy:   "SAT",
 			Run:      sat,
-			NormTime: float64(sat.TotalCycles) / float64(base),
+			NormTime: float64(sat.TotalCycles) / float64(c.Points[0].Cycles),
 		}
-		var minAll uint64 = times[0]
-		for _, t := range times {
-			if t < minAll {
-				minAll = t
-			}
-		}
+		_, minAll := stats.ArgMinUint(times)
 		pp.OverMinPct = 100 * (float64(sat.TotalCycles)/float64(minAll) - 1)
 		return c, pp
 	}

@@ -169,9 +169,11 @@ func Assertions() []Assertion {
 			Check: func(o experiments.Options) error {
 				prod, n := 1.0, 0
 				for _, info := range workloads.All() {
-					fdt := core.RunPolicyKeyedMode(o.Cfg, info.Name, info.Factory, core.Combined{}, o.Mode).TotalCycles
-					sat := core.RunPolicyKeyedMode(o.Cfg, info.Name, info.Factory, core.SAT{}, o.Mode).TotalCycles
-					bat := core.RunPolicyKeyedMode(o.Cfg, info.Name, info.Factory, core.BAT{}, o.Mode).TotalCycles
+					cycles := func(pol core.Policy) uint64 {
+						s := core.RunSpec{Cfg: o.Cfg, Workload: info.Name, Factory: info.Factory, Control: core.Control{Policy: pol}, Mode: o.Mode}
+						return s.Run().TotalCycles
+					}
+					fdt, sat, bat := cycles(core.Combined{}), cycles(core.SAT{}), cycles(core.BAT{})
 					best := sat
 					if bat < best {
 						best = bat
@@ -214,7 +216,11 @@ func Assertions() []Assertion {
 				if !ok {
 					return fmt.Errorf("phaseshift workload not registered")
 				}
-				r := core.RunAdaptiveKeyedMode(o.Cfg, "phaseshift", info.Factory, core.Combined{}, core.DefaultMonitorParams(), o.Mode)
+				adaptive, err := core.ParseController("adaptive")
+				if err != nil {
+					return err
+				}
+				r := core.RunSpec{Cfg: o.Cfg, Workload: "phaseshift", Factory: info.Factory, Control: adaptive, Mode: o.Mode}.Run()
 				if len(r.Kernels) != 1 {
 					return fmt.Errorf("phaseshift: %d kernels, want 1", len(r.Kernels))
 				}

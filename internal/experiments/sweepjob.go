@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"fdt/internal/core"
 	"fdt/internal/stats"
@@ -11,11 +9,11 @@ import (
 )
 
 // SweepJobResult is the structured outcome of one sweep job: the
-// full RunResult of every sweep point and policy placement, in the
-// same shape fdtsweep's -json emits. The fdtd daemon marshals it as a
-// job's result payload; because every RunResult either came from the
-// simulator or JSON-round-tripped through the disk store, the payload
-// is byte-stable across daemon restarts.
+// full RunResult of every sweep point and policy placement. The fdtd
+// daemon marshals it as a job's result payload, and fdtsweep's -json
+// embeds it; because every RunResult either came from the simulator
+// or JSON-round-tripped through the disk store, the payload is
+// byte-stable across daemon restarts.
 type SweepJobResult struct {
 	Workload   string           `json:"workload"`
 	Cores      int              `json:"cores"`
@@ -39,16 +37,31 @@ func RunSweepJob(o Options, workload string, counts []int, policies []string) (S
 	if len(counts) == 0 && len(policies) == 0 {
 		return SweepJobResult{}, fmt.Errorf("empty job: no thread counts and no policies")
 	}
-	cores := o.Cfg.Mem.Cores
 	for _, n := range counts {
 		if n < 1 {
 			return SweepJobResult{}, fmt.Errorf("bad thread count %d", n)
 		}
 	}
+	// The sweep points run static controllers; validating one checks
+	// the machine, mode and power every run of the job shares.
+	if err := o.spec(info.Name, info.Factory, core.Control{Policy: core.Static{}}).Validate(); err != nil {
+		return SweepJobResult{}, err
+	}
+	specs := make([]core.RunSpec, len(policies))
+	for i, pname := range policies {
+		ctl, err := core.ParseController(pname)
+		if err != nil {
+			return SweepJobResult{}, err
+		}
+		specs[i] = o.spec(info.Name, info.Factory, ctl)
+		if err := specs[i].Validate(); err != nil {
+			return SweepJobResult{}, err
+		}
+	}
 
 	res := SweepJobResult{
 		Workload: info.Name,
-		Cores:    cores,
+		Cores:    o.Cfg.Mem.Cores,
 		Threads:  counts,
 	}
 	if len(counts) > 0 {
@@ -60,11 +73,8 @@ func RunSweepJob(o Options, workload string, counts []int, policies []string) (S
 		idx, _ := stats.ArgMinUint(times)
 		res.MinThreads = counts[idx]
 	}
-	for i, pname := range policies {
-		r, err := runPolicyJob(o, info.Name, pname)
-		if err != nil {
-			return SweepJobResult{}, err
-		}
+	for i, s := range specs {
+		r := s.Run()
 		o.emit(ProgressEvent{
 			Workload: info.Name, Policy: r.Policy, Cycles: r.TotalCycles,
 			Index: i, Total: len(policies),
@@ -72,79 +82,4 @@ func RunSweepJob(o Options, workload string, counts []int, policies []string) (S
 		res.Policies = append(res.Policies, r)
 	}
 	return res, nil
-}
-
-// runPolicyJob resolves one policy name and executes it through the
-// matching keyed (cached) runner. Measurement-driven controllers
-// (adaptive, hillclimb, hybrid) have dedicated cache entry points;
-// hill-climbing and the hybrid always run exact because their probes
-// time real chunks.
-func runPolicyJob(o Options, workload, pname string) (core.RunResult, error) {
-	f := factory(workload)
-	switch strings.ToLower(strings.TrimSpace(pname)) {
-	case "adaptive":
-		if o.powerOn() {
-			return core.RunAdaptiveBudgetKeyed(o.Cfg, workload, f, core.Combined{},
-				core.DefaultMonitorParams(), o.pp()), nil
-		}
-		return core.RunAdaptiveKeyedMode(o.Cfg, workload, f, core.Combined{},
-			core.DefaultMonitorParams(), o.Mode), nil
-	case "hillclimb", "hill-climb":
-		if o.powerOn() {
-			return core.RunResult{}, fmt.Errorf("policy %q does not support a power budget or P-state ladder (its probes time real chunks at nominal frequency)", pname)
-		}
-		return core.RunHillClimbKeyed(o.Cfg, workload, f, core.HillClimb{}), nil
-	case "hybrid":
-		if o.powerOn() {
-			return core.RunResult{}, fmt.Errorf("policy %q does not support a power budget or P-state ladder (its probes time real chunks at nominal frequency)", pname)
-		}
-		return core.RunHybridKeyed(o.Cfg, workload, f, core.Hybrid{}), nil
-	default:
-		pol, err := PolicyByName(pname)
-		if err != nil {
-			return core.RunResult{}, err
-		}
-		if o.powerOn() {
-			return core.RunPolicyBudgetKeyedMode(o.Cfg, workload, f, pol, o.pp(), o.Mode), nil
-		}
-		return core.RunPolicyKeyedMode(o.Cfg, workload, f, pol, o.Mode), nil
-	}
-}
-
-// PolicyByName resolves a model-driven policy label: "sat", "bat",
-// "sat+bat" (aliases "combined", "fdt"), "serial", or "static:N".
-// Measurement-driven labels (adaptive, hillclimb, hybrid) are not
-// Policies — they own their controllers — and are rejected here;
-// RunSweepJob routes them to their dedicated runners.
-func PolicyByName(name string) (core.Policy, error) {
-	n := strings.ToLower(strings.TrimSpace(name))
-	switch n {
-	case "sat":
-		return core.SAT{}, nil
-	case "bat":
-		return core.BAT{}, nil
-	case "sat+bat", "combined", "fdt":
-		return core.Combined{}, nil
-	case "serial":
-		return core.Static{N: 1}, nil
-	}
-	if rest, ok := strings.CutPrefix(n, "static:"); ok {
-		k, err := strconv.Atoi(rest)
-		if err != nil || k < 1 {
-			return nil, fmt.Errorf("bad static policy %q (want static:N, N >= 1)", name)
-		}
-		return core.Static{N: k}, nil
-	}
-	return nil, fmt.Errorf("unknown policy %q", name)
-}
-
-// ValidPolicyName reports whether RunSweepJob can execute the label,
-// including the measurement-driven controllers PolicyByName rejects.
-func ValidPolicyName(name string) bool {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "adaptive", "hillclimb", "hill-climb", "hybrid":
-		return true
-	}
-	_, err := PolicyByName(name)
-	return err == nil
 }

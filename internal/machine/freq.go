@@ -155,19 +155,16 @@ func ParseLadder(s string) (FreqConfig, error) {
 	return LadderFromMHz(mhz)
 }
 
-// ResolveDVFS resolves the CLI/daemon (-power-budget, -freq-ladder)
-// pair: the budget must be non-negative, the ladder must parse, and a
+// ResolveDVFS resolves a (power budget, ladder) pair from the CLIs'
+// flags or a daemon job: the budget must be non-negative, and a
 // positive budget with no explicit ladder implies DefaultLadder (a
 // budget without P-states could only shed threads — the search the
-// flag exists to widen). Both zero values return the trivial ladder:
-// the single-frequency machine, bit-identical to the pre-DVFS paths.
-func ResolveDVFS(budget float64, ladder string) (FreqConfig, error) {
+// flag exists to widen). A zero budget keeps the ladder as given; the
+// trivial ladder is the single-frequency machine, bit-identical to
+// the pre-DVFS paths.
+func ResolveDVFS(budget float64, fc FreqConfig) (FreqConfig, error) {
 	if budget < 0 {
 		return FreqConfig{}, fmt.Errorf("machine: power budget %g, want >= 0 (0 = unconstrained)", budget)
-	}
-	fc, err := ParseLadder(ladder)
-	if err != nil {
-		return FreqConfig{}, err
 	}
 	if budget > 0 && fc.Trivial() {
 		fc = DefaultLadder()

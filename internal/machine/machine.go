@@ -118,20 +118,30 @@ type Machine struct {
 	powerBudget float64
 }
 
+// Validate rejects a configuration New cannot build: the memory
+// system's geometry, the issue width, the SMT context count and the
+// P-state ladder.
+func (c Config) Validate() error {
+	if err := c.Mem.Validate(); err != nil {
+		return err
+	}
+	if c.IssueWidth <= 0 {
+		return fmt.Errorf("machine: IssueWidth = %d, want > 0", c.IssueWidth)
+	}
+	if c.SMTContexts < 1 || c.SMTContexts > 4 {
+		return fmt.Errorf("machine: SMTContexts = %d, want 1..4", c.SMTContexts)
+	}
+	return c.Freq.Validate()
+}
+
 // New builds a machine.
 func New(cfg Config) (*Machine, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	ctrs := counters.NewSet()
 	ms, err := mem.NewSystem(cfg.Mem, ctrs)
 	if err != nil {
-		return nil, err
-	}
-	if cfg.IssueWidth <= 0 {
-		return nil, fmt.Errorf("machine: IssueWidth = %d, want > 0", cfg.IssueWidth)
-	}
-	if cfg.SMTContexts < 1 || cfg.SMTContexts > 4 {
-		return nil, fmt.Errorf("machine: SMTContexts = %d, want 1..4", cfg.SMTContexts)
-	}
-	if err := cfg.Freq.Validate(); err != nil {
 		return nil, err
 	}
 	m := &Machine{

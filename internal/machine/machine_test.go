@@ -39,6 +39,13 @@ func TestBadConfigRejected(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Error("invalid memory config accepted")
 	}
+	// Validate answers the same question without building anything.
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Errorf("default config rejected: %v", err)
+	}
+	if err := DefaultConfig().WithCores(4).Validate(); err == nil {
+		t.Error("4 cores over 8 L3 banks accepted")
+	}
 }
 
 func TestContextOccupancyGuard(t *testing.T) {

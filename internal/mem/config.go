@@ -121,6 +121,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Cores <= 0:
 		return fmt.Errorf("mem: Cores = %d, want > 0", c.Cores)
+	case c.Cores > 64:
+		return fmt.Errorf("mem: directory sharer bitmask supports at most 64 cores, got %d", c.Cores)
 	case c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0:
 		return fmt.Errorf("mem: LineBytes = %d, want power of two", c.LineBytes)
 	case c.L1Bytes < c.LineBytes*c.L1Ways || c.L1Ways <= 0:

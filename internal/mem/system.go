@@ -75,9 +75,6 @@ func NewSystem(cfg Config, ctrs *counters.Set) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Cores > 64 {
-		return nil, fmt.Errorf("mem: directory sharer bitmask supports at most 64 cores, got %d", cfg.Cores)
-	}
 	s := &System{
 		Cfg:        cfg,
 		Ctrs:       ctrs,

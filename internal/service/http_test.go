@@ -308,8 +308,11 @@ func TestHTTPPowerSpecValidation(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Malformed budgets and ladders -> 400 before any simulation.
+	// Malformed budgets, ladders and machine geometries -> 400 before
+	// any simulation.
 	for _, body := range []string{
+		`{"workload":"ed","threads":[1],"cores":4}`,
+		`{"workload":"ed","threads":[1],"cores":128}`,
 		`{"workload":"ed","threads":[1],"power_budget":-2}`,
 		`{"workload":"ed","threads":[1],"freq_ladder_mhz":[800,1600]}`,
 		`{"workload":"ed","threads":[1],"freq_ladder_mhz":[2000,2000]}`,

@@ -3,7 +3,6 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -27,8 +26,8 @@ type Spec struct {
 	// Threads are the static thread counts to sweep; may be empty
 	// when Policies is not.
 	Threads []int `json:"threads,omitempty"`
-	// Policies are placed on the curve after the sweep: sat, bat,
-	// sat+bat, serial, static:N, adaptive, hillclimb, hybrid.
+	// Policies are placed on the curve after the sweep; any name
+	// core.ParseController accepts.
 	Policies []string `json:"policies,omitempty"`
 	// Experiment names a report-registry experiment ("fig2" ...
 	// "gauntlet") for experiment jobs.
@@ -69,9 +68,6 @@ func (s *Spec) normalize() error {
 	if s.Cores == 0 {
 		s.Cores = machine.DefaultConfig().Mem.Cores
 	}
-	if s.Cores < 1 {
-		return fmt.Errorf("bad cores %d", s.Cores)
-	}
 	if s.Bandwidth == 0 {
 		s.Bandwidth = 1.0
 	}
@@ -85,13 +81,20 @@ func (s *Spec) normalize() error {
 	default:
 		return fmt.Errorf("bad mode %q (want exact or sampled)", s.Mode)
 	}
-	if _, err := s.freq(); err != nil {
-		return err
-	}
 	for _, n := range s.Threads {
 		if n < 1 || n > s.Cores*machine.DefaultConfig().SMTContexts {
 			return fmt.Errorf("bad thread count %d for %d cores", n, s.Cores)
 		}
+	}
+	// The static sweep controller stands in for jobs that place no
+	// policy: validating it checks the machine, mode and power every
+	// run of the job shares.
+	rs, err := s.runSpec()
+	if err != nil {
+		return err
+	}
+	if err := rs.Validate(); err != nil {
+		return err
 	}
 	switch s.Kind {
 	case KindSweep:
@@ -105,14 +108,11 @@ func (s *Spec) normalize() error {
 			return fmt.Errorf("empty job: no threads and no policies")
 		}
 		for _, p := range s.Policies {
-			if !experiments.ValidPolicyName(p) {
-				return fmt.Errorf("unknown policy %q", p)
+			if rs.Control, err = core.ParseController(p); err != nil {
+				return err
 			}
-			if s.dvfs() {
-				switch strings.ToLower(strings.TrimSpace(p)) {
-				case "hillclimb", "hill-climb", "hybrid":
-					return fmt.Errorf("policy %q does not support a power budget or P-state ladder (its probes time real chunks at nominal frequency)", p)
-				}
+			if err := rs.Validate(); err != nil {
+				return err
 			}
 		}
 	case KindExperiment:
@@ -128,45 +128,38 @@ func (s *Spec) normalize() error {
 	return nil
 }
 
-// dvfs reports whether the spec asks for the power-aware path at
-// all; false keeps jobs on the bit-identical single-frequency path.
-func (s Spec) dvfs() bool { return s.PowerBudget > 0 || len(s.FreqLadderMHz) > 0 }
-
-// freq resolves the spec's (budget, ladder) pair, mirroring the
-// CLIs' machine.ResolveDVFS: the budget must be non-negative, the
-// MHz list must form a valid ladder, and a positive budget with no
-// explicit ladder implies the default ladder.
-func (s Spec) freq() (machine.FreqConfig, error) {
-	if s.PowerBudget < 0 {
-		return machine.FreqConfig{}, fmt.Errorf("bad power budget %g (want >= 0; 0 = unconstrained)", s.PowerBudget)
-	}
+// runSpec describes the job's runs — machine, mode and power — with
+// the static sweep controller. The ladder and budget resolve like the
+// CLIs' -freq-ladder and -power-budget: the MHz list must form a valid
+// ladder, and a positive budget with no ladder implies the default.
+func (s Spec) runSpec() (core.RunSpec, error) {
 	fc, err := machine.LadderFromMHz(s.FreqLadderMHz)
 	if err != nil {
-		return machine.FreqConfig{}, err
+		return core.RunSpec{}, err
 	}
-	if s.PowerBudget > 0 && fc.Trivial() {
-		fc = machine.DefaultLadder()
+	if fc, err = machine.ResolveDVFS(s.PowerBudget, fc); err != nil {
+		return core.RunSpec{}, err
 	}
-	return fc, nil
+	rs := core.RunSpec{
+		Cfg:      machine.DefaultConfig().WithCores(s.Cores).WithBandwidth(s.Bandwidth).WithFreq(fc),
+		Workload: s.Workload,
+		Control:  core.Control{Policy: core.Static{}},
+	}
+	if s.Mode == "sampled" {
+		rs.Mode = core.SampledMode()
+	}
+	if !fc.Trivial() {
+		rs.Power = &core.PowerParams{Budget: s.PowerBudget, LockState: -1}
+	}
+	return rs, nil
 }
 
 // options builds the experiment options a job executes under.
 func (s Spec) options() experiments.Options {
-	o := experiments.Options{
-		Cfg: machine.DefaultConfig().WithCores(s.Cores).WithBandwidth(s.Bandwidth),
-	}
-	if s.Mode == "sampled" {
-		o.Mode = core.SampledMode()
-	}
+	rs, _ := s.runSpec() // validated by normalize
+	o := experiments.Options{Cfg: rs.Cfg, Mode: rs.Mode, Power: rs.Power}
 	if s.Kind == KindExperiment && len(s.Threads) > 0 {
 		o.SweepThreads = s.Threads
-	}
-	if s.dvfs() {
-		fc, err := s.freq() // validated by normalize
-		if err == nil {
-			o.Cfg = o.Cfg.WithFreq(fc)
-			o.Power = &core.PowerParams{Budget: s.PowerBudget, LockState: -1}
-		}
 	}
 	return o
 }

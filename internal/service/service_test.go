@@ -110,6 +110,7 @@ func TestSpecValidation(t *testing.T) {
 		{Workload: "pagemine"}, // no threads, no policies
 		{Workload: "pagemine", Threads: []int{0}},
 		{Workload: "pagemine", Threads: []int{1}, Cores: -3},
+		{Workload: "pagemine", Threads: []int{1}, Cores: 4}, // not a multiple of the L3 banks
 		{Workload: "pagemine", Threads: []int{1}, Mode: "warp"},
 		{Workload: "pagemine", Threads: []int{1}, Policies: []string{"nosuch"}},
 		{Workload: "pagemine", Threads: []int{99}, Cores: 8},

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 )
 
@@ -82,6 +83,29 @@ func WriteChrome(w io.Writer, t *Tracer, meta map[string]string) error {
 	}
 	fmt.Fprintf(bw, "\n]}\n")
 	return bw.Flush()
+}
+
+// WriteChromeFile writes WriteChrome's export of t to the file at path.
+func WriteChromeFile(path string, t *Tracer, meta map[string]string) error {
+	return writeFile(path, func(w io.Writer) error { return WriteChrome(w, t, meta) })
+}
+
+// WriteTimelineFile writes WriteTimeline's rendition of t to the file
+// at path.
+func WriteTimelineFile(path string, t *Tracer, interval uint64) error {
+	return writeFile(path, func(w io.Writer) error { return WriteTimeline(w, t, interval) })
+}
+
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // sortedEvents returns the captured events ordered by (cycle,
