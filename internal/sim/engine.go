@@ -1,3 +1,8 @@
+//go:build go1.23
+
+// Processes are iter.Pull coroutines (Go 1.23); go.mod stays at go 1.22
+// so the cmd/fdtbench module, which pins go 1.22, still builds.
+
 // Package sim implements a deterministic, process-oriented
 // discrete-event simulation kernel.
 //
@@ -12,21 +17,24 @@
 // higher layers (internal/mem, internal/cpu) and are expressed purely
 // in terms of WaitUntil/Park/Wake.
 //
-// Each process body runs on its own goroutine, and exactly one of them
-// holds the baton at a time. A process that waits picks its own
+// Each process body runs as a runtime coroutine (iter.Pull), and only
+// Run resumes them, one at a time. A process that waits picks its own
 // successor from the queue: if that is itself it keeps running with no
-// goroutine switch at all, otherwise it hands the baton straight to the
-// successor, one switch per event. Run only starts the first process
-// and then sleeps until the queue drains or a body panics.
+// switch at all, otherwise it records the successor and suspends, and
+// Run resumes the successor next. A coroutine switch hands the thread
+// over directly, with no channel operation and no trip through the
+// goroutine scheduler.
 //
-// One Engine simulates one execution on one host goroutine chain; it
-// is not safe for concurrent use. Host-level parallelism belongs one
-// layer up (internal/runner), across independent engines.
+// One Engine simulates one execution as a single thread of control:
+// Run and the coroutines it resumes never run at once, and Run may be
+// called from any goroutine. An Engine is not safe for concurrent use.
+// Host-level parallelism belongs one layer up (internal/runner), across
+// independent engines.
 package sim
 
 import (
 	"fmt"
-	"runtime"
+	"iter"
 	"sort"
 
 	"fdt/internal/trace"
@@ -57,17 +65,13 @@ type Engine struct {
 	dispatched uint64
 	live       map[*Proc]struct{}
 	fault      *procFault
-	// halt wakes Run: the process that finds the queue empty, or whose
-	// body panicked, sends on it instead of handing the baton on. An
-	// aborted Run also uses it to wait for each released process.
-	halt chan struct{}
-	// aborted is set while an aborted Run releases the processes left
-	// blocked on their batons; each one then exits without running
-	// model code.
-	aborted bool
-	// stepHook, when non-nil, is invoked before each event dispatch, on
-	// whichever goroutine dispatches (a process or Run). Used by tests
-	// to observe scheduling order.
+	// succ is the process Run resumes next, recorded by the process
+	// that just suspended or returned; nil when the queue drained or a
+	// body panicked.
+	succ *Proc
+	// stepHook, when non-nil, is invoked before each event dispatch,
+	// from Run or from a process that is its own successor. Used by
+	// tests to observe scheduling order.
 	stepHook func(t uint64, p *Proc)
 	// tracer receives kernel-level trace events (dispatches, blocked
 	// spans) when simTrace is set; the cached boolean keeps the
@@ -90,13 +94,12 @@ func NewEngine() *Engine {
 		events: make(eventHeap, 0, initialHeapCap),
 		cur:    make([]*Proc, 0, 64),
 		live:   make(map[*Proc]struct{}),
-		halt:   make(chan struct{}),
 	}
 }
 
 // NewEngineAt returns an engine whose clock starts at cycle now — the
 // restore half of the checkpoint protocol. A restored simulation's
-// processes are spawned fresh (goroutine stacks cannot be
+// processes are spawned fresh (coroutine stacks cannot be
 // checkpointed), which is why checkpoints are only taken at quiescent
 // points where no process is mid-flight.
 func NewEngineAt(now uint64) *Engine {
@@ -243,26 +246,33 @@ func (e *Engine) next() *Proc {
 	}
 }
 
-// Proc is a simulated process: a goroutine that cooperates with the
+// Proc is a simulated process: a coroutine that cooperates with the
 // engine through WaitUntil, Advance, Park and Wake. All Proc methods
 // must be called from the process's own body function, except Wake,
 // which is called by whichever process is currently running.
 type Proc struct {
 	eng  *Engine
 	name string
-	// baton resumes the process: it blocks receiving on it whenever it
-	// is not running, and whoever dispatches it next sends on it — the
-	// process that yielded just before, or Run for the first event.
-	// The process never sends on its own baton, and a process that is
-	// its own successor skips the channel altogether. An aborted Run
-	// closes it to release the process.
-	baton  chan struct{}
-	parked bool
+	// resume runs the process until it next suspends or returns; stop
+	// releases it after an aborted Run. Both come from iter.Pull and
+	// are only called by Run. yield suspends the process back to Run;
+	// it reports false once the process has been released.
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+	// released is set by an aborted Run before it stops the process;
+	// from then on the process only unwinds.
+	released bool
+	parked   bool
 	// track and parkedAt support kernel-level tracing; both are
 	// maintained only while the engine's simTrace flag is set.
 	track    trace.TrackID
 	parkedAt uint64
 }
+
+// releasedPanic unwinds a process released by an aborted Run, so its
+// deferred calls run; exit swallows it.
+type releasedPanic struct{}
 
 // Name reports the diagnostic name the process was spawned with.
 func (p *Proc) Name() string { return p.name }
@@ -271,31 +281,27 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Now() uint64 { return p.eng.now }
 
 // Spawn creates a process that will first run at the current simulated
-// time. The body runs on its own goroutine but only while it holds the
-// baton, so body code may freely touch shared model state without
-// host-level locking.
+// time. The body runs as a coroutine that only Run resumes, one
+// process at a time, so body code may freely touch shared model state
+// without host-level locking.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:   e,
-		name:  name,
-		baton: make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name}
+	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.exit()
+		body(p)
+	})
 	if e.simTrace {
 		p.track = e.tracer.Track(name)
 	}
 	e.live[p] = struct{}{}
-	go func() {
-		defer p.exit()
-		p.wait()
-		body(p)
-	}()
 	e.schedule(e.now, p)
 	return p
 }
 
 // dispatch does the accounting for delivering the next event to p. It
-// runs on whichever goroutine picked p: Run for the first event, the
-// yielding process for every later one.
+// runs in Run before p is resumed, or in p itself when p is its own
+// successor and keeps running.
 func (e *Engine) dispatch(p *Proc) {
 	e.dispatched++
 	if e.stepHook != nil {
@@ -308,57 +314,47 @@ func (e *Engine) dispatch(p *Proc) {
 	}
 }
 
-// handoff dispatches the next pending process by passing it the
-// baton, or wakes Run when no event remains. It reports whether the
-// caller p is itself the next process, in which case nothing was sent
-// and p simply keeps running.
-func (e *Engine) handoff(p *Proc) bool {
+// suspend gives up the processor after the process has queued itself
+// or parked, and returns when the process is dispatched again. If the
+// process is its own successor it is dispatched here and keeps
+// running; otherwise it records its successor for Run and yields.
+func (p *Proc) suspend() {
+	e := p.eng
 	q := e.next()
-	if q == nil {
-		e.halt <- struct{}{}
-		return false
-	}
-	e.dispatch(q)
 	if q == p {
-		return true
+		e.dispatch(p)
+		return
 	}
-	q.baton <- struct{}{}
-	return false
-}
-
-// wait blocks until the process is dispatched. A process released by
-// an aborted Run exits here instead, without returning to model code.
-func (p *Proc) wait() {
-	<-p.baton
-	if p.eng.aborted {
-		runtime.Goexit()
+	e.succ = q
+	if !p.yield(struct{}{}) {
+		panic(releasedPanic{})
 	}
 }
 
-// yield gives up the baton after the process has queued itself or
-// parked, and returns when the process is dispatched again.
-func (p *Proc) yield() {
-	if !p.eng.handoff(p) {
-		p.wait()
+// checkLive panics with the release sentinel if an aborted Run has
+// released the process: a body that recovered the sentinel may not
+// touch the queue again.
+func (p *Proc) checkLive() {
+	if p.released {
+		panic(releasedPanic{})
 	}
 }
 
-// exit ends the process goroutine. A normal exit hands the baton on; a
-// panic is recorded for Run, which re-raises it on the caller's
+// exit ends the process. A normal return picks the successor for Run;
+// a panic is recorded for Run, which re-raises it on the caller's
 // goroutine with the process name instead of crashing the host
-// process; a process released by an aborted Run only reports back.
+// process; a process released by an aborted Run has finished
+// unwinding, and neither dispatches nor touches the queue.
 func (p *Proc) exit() {
 	e := p.eng
 	r := recover()
 	delete(e.live, p)
 	switch {
-	case e.aborted:
-		e.halt <- struct{}{}
+	case p.released:
 	case r != nil:
 		e.fault = &procFault{proc: p, value: r}
-		e.halt <- struct{}{}
 	default:
-		e.handoff(p)
+		e.succ = e.next()
 	}
 }
 
@@ -367,11 +363,12 @@ func (p *Proc) exit() {
 // the current time, which still yields to any already-pending events
 // at this cycle.
 func (p *Proc) WaitUntil(t uint64) {
+	p.checkLive()
 	if t < p.eng.now {
 		t = p.eng.now
 	}
 	p.eng.schedule(t, p)
-	p.yield()
+	p.suspend()
 }
 
 // Advance blocks the process for d cycles.
@@ -386,11 +383,12 @@ func (p *Proc) Yield() { p.WaitUntil(p.eng.now) }
 // a simulation in which every live process is parked is deadlocked and
 // Run panics with a diagnostic.
 func (p *Proc) Park() {
+	p.checkLive()
 	p.parked = true
 	if p.eng.simTrace {
 		p.parkedAt = p.eng.now
 	}
-	p.yield()
+	p.suspend()
 }
 
 // Wake schedules a parked process q to resume at the current simulated
@@ -398,6 +396,7 @@ func (p *Proc) Park() {
 // the model layer and panics. Wake must be called by the currently
 // running process (or before Run starts).
 func (p *Proc) Wake(q *Proc) {
+	p.checkLive()
 	p.eng.wake(q)
 }
 
@@ -422,14 +421,13 @@ func (e *Engine) wake(q *Proc) {
 // panics, naming the process, or if live processes remain parked with
 // an empty event queue (model deadlock), naming the stuck processes.
 // Either way the remaining processes are released first, so an aborted
-// Run leaks no goroutines. Run hands the first event to its process and
-// then sleeps; the processes dispatch one another until the queue
-// drains or a body panics.
+// Run leaks no goroutines. Run resumes one process at a time; each
+// runs until it suspends or returns, having recorded its successor.
 func (e *Engine) Run() {
-	if p := e.next(); p != nil {
-		e.dispatch(p)
-		p.baton <- struct{}{}
-		<-e.halt
+	for q := e.next(); q != nil; q = e.succ {
+		e.dispatch(q)
+		e.succ = nil
+		q.resume()
 	}
 	if f := e.fault; f != nil {
 		e.fault = nil
@@ -447,22 +445,21 @@ func (e *Engine) Run() {
 	}
 }
 
-// abort releases every live process after a failed Run. Each one is
-// blocked on its baton — parked, queued, or never started — and exits
-// through runtime.Goexit when its baton closes. They go one at a time,
-// each reporting back on halt, so any deferred model code still runs
-// alone. The queue is cleared with them.
+// abort releases every live process after a failed Run. A process that
+// never started is dropped without running; a suspended one sees its
+// yield fail and unwinds through releasedPanic, so its deferred calls
+// run, one process at a time while Run waits. The queue is cleared
+// with them.
 func (e *Engine) abort() {
 	procs := make([]*Proc, 0, len(e.live))
 	for p := range e.live {
+		p.released = true
 		procs = append(procs, p)
 	}
-	e.aborted = true
 	for _, p := range procs {
-		close(p.baton)
-		<-e.halt
+		p.stop()
+		delete(e.live, p)
 	}
-	e.aborted = false
 	clear(e.cur)
 	e.cur = e.cur[:0]
 	e.curHead = 0

@@ -153,9 +153,159 @@ func TestAbortedRunLeaksNoGoroutines(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
+// abortAtCycle1 spawns processes that are queued for cycle 100 and a
+// process that panics at cycle 1, so Run aborts with the queue
+// non-empty.
+func abortAtCycle1(e *Engine) {
+	for j := 0; j < 3; j++ {
+		e.Spawn("queued", func(p *Proc) { p.Advance(100) })
+	}
+	e.Spawn("faulty", func(p *Proc) {
+		p.Advance(1)
+		panic("boom")
+	})
+}
+
+func TestReleasedProcCannotWaitAgain(t *testing.T) {
+	// A body that recovers the release sentinel and then waits, parks
+	// or wakes must unwind again at once: it may neither run past the
+	// call nor touch the queue, and its exit may not pick a successor
+	// (which would advance the clock to the queued cycle 100).
+	for _, again := range []string{"advance", "park", "wake", "return"} {
+		t.Run(again, func(t *testing.T) {
+			e := NewEngine()
+			peer := e.Spawn("peer", func(p *Proc) { p.Park() })
+			recovered, ranPast := false, false
+			e.Spawn("stubborn", func(p *Proc) {
+				func() {
+					defer func() { recovered = recover() != nil }()
+					p.Park()
+				}()
+				switch again {
+				case "advance":
+					p.Advance(5)
+				case "park":
+					p.Park()
+				case "wake":
+					p.Wake(peer)
+				case "return":
+					return
+				}
+				ranPast = true
+			})
+			abortAtCycle1(e)
+			if msg := runExpectPanic(e); !strings.Contains(msg, "boom") {
+				t.Fatalf("Run raised %q", msg)
+			}
+			if !recovered {
+				t.Fatal("the released body saw no panic to recover")
+			}
+			if ranPast {
+				t.Errorf("released body ran past %s", again)
+			}
+			if e.Now() != 1 || e.Live() != 0 {
+				t.Errorf("clock %d, live %d after abort; want 1, 0", e.Now(), e.Live())
+			}
+			if !peer.parked {
+				t.Error("released body woke its peer")
+			}
+			if q := e.next(); q != nil {
+				t.Errorf("queue holds %q after abort", q.name)
+			}
+		})
+	}
+}
+
+func TestReleasedProcDefersRunOnce(t *testing.T) {
+	// Deferred calls of parked and queued processes run exactly once
+	// when an aborted Run releases them, in the process's own frame,
+	// one process at a time; a process that never started runs none.
+	e := NewEngine()
+	defers := map[string]int{}
+	running := 0
+	body := func(name string, wait func(p *Proc)) {
+		e.Spawn(name, func(p *Proc) {
+			defer func() {
+				running++
+				defers[name]++
+				if running != 1 {
+					t.Errorf("%s: %d deferred calls running at once", name, running)
+				}
+				running--
+			}()
+			wait(p)
+		})
+	}
+	body("parked", func(p *Proc) { p.Park() })
+	body("queued", func(p *Proc) { p.Advance(100) })
+	e.Spawn("faulty", func(p *Proc) {
+		p.Advance(1)
+		body("unstarted", func(p *Proc) {})
+		panic("boom")
+	})
+	if msg := runExpectPanic(e); !strings.Contains(msg, "boom") {
+		t.Fatalf("Run raised %q", msg)
+	}
+	want := map[string]int{"parked": 1, "queued": 1}
+	if fmt.Sprint(defers) != fmt.Sprint(want) {
+		t.Errorf("deferred calls ran %v, want %v", defers, want)
+	}
+}
+
+func TestRunOnAnotherGoroutine(t *testing.T) {
+	// Processes spawned on one goroutine and run from another, as a
+	// runner worker does: the schedule is unchanged, and an aborted Run
+	// still releases every process.
+	runtime.GC()
+	before := runtime.NumGoroutine()
+	build := func(e *Engine, order *[]string) {
+		var parker *Proc
+		parker = e.Spawn("parker", func(p *Proc) {
+			p.Park()
+			*order = append(*order, fmt.Sprintf("parker@%d", p.Now()))
+		})
+		e.Spawn("waker", func(p *Proc) {
+			p.Advance(3)
+			*order = append(*order, fmt.Sprintf("waker@%d", p.Now()))
+			p.Wake(parker)
+			p.Advance(1)
+			*order = append(*order, fmt.Sprintf("waker@%d", p.Now()))
+		})
+	}
+	var same, other []string
+	e := NewEngine()
+	build(e, &same)
+	e.Run()
+	e2 := NewEngine()
+	build(e2, &other)
+	done := make(chan string)
+	go func() {
+		e2.Run()
+		done <- ""
+	}()
+	<-done
+	if fmt.Sprint(other) != fmt.Sprint(same) || e2.Events() != e.Events() {
+		t.Errorf("run on another goroutine: %v (%d events), want %v (%d events)",
+			other, e2.Events(), same, e.Events())
+	}
+
+	e3 := NewEngine()
+	e3.Spawn("parked", func(p *Proc) { p.Park() })
+	abortAtCycle1(e3)
+	go func() { done <- runExpectPanic(e3) }()
+	if msg := <-done; !strings.Contains(msg, "boom") {
+		t.Fatalf("aborted Run on another goroutine raised %q", msg)
+	}
+	if e3.Live() != 0 {
+		t.Fatalf("%d processes live after the aborted Run", e3.Live())
+	}
+	waitGoroutines(t, before)
+}
+
 // BenchmarkEngineHandoff measures the kernel's per-event cost on its
-// two handoff paths: a baton pass between two goroutines, and a
-// process that is its own successor and never switches.
+// two handoff paths: a coroutine resume that switches from one process
+// to another through Run, and a process that is its own successor and
+// never switches.
 func BenchmarkEngineHandoff(b *testing.B) {
 	b.Run("pingpong", func(b *testing.B) {
 		e := NewEngine()

@@ -152,13 +152,18 @@ func decode(blob []byte, key string, schema uint32) (payload []byte, ok, stale b
 	if format != Format || gotSchema != schema {
 		return nil, false, true
 	}
-	if uint64(len(blob)) != headerLen+uint64(keyLen)+payloadLen {
+	// Both lengths come off the disk: compare them against what is
+	// left after the header without adding them, so a crafted length
+	// cannot wrap around.
+	rest := uint64(len(blob) - headerLen)
+	if uint64(keyLen) > rest || payloadLen != rest-uint64(keyLen) {
 		return nil, false, false
 	}
-	if string(blob[headerLen:headerLen+keyLen]) != key {
+	keyEnd := headerLen + int(keyLen)
+	if string(blob[headerLen:keyEnd]) != key {
 		return nil, false, false
 	}
-	payload = blob[headerLen+keyLen:]
+	payload = blob[keyEnd:]
 	if crc32.ChecksumIEEE(payload) != crc {
 		return nil, false, false
 	}

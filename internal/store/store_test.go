@@ -158,6 +158,102 @@ func TestCorruptionReadsAsMiss(t *testing.T) {
 	}
 }
 
+// Lengths near the top of their ranges must not wrap the bounds
+// checks: keyLen 0xFFFFFFFF with a payloadLen chosen so the uint64 sum
+// of header, key and payload lengths wraps to the file size used to
+// slice blob[32:31] and panic.
+func TestDecodeWrappedLengths(t *testing.T) {
+	entry := func(keyLen uint32, payloadLen uint64, size int) []byte {
+		b := make([]byte, size)
+		copy(b, magic)
+		binary.BigEndian.PutUint32(b[8:12], Format)
+		binary.BigEndian.PutUint32(b[12:16], 1)
+		binary.BigEndian.PutUint32(b[16:20], keyLen)
+		binary.BigEndian.PutUint64(b[24:32], payloadLen)
+		return b
+	}
+	cases := map[string][]byte{
+		"key-wraps-sum":    entry(0xFFFFFFFF, wrappedPayloadLen(40, 0xFFFFFFFF), 40),
+		"key-past-end-sum": entry(20, wrappedPayloadLen(44, 20), 44),
+		"key-past-end":     entry(9, 0, 40),
+		"payload-at-max":   entry(0, 1<<64-1, 40),
+	}
+	for name, blob := range cases {
+		if payload, ok, stale := decode(blob, "", 1); ok || stale {
+			t.Errorf("%s: decode = (%q, %v, %v), want corrupt", name, payload, ok, stale)
+		}
+	}
+	s := open(t, 1)
+	corruptFile(t, s, "the-key", cases["key-wraps-sum"])
+	if got, ok := s.Get("the-key"); ok {
+		t.Fatalf("wrapped entry served as a hit: %q", got)
+	}
+	if st := s.Stats(); st.Corrupt != 1 {
+		t.Errorf("stats = %+v, want corrupt=1", st)
+	}
+}
+
+// wrappedPayloadLen returns the payload length for which the uint64 sum
+// headerLen+keyLen+payloadLen wraps around to size.
+func wrappedPayloadLen(size, keyLen uint64) uint64 { return size - headerLen - keyLen }
+
+// corruptFile writes blob as the entry file for key.
+func corruptFile(t testing.TB, s *Store, key string, blob []byte) {
+	t.Helper()
+	path := s.path(key)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzStoreGet puts arbitrary bytes at an entry's path. Get must never
+// panic, and it may only hit when the bytes are exactly the entry a Put
+// of the returned payload writes; everything else reads as a miss.
+func FuzzStoreGet(f *testing.F) {
+	const key = "the-key"
+	ref, err := Open(f.TempDir(), 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := ref.Put(key, []byte("the-payload")); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(ref.path(key))
+	if err != nil {
+		f.Fatal(err)
+	}
+	wrapped := append([]byte(nil), valid[:40]...)
+	binary.BigEndian.PutUint32(wrapped[16:20], 0xFFFFFFFF)
+	binary.BigEndian.PutUint64(wrapped[24:32], wrappedPayloadLen(40, 0xFFFFFFFF))
+	for _, seed := range [][]byte{valid, wrapped, valid[:headerLen], valid[:len(valid)-1], nil} {
+		f.Add(seed)
+	}
+	s, err := Open(f.TempDir(), 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		corruptFile(t, s, key, blob)
+		got, ok := s.Get(key)
+		if !ok {
+			return
+		}
+		if err := ref.Put(key, got); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(ref.path(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(blob, want) {
+			t.Fatalf("hit %q from bytes %x that a Put of it would not write (%x)", got, blob, want)
+		}
+	})
+}
+
 // A schema bump must invalidate old entries without touching files
 // written under the new schema.
 func TestSchemaUpgradeInvalidates(t *testing.T) {
