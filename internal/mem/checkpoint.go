@@ -17,18 +17,19 @@ import (
 // warm: restored regions see the caches, open rows and reservation
 // horizons the original run had, with no cold-start error.
 
-// CacheLineState is one tag-array entry.
+// CacheLineState is one tag-array entry. LRU is the way's recency
+// rank within its set (0 = most recently used); an invalid way has
+// every field zero.
 type CacheLineState struct {
 	Tag   uint64
 	Valid bool
 	Dirty bool
-	LRU   uint64
+	LRU   uint8
 }
 
-// CacheState is a cache's complete state: the tag array plus the LRU
-// clock and statistics.
+// CacheState is a cache's complete state: the tag array plus its
+// statistics.
 type CacheState struct {
-	Tick   uint64
 	Hits   uint64
 	Misses uint64
 	Evicts uint64
@@ -38,11 +39,13 @@ type CacheState struct {
 // State captures the cache's state.
 func (c *Cache) State() CacheState {
 	st := CacheState{
-		Tick: c.tick, Hits: c.Hits, Misses: c.Misses, Evicts: c.Evicts,
-		Lines: make([]CacheLineState, len(c.arr)),
+		Hits: c.Hits, Misses: c.Misses, Evicts: c.Evicts,
+		Lines: make([]CacheLineState, len(c.key)),
 	}
-	for i, l := range c.arr {
-		st.Lines[i] = CacheLineState{Tag: l.tag, Valid: l.valid, Dirty: l.dirty, LRU: l.lru}
+	for i, k := range c.key {
+		if k != 0 {
+			st.Lines[i] = CacheLineState{Tag: uint64(k&keyMask - 1), Valid: true, Dirty: k&dirtyBit != 0, LRU: c.age[i]}
+		}
 	}
 	return st
 }
@@ -50,12 +53,22 @@ func (c *Cache) State() CacheState {
 // Restore overwrites the cache's state from a checkpoint taken on a
 // cache of identical geometry.
 func (c *Cache) Restore(st CacheState) {
-	if len(st.Lines) != len(c.arr) {
-		panic(fmt.Sprintf("mem: restoring %d cache lines into a %d-line cache", len(st.Lines), len(c.arr)))
+	if len(st.Lines) != len(c.key) {
+		panic(fmt.Sprintf("mem: restoring %d cache lines into a %d-line cache", len(st.Lines), len(c.key)))
 	}
-	c.tick, c.Hits, c.Misses, c.Evicts = st.Tick, st.Hits, st.Misses, st.Evicts
+	c.Hits, c.Misses, c.Evicts = st.Hits, st.Misses, st.Evicts
 	for i, l := range st.Lines {
-		c.arr[i] = cacheLine{tag: l.Tag, valid: l.Valid, dirty: l.Dirty, lru: l.LRU}
+		c.key[i] = 0
+		if !l.Valid {
+			continue
+		}
+		if l.Tag >= MaxLines || int(l.LRU) >= c.ways {
+			panic(fmt.Sprintf("mem: restoring line %#x with rank %d into a %d-way cache", l.Tag, l.LRU, c.ways))
+		}
+		c.key[i], c.age[i] = uint32(l.Tag)+1, l.LRU
+		if l.Dirty {
+			c.key[i] |= dirtyBit
+		}
 	}
 }
 

@@ -255,11 +255,18 @@ func (s *System) Port(core int) *Port {
 
 // Alloc reserves size bytes of simulated address space, line-aligned,
 // and returns the base address. Workloads use it to lay out their
-// arrays; the data itself lives in the workload's Go values.
+// arrays; the data itself lives in the workload's Go values. It
+// panics once the region, or the line a next-line prefetch reads past
+// its end, would reach MaxLines, the cache tags' address limit.
 func (s *System) Alloc(size int) uint64 {
 	line := uint64(s.Cfg.LineBytes)
 	base := (s.heap + line - 1) / line * line
-	s.heap = base + uint64(size)
+	end := base + uint64(size)
+	if size < 0 || (end+line-1)/line >= MaxLines {
+		panic(fmt.Sprintf("mem: Alloc(%d) at %#x would reach simulated line address %#x (limit %#x lines, %d GiB at %d-byte lines)",
+			size, base, (end+line-1)/line, MaxLines, (MaxLines+1)*line>>30, line))
+	}
+	s.heap = end
 	return base
 }
 

@@ -29,15 +29,61 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	bad := DefaultConfig()
-	bad.L3Banks = 3
-	if bad.Validate() == nil {
-		t.Error("non-power-of-two banks accepted")
+	for name, mutate := range map[string]func(*Config){
+		"no cores":            func(c *Config) { c.Cores = 0 },
+		"65 cores":            func(c *Config) { c.Cores, c.L3Banks = 65, 1 },
+		"line 48B":            func(c *Config) { c.LineBytes = 48 },
+		"line 0B":             func(c *Config) { c.LineBytes = 0 },
+		"L1 smaller than set": func(c *Config) { c.L1Bytes = 64 },
+		"L1 0 ways":           func(c *Config) { c.L1Ways = 0 },
+		"L2 0 ways":           func(c *Config) { c.L2Ways = 0 },
+		"L3 below banks":      func(c *Config) { c.L3Bytes = 2 << 10 },
+		"L3 0 ways":           func(c *Config) { c.L3Ways = 0 },
+		"L1 256 ways":         func(c *Config) { c.L1Bytes, c.L1Ways = 256*64, 256 },
+		"L2 256 ways":         func(c *Config) { c.L2Bytes, c.L2Ways = 256*64, 256 },
+		"L3 256 ways":         func(c *Config) { c.L3Bytes, c.L3Ways = 8*256*64, 256 },
+		"3 L3 banks":          func(c *Config) { c.L3Banks = 3 },
+		"0 L3 banks":          func(c *Config) { c.L3Banks = 0 },
+		"0 DRAM banks":        func(c *Config) { c.DRAMBanks = 0 },
+		"24 DRAM banks":       func(c *Config) { c.DRAMBanks = 24 },
+		"row below line":      func(c *Config) { c.DRAMRowBytes = 32 },
+		"free bus":            func(c *Config) { c.BusCyclesPerLine = 0 },
+		"no store buffer":     func(c *Config) { c.StoreBufferEntries = 0 },
+		"cores not per bank":  func(c *Config) { c.Cores = 12 },
+	} {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
-	bad = DefaultConfig()
-	bad.LineBytes = 48
-	if bad.Validate() == nil {
-		t.Error("non-power-of-two line size accepted")
+	// The associativity bound is inclusive.
+	ok := DefaultConfig()
+	ok.L3Bytes, ok.L3Ways = 8*MaxWays*64, MaxWays
+	if err := ok.Validate(); err != nil {
+		t.Errorf("%d-way L3 rejected: %v", MaxWays, err)
+	}
+}
+
+func TestAllocBound(t *testing.T) {
+	s, _, _ := testSystem(t)
+	line := uint64(s.Cfg.LineBytes)
+	base := s.Alloc(0)
+	// The largest region whose next-line prefetch target is still below
+	// MaxLines.
+	last := int((MaxLines-1)*line - base)
+	if got := s.Alloc(last); got != base {
+		t.Fatalf("Alloc(%d) = %#x, want %#x", last, got, base)
+	}
+	for name, size := range map[string]int{"one more byte": 1, "negative": -64} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Alloc(%d) past the tag range did not panic", size)
+				}
+			}()
+			s.Alloc(size)
+		})
 	}
 }
 
