@@ -50,16 +50,6 @@ func Registry(o Options) []RegistryEntry {
 	}
 }
 
-// RegistryNames lists the experiment names Registry serves, in order.
-func RegistryNames() []string {
-	entries := Registry(DefaultOptions())
-	names := make([]string, len(entries))
-	for i, e := range entries {
-		names[i] = e.Name
-	}
-	return names
-}
-
 // LookupExperiment finds one registry entry by name.
 func LookupExperiment(o Options, name string) (RegistryEntry, bool) {
 	for _, e := range Registry(o) {

@@ -21,7 +21,7 @@ type Convert struct {
 	m *machine.Machine
 	p ConvertParams
 
-	in      []uint32 // packed RGBA
+	in      []uint32 // packed RGBA; shared read-only input
 	out     []uint32
 	inAddr  uint64
 	outAddr uint64
@@ -49,12 +49,15 @@ func NewConvert(m *machine.Machine, p ConvertParams) *Convert {
 	mustMachine(m, "convert")
 	w := &Convert{m: m, p: p}
 	n := p.Width * p.Height
-	w.in = make([]uint32, n)
+	w.in = readOnlyInput(p, func() []uint32 {
+		in := make([]uint32, n)
+		r := newRNG(0xc07)
+		for i := range in {
+			in[i] = uint32(r.next())
+		}
+		return in
+	})
 	w.out = make([]uint32, n)
-	r := newRNG(0xc07)
-	for i := range w.in {
-		w.in[i] = uint32(r.next())
-	}
 	for i := range w.gamma {
 		// A fixed-point gamma ~2.2 curve, computed without floats so
 		// the table is bit-exact everywhere.

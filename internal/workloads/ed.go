@@ -23,7 +23,7 @@ type ED struct {
 	m *machine.Machine
 	p EDParams
 
-	vec     []float64
+	vec     []float64 // shared read-only input
 	vecAddr uint64
 	lock    *thread.Lock
 
@@ -50,11 +50,14 @@ func DefaultEDParams() EDParams {
 func NewED(m *machine.Machine, p EDParams) *ED {
 	mustMachine(m, "ed")
 	w := &ED{m: m, p: p}
-	w.vec = make([]float64, p.N)
-	r := newRNG(0xed)
-	for i := range w.vec {
-		w.vec[i] = r.float64()*2 - 1
-	}
+	w.vec = readOnlyInput(p, func() []float64 {
+		vec := make([]float64, p.N)
+		r := newRNG(0xed)
+		for i := range vec {
+			vec[i] = r.float64()*2 - 1
+		}
+		return vec
+	})
 	w.vecAddr = m.Alloc(8 * p.N)
 	w.lock = thread.NewLock(m)
 	return w

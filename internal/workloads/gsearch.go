@@ -19,7 +19,7 @@ type GSearch struct {
 	m *machine.Machine
 	p GSearchParams
 
-	adj                  [][]int32 // adjacency lists
+	adj                  [][]int32 // adjacency lists; shared read-only input
 	adjAddr              uint64    // node records in simulated memory
 	queueAddr, visitAddr uint64
 
@@ -68,16 +68,19 @@ func DefaultGSearchParams() GSearchParams {
 func NewGSearch(m *machine.Machine, p GSearchParams) *GSearch {
 	mustMachine(m, "gsearch")
 	w := &GSearch{m: m, p: p}
-	r := newRNG(0x65ea7c4)
-	w.adj = make([][]int32, p.Nodes)
-	for n := range w.adj {
-		deg := 1 + r.intn(2*p.Degree-1) // avg ~Degree
-		edges := make([]int32, deg)
-		for e := range edges {
-			edges[e] = int32(r.intn(p.Nodes))
+	w.adj = readOnlyInput(p, func() [][]int32 {
+		r := newRNG(0x65ea7c4)
+		adj := make([][]int32, p.Nodes)
+		for n := range adj {
+			deg := 1 + r.intn(2*p.Degree-1) // avg ~Degree
+			edges := make([]int32, deg)
+			for e := range edges {
+				edges[e] = int32(r.intn(p.Nodes))
+			}
+			adj[n] = edges
 		}
-		w.adj[n] = edges
-	}
+		return adj
+	})
 	w.adjAddr = m.Alloc(p.Nodes * 64) // one record line per node
 	w.queueLock = thread.NewLock(m)
 	w.visitLock = thread.NewLock(m)

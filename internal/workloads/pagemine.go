@@ -23,7 +23,7 @@ type PageMine struct {
 	m *machine.Machine
 	p PageMineParams
 
-	data      []byte // all pages, deterministic content
+	data      []byte // all pages, deterministic content; shared read-only input
 	pagesAddr uint64
 	histAddr  uint64
 	lock      *thread.Lock
@@ -64,11 +64,14 @@ func DefaultPageMineParams() PageMineParams {
 func NewPageMine(m *machine.Machine, p PageMineParams) *PageMine {
 	mustMachine(m, "pagemine")
 	w := &PageMine{m: m, p: p}
-	w.data = make([]byte, p.Pages*p.PageBytes)
-	r := newRNG(0x9a6e)
-	for i := range w.data {
-		w.data[i] = byte(r.intn(pageMineBins))
-	}
+	w.data = readOnlyInput(p, func() []byte {
+		data := make([]byte, p.Pages*p.PageBytes)
+		r := newRNG(0x9a6e)
+		for i := range data {
+			data[i] = byte(r.intn(pageMineBins))
+		}
+		return data
+	})
 	w.pagesAddr = m.Alloc(len(w.data))
 	w.lock = thread.NewLock(m)
 	w.histAddr = m.Alloc(pageMineHistBytes)

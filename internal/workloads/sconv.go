@@ -122,37 +122,50 @@ func (w *SConv) Name() string { return "sconv" }
 // Kernels implements core.Workload.
 func (w *SConv) Kernels() []core.Kernel { return []core.Kernel{w.kernel} }
 
-func (w *SConv) at(x, y int) int {
-	s := w.p.Size
-	x, y = (x+s)%s, (y+s)%s
-	return y*s + x
-}
-
 // rowPass convolves rows [lo, hi) of img into tmp.
 func (w *SConv) rowPass(lo, hi int) {
-	s, r := w.p.Size, w.p.Radius
+	s := w.p.Size
 	for y := lo; y < hi; y++ {
-		for x := 0; x < s; x++ {
-			var acc float32
-			for k := -r; k <= r; k++ {
-				acc += w.kernelTaps[k+r] * w.img[w.at(x+k, y)]
-			}
-			w.tmp[y*s+x] = acc
-		}
+		convolveLine(w.tmp, w.img, y*s, 1, s, w.kernelTaps)
 	}
 }
 
 // colPass convolves columns [lo, hi) of tmp into out.
 func (w *SConv) colPass(lo, hi int) {
-	s, r := w.p.Size, w.p.Radius
+	s := w.p.Size
 	for x := lo; x < hi; x++ {
-		for y := 0; y < s; y++ {
-			var acc float32
-			for k := -r; k <= r; k++ {
-				acc += w.kernelTaps[k+r] * w.tmp[w.at(x, y+k)]
+		convolveLine(w.out, w.tmp, x, s, s, w.kernelTaps)
+	}
+}
+
+// convolveLine convolves the n-element line src[off+i*stride] with
+// taps, wrapping at the line's ends, into dst at the same positions.
+// Pixels whose taps all fall inside the line index directly; only the
+// ones within a radius of either end wrap. Both loops sum the taps in
+// the same order, so every pixel is bit-identical to a fully wrapped
+// loop. The radius must not exceed n.
+func convolveLine(dst, src []float32, off, stride, n int, taps []float32) {
+	r := len(taps) / 2
+	for i := 0; i < n; i++ {
+		var acc float32
+		if i >= r && i+r < n {
+			p := off + (i-r)*stride
+			win := src[p : p+(len(taps)-1)*stride+1]
+			for k, t := range taps {
+				acc += t * win[k*stride]
 			}
-			w.out[y*s+x] = acc
+		} else {
+			for k, t := range taps {
+				j := i + k - r
+				if j < 0 {
+					j += n
+				} else if j >= n {
+					j -= n
+				}
+				acc += t * src[off+j*stride]
+			}
 		}
+		dst[off+i*stride] = acc
 	}
 }
 

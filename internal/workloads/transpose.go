@@ -18,7 +18,7 @@ type Transpose struct {
 	m *machine.Machine
 	p TransposeParams
 
-	in      []float64 // rows x cols, row-major
+	in      []float64 // rows x cols, row-major; shared read-only input
 	out     []float64 // cols x rows, row-major
 	inAddr  uint64
 	outAddr uint64
@@ -43,11 +43,14 @@ func NewTranspose(m *machine.Machine, p TransposeParams) *Transpose {
 	mustMachine(m, "transpose")
 	w := &Transpose{m: m, p: p}
 	n := p.Rows * p.Cols
-	w.in = make([]float64, n)
-	r := newRNG(0x7245)
-	for i := range w.in {
-		w.in[i] = r.float64()
-	}
+	w.in = readOnlyInput(p, func() []float64 {
+		in := make([]float64, n)
+		r := newRNG(0x7245)
+		for i := range in {
+			in[i] = r.float64()
+		}
+		return in
+	})
 	w.out = make([]float64, n)
 	w.inAddr = m.Alloc(8 * n)
 	w.outAddr = m.Alloc(8 * n)
