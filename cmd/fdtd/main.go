@@ -10,6 +10,12 @@
 //	curl -N  localhost:8080/v1/jobs/job-1/stream
 //	curl -s localhost:8080/v1/stats
 //
+// -pprof serves net/http/pprof on a listener of its own, so profiles
+// never share the API's address:
+//
+//	fdtd -pprof 127.0.0.1:6060
+//	go tool pprof http://127.0.0.1:6060/debug/pprof/heap
+//
 // SIGINT/SIGTERM starts a graceful drain: admission stops (503), the
 // queue empties, in-flight jobs finish, then the listener closes.
 package main
@@ -21,6 +27,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -51,6 +58,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", 0, "simulation worker pool size (0 = GOMAXPROCS)")
 	cacheLimit := fs.Int("cache-limit", 0, "max in-memory cached runs, evicted LRU-ish (0 = unlimited)")
 	drainTimeout := fs.Duration("drain-timeout", 2*time.Minute, "max time to finish queued jobs on shutdown")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -73,6 +81,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		entries, bytes := st.Len()
 		fmt.Fprintf(stdout, "fdtd: store %s (%d entries, %d bytes)\n", st.Dir(), entries, bytes)
+	}
+
+	if *pprofAddr != "" {
+		pln, err := net.Listen("tcp", *pprofAddr)
+		if err != nil {
+			fmt.Fprintf(stderr, "fdtd: pprof listen: %v\n", err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "fdtd: pprof on %s\n", pln.Addr())
+		psrv := &http.Server{Handler: pprofHandler()}
+		go psrv.Serve(pln)
+		defer psrv.Close()
 	}
 
 	svc := service.New(service.Config{Workers: *workers, QueueCap: *queueCap})
@@ -111,4 +131,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, "fdtd: stopped")
 	return 0
+}
+
+// pprofHandler serves the net/http/pprof endpoints under
+// /debug/pprof/, on a mux of its own rather than the default one.
+func pprofHandler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

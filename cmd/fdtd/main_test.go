@@ -219,3 +219,46 @@ func TestDaemonSSEOverTCP(t *testing.T) {
 		}
 	}
 }
+
+// -pprof serves the profiling index on its own listener and prints
+// the bound address; a bad address fails setup.
+func TestDaemonPprof(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var out, errOut lockedBuf
+	exit := make(chan int, 1)
+	go func() {
+		exit <- run(ctx, []string{"-addr", "127.0.0.1:0", "-pprof", "127.0.0.1:0"}, &out, &errOut)
+	}()
+	var addr string
+	for deadline := time.Now().Add(10 * time.Second); addr == "" && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		for _, line := range strings.Split(out.String(), "\n") {
+			if a, ok := strings.CutPrefix(line, "fdtd: pprof on "); ok {
+				addr = strings.TrimSpace(a)
+			}
+		}
+	}
+	if addr == "" {
+		cancel()
+		t.Fatalf("no pprof address printed; output:\n%s%s", out.String(), errOut.String())
+	}
+	resp, err := http.Get("http://" + addr + "/debug/pprof/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(blob), "heap") {
+		t.Errorf("GET /debug/pprof/ = %d:\n%s", resp.StatusCode, blob)
+	}
+	cancel()
+	if code := <-exit; code != 0 {
+		t.Fatalf("daemon exit = %d\n%s%s", code, out.String(), errOut.String())
+	}
+
+	if code := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-pprof", "bad:addr:x"}, &out, &errOut); code != 1 {
+		t.Errorf("bad pprof address exit = %d, want 1", code)
+	}
+	if !strings.Contains(errOut.String(), "pprof listen") {
+		t.Errorf("missing pprof error: %s", errOut.String())
+	}
+}

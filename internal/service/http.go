@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 )
 
@@ -15,6 +16,9 @@ import (
 //	GET  /v1/jobs/{id}/stream  SSE progress stream; one event per
 //	                         lifecycle step and sweep point, ends
 //	                         after "done"/"error"
+//	                         Both job endpoints answer 404 for an ID
+//	                         never issued and 410 for a finished job
+//	                         dropped from the registry.
 //	GET  /v1/stats           queue, cache, and store counters
 //	GET  /v1/healthz         liveness ("ok", or 503 while draining)
 //
@@ -64,25 +68,37 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
-		return
+// jobOrError finds the request's job, or answers 404 (never issued)
+// or 410 (dropped from the registry) and returns nil.
+func (s *Service) jobOrError(w http.ResponseWriter, r *http.Request) *Job {
+	id := r.PathValue("id")
+	j, gone := s.lookup(id)
+	switch {
+	case j != nil:
+	case gone:
+		writeError(w, http.StatusGone, fmt.Errorf("job %q finished and was dropped; resubmit its spec", id))
+	default:
+		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 	}
-	writeJSON(w, http.StatusOK, j.Snapshot(true))
+	return j
+}
+
+func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
+	if j := s.jobOrError(w, r); j != nil {
+		writeJSON(w, http.StatusOK, j.Snapshot(true))
+	}
 }
 
 // handleStream serves a job's lifecycle as server-sent events. The
-// stream replays history (so a late subscriber still sees every
-// point), follows live progress, and terminates cleanly after the
-// terminal "done"/"error" event — the client's EOF is its completion
-// signal. The result payload itself is fetched via GET /v1/jobs/{id};
-// keeping it off the stream keeps events small.
+// stream reads the job's event log from the start (so a late
+// subscriber still sees every point), follows it live, and terminates
+// cleanly after the terminal "done"/"error" event — the client's EOF
+// is its completion signal. A slow client loses nothing; it only reads
+// the log later. The result payload itself is fetched via
+// GET /v1/jobs/{id}; keeping it off the stream keeps events small.
 func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+	j := s.jobOrError(w, r)
+	if j == nil {
 		return
 	}
 	fl, ok := w.(http.Flusher)
@@ -96,20 +112,25 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
-	ch, cancel := j.Subscribe()
-	defer cancel()
-	for {
-		select {
-		case ev, ok := <-ch:
-			if !ok {
-				return // terminal event delivered; end the stream
-			}
-			blob, err := json.Marshal(ev)
-			if err != nil {
+	enc := json.NewEncoder(w)
+	for next := 0; ; {
+		evs, final, wait := j.tail(next)
+		for _, ev := range evs {
+			io.WriteString(w, "event: ")
+			io.WriteString(w, ev.Type)
+			io.WriteString(w, "\ndata: ")
+			if err := enc.Encode(ev); err != nil { // ends the line
 				return
 			}
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, blob)
-			fl.Flush()
+			io.WriteString(w, "\n")
+		}
+		fl.Flush()
+		next += len(evs)
+		if final {
+			return // terminal event delivered; end the stream
+		}
+		select {
+		case <-wait:
 		case <-r.Context().Done():
 			return
 		}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -201,67 +202,56 @@ type Job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	events    []Event
-	subs      map[int]chan Event
-	nextSub   int
-	dropped   uint64
+	// events is the job's append-only log: published entries are
+	// never rewritten, so a reader may keep a sub-slice of it after
+	// unlocking. notify, made on demand by a waiting reader, is closed
+	// by the next publish or by finish.
+	events []Event
+	notify chan struct{}
 }
 
 func newJob(id string, spec Spec) *Job {
-	j := &Job{
+	return &Job{
 		ID: id, Spec: spec,
 		status:    StatusQueued,
 		submitted: time.Now(),
-		subs:      map[int]chan Event{},
+		events:    []Event{{Type: StatusQueued, Job: id}},
 	}
-	j.events = append(j.events, Event{Type: StatusQueued, Job: id})
-	return j
 }
 
-// publish appends an event to the job's history and fans it out to
-// live subscribers. Sends never block the dispatcher: a subscriber
-// that stops draining loses intermediate events (counted), but the
-// terminal state is always observable because completion closes every
-// subscriber channel and the final snapshot holds the result.
+// appendEvent logs ev and wakes every waiting reader. j.mu is held.
+func (j *Job) appendEvent(ev Event) {
+	j.events = append(j.events, ev)
+	if j.notify != nil {
+		close(j.notify)
+		j.notify = nil
+	}
+}
+
+// publish appends an event to the job's log. It never blocks the
+// dispatcher, and no reader can miss an event: each reads the log at
+// its own pace.
 func (j *Job) publish(ev Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.events = append(j.events, ev)
-	for _, ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-			j.dropped++
-		}
-	}
+	j.appendEvent(ev)
 }
 
-// terminal state transitions; close all subscriber channels.
+// finish moves the job to its terminal state and logs the terminal
+// event.
 func (j *Job) finish(result json.RawMessage, err error) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.finished = time.Now()
-	var ev Event
 	if err != nil {
 		j.status = StatusFailed
 		j.errMsg = err.Error()
-		ev = Event{Type: "error", Job: j.ID, Err: j.errMsg}
-	} else {
-		j.status = StatusDone
-		j.result = result
-		ev = Event{Type: "done", Job: j.ID}
+		j.appendEvent(Event{Type: "error", Job: j.ID, Err: j.errMsg})
+		return
 	}
-	j.events = append(j.events, ev)
-	subs := j.subs
-	j.subs = map[int]chan Event{}
-	for _, ch := range subs {
-		select {
-		case ch <- ev:
-		default:
-			j.dropped++
-		}
-		close(ch)
-	}
-	j.mu.Unlock()
+	j.status = StatusDone
+	j.result = result
+	j.appendEvent(Event{Type: "done", Job: j.ID})
 }
 
 func (j *Job) start() {
@@ -272,35 +262,53 @@ func (j *Job) start() {
 	j.publish(Event{Type: StatusRunning, Job: j.ID})
 }
 
-// Subscribe returns a channel that replays the job's full event
-// history and then carries live events; it is closed when the job
-// reaches a terminal state (or immediately after replay if it already
-// has). cancel detaches early.
-func (j *Job) Subscribe() (ch <-chan Event, cancel func()) {
+// tail returns the logged events from index next on, without copying.
+// final reports that the log ends with the terminal event; otherwise
+// wait is closed once another event is logged.
+func (j *Job) tail(next int) (evs []Event, final bool, wait <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	// Replay capacity plus live headroom; the SSE writer drains
-	// promptly, and terminal delivery is guaranteed by channel close +
-	// snapshot regardless of drops.
-	c := make(chan Event, len(j.events)+256)
-	for _, ev := range j.events {
-		c <- ev
-	}
+	n := len(j.events)
+	evs = j.events[next:n:n]
 	if j.status == StatusDone || j.status == StatusFailed {
-		close(c)
-		return c, func() {}
+		return evs, true, nil
 	}
-	id := j.nextSub
-	j.nextSub++
-	j.subs[id] = c
-	return c, func() {
-		j.mu.Lock()
-		if ch, ok := j.subs[id]; ok {
-			delete(j.subs, id)
-			close(ch)
+	if j.notify == nil {
+		j.notify = make(chan struct{})
+	}
+	return evs, false, j.notify
+}
+
+// Subscribe returns a channel that carries the job's full event log,
+// then follows it live, and is closed after the terminal event. No
+// event is lost, however slowly the channel is read. Call cancel to
+// detach before the close.
+func (j *Job) Subscribe() (ch <-chan Event, cancel func()) {
+	c := make(chan Event)
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		defer close(c)
+		for next := 0; ; {
+			evs, final, wait := j.tail(next)
+			for _, ev := range evs {
+				select {
+				case c <- ev:
+				case <-ctx.Done():
+					return
+				}
+			}
+			next += len(evs)
+			if final {
+				return
+			}
+			select {
+			case <-wait:
+			case <-ctx.Done():
+				return
+			}
 		}
-		j.mu.Unlock()
-	}
+	}()
+	return c, cancel
 }
 
 // View is a job's externally visible snapshot.

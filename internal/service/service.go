@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -16,6 +18,11 @@ import (
 
 // ErrDraining rejects submissions once shutdown has begun.
 var ErrDraining = errors.New("service: draining")
+
+// retainFinished is how many finished jobs the registry keeps, so the
+// daemon's memory does not grow with the number of jobs it has
+// served. Queued and running jobs are always kept.
+const retainFinished = 1024
 
 // Config sizes the service.
 type Config struct {
@@ -47,9 +54,16 @@ type Service struct {
 	cfg Config
 	q   *queue
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	// jobs holds every queued and running job plus the retained
+	// finished ones. IDs "job-N" are issued densely, so a missing
+	// N <= nextID was dropped.
 	jobs   map[string]*Job
 	nextID uint64
+	// finished lists the retained finished jobs' IDs, oldest first;
+	// at most retain of them.
+	finished []string
+	retain   int
 
 	wg       sync.WaitGroup
 	draining atomic.Bool
@@ -61,7 +75,7 @@ type Service struct {
 // New starts a service with cfg.Workers dispatcher goroutines.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	s := &Service{cfg: cfg, q: newQueue(cfg.QueueCap), jobs: map[string]*Job{}}
+	s := &Service{cfg: cfg, q: newQueue(cfg.QueueCap), jobs: map[string]*Job{}, retain: retainFinished}
 	for w := 0; w < cfg.Workers; w++ {
 		s.wg.Add(1)
 		go func() {
@@ -87,28 +101,57 @@ func (s *Service) Submit(spec Spec) (*Job, error) {
 	if err := spec.normalize(); err != nil {
 		return nil, err
 	}
+	// Register and enqueue under s.mu, so a rejected job never takes
+	// an ID and the IDs stay dense.
 	s.mu.Lock()
-	s.nextID++
-	id := fmt.Sprintf("job-%d", s.nextID)
-	j := newJob(id, spec)
-	s.jobs[id] = j
-	s.mu.Unlock()
-
+	defer s.mu.Unlock()
+	j := newJob(fmt.Sprintf("job-%d", s.nextID+1), spec)
 	if err := s.q.push(j); err != nil {
-		s.mu.Lock()
-		delete(s.jobs, id)
-		s.mu.Unlock()
 		return nil, err
 	}
+	s.nextID++
+	s.jobs[j.ID] = j
 	return j, nil
 }
 
 // Job looks a registered job up by ID.
 func (s *Service) Job(id string) (*Job, bool) {
+	j, _ := s.lookup(id)
+	return j, j != nil
+}
+
+// lookup finds a registered job. When there is none, gone reports
+// whether the ID was issued, so its finished job has been dropped
+// (410, where any other ID is 404).
+func (s *Service) lookup(id string) (j *Job, gone bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
+	if j, ok := s.jobs[id]; ok {
+		return j, false
+	}
+	digits, ok := strings.CutPrefix(id, "job-")
+	n, err := strconv.ParseUint(digits, 10, 64)
+	return nil, ok && err == nil && n >= 1 && n <= s.nextID && strconv.FormatUint(n, 10) == digits
+}
+
+// finish records j's terminal state and retires it: j joins the
+// retained finished jobs, and the oldest one beyond retain is dropped.
+// Both happen under s.mu, so whoever sees j's terminal event also sees
+// the registry and the counters already updated.
+func (s *Service) finish(j *Job, result json.RawMessage, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil {
+		s.failed.Add(1)
+	} else {
+		s.done.Add(1)
+	}
+	j.finish(result, err)
+	s.finished = append(s.finished, j.ID)
+	if len(s.finished) > s.retain {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
 }
 
 // runJob executes one job and publishes its lifecycle.
@@ -128,12 +171,7 @@ func (s *Service) runJob(j *Job) {
 	if err == nil {
 		blob, err = json.Marshal(result)
 	}
-	j.finish(blob, err)
-	if err != nil {
-		s.failed.Add(1)
-	} else {
-		s.done.Add(1)
-	}
+	s.finish(j, blob, err)
 }
 
 // execute runs the job body (panics from the simulator surface as
@@ -196,7 +234,10 @@ type Stats struct {
 	// Jobs* count terminal jobs since process start.
 	JobsDone   uint64 `json:"jobs_done"`
 	JobsFailed uint64 `json:"jobs_failed"`
-	Draining   bool   `json:"draining"`
+	// JobsRetained counts the finished jobs the registry still holds
+	// (at most 1024); an older finished job answers 410.
+	JobsRetained int  `json:"jobs_retained"`
+	Draining     bool `json:"draining"`
 
 	// In-memory run cache (process lifetime).
 	CacheHits      uint64 `json:"cache_hits"`
@@ -223,6 +264,9 @@ type Stats struct {
 
 // Stats snapshots the service and cache counters.
 func (s *Service) Stats() Stats {
+	s.mu.Lock()
+	retained := len(s.finished)
+	s.mu.Unlock()
 	hits, misses := core.RunCacheStats()
 	entries, bytes, evictions := core.RunCacheUsage()
 	st := Stats{
@@ -231,6 +275,7 @@ func (s *Service) Stats() Stats {
 		Queued:         s.q.depth(),
 		JobsDone:       s.done.Load(),
 		JobsFailed:     s.failed.Load(),
+		JobsRetained:   retained,
 		Draining:       s.draining.Load(),
 		CacheHits:      hits,
 		CacheMisses:    misses,
