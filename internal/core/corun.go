@@ -127,17 +127,22 @@ func (s TeamSpec) specKey(cfg machine.Config) string {
 // RunCorun co-schedules the specs on a fresh machine of the given
 // configuration, memoizing by (config, mapping, specs, mode).
 func RunCorun(cfg machine.Config, mp machine.Mapping, specs []TeamSpec, md Mode) (CorunResult, error) {
-	key := ConfigKey(cfg) + "|corun/" + mp.String()
-	for _, s := range specs {
-		key += "|" + s.specKey(cfg)
-	}
 	var err error
-	res := corunCache.Do(key+md.key(), func() CorunResult {
+	res := corunCache.Do(corunKey(cfg, mp, specs, md), func() CorunResult {
 		var r CorunResult
 		r, err = RunCorunOn(machine.MustNew(cfg), mp, specs, md)
 		return r
 	})
 	return res, err
+}
+
+// corunKey is RunCorun's content address.
+func corunKey(cfg machine.Config, mp machine.Mapping, specs []TeamSpec, md Mode) string {
+	key := ConfigKey(cfg) + "|corun/" + mp.String()
+	for _, s := range specs {
+		key += "|" + s.specKey(cfg)
+	}
+	return key + md.key()
 }
 
 // RunSoloOn is the co-run's control experiment: the machine is
@@ -185,13 +190,17 @@ var soloCache runner.Cache[TeamResult]
 // RunSolo is RunSoloOn on a fresh machine, memoized by (config,
 // mapping, partition geometry, spec, mode).
 func RunSolo(cfg machine.Config, mp machine.Mapping, nTeams, slot int, spec TeamSpec, md Mode) (TeamResult, error) {
-	key := fmt.Sprintf("%s|solo/%s/%d-of-%d|%s%s",
-		ConfigKey(cfg), mp.String(), slot, nTeams, spec.specKey(cfg), md.key())
 	var err error
-	res := soloCache.Do(key, func() TeamResult {
+	res := soloCache.Do(soloKey(cfg, mp, nTeams, slot, spec, md), func() TeamResult {
 		var r TeamResult
 		r, err = RunSoloOn(machine.MustNew(cfg), mp, nTeams, slot, spec, md)
 		return r
 	})
 	return res, err
+}
+
+// soloKey is RunSolo's content address.
+func soloKey(cfg machine.Config, mp machine.Mapping, nTeams, slot int, spec TeamSpec, md Mode) string {
+	return fmt.Sprintf("%s|solo/%s/%d-of-%d|%s%s",
+		ConfigKey(cfg), mp.String(), slot, nTeams, spec.specKey(cfg), md.key())
 }
