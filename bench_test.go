@@ -306,13 +306,11 @@ func BenchmarkSimulatorThroughputCorun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := machine.MustNew(cfg)
-		specs := []core.TeamSpec{
-			{Workload: "ed", Factory: edInfo.Factory, Policy: core.Static{N: 8}},
-			{Workload: "convert", Factory: cvInfo.Factory, Policy: core.Static{N: 8}},
-		}
-		if _, err := core.RunCorunOn(m, machine.MapPacked, specs, core.ExactMode()); err != nil {
-			b.Fatal(err)
-		}
+		ctl := core.Control{Policy: core.Static{N: 8}}
+		core.RunSpec{Cfg: cfg, Teams: []core.Team{
+			{Workload: "ed", Factory: edInfo.Factory, Control: ctl},
+			{Workload: "convert", Factory: cvInfo.Factory, Control: ctl},
+		}}.RunOn(m)
 		events += m.Eng.Events()
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")

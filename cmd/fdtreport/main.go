@@ -38,9 +38,7 @@ import (
 	"fdt/internal/cliflags"
 	"fdt/internal/core"
 	"fdt/internal/experiments"
-	"fdt/internal/machine"
 	"fdt/internal/runner"
-	"fdt/internal/workloads"
 )
 
 func main() {
@@ -53,16 +51,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fdtreport", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		only      = fs.String("only", "", "run a single experiment: table1, table2, fig2, fig4, fig8, fig9, fig10, fig12, fig13, fig14, fig15, smt, trainingcost, ablations, interference")
-		corunPair = fs.String("corun", "", "restrict the interference family to one \"a+b\" pair (implies -only interference)")
-		mapStr    = fs.String("mapping", "", "restrict the interference family to one mapping: packed, scattered, smt")
-		fast      = fs.Bool("fast", false, "sweep a reduced set of thread counts")
-		csvDir    = fs.String("csv", "", "directory to write per-figure CSV files into")
-		jsonDir   = fs.String("json", "", "directory to write per-experiment JSON files into")
-		parallel  = fs.Int("parallel", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial)")
-		cacheDir  = fs.String("cache-dir", "", "disk run-store directory shared with fdtd (warm runs are loaded, new runs persisted)")
+		only     = fs.String("only", "", "run a single experiment: table1, table2, fig2, fig4, fig8, fig9, fig10, fig12, fig13, fig14, fig15, smt, trainingcost, ablations, interference (-corun or -mapping restricts, and implies, interference)")
+		fast     = fs.Bool("fast", false, "sweep a reduced set of thread counts")
+		csvDir   = fs.String("csv", "", "directory to write per-figure CSV files into")
+		jsonDir  = fs.String("json", "", "directory to write per-experiment JSON files into")
+		parallel = fs.Int("parallel", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial)")
+		cacheDir = fs.String("cache-dir", "", "disk run-store directory shared with fdtd (warm runs are loaded, new runs persisted)")
 	)
-	fl := cliflags.Register(fs, cliflags.Power|cliflags.Sampled)
+	fl := cliflags.Register(fs, cliflags.Power|cliflags.Sampled|cliflags.Corun)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -71,25 +67,41 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "fdtreport:", err)
 		return 2
 	}
-	// -corun and -mapping restrict the interference family (nil keeps
-	// its defaults).
-	var pairs [][2]string
-	var mappings []machine.Mapping
-	if *corunPair != "" {
-		a, b, err := workloads.ParsePair(*corunPair)
-		if err != nil {
-			fmt.Fprintln(stderr, "fdtreport:", err)
-			return 2
-		}
-		pairs = [][2]string{{a.Name, b.Name}}
+	// The ladder and budget flow to every model-driven experiment via
+	// Options.Power; measurement-driven runners (hill-climbing, hybrid
+	// probes) execute the ladder at nominal frequency and simply gain
+	// energy accounting. The pareto family pins its own ladder/budget
+	// grid regardless.
+	o := experiments.Options{Cfg: rs.Cfg, Mode: rs.Mode, Power: rs.Power}
+	if *fast {
+		o.SweepThreads = []int{1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20, 24, 32}
 	}
-	if *mapStr != "" {
-		mp, err := machine.ParseMapping(*mapStr)
-		if err != nil {
+	// The experiment catalogue is shared with the fdtd daemon
+	// (experiments.Registry), so a figure regenerated here and one
+	// served over HTTP run the same code path and share cache/store
+	// entries. Only the interference entry is overridden, to apply the
+	// CLI-only -corun / -mapping restrictions (nil keeps the family's
+	// defaults), which are checked before anything runs.
+	runners := experiments.Registry(o)
+	restricted := fl.Pair != nil || fl.Mappings != nil
+	var pairs [][2]string
+	if fl.Pair != nil {
+		pairs = [][2]string{{fl.Pair[0].Name, fl.Pair[1].Name}}
+	}
+	if restricted {
+		if err := experiments.ValidateInterference(o, pairs, fl.Mappings); err != nil {
 			fmt.Fprintln(stderr, "fdtreport:", err)
 			return 2
 		}
-		mappings = []machine.Mapping{mp}
+		for i := range runners {
+			if runners[i].Name != "interference" {
+				continue
+			}
+			runners[i].Run = func() (string, string, any) {
+				f := experiments.RunInterferencePairs(o, pairs, fl.Mappings)
+				return f.String(), f.CSV(), f
+			}
+		}
 	}
 
 	runner.SetWorkers(*parallel)
@@ -104,33 +116,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "[run store %s: %d entries ~%.1f KiB]\n\n",
 			st.Dir(), entries, float64(bytes)/1024)
 	}
-	// The ladder and budget flow to every model-driven experiment via
-	// Options.Power; measurement-driven runners (hill-climbing, hybrid
-	// probes) and the co-run family execute the ladder at nominal
-	// frequency and simply gain energy accounting. The pareto family
-	// pins its own ladder/budget grid regardless.
-	o := experiments.Options{Cfg: rs.Cfg, Mode: rs.Mode, Power: rs.Power}
-	if *fast {
-		o.SweepThreads = []int{1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20, 24, 32}
-	}
-
-	// The experiment catalogue is shared with the fdtd daemon
-	// (experiments.Registry), so a figure regenerated here and one
-	// served over HTTP run the same code path and share cache/store
-	// entries. Only the interference entry is overridden, to apply the
-	// CLI-only -corun / -mapping restrictions.
-	runners := experiments.Registry(o)
-	if *corunPair != "" || *mapStr != "" {
-		for i := range runners {
-			if runners[i].Name != "interference" {
-				continue
-			}
-			runners[i].Run = func() (string, string, any) {
-				f := experiments.RunInterferencePairs(o, pairs, mappings)
-				return f.String(), f.CSV(), f
-			}
-		}
-	}
 
 	for _, dir := range []string{*csvDir, *jsonDir} {
 		if dir == "" {
@@ -143,7 +128,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	want := strings.ToLower(strings.TrimSpace(*only))
-	if want == "" && (*corunPair != "" || *mapStr != "") {
+	if want == "" && restricted {
 		// A pair or mapping restriction only affects the interference
 		// family; don't re-run everything else around it.
 		want = "interference"

@@ -19,6 +19,8 @@ func TestBadInvocations(t *testing.T) {
 		{"-corun", "nosuch+mg"},
 		{"-corun", "pagemine"},
 		{"-mapping", "nosuch"},
+		{"-corun", "pagemine+mg", "-mapping", "smt"}, // 1 SMT plane, 2 teams
+		{"-corun", "pagemine+mg", "-power-budget", "5"},
 		{"-power-budget", "-1"},
 		{"-freq-ladder", "notanumber"},
 		{"-freq-ladder", "800,1600"}, // must be strictly descending

@@ -46,9 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fdtsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		workload  = fs.String("workload", "pagemine", "workload name (see -list)")
-		corun     = fs.String("corun", "", "co-schedule two workloads as \"a+b\" (overrides -workload; see -list)")
-		mapping   = fs.String("mapping", "packed", "thread-to-core mapping for -corun: packed, scattered, smt")
+		workload  = fs.String("workload", "pagemine", "workload name (-corun overrides it; see -list)")
 		policy    = fs.String("policy", "sat+bat", "threading policy (see -list)")
 		threads   = fs.Int("threads", 0, "thread count for -policy static (0 = all cores)")
 		verify    = fs.Bool("verify", true, "verify the workload's computed results")
@@ -58,7 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		traceOut  = fs.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto)")
 		check     = fs.Bool("check", false, "arm the runtime invariant checker (conservation, queueing, coherence, controller equations)")
 	)
-	fl := cliflags.Register(fs, cliflags.Machine|cliflags.Power|cliflags.Sampled|cliflags.Probe)
+	fl := cliflags.Register(fs, cliflags.Machine|cliflags.Power|cliflags.Sampled|cliflags.Probe|cliflags.Corun)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -73,8 +71,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	corun := fl.Pair != nil
 	var info workloads.Info
-	if *corun == "" {
+	if !corun {
 		var ok bool
 		info, ok = workloads.ByName(*workload)
 		if !ok {
@@ -90,7 +89,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if s, ok := rs.Control.Policy.(core.Static); ok && s.N == 0 {
 		rs.Control.Policy = core.Static{N: *threads}
 	}
-	rs.Corun, rs.Trace, rs.Check = *corun != "", *traceOut != "", *check
+	// Keep every built workload instance for -verify (a co-run
+	// instantiates its teams serially).
+	var built []core.Workload
+	keep := func(f core.Factory) core.Factory {
+		return func(mm *machine.Machine) core.Workload {
+			w := f(mm)
+			built = append(built, w)
+			return w
+		}
+	}
+	if corun {
+		rs = fl.CorunSpec(rs)
+		for i := range rs.Teams {
+			rs.Teams[i].Factory = keep(rs.Teams[i].Factory)
+		}
+	} else {
+		rs.Workload, rs.Factory = info.Name, keep(info.Factory)
+	}
+	rs.Trace, rs.Check = *traceOut != "", *check
 	if err := rs.Validate(); err != nil {
 		fmt.Fprintln(stderr, "fdtsim:", err)
 		return 2
@@ -101,18 +118,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Instrumented runs (sparklines, tracing, invariants, counter dumps)
-	// and co-runs need the machine built here, with the observers
-	// attached; plain runs route through the keyed run cache so repeated
-	// invocations in one process (and the experiment figures) share the
-	// simulation.
+	// need the machine built here, with the observers attached; plain
+	// runs route through the keyed run cache so repeated invocations in
+	// one process (and the experiment figures) share the simulation.
 	instrumented := *sparkline || *traceOut != "" || *check || *dumpCtrs
 	var (
 		m       *machine.Machine
 		samples *machine.SampleLog
 		tr      *trace.Tracer
 		ck      *invariant.Checker
+		res     core.RunResult
 	)
-	if instrumented || *corun != "" {
+	if instrumented {
 		m = machine.MustNew(rs.Cfg)
 		if *sparkline {
 			samples = m.StartSampler(0)
@@ -125,33 +142,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			ck = invariant.New()
 			m.AttachChecker(ck)
 		}
-	}
-	// Keep every built workload instance for -verify (RunCorunOn
-	// instantiates its tenants serially).
-	var built []core.Workload
-	keep := func(f core.Factory) core.Factory {
-		return func(mm *machine.Machine) core.Workload {
-			w := f(mm)
-			built = append(built, w)
-			return w
-		}
-	}
-	var sampled bool
-	if *corun != "" {
-		var code int
-		if sampled, code = runCorun(m, *corun, *mapping, rs.Control, rs.Mode, keep, stdout, stderr); code != 0 {
-			return code
-		}
+		res = rs.RunOn(m)
 	} else {
-		rs.Workload, rs.Factory = info.Name, keep(info.Factory)
-		var res core.RunResult
-		if instrumented {
-			res = rs.RunOn(m)
-		} else {
-			res = rs.Run()
-		}
+		res = rs.Run()
+	}
+	sampled := res.Sampled != nil
+	if corun {
+		sampled = reportCorun(stdout, res, fl, rs.Teams[0].Control)
+	} else {
 		report(stdout, res, info, fl, rs)
-		sampled = res.Sampled != nil
 		if tr != nil {
 			meta := map[string]string{
 				"workload":     res.Workload,
@@ -194,7 +193,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	for _, w := range built {
 		label := ""
-		if *corun != "" {
+		if corun {
 			label = w.Name() + " "
 		}
 		v, ok := w.(workloads.Verifier)
@@ -243,34 +242,12 @@ func report(stdout io.Writer, res core.RunResult, info workloads.Info, fl *clifl
 	}
 }
 
-// runCorun executes a co-scheduled pair — each workload its own
-// thread team under the mapping, each with an independent controller
-// of the requested policy — and prints the makespan plus a per-tenant
-// report. It reports whether any tenant ran sampled.
-func runCorun(m *machine.Machine, pair, mapping string, ctl core.Control, md core.Mode,
-	keep func(core.Factory) core.Factory, stdout, stderr io.Writer) (sampled bool, code int) {
-	a, b, err := workloads.ParsePair(pair)
-	if err != nil {
-		fmt.Fprintf(stderr, "fdtsim: %v (try -list)\n", err)
-		return false, 2
-	}
-	mp, err := machine.ParseMapping(mapping)
-	if err != nil {
-		fmt.Fprintln(stderr, "fdtsim:", err)
-		return false, 2
-	}
-	spec := func(info workloads.Info) core.TeamSpec {
-		return core.TeamSpec{Workload: info.Name, Factory: keep(info.Factory), Policy: ctl.Policy, Monitor: ctl.Monitor}
-	}
-	res, err := core.RunCorunOn(m, mp, []core.TeamSpec{spec(a), spec(b)}, md)
-	if err != nil {
-		fmt.Fprintln(stderr, "fdtsim:", err)
-		return false, 2
-	}
-
-	fmt.Fprintf(stdout, "corun      %s + %s (mapping %s)\n", a.Name, b.Name, res.Mapping)
+// reportCorun prints a co-scheduled pair's makespan plus a per-tenant
+// report, and reports whether any tenant ran sampled.
+func reportCorun(stdout io.Writer, res core.RunResult, fl *cliflags.Flags, ctl core.Control) (sampled bool) {
+	fmt.Fprintf(stdout, "corun      %s + %s (mapping %s)\n", fl.Pair[0].Name, fl.Pair[1].Name, res.Mapping)
 	fmt.Fprintf(stdout, "policy     %s\n", ctl.Name())
-	fmt.Fprintf(stdout, "machine    %d cores\n", m.Cfg.Mem.Cores)
+	fmt.Fprintf(stdout, "machine    %d cores\n", fl.Cores)
 	fmt.Fprintf(stdout, "makespan   %d cycles\n", res.TotalCycles)
 	fmt.Fprintf(stdout, "power      %.2f avg active cores (whole machine)\n", res.AvgActiveCores)
 	fmt.Fprintf(stdout, "bus busy   %d cycles (%.1f%% of makespan)\n",
@@ -285,5 +262,5 @@ func runCorun(m *machine.Machine, pair, mapping string, ctl core.Control, md cor
 		}
 		sampled = sampled || t.Sampled != nil
 	}
-	return sampled, 0
+	return sampled
 }

@@ -52,9 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fdtsweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		workload  = fs.String("workload", "ed", "workload name")
-		corun     = fs.String("corun", "", "co-schedule two workloads as \"a+b\" and sweep the mapping dimension instead of thread counts")
-		mapStr    = fs.String("mapping", "", "with -corun: sweep only this mapping (packed, scattered, smt; default all valid)")
+		workload  = fs.String("workload", "ed", "workload name (with -corun, the mapping dimension is swept instead of thread counts)")
 		threadStr = fs.String("threads", "", "comma-separated static thread counts (default 1..cores)")
 		policies  = fs.String("policies", "sat,bat,sat+bat", "feedback policies to place on the curve (see fdtsim -list)")
 		parallel  = fs.Int("parallel", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial)")
@@ -62,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jsonPath  = fs.String("json", "", "write the sweep and policy runs as JSON to this file (\"-\" for stdout)")
 		verifyAcc = fs.Bool("verify", false, "with -sampled: also run every point exactly and print the error table")
 	)
-	fl := cliflags.Register(fs, cliflags.Machine|cliflags.Power|cliflags.Sampled|cliflags.Probe)
+	fl := cliflags.Register(fs, cliflags.Machine|cliflags.Power|cliflags.Sampled|cliflags.Probe|cliflags.Corun)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -72,15 +70,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *corun != "" {
+	runner.SetWorkers(*parallel)
+	if *cacheDir != "" {
+		if _, err := core.OpenRunStore(*cacheDir); err != nil {
+			fmt.Fprintln(stderr, "fdtsweep:", err)
+			return 1
+		}
+		defer core.DetachRunStore()
+	}
+	if fl.Pair != nil {
 		rs.Control = core.Control{Policy: core.Combined{}}
-		rs.Corun = true
-		if err := rs.Validate(); err != nil {
+		out, err := runCorunSweep(fl.CorunSpec(rs), fl.Mappings, stdout)
+		if err != nil {
 			fmt.Fprintln(stderr, "fdtsweep:", err)
 			return 2
 		}
-		runner.SetWorkers(*parallel)
-		return runCorunSweep(rs.Cfg, *corun, *mapStr, rs.Mode, *jsonPath, stdout, stderr)
+		return finish(out, *jsonPath, stdout, stderr)
 	}
 
 	info, ok := workloads.ByName(*workload)
@@ -118,15 +123,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, "# note:", note)
 		}
 		placements = append(placements, p)
-	}
-
-	runner.SetWorkers(*parallel)
-	if *cacheDir != "" {
-		if _, err := core.OpenRunStore(*cacheDir); err != nil {
-			fmt.Fprintln(stderr, "fdtsweep:", err)
-			return 1
-		}
-		defer core.DetachRunStore()
 	}
 
 	sweep := core.Sweep(rs, counts, nil)
@@ -211,13 +207,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout)
 	}
 
-	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, out, stdout); err != nil {
+	return finish(out, *jsonPath, stdout, stderr)
+}
+
+// finish writes the JSON output, when asked for, and prints the worker
+// count and the run-cache and store accounting.
+func finish(out any, jsonPath string, stdout, stderr io.Writer) int {
+	if jsonPath != "" {
+		if err := writeJSON(jsonPath, out, stdout); err != nil {
 			fmt.Fprintln(stderr, "fdtsweep:", err)
 			return 1
 		}
 	}
-
 	hits, misses := core.RunCacheStats()
 	rate := 0.0
 	if hits+misses > 0 {
@@ -232,74 +233,38 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // runCorunSweep is the -corun mode: instead of the thread dimension,
-// sweep the thread-to-core mapping dimension for a co-scheduled pair.
-// Every mapping row reports each tenant solo on its partition (the
-// interference-free control) against the co-run, under combined
-// SAT+BAT controllers.
-func runCorunSweep(cfg machine.Config, pair, mapStr string, md core.Mode, jsonPath string, stdout, stderr io.Writer) int {
-	a, b, err := workloads.ParsePair(pair)
-	if err != nil {
-		fmt.Fprintln(stderr, "fdtsweep:", err)
-		return 2
+// sweep the thread-to-core mapping dimension for the co-scheduled
+// pair in co. Every mapping row reports each tenant solo on its
+// partition (the interference-free control) against the co-run, under
+// combined SAT+BAT controllers. With no mapping named, every mapping
+// the machine can host is swept; a named one it cannot host is an
+// error.
+func runCorunSweep(co core.RunSpec, named []machine.Mapping, stdout io.Writer) (corunSweepJSON, error) {
+	if named == nil {
+		named = co.Cfg.FeasibleMappings(len(co.Teams))
 	}
-	mappings := []machine.Mapping{machine.MapPacked, machine.MapScattered, machine.MapSMT}
-	if mapStr != "" {
-		mp, err := machine.ParseMapping(mapStr)
-		if err != nil {
-			fmt.Fprintln(stderr, "fdtsweep:", err)
-			return 2
-		}
-		mappings = []machine.Mapping{mp}
-	}
-
-	specs := []core.TeamSpec{
-		{Workload: a.Name, Factory: a.Factory, Policy: core.Combined{}},
-		{Workload: b.Name, Factory: b.Factory, Policy: core.Combined{}},
-	}
+	a, b := co.Teams[0].Workload, co.Teams[1].Workload
 	fmt.Fprintf(stdout, "# corun %s + %s on %d cores under sat+bat (solo runs use the same partition, empty machine)\n",
-		a.Name, b.Name, cfg.Mem.Cores)
+		a, b, co.Cfg.Mem.Cores)
 	fmt.Fprintf(stdout, "%-10s %-10s %12s %12s %9s %8s %8s %9s\n",
 		"mapping", "workload", "solo.cyc", "corun.cyc", "slowdown", "thr.solo", "thr.co", "bus.share")
-	out := corunSweepJSON{PairA: a.Name, PairB: b.Name, Cores: cfg.Mem.Cores}
-	for _, mp := range mappings {
-		co, err := core.RunCorun(cfg, mp, specs, md)
-		if err != nil {
-			// An invalid mapping for this config (e.g. smt without
-			// planes) is only an error when explicitly requested.
-			if mapStr != "" {
-				fmt.Fprintln(stderr, "fdtsweep:", err)
-				return 2
-			}
-			continue
+	out := corunSweepJSON{PairA: a, PairB: b, Cores: co.Cfg.Mem.Cores}
+	for _, mp := range named {
+		co.Mapping = mp
+		if err := co.Validate(); err != nil {
+			return out, err
 		}
-		row := corunSweepRow{Mapping: mp.String(), Makespan: co.TotalCycles, Corun: co}
-		for i := range specs {
-			solo, err := core.RunSolo(cfg, mp, len(specs), i, specs[i], md)
-			if err != nil {
-				fmt.Fprintln(stderr, "fdtsweep:", err)
-				return 2
-			}
-			ct := co.Teams[i]
-			slow := 0.0
-			if solo.TotalCycles > 0 {
-				slow = 100 * (float64(ct.TotalCycles)/float64(solo.TotalCycles) - 1)
-			}
+		res := co.Run()
+		row := corunSweepRow{Mapping: res.Mapping, Makespan: res.TotalCycles, Corun: res}
+		for i, r := range experiments.InterferenceCell(co) {
 			fmt.Fprintf(stdout, "%-10s %-10s %12d %12d %8.1f%% %8.1f %8.1f %8.1f%%\n",
-				mp, specs[i].Workload, solo.TotalCycles, ct.TotalCycles, slow,
-				solo.AvgThreads(), ct.AvgThreads(), 100*ct.BusShare)
-			row.Solo = append(row.Solo, solo)
+				r.Mapping, r.Workload, r.SoloCycles, r.CorunCycles, r.SlowdownPct,
+				r.SoloThreads, r.CorunThreads, 100*r.CorunBusShare)
+			row.Solo = append(row.Solo, co.Solo(i).Run().Teams[i])
 		}
 		out.Rows = append(out.Rows, row)
 	}
-	if jsonPath != "" {
-		if err := writeJSON(jsonPath, out, stdout); err != nil {
-			fmt.Fprintln(stderr, "fdtsweep:", err)
-			return 1
-		}
-	}
-	hits, misses := core.RunCacheStats()
-	fmt.Fprintf(stdout, "# [run cache: %d hits / %d misses]\n", hits, misses)
-	return 0
+	return out, nil
 }
 
 // corunSweepJSON is the -corun -json payload: one row per mapping
@@ -314,7 +279,7 @@ type corunSweepJSON struct {
 type corunSweepRow struct {
 	Mapping  string            `json:"mapping"`
 	Makespan uint64            `json:"makespan"`
-	Corun    core.CorunResult  `json:"corun"`
+	Corun    core.RunResult    `json:"corun"`
 	Solo     []core.TeamResult `json:"solo"`
 }
 

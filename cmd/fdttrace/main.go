@@ -45,9 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fdttrace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		workload = fs.String("workload", "phaseshift", "workload name (see -list)")
-		corun    = fs.String("corun", "", "trace two co-scheduled workloads as \"a+b\" (overrides -workload)")
-		mapping  = fs.String("mapping", "packed", "thread-to-core mapping for -corun: packed, scattered, smt")
+		workload = fs.String("workload", "phaseshift", "workload name (-corun overrides it; see -list)")
 		policy   = fs.String("policy", "adaptive", "threading policy (see fdtsim -list)")
 		threads  = fs.Int("threads", 0, "thread count for -policy static (0 = all cores)")
 		out      = fs.String("o", "trace.json", "Chrome trace-event JSON output path")
@@ -58,7 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list     = fs.Bool("list", false, "list workloads and exit")
 		check    = fs.Bool("check", false, "arm the runtime invariant checker (conservation, queueing, coherence, controller equations)")
 	)
-	fl := cliflags.Register(fs, cliflags.Machine|cliflags.Power)
+	fl := cliflags.Register(fs, cliflags.Machine|cliflags.Power|cliflags.Corun)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -73,8 +71,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	corun := fl.Pair != nil
 	var info workloads.Info
-	if *corun == "" {
+	if !corun {
 		var ok bool
 		info, ok = workloads.ByName(*workload)
 		if !ok {
@@ -95,7 +94,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if s, ok := rs.Control.Policy.(core.Static); ok && s.N == 0 {
 		rs.Control.Policy = core.Static{N: *threads}
 	}
-	rs.Corun, rs.Trace, rs.Check = *corun != "", true, *check
+	ctlName := rs.Control.Name()
+	if corun {
+		rs = fl.CorunSpec(rs)
+	} else {
+		rs.Factory = info.Factory
+	}
+	rs.Trace, rs.Check = true, *check
 	if err := rs.Validate(); err != nil {
 		fmt.Fprintln(stderr, "fdttrace:", err)
 		return 2
@@ -109,50 +114,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ck = invariant.New()
 		m.AttachChecker(ck)
 	}
-	var res core.RunResult
+	res := rs.RunOn(m)
+	label := res.Workload
 	meta := map[string]string{
-		"cores":     fmt.Sprintf("%d", fl.Cores),
-		"bandwidth": fmt.Sprintf("%g", fl.Bandwidth),
-		"policy":    rs.Control.Name(),
+		"cores":        fmt.Sprintf("%d", fl.Cores),
+		"bandwidth":    fmt.Sprintf("%g", fl.Bandwidth),
+		"policy":       ctlName,
+		"total_cycles": fmt.Sprintf("%d", res.TotalCycles),
 	}
 	if rs.Power != nil {
 		meta["budget"] = fmt.Sprintf("%g", fl.Budget)
 		meta["ladder"] = rs.Cfg.Freq.Key()
 	}
-	if *corun != "" {
-		a, b, err := workloads.ParsePair(*corun)
-		if err != nil {
-			fmt.Fprintf(stderr, "fdttrace: %v (try -list)\n", err)
-			return 2
-		}
-		mp, err := machine.ParseMapping(*mapping)
-		if err != nil {
-			fmt.Fprintln(stderr, "fdttrace:", err)
-			return 2
-		}
-		spec := func(i workloads.Info) core.TeamSpec {
-			return core.TeamSpec{Workload: i.Name, Factory: i.Factory, Policy: rs.Control.Policy, Monitor: rs.Control.Monitor}
-		}
-		co, err := core.RunCorunOn(m, mp, []core.TeamSpec{spec(a), spec(b)}, core.ExactMode())
-		if err != nil {
-			fmt.Fprintln(stderr, "fdttrace:", err)
-			return 2
-		}
-		meta["corun"] = a.Name + "+" + b.Name
-		meta["mapping"] = co.Mapping
-		meta["total_cycles"] = fmt.Sprintf("%d", co.TotalCycles)
-		res = co.Teams[0].RunResult
-		res.Workload = a.Name + "+" + b.Name
-		res.TotalCycles = co.TotalCycles
-		res.AvgActiveCores = co.AvgActiveCores
-		for _, t := range co.Teams[1:] {
-			res.Kernels = append(res.Kernels, t.Kernels...)
-		}
+	if corun {
+		label = fl.Pair[0].Name + "+" + fl.Pair[1].Name
+		meta["corun"] = label
+		meta["mapping"] = res.Mapping
 	} else {
-		rs.Factory = info.Factory
-		res = rs.RunOn(m)
-		meta["workload"] = res.Workload
-		meta["total_cycles"] = fmt.Sprintf("%d", res.TotalCycles)
+		meta["workload"] = label
 	}
 	if err := trace.WriteChromeFile(*out, tr, meta); err != nil {
 		fmt.Fprintln(stderr, "fdttrace:", err)
@@ -166,14 +145,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stdout, "workload   %s under %s: %d cycles, %.2f avg active cores\n",
-		res.Workload, rs.Control.Name(), res.TotalCycles, res.AvgActiveCores)
+		label, ctlName, res.TotalCycles, res.AvgActiveCores)
 	if res.Energy != nil {
 		fmt.Fprintf(stdout, "energy     %.0f core-cycles (%.2f avg chip power, table-driven)\n",
 			res.Energy.Total, res.Energy.AvgPower)
 	}
-	for _, k := range res.Kernels {
-		if k.Retrains > 0 {
-			fmt.Fprintf(stdout, "kernel     %s: %d phases (%d retrains)\n", k.Kernel, len(k.Phases), k.Retrains)
+	runs := []core.RunResult{res}
+	for _, t := range res.Teams {
+		runs = append(runs, t.RunResult)
+	}
+	for _, r := range runs {
+		for _, k := range r.Kernels {
+			if k.Retrains > 0 {
+				fmt.Fprintf(stdout, "kernel     %s: %d phases (%d retrains)\n", k.Kernel, len(k.Phases), k.Retrains)
+			}
 		}
 	}
 	fmt.Fprintf(stdout, "trace      %d events captured (%d emitted, %d dropped; categories %s) -> %s\n",

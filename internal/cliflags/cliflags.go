@@ -1,8 +1,8 @@
 // Package cliflags registers the flags the command-line front ends
-// share — machine shape, power budget, sampled mode and probe tuning —
-// once, and resolves them into a core.RunSpec, so every command spells,
-// defaults and validates them the same way. It also prints the -list
-// inventory fdtsim and fdttrace share.
+// share — machine shape, power budget, sampled mode, probe tuning and
+// co-runs — once, and resolves them into a core.RunSpec, so every
+// command spells, defaults and validates them the same way. It also
+// prints the -list inventory fdtsim and fdttrace share.
 package cliflags
 
 import (
@@ -28,6 +28,8 @@ const (
 	Sampled
 	// Probe registers -probe-iters and -min-gain.
 	Probe
+	// Corun registers -corun and -mapping.
+	Corun
 )
 
 // Flags holds the shared flag values; groups a command does not
@@ -42,6 +44,13 @@ type Flags struct {
 	SampleWindow int
 	ProbeIters   int
 	MinGain      float64
+	// Pair and Mappings are -corun and -mapping as Spec parsed them,
+	// nil when the flag is empty. An empty -mapping means packed for
+	// one co-run (the zero machine.Mapping) and every valid mapping
+	// for a sweep or report.
+	Pair           []workloads.Info
+	Mappings       []machine.Mapping
+	corun, mapping string
 }
 
 // Register adds the selected groups to fs.
@@ -64,12 +73,17 @@ func Register(fs *flag.FlagSet, groups Group) *Flags {
 		fs.IntVar(&f.ProbeIters, "probe-iters", 0, "probe chunk length in iterations for hillclimb/hybrid (0 = default)")
 		fs.Float64Var(&f.MinGain, "min-gain", 0, "fractional speedup a probed size needs to win, for hillclimb/hybrid (0 = default)")
 	}
+	if groups&Corun != 0 {
+		fs.StringVar(&f.corun, "corun", "", "co-schedule two workloads as \"a+b\" (see fdtsim -list)")
+		fs.StringVar(&f.mapping, "mapping", "", "thread-to-core mapping for -corun: packed, scattered, smt (empty: packed for one run, every valid mapping for a sweep or report)")
+	}
 	return f
 }
 
 // Spec checks the flag values and resolves them into the machine, mode
-// and power of a run description; the command fills in the workload
-// and controller, then calls RunSpec.Validate.
+// and power of a run description, and parses -corun and -mapping into
+// Pair and Mappings; the command fills in the workload and controller
+// (or calls CorunSpec), then calls RunSpec.Validate.
 func (f *Flags) Spec() (core.RunSpec, error) {
 	switch {
 	case f.ProbeIters < 0:
@@ -78,6 +92,24 @@ func (f *Flags) Spec() (core.RunSpec, error) {
 		return core.RunSpec{}, fmt.Errorf("-min-gain %g, want in [0, 1)", f.MinGain)
 	case f.Bandwidth <= 0:
 		return core.RunSpec{}, fmt.Errorf("-bandwidth %g, want > 0", f.Bandwidth)
+	}
+	f.Pair, f.Mappings = nil, nil
+	if f.corun != "" {
+		a, b, _ := strings.Cut(f.corun, "+")
+		for _, name := range []string{a, b} {
+			info, ok := workloads.ByName(name)
+			if !ok {
+				return core.RunSpec{}, fmt.Errorf("-corun %q: unknown workload %q (want \"a+b\"; see -list)", f.corun, name)
+			}
+			f.Pair = append(f.Pair, info)
+		}
+	}
+	if f.mapping != "" {
+		mp, err := machine.ParseMapping(f.mapping)
+		if err != nil {
+			return core.RunSpec{}, err
+		}
+		f.Mappings = []machine.Mapping{mp}
 	}
 	ladder, err := machine.ParseLadder(f.Ladder)
 	if err != nil {
@@ -115,6 +147,19 @@ func (f *Flags) Control(name string) (core.Control, error) {
 		c.Hybrid.HP.ProbeIters, c.Hybrid.HP.MinGain = f.ProbeIters, f.MinGain
 	}
 	return c, nil
+}
+
+// CorunSpec turns single-team s into the -corun pair co-scheduled
+// under -mapping (packed when empty), each team under s's controller.
+func (f *Flags) CorunSpec(s core.RunSpec) core.RunSpec {
+	for _, w := range f.Pair {
+		s.Teams = append(s.Teams, core.Team{Workload: w.Name, Factory: w.Factory, Control: s.Control})
+	}
+	if f.Mappings != nil {
+		s.Mapping = f.Mappings[0]
+	}
+	s.Control = core.Control{}
+	return s
 }
 
 // PowerLine describes the ladder and budget of a run on a laddered

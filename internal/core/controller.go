@@ -119,6 +119,14 @@ type RunResult struct {
 	// is the budget-comparable chip power including idle draw;
 	// AvgActiveCores above remains the paper's flat metric.
 	Energy *power.Energy `json:",omitempty"`
+	// Mapping and Teams report a partitioned run (RunSpec.Teams): the
+	// thread-to-core mapping and one result per partition, idle ones
+	// included, in team order. The fields above are then
+	// machine-global: TotalCycles is the makespan. Both are omitted
+	// from JSON for single-team runs, whose output stays
+	// byte-identical.
+	Mapping string       `json:",omitempty"`
+	Teams   []TeamResult `json:",omitempty"`
 }
 
 // AvgThreads reports the cycle-weighted average team size across

@@ -1,28 +1,31 @@
 package core
 
 import (
+	"encoding/json"
 	"testing"
+	"unsafe"
 
 	"fdt/internal/counters"
 	"fdt/internal/machine"
 )
 
-// corunSpecs builds two contrasting synthetic tenants: a CS-heavy
-// kernel and a bandwidth-heavy one.
-func corunSpecs() []TeamSpec {
-	return []TeamSpec{
-		{Workload: "cs-synth", Factory: newSynthFactory(40, 2000, 600, 0), Policy: Combined{}},
-		{Workload: "bw-synth", Factory: newSynthFactory(40, 400, 0, 48), Policy: Combined{}},
-	}
+// corunSpec co-schedules two contrasting synthetic tenants on an
+// 8-core machine: a CS-heavy kernel and a bandwidth-heavy one.
+func corunSpec(mp machine.Mapping) RunSpec {
+	ctl := Control{Policy: Combined{}}
+	return RunSpec{Cfg: machine.DefaultConfig().WithCores(8), Mapping: mp, Teams: []Team{
+		{Workload: "cs-synth", Factory: newSynthFactory(40, 2000, 600, 0), Control: ctl},
+		{Workload: "bw-synth", Factory: newSynthFactory(40, 400, 0, 48), Control: ctl},
+	}}
 }
 
 func TestCorunTwoTeams(t *testing.T) {
-	cfg := machine.DefaultConfig().WithCores(8)
-	m := machine.MustNew(cfg)
-	res, err := RunCorunOn(m, machine.MapPacked, corunSpecs(), ExactMode())
-	if err != nil {
+	s := corunSpec(machine.MapPacked)
+	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	m := machine.MustNew(s.Cfg)
+	res := s.RunOn(m)
 	if len(res.Teams) != 2 {
 		t.Fatalf("%d teams, want 2", len(res.Teams))
 	}
@@ -65,54 +68,150 @@ func TestCorunTwoTeams(t *testing.T) {
 }
 
 func TestCorunCacheHit(t *testing.T) {
-	cfg := machine.DefaultConfig().WithCores(8)
-	a, err := RunCorun(cfg, machine.MapScattered, corunSpecs(), ExactMode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunCorun(cfg, machine.MapScattered, corunSpecs(), ExactMode())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ResetRunCache()
+	t.Cleanup(ResetRunCache)
+	s := corunSpec(machine.MapScattered)
+	a := s.Run()
+	b := s.Run()
 	if a.TotalCycles != b.TotalCycles || len(a.Teams) != len(b.Teams) {
 		t.Fatalf("memoized corun differs: %+v vs %+v", a, b)
+	}
+	if hits, misses := RunCacheStats(); hits != 1 || misses != 1 {
+		t.Errorf("run cache %d hits / %d misses, want 1 / 1", hits, misses)
 	}
 }
 
 func TestSoloOnPartitionControl(t *testing.T) {
-	cfg := machine.DefaultConfig().WithCores(8)
-	specs := corunSpecs()
-	solo, err := RunSolo(cfg, machine.MapPacked, 2, 1, specs[1], ExactMode())
-	if err != nil {
+	co := corunSpec(machine.MapPacked)
+	solo := co.Solo(1)
+	if err := solo.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if solo.TotalCycles == 0 {
+	if co.Key() == solo.Key() {
+		t.Fatalf("solo shares the co-run's key %q", co.Key())
+	}
+	sr := solo.Run()
+	if len(sr.Teams) != 2 || sr.Teams[0].Team != "t0:idle" || sr.Teams[0].TotalCycles != 0 {
+		t.Fatalf("solo teams %+v, want an idle t0 and the running tenant", sr.Teams)
+	}
+	st := sr.Teams[1]
+	if st.TotalCycles == 0 {
 		t.Fatal("zero solo cycles")
 	}
 	// Alone on the machine, the tenant owns all bus traffic.
-	if solo.BusShare < 0.999 {
-		t.Errorf("solo bus share %.3f, want ~1", solo.BusShare)
-	}
-	co, err := RunCorun(cfg, machine.MapPacked, specs, ExactMode())
-	if err != nil {
-		t.Fatal(err)
+	if st.BusShare < 0.999 {
+		t.Errorf("solo bus share %.3f, want ~1", st.BusShare)
 	}
 	// A co-runner can only add contention on the shared bus: the
 	// bandwidth-heavy tenant must not run faster co-scheduled.
-	if co.Teams[1].TotalCycles < solo.TotalCycles {
-		t.Errorf("bw-synth co-run %d cycles faster than solo %d", co.Teams[1].TotalCycles, solo.TotalCycles)
+	if ct := co.Run().Teams[1]; ct.TotalCycles < st.TotalCycles {
+		t.Errorf("bw-synth co-run %d cycles faster than solo %d", ct.TotalCycles, st.TotalCycles)
 	}
 }
 
 func TestCorunMappingError(t *testing.T) {
 	// SMT-aware mapping needs a plane per tenant; a 1-context machine
 	// cannot host two teams.
-	cfg := machine.DefaultConfig().WithCores(8)
-	if cfg.SMTContexts > 1 {
+	s := corunSpec(machine.MapSMT)
+	if s.Cfg.SMTContexts > 1 {
 		t.Skip("default config has SMT planes")
 	}
-	_, err := RunCorunOn(machine.MustNew(cfg), machine.MapSMT, corunSpecs(), ExactMode())
-	if err == nil {
+	if err := s.Validate(); err == nil {
 		t.Fatal("smt mapping on 1-context machine: want error")
+	}
+}
+
+// An infeasible co-run asked for twice must fail Validate both times
+// and never reach the run cache: a failure is not a result to memoize.
+func TestCorunInfeasibleNeverCached(t *testing.T) {
+	ResetRunCache()
+	t.Cleanup(ResetRunCache)
+	s := corunSpec(machine.MapSMT)
+	for _, spec := range []RunSpec{s, s, s.Solo(0), s.Solo(0)} {
+		if err := spec.Validate(); err == nil {
+			t.Fatalf("%s: want a mapping error", spec.Key())
+		}
+	}
+	if entries, _, _ := RunCacheUsage(); entries != 0 {
+		t.Errorf("run cache holds %d entries after rejected specs, want 0", entries)
+	}
+}
+
+func TestValidateTeams(t *testing.T) {
+	s := corunSpec(machine.MapPacked)
+	hc, _ := ParseController("hillclimb")
+	cases := map[string]func(*RunSpec){
+		"measured team":       func(s *RunSpec) { s.Teams[0].Control = hc },
+		"team without policy": func(s *RunSpec) { s.Teams[1].Control = Control{} },
+		"ladder":              func(s *RunSpec) { s.Cfg = s.Cfg.WithFreq(machine.DefaultLadder()) },
+		"top-level workload":  func(s *RunSpec) { s.Workload = "x" },
+		"top-level control":   func(s *RunSpec) { s.Control = Control{Policy: SAT{}} },
+		"one of three idle":   func(s *RunSpec) { s.Teams = append(s.Teams, Team{}) },
+		"every team idle":     func(s *RunSpec) { s.Teams = make([]Team, 2) },
+		"9 teams on 8 cores": func(s *RunSpec) {
+			for len(s.Teams) < 9 {
+				s.Teams = append(s.Teams, s.Teams[0])
+			}
+		},
+	}
+	for name, mutate := range cases {
+		c := s
+		c.Teams = append([]Team(nil), s.Teams...)
+		mutate(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", name)
+		}
+	}
+}
+
+// A co-run reloaded from the disk store after a restart must
+// re-marshal byte-identical to the run that was stored, without
+// simulating again.
+func TestCorunStoreRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	withRunStore(t, dir)
+	s := corunSpec(machine.MapPacked)
+	coldJSON, err := json.Marshal(s.Run())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := RunStoreStats(); st.Puts != 1 {
+		t.Fatalf("store puts = %d, want 1", st.Puts)
+	}
+
+	DetachRunStore()
+	ResetRunCache()
+	if _, err := OpenRunStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	warmJSON, err := json.Marshal(s.Run())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := RunCacheComputes(); got != 0 {
+		t.Errorf("warm computes = %d, want 0", got)
+	}
+	if string(warmJSON) != string(coldJSON) {
+		t.Errorf("reloaded co-run differs:\n got %s\nwant %s", warmJSON, coldJSON)
+	}
+}
+
+// The cache sizer must see a co-run's nested team results.
+func TestRunResultBytesCountsTeams(t *testing.T) {
+	res := corunSpec(machine.MapPacked).Run()
+	var payload uint64
+	for _, tr := range res.Teams {
+		for _, k := range tr.Kernels {
+			payload += uint64(unsafe.Sizeof(k)) + uint64(len(k.Kernel))
+			for _, p := range k.Phases {
+				payload += uint64(unsafe.Sizeof(p)) + uint64(len(p.Trigger))
+			}
+		}
+	}
+	if payload == 0 {
+		t.Fatal("co-run teams carry no kernel payload")
+	}
+	if got := runResultBytes(res); got <= payload {
+		t.Errorf("runResultBytes = %d, want above the teams' kernel payloads (%d)", got, payload)
 	}
 }

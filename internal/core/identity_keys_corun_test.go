@@ -8,8 +8,13 @@ import (
 	"fdt/internal/machine"
 )
 
-// goldenCorunKeys regenerates the co-run and solo-on-partition
-// content addresses testdata/identity_keys_corun.txt pins: configs ×
+// nopFactory stands in for a workload: a key never builds one.
+func nopFactory(*machine.Machine) Workload { panic("nopFactory: keys build no workload") }
+
+// goldenCorunKeys regenerates, through RunSpec.Key, the co-run and
+// solo-on-partition content addresses that
+// testdata/identity_keys_corun.txt pinned from the key code that
+// predates partitioned RunSpecs: configs ×
 // mappings (smt only where the machine has a plane per tenant) ×
 // modes × train-once/adaptive tenants, each co-run followed by every
 // solo slot of its partition. Like identity_keys_pr9.txt it is a hard
@@ -31,16 +36,18 @@ func goldenCorunKeys() []string {
 		for _, mp := range mappings {
 			for _, md := range []Mode{ExactMode(), SampledMode()} {
 				for _, mon := range []*MonitorParams{nil, &adaptive} {
-					specs := []TeamSpec{
-						{Workload: "pagemine", Policy: Combined{}, Monitor: mon},
-						{Workload: "mg", Policy: Static{N: 4}, Monitor: mon},
+					ctl := func(pol Policy) Control { return Control{Policy: pol, Monitor: mon} }
+					teams := []Team{
+						{Workload: "pagemine", Factory: nopFactory, Control: ctl(Combined{})},
+						{Workload: "mg", Factory: nopFactory, Control: ctl(Static{N: 4})},
 					}
 					if cfg.Mem.Cores == 8 {
-						specs = append(specs, TeamSpec{Workload: "ed/pb=2560", Policy: Static{}, Monitor: mon})
+						teams = append(teams, Team{Workload: "ed/pb=2560", Factory: nopFactory, Control: ctl(Static{})})
 					}
-					keys = append(keys, corunKey(cfg, mp, specs, md))
-					for slot := range specs {
-						keys = append(keys, soloKey(cfg, mp, len(specs), slot, specs[slot], md))
+					co := RunSpec{Cfg: cfg, Mode: md, Mapping: mp, Teams: teams}
+					keys = append(keys, co.Key())
+					for slot := range teams {
+						keys = append(keys, co.Solo(slot).Key())
 					}
 				}
 			}

@@ -30,10 +30,10 @@ func init() {
 
 // runResultBytes estimates a memoized RunResult's heap footprint for
 // the cache's byte accounting: the structs plus their string and
-// slice payloads.
+// slice payloads, a partitioned run's team results included.
 func runResultBytes(r RunResult) uint64 {
 	size := uint64(unsafe.Sizeof(r))
-	size += uint64(len(r.Workload) + len(r.Policy))
+	size += uint64(len(r.Workload) + len(r.Policy) + len(r.Mapping))
 	for _, k := range r.Kernels {
 		size += uint64(unsafe.Sizeof(k))
 		size += uint64(len(k.Kernel))
@@ -44,6 +44,10 @@ func runResultBytes(r RunResult) uint64 {
 	}
 	if r.Sampled != nil {
 		size += uint64(unsafe.Sizeof(*r.Sampled))
+	}
+	for _, t := range r.Teams {
+		// The recursive call counts the embedded RunResult's struct.
+		size += uint64(unsafe.Sizeof(t)-unsafe.Sizeof(t.RunResult)) + uint64(len(t.Team)) + runResultBytes(t.RunResult)
 	}
 	return size
 }

@@ -83,6 +83,11 @@ func (c Control) controller(md Mode) *Controller {
 // the daemon from a job Spec and the experiments from their Options;
 // it owns the run-cache key (Key), the table of allowed combinations
 // (Validate) and the execution (Run).
+//
+// A run is single-team (Workload, Factory and Control name the
+// program, which owns the whole machine) or partitioned (Teams, one
+// per partition of the machine under Mapping: a co-run, or with every
+// team but one idle, a solo on its partition).
 type RunSpec struct {
 	Cfg machine.Config
 	// Workload is the workload's run-cache key: its registered name
@@ -95,36 +100,60 @@ type RunSpec struct {
 	// Power arms the budget-constrained (threads, frequency) search;
 	// nil is the unconstrained one (see Controller.Power).
 	Power *PowerParams
-	// Corun marks one tenant of a co-run (executed by RunCorun), and
-	// Trace and Check a run observed through RunOn. Validate and
+	// Mapping and Teams describe a partitioned run; see Team.
+	Mapping machine.Mapping
+	Teams   []Team
+	// Trace and Check mark a run observed through RunOn. Validate and
 	// ExactNote read them.
-	Corun, Trace, Check bool
+	Trace, Check bool
 }
 
 // dvfs mirrors Controller.dvfsOn.
 func (s RunSpec) dvfs() bool { return s.Power != nil || !s.Cfg.Freq.Trivial() }
 
-// Validate is the one compatibility table. Run assumes a valid spec.
+// Validate is the one compatibility table; its rules apply to the
+// controller of a single-team run and to every running team of a
+// partitioned one, and an infeasible partition is rejected before
+// anything runs. Run assumes a valid spec.
 func (s RunSpec) Validate() error {
 	if err := s.Cfg.Validate(); err != nil {
 		return err
 	}
-	c := s.Control
-	switch {
-	case (c.Policy != nil) == c.measured() || c.HillClimb != nil && c.Hybrid != nil:
-		return errors.New("run needs exactly one controller: a policy, hill-climb or hybrid")
-	case s.Power != nil && s.Power.Budget < 0:
-		return fmt.Errorf("bad power budget %g (want >= 0; 0 = unconstrained)", s.Power.Budget)
-	case c.measured() && s.dvfs():
-		return fmt.Errorf("policy %q does not support a power budget or P-state ladder (its probes time real chunks at nominal frequency)", c.Name())
-	case c.measured() && s.Corun:
-		return fmt.Errorf("policy %q does not support co-runs (its probes own the whole machine)", c.Name())
-	case s.Corun && s.dvfs():
-		return errors.New("co-runs do not support a power budget or P-state ladder (per-team power attribution is not modeled)")
-	case c.Hybrid != nil:
-		return c.Hybrid.HP.WithDefaults().Validate()
+	corun := len(s.Teams) > 0
+	ctls := []Control{s.Control}
+	if corun {
+		if s.Workload != "" || s.Factory != nil || s.Control.Name() != "" {
+			return errors.New("a co-run names its workloads and controllers per team")
+		}
+		ctls = ctls[:0]
+		for _, t := range s.Teams {
+			if !t.idle() {
+				ctls = append(ctls, t.Control)
+			}
+		}
+		if len(ctls) != len(s.Teams) && len(ctls) != 1 {
+			return fmt.Errorf("%d of %d teams run (want all for a co-run, or one for a solo)", len(ctls), len(s.Teams))
+		}
 	}
-	return nil
+	for _, c := range ctls {
+		switch {
+		case (c.Policy != nil) == c.measured() || c.HillClimb != nil && c.Hybrid != nil:
+			return errors.New("run needs exactly one controller: a policy, hill-climb or hybrid")
+		case s.Power != nil && s.Power.Budget < 0:
+			return fmt.Errorf("bad power budget %g (want >= 0; 0 = unconstrained)", s.Power.Budget)
+		case c.measured() && s.dvfs():
+			return fmt.Errorf("policy %q does not support a power budget or P-state ladder (its probes time real chunks at nominal frequency)", c.Name())
+		case c.measured() && corun:
+			return fmt.Errorf("policy %q does not support co-runs (its probes own the whole machine)", c.Name())
+		case corun && s.dvfs():
+			return errors.New("co-runs do not support a power budget or P-state ladder (per-team power attribution is not modeled)")
+		case c.Hybrid != nil:
+			if err := c.Hybrid.HP.WithDefaults().Validate(); err != nil {
+				return err
+			}
+		}
+	}
+	return s.Cfg.CheckMapping(s.Mapping, len(s.Teams))
 }
 
 // ExactNote says why a run whose Mode asks for sampling must simulate
@@ -161,15 +190,33 @@ func (s RunSpec) normalized() RunSpec {
 // store: machine fingerprint, workload key and controller identity,
 // then the monitor, power and mode fragments, each empty at its
 // default so keys stay byte-identical to the releases before it. A run
-// forced exact keys as exact. Empty when Workload is.
+// forced exact keys as exact. Empty when Workload, or a running team's
+// Workload, is.
 func (s RunSpec) Key() string {
-	if s.Workload == "" {
+	if !s.named() {
 		return ""
 	}
 	return s.normalized().key()
 }
 
+// named reports whether every program the run executes has a workload
+// key.
+func (s RunSpec) named() bool {
+	if len(s.Teams) == 0 {
+		return s.Workload != ""
+	}
+	for _, t := range s.Teams {
+		if !t.idle() && t.Workload == "" {
+			return false
+		}
+	}
+	return true
+}
+
 func (s RunSpec) key() string {
+	if len(s.Teams) > 0 {
+		return s.teamsKey()
+	}
 	c := s.Control
 	prefix := ConfigKey(s.Cfg) + "|" + s.Workload + "|"
 	switch {
@@ -196,7 +243,7 @@ func (s RunSpec) key() string {
 // the first call per key simulates, later ones return the result.
 func (s RunSpec) Run() RunResult {
 	s = s.normalized()
-	if s.Workload == "" {
+	if !s.named() {
 		return s.simulate()
 	}
 	return runCache.Do(s.key(), s.simulate)
@@ -209,6 +256,9 @@ func (s RunSpec) simulate() RunResult { return s.RunOn(machine.MustNew(s.Cfg)) }
 // counter dump attached to m.
 func (s RunSpec) RunOn(m *machine.Machine) RunResult {
 	s = s.normalized()
+	if len(s.Teams) > 0 {
+		return s.runTeams(m)
+	}
 	w := s.Factory(m)
 	switch c := s.Control; {
 	case c.HillClimb != nil:

@@ -66,51 +66,20 @@ func interferencePairs() [][2]string {
 	}
 }
 
-// interferenceMappings lists the mappings the family sweeps on a
-// configuration: packed and scattered always; SMT-aware only when the
-// machine has a plane per tenant.
-func interferenceMappings(cfg machine.Config) []machine.Mapping {
-	ms := []machine.Mapping{machine.MapPacked, machine.MapScattered}
-	if cfg.SMTContexts >= 2 {
-		ms = append(ms, machine.MapSMT)
-	}
-	return ms
-}
-
-// interferenceSpec builds one tenant's TeamSpec.
-func interferenceSpec(name string, adaptive bool) core.TeamSpec {
-	s := core.TeamSpec{Workload: name, Factory: factory(name), Policy: core.Combined{}}
-	if adaptive {
-		mp := core.DefaultMonitorParams()
-		s.Monitor = &mp
-	}
-	return s
-}
-
-// interferenceCell runs one (pair, mapping, adaptive?) cell: both
-// solo controls and the co-run, producing one row per tenant.
-func interferenceCell(o Options, pair [2]string, mp machine.Mapping, adaptive bool) []InterferenceRow {
-	specs := []core.TeamSpec{
-		interferenceSpec(pair[0], adaptive),
-		interferenceSpec(pair[1], adaptive),
-	}
-	co, err := core.RunCorun(o.Cfg, mp, specs, o.Mode)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: corun %s+%s under %s: %v", pair[0], pair[1], mp, err))
-	}
-	rows := make([]InterferenceRow, 2)
-	for i := range specs {
-		solo, err := core.RunSolo(o.Cfg, mp, len(specs), i, specs[i], o.Mode)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: solo %s under %s: %v", specs[i].Workload, mp, err))
-		}
-		ct := co.Teams[i]
+// InterferenceCell runs a two-tenant co-run and both solo controls,
+// producing one row per tenant.
+func InterferenceCell(co core.RunSpec) []InterferenceRow {
+	res := co.Run()
+	rows := make([]InterferenceRow, len(co.Teams))
+	for i, t := range co.Teams {
+		solo := co.Solo(i).Run().Teams[i]
+		ct := res.Teams[i]
 		row := InterferenceRow{
-			Workload:      specs[i].Workload,
-			Corunner:      specs[1-i].Workload,
-			Mapping:       mp.String(),
-			Policy:        specs[i].Policy.Name(),
-			Adaptive:      adaptive,
+			Workload:      t.Workload,
+			Corunner:      co.Teams[1-i].Workload,
+			Mapping:       res.Mapping,
+			Policy:        t.Control.Policy.Name(),
+			Adaptive:      t.Control.Monitor != nil,
 			SoloCycles:    solo.TotalCycles,
 			CorunCycles:   ct.TotalCycles,
 			SoloPower:     solo.AvgActiveCores,
@@ -133,50 +102,66 @@ func interferenceCell(o Options, pair [2]string, mp machine.Mapping, adaptive bo
 	return rows
 }
 
-// RunInterference executes the family: every pair x mapping x
-// {train-once, adaptive} cell, solo controls included. Cells simulate
-// in parallel and memoize, like every other figure.
-func RunInterference(o Options) Interference {
-	return RunInterferencePairs(o, interferencePairs(), interferenceMappings(o.Cfg))
-}
-
-// RunInterferencePairs is RunInterference over explicit pairs and
-// mappings — the hook behind `fdtreport -corun` / `-mapping`. Nil
-// pairs or mappings mean the family defaults.
-func RunInterferencePairs(o Options, pairs [][2]string, mappings []machine.Mapping) Interference {
+// interferenceCells lists the family's co-runs in report order: every
+// pair x mapping x {train-once, adaptive} SAT+BAT. Nil pairs or
+// mappings mean the family defaults — every mapping that can host both
+// tenants.
+func interferenceCells(o Options, pairs [][2]string, mappings []machine.Mapping) []core.RunSpec {
 	if pairs == nil {
 		pairs = interferencePairs()
 	}
 	if mappings == nil {
-		mappings = interferenceMappings(o.Cfg)
+		mappings = o.Cfg.FeasibleMappings(2)
 	}
-	type job struct {
-		pair     [2]string
-		mp       machine.Mapping
-		adaptive bool
-	}
-	var jobs []job
+	var cells []core.RunSpec
 	for _, p := range pairs {
 		for _, mp := range mappings {
-			for _, ad := range []bool{false, true} {
-				jobs = append(jobs, job{p, mp, ad})
+			for _, adaptive := range []bool{false, true} {
+				ctl := core.Control{Policy: core.Combined{}}
+				if adaptive {
+					mon := core.DefaultMonitorParams()
+					ctl.Monitor = &mon
+				}
+				cells = append(cells, core.RunSpec{Cfg: o.Cfg, Mode: o.Mode, Mapping: mp, Teams: []core.Team{
+					{Workload: p[0], Factory: factory(p[0]), Control: ctl},
+					{Workload: p[1], Factory: factory(p[1]), Control: ctl},
+				}})
 			}
 		}
 	}
-	cells := make([][]InterferenceRow, len(jobs))
-	runner.Map(len(jobs), func(i int) {
-		cells[i] = interferenceCell(o, jobs[i].pair, jobs[i].mp, jobs[i].adaptive)
+	return cells
+}
+
+// ValidateInterference checks every co-run RunInterferencePairs would
+// simulate over the same arguments, before anything runs.
+func ValidateInterference(o Options, pairs [][2]string, mappings []machine.Mapping) error {
+	for _, co := range interferenceCells(o, pairs, mappings) {
+		if err := co.Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// RunInterferencePairs executes the family over the given pairs and
+// mappings (nil means the family defaults; explicit ones are the hook
+// behind `fdtreport -corun` / `-mapping`): every cell, solo controls
+// included. Cells simulate in parallel and memoize, like every other
+// figure.
+func RunInterferencePairs(o Options, pairs [][2]string, mappings []machine.Mapping) Interference {
+	cells := interferenceCells(o, pairs, mappings)
+	rows := make([][]InterferenceRow, len(cells))
+	runner.Map(len(cells), func(i int) {
+		rows[i] = InterferenceCell(cells[i])
 	})
 
 	var out Interference
-	for _, p := range pairs {
-		ip := InterferencePair{A: p[0], B: p[1]}
-		for i, j := range jobs {
-			if j.pair == p {
-				ip.Rows = append(ip.Rows, cells[i]...)
-			}
+	for _, r := range rows {
+		if n := len(out.Pairs); n == 0 || out.Pairs[n-1].A != r[0].Workload || out.Pairs[n-1].B != r[0].Corunner {
+			out.Pairs = append(out.Pairs, InterferencePair{A: r[0].Workload, B: r[0].Corunner})
 		}
-		out.Pairs = append(out.Pairs, ip)
+		p := &out.Pairs[len(out.Pairs)-1]
+		p.Rows = append(p.Rows, r...)
 	}
 	return out
 }

@@ -239,19 +239,16 @@ func Assertions() []Assertion {
 			Name:  "corun-bat-decision-shift",
 			Claim: "A co-runner's bus traffic shifts the Eq. 5 decision: both ED and Convert choose strictly fewer threads co-scheduled than solo on the identical partition, because the socket-wide bus observable reports the bandwidth the other tenant already consumed.",
 			Check: func(o experiments.Options) error {
-				specs := []core.TeamSpec{corunSpec("ed"), corunSpec("convert")}
-				co, err := core.RunCorun(o.Cfg, machine.MapPacked, specs, o.Mode)
-				if err != nil {
+				co := corunPair(o, machine.MapPacked, "ed", "convert")
+				if err := co.Validate(); err != nil {
 					return err
 				}
-				for i, s := range specs {
-					solo, err := core.RunSolo(o.Cfg, machine.MapPacked, len(specs), i, s, o.Mode)
-					if err != nil {
-						return err
-					}
-					sn, cn := decidedThreads(solo.RunResult), decidedThreads(co.Teams[i].RunResult)
+				res := co.Run()
+				for i, t := range co.Teams {
+					solo := co.Solo(i).Run().Teams[i]
+					sn, cn := decidedThreads(solo.RunResult), decidedThreads(res.Teams[i].RunResult)
 					if cn >= sn {
-						return fmt.Errorf("%s: %d threads co-run, %d solo — co-runner traffic did not lower the BAT decision", s.Workload, cn, sn)
+						return fmt.Errorf("%s: %d threads co-run, %d solo — co-runner traffic did not lower the BAT decision", t.Workload, cn, sn)
 					}
 				}
 				return nil
@@ -265,16 +262,14 @@ func Assertions() []Assertion {
 				// skips the monitored intervals in which the co-runner's
 				// onset would be observed, so this interference path is
 				// only exercised end to end by exact execution.
-				md := core.ExactMode()
-				mp := core.DefaultMonitorParams()
-				victim := corunSpec("bscholes")
-				victim.Monitor = &mp
-				specs := []core.TeamSpec{victim, corunSpec("busburst")}
-				co, err := core.RunCorun(o.Cfg, machine.MapPacked, specs, md)
-				if err != nil {
+				co := corunPair(o, machine.MapPacked, "bscholes", "busburst")
+				co.Mode = core.ExactMode()
+				mon := core.DefaultMonitorParams()
+				co.Teams[0].Control.Monitor = &mon
+				if err := co.Validate(); err != nil {
 					return err
 				}
-				k := co.Teams[0].Kernels[0]
+				k := co.Run().Teams[0].Kernels[0]
 				if k.Retrains < 1 {
 					return fmt.Errorf("bscholes co-run with busburst: %d retrains, want >= 1", k.Retrains)
 				}
@@ -290,11 +285,7 @@ func Assertions() []Assertion {
 				if !throttled {
 					return fmt.Errorf("bscholes: no post-onset phase ran below the initial %d threads", k.Phases[0].Decision.Threads)
 				}
-				solo, err := core.RunSolo(o.Cfg, machine.MapPacked, len(specs), 0, victim, md)
-				if err != nil {
-					return err
-				}
-				if r := solo.Kernels[0].Retrains; r != 0 {
+				if r := co.Solo(0).Run().Teams[0].Kernels[0].Retrains; r != 0 {
 					return fmt.Errorf("bscholes solo: %d retrains, want 0 — the drift must come from the co-runner", r)
 				}
 				return nil
@@ -455,21 +446,20 @@ func Assertions() []Assertion {
 			Name:  "corun-mapping-matters",
 			Claim: "Thread-to-core mapping is a first-order knob for co-scheduling: packed and scattered mappings of the same pagemine+mg pair differ in makespan by at least 10%.",
 			Check: func(o experiments.Options) error {
-				specs := []core.TeamSpec{corunSpec("pagemine"), corunSpec("mg")}
-				packed, err := core.RunCorun(o.Cfg, machine.MapPacked, specs, o.Mode)
-				if err != nil {
-					return err
+				var cycles [2]uint64
+				for i, mp := range []machine.Mapping{machine.MapPacked, machine.MapScattered} {
+					co := corunPair(o, mp, "pagemine", "mg")
+					if err := co.Validate(); err != nil {
+						return err
+					}
+					cycles[i] = co.Run().TotalCycles
 				}
-				scattered, err := core.RunCorun(o.Cfg, machine.MapScattered, specs, o.Mode)
-				if err != nil {
-					return err
-				}
-				hi, lo := packed.TotalCycles, scattered.TotalCycles
+				hi, lo := cycles[0], cycles[1]
 				if lo > hi {
 					hi, lo = lo, hi
 				}
 				if lo == 0 || float64(hi)/float64(lo) < 1.10 {
-					return fmt.Errorf("pagemine+mg: packed %d vs scattered %d cycles — mappings within 10%%, no placement effect", packed.TotalCycles, scattered.TotalCycles)
+					return fmt.Errorf("pagemine+mg: packed %d vs scattered %d cycles — mappings within 10%%, no placement effect", cycles[0], cycles[1])
 				}
 				return nil
 			},
@@ -493,14 +483,17 @@ func gauntletParents(g experiments.Gauntlet, workload string) (hy, ad, hc experi
 	return hy, ad, hc, nil
 }
 
-// corunSpec builds a train-once SAT+BAT tenant spec for a registered
-// workload.
-func corunSpec(name string) core.TeamSpec {
-	info, ok := workloads.ByName(name)
-	if !ok {
-		panic(fmt.Sprintf("shape: unknown workload %q", name))
+// corunPair co-schedules two registered workloads under train-once
+// SAT+BAT controllers on o's machine.
+func corunPair(o experiments.Options, mp machine.Mapping, a, b string) core.RunSpec {
+	team := func(name string) core.Team {
+		info, ok := workloads.ByName(name)
+		if !ok {
+			panic(fmt.Sprintf("shape: unknown workload %q", name))
+		}
+		return core.Team{Workload: name, Factory: info.Factory, Control: core.Control{Policy: core.Combined{}}}
 	}
-	return core.TeamSpec{Workload: name, Factory: info.Factory, Policy: core.Combined{}}
+	return core.RunSpec{Cfg: o.Cfg, Mode: o.Mode, Mapping: mp, Teams: []core.Team{team(a), team(b)}}
 }
 
 // ByName looks an assertion up by its stable name.

@@ -114,13 +114,11 @@ func teamMutationRun(t *testing.T, mutate func(m *machine.Machine)) *invariant.C
 	if mutate != nil {
 		mutate(m)
 	}
-	specs := []core.TeamSpec{
-		{Workload: pm.Name, Factory: pm.Factory, Policy: core.Static{N: 2}},
-		{Workload: cv.Name, Factory: cv.Factory, Policy: core.Static{N: 2}},
-	}
-	if _, err := core.RunCorunOn(m, machine.MapPacked, specs, core.ExactMode()); err != nil {
-		t.Fatal(err)
-	}
+	ctl := core.Control{Policy: core.Static{N: 2}}
+	core.RunSpec{Cfg: m.Cfg, Teams: []core.Team{
+		{Workload: pm.Name, Factory: pm.Factory, Control: ctl},
+		{Workload: cv.Name, Factory: cv.Factory, Control: ctl},
+	}}.RunOn(m)
 	return ck
 }
 

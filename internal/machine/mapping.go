@@ -76,17 +76,41 @@ func ParseMapping(s string) (Mapping, error) {
 	}
 }
 
-// Partition computes the hardware contexts team t of n owns on this
-// machine, in the order the team's threads are placed on them. Within
-// a team, contexts are ordered plane-major — every owned core once
-// before any core hosts a second context — preserving the single-team
-// runtime's spread-first placement. Returns an error when the split
-// leaves team t without a context.
-func (m *Machine) Partition(mp Mapping, t, n int) ([]int, error) {
+// CheckMapping reports whether mp gives each of n teams at least one
+// context on a machine of this configuration.
+func (c Config) CheckMapping(mp Mapping, n int) error {
+	for t := 0; t < n; t++ {
+		if _, err := c.Partition(mp, t, n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// FeasibleMappings lists, in display order, the mappings that can host
+// n teams on a machine of this configuration.
+func (c Config) FeasibleMappings(n int) []Mapping {
+	var out []Mapping
+	for _, mp := range Mappings() {
+		if c.CheckMapping(mp, n) == nil {
+			out = append(out, mp)
+		}
+	}
+	return out
+}
+
+// Partition computes the hardware contexts team t of n owns on a
+// machine of this configuration, in the order the team's threads are
+// placed on them. Within a team, contexts are ordered plane-major —
+// every owned core once before any core hosts a second context —
+// preserving the single-team runtime's spread-first placement. Returns
+// an error when the split leaves team t without a context. It is pure
+// geometry, so a run can be checked before any machine is built.
+func (c Config) Partition(mp Mapping, t, n int) ([]int, error) {
 	if n < 1 || t < 0 || t >= n {
 		return nil, fmt.Errorf("machine: partition team %d of %d", t, n)
 	}
-	cores, planes := m.Cfg.Mem.Cores, m.Cfg.SMTContexts
+	cores, planes := c.Mem.Cores, c.SMTContexts
 	var myCores []int
 	myPlanes := make([]int, 0, planes)
 	for p := 0; p < planes; p++ {

@@ -54,8 +54,8 @@ func TestMappingStrings(t *testing.T) {
 
 func TestPartitionPacked(t *testing.T) {
 	m := MustNew(DefaultConfig().WithCores(8))
-	got0, err0 := m.Partition(MapPacked, 0, 2)
-	got1, err1 := m.Partition(MapPacked, 1, 2)
+	got0, err0 := m.Cfg.Partition(MapPacked, 0, 2)
+	got1, err1 := m.Cfg.Partition(MapPacked, 1, 2)
 	if err0 != nil || err1 != nil {
 		t.Fatal(err0, err1)
 	}
@@ -65,16 +65,16 @@ func TestPartitionPacked(t *testing.T) {
 
 func TestPartitionScattered(t *testing.T) {
 	m := MustNew(DefaultConfig().WithCores(8))
-	got0, _ := m.Partition(MapScattered, 0, 2)
-	got1, _ := m.Partition(MapScattered, 1, 2)
+	got0, _ := m.Cfg.Partition(MapScattered, 0, 2)
+	got1, _ := m.Cfg.Partition(MapScattered, 1, 2)
 	wantEq(t, "scattered team 0", got0, []int{0, 2, 4, 6})
 	wantEq(t, "scattered team 1", got1, []int{1, 3, 5, 7})
 }
 
 func TestPartitionSMT(t *testing.T) {
 	m := MustNew(DefaultConfig().WithCores(8).WithSMT(2))
-	got0, err0 := m.Partition(MapSMT, 0, 2)
-	got1, err1 := m.Partition(MapSMT, 1, 2)
+	got0, err0 := m.Cfg.Partition(MapSMT, 0, 2)
+	got1, err1 := m.Cfg.Partition(MapSMT, 1, 2)
 	if err0 != nil || err1 != nil {
 		t.Fatal(err0, err1)
 	}
@@ -92,7 +92,7 @@ func TestPartitionCovers(t *testing.T) {
 		for _, n := range []int{1, 2, 3, 5, 8} {
 			owned := map[int]int{}
 			for team := 0; team < n; team++ {
-				ctxs, err := m.Partition(mp, team, n)
+				ctxs, err := m.Cfg.Partition(mp, team, n)
 				if err != nil {
 					t.Fatalf("%s %d of %d: %v", mp, team, n, err)
 				}
@@ -123,7 +123,7 @@ func TestPartitionErrors(t *testing.T) {
 		{Mapping(99), 0, 1},
 	}
 	for _, tc := range cases {
-		if _, err := m.Partition(tc.mp, tc.t, tc.n); err == nil {
+		if _, err := m.Cfg.Partition(tc.mp, tc.t, tc.n); err == nil {
 			t.Errorf("Partition(%v, %d, %d): want error", tc.mp, tc.t, tc.n)
 		}
 	}
@@ -137,6 +137,36 @@ func wantEq(t *testing.T, label string, got, want []int) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("%s = %v, want %v", label, got, want)
+		}
+	}
+}
+
+func TestFeasibleMappings(t *testing.T) {
+	cases := []struct {
+		cfg  Config
+		n    int
+		want []Mapping
+	}{
+		{DefaultConfig().WithCores(8), 2, []Mapping{MapPacked, MapScattered}},
+		{DefaultConfig().WithCores(8).WithSMT(2), 2, []Mapping{MapPacked, MapScattered, MapSMT}},
+		{DefaultConfig().WithCores(8).WithSMT(2), 3, []Mapping{MapPacked, MapScattered}},
+		{DefaultConfig().WithCores(1), 2, nil},
+	}
+	for _, tc := range cases {
+		got := tc.cfg.FeasibleMappings(tc.n)
+		if len(got) != len(tc.want) {
+			t.Errorf("%d cores x %d planes, %d teams: %v, want %v", tc.cfg.Mem.Cores, tc.cfg.SMTContexts, tc.n, got, tc.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("%d cores x %d planes, %d teams: %v, want %v", tc.cfg.Mem.Cores, tc.cfg.SMTContexts, tc.n, got, tc.want)
+			}
+		}
+		for _, mp := range tc.want {
+			if err := tc.cfg.CheckMapping(mp, tc.n); err != nil {
+				t.Errorf("CheckMapping(%s, %d): %v", mp, tc.n, err)
+			}
 		}
 	}
 }

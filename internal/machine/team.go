@@ -139,7 +139,7 @@ func (m *Machine) SplitTeams(mp Mapping, names []string) ([]*Team, error) {
 	n := len(names)
 	out := make([]*Team, 0, n)
 	for t := 0; t < n; t++ {
-		ctxs, err := m.Partition(mp, t, n)
+		ctxs, err := m.Cfg.Partition(mp, t, n)
 		if err != nil {
 			return nil, err
 		}

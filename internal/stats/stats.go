@@ -1,54 +1,12 @@
 // Package stats provides the small numeric helpers the experiment
-// harness uses to turn raw simulation results into the paper's
-// normalized series: normalization, geometric means, argmin and
-// tolerance checks.
+// harness uses to summarize simulation results: geometric means,
+// argmin and the oracle's fewest-within-tolerance rule.
 package stats
 
 import (
 	"fmt"
 	"math"
 )
-
-// Series is an (x, y) series, e.g. thread count versus normalized
-// execution time.
-type Series struct {
-	Label string
-	X     []float64
-	Y     []float64
-}
-
-// NewSeries builds a series after validating matching lengths.
-func NewSeries(label string, x, y []float64) (Series, error) {
-	if len(x) != len(y) {
-		return Series{}, fmt.Errorf("stats: series %q: len(x)=%d len(y)=%d", label, len(x), len(y))
-	}
-	return Series{Label: label, X: x, Y: y}, nil
-}
-
-// Normalize returns ys divided by base. A zero base panics: a
-// normalized figure against a zero baseline is meaningless.
-func Normalize(ys []float64, base float64) []float64 {
-	if base == 0 {
-		panic("stats: normalizing by zero")
-	}
-	out := make([]float64, len(ys))
-	for i, y := range ys {
-		out[i] = y / base
-	}
-	return out
-}
-
-// NormalizeUint converts cycle counts to float and normalizes by base.
-func NormalizeUint(ys []uint64, base uint64) []float64 {
-	if base == 0 {
-		panic("stats: normalizing by zero")
-	}
-	out := make([]float64, len(ys))
-	for i, y := range ys {
-		out[i] = float64(y) / float64(base)
-	}
-	return out
-}
 
 // Gmean computes the geometric mean of positive values (the paper's
 // gmean bar in Figs 14/15). Panics on empty input or non-positive
@@ -67,22 +25,8 @@ func Gmean(vals []float64) float64 {
 	return math.Exp(sum / float64(len(vals)))
 }
 
-// ArgMin reports the index of the smallest value (first on ties) and
-// the value itself. Panics on empty input.
-func ArgMin(vals []float64) (int, float64) {
-	if len(vals) == 0 {
-		panic("stats: argmin of empty slice")
-	}
-	bi, bv := 0, vals[0]
-	for i, v := range vals[1:] {
-		if v < bv {
-			bi, bv = i+1, v
-		}
-	}
-	return bi, bv
-}
-
-// ArgMinUint is ArgMin over cycle counts.
+// ArgMinUint reports the index of the smallest cycle count (first on
+// ties) and the count itself. Panics on empty input.
 func ArgMinUint(vals []uint64) (int, uint64) {
 	if len(vals) == 0 {
 		panic("stats: argmin of empty slice")
@@ -94,15 +38,6 @@ func ArgMinUint(vals []uint64) (int, uint64) {
 		}
 	}
 	return bi, bv
-}
-
-// WithinPct reports whether got is within pct percent of want
-// (pct=1 means 1%).
-func WithinPct(got, want, pct float64) bool {
-	if want == 0 {
-		return got == 0
-	}
-	return math.Abs(got-want)/math.Abs(want)*100 <= pct
 }
 
 // FewestWithin reports the smallest index i such that vals[i] is
@@ -117,21 +52,4 @@ func FewestWithin(vals []uint64, tolerance float64) int {
 		}
 	}
 	return len(vals) - 1
-}
-
-// MinMax reports the extrema of vals. Panics on empty input.
-func MinMax(vals []float64) (lo, hi float64) {
-	if len(vals) == 0 {
-		panic("stats: minmax of empty slice")
-	}
-	lo, hi = vals[0], vals[0]
-	for _, v := range vals[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
 }

@@ -2,45 +2,10 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
-
-func TestNewSeriesLengthMismatch(t *testing.T) {
-	if _, err := NewSeries("x", []float64{1, 2}, []float64{1}); err == nil {
-		t.Error("mismatched lengths accepted")
-	}
-	s, err := NewSeries("ok", []float64{1}, []float64{2})
-	if err != nil || s.Label != "ok" {
-		t.Errorf("valid series rejected: %v", err)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	got := Normalize([]float64{10, 20, 5}, 10)
-	want := []float64{1, 2, 0.5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Normalize[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestNormalizeZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero base did not panic")
-		}
-	}()
-	Normalize([]float64{1}, 0)
-}
-
-func TestNormalizeUint(t *testing.T) {
-	got := NormalizeUint([]uint64{100, 50}, 100)
-	if got[0] != 1.0 || got[1] != 0.5 {
-		t.Errorf("NormalizeUint = %v", got)
-	}
-}
 
 func TestGmean(t *testing.T) {
 	if got := Gmean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
@@ -61,25 +26,9 @@ func TestGmeanRejectsNonPositive(t *testing.T) {
 }
 
 func TestArgMin(t *testing.T) {
-	i, v := ArgMin([]float64{3, 1, 2, 1})
-	if i != 1 || v != 1 {
-		t.Errorf("ArgMin = (%d,%v), want (1,1) — first on ties", i, v)
-	}
 	iu, vu := ArgMinUint([]uint64{9, 7, 8})
 	if iu != 1 || vu != 7 {
 		t.Errorf("ArgMinUint = (%d,%d), want (1,7)", iu, vu)
-	}
-}
-
-func TestWithinPct(t *testing.T) {
-	if !WithinPct(101, 100, 1) {
-		t.Error("101 not within 1% of 100")
-	}
-	if WithinPct(102, 100, 1) {
-		t.Error("102 within 1% of 100")
-	}
-	if !WithinPct(0, 0, 1) {
-		t.Error("0 not within 1% of 0")
 	}
 }
 
@@ -94,13 +43,6 @@ func TestFewestWithin(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 7, 2})
-	if lo != -1 || hi != 7 {
-		t.Errorf("MinMax = (%v,%v), want (-1,7)", lo, hi)
-	}
-}
-
 func TestPropertyGmeanBetweenMinAndMax(t *testing.T) {
 	f := func(raw []uint16) bool {
 		if len(raw) == 0 {
@@ -111,7 +53,7 @@ func TestPropertyGmeanBetweenMinAndMax(t *testing.T) {
 			vals[i] = float64(r%1000) + 1
 		}
 		g := Gmean(vals)
-		lo, hi := MinMax(vals)
+		lo, hi := slices.Min(vals), slices.Max(vals)
 		return g >= lo-1e-9 && g <= hi+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {

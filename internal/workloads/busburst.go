@@ -3,7 +3,6 @@ package workloads
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"fdt/internal/core"
 	"fdt/internal/machine"
@@ -160,22 +159,4 @@ func init() {
 			return NewBusBurst(m, DefaultBusBurstParams())
 		},
 	})
-}
-
-// ParsePair resolves an "a+b" co-run spec ("pagemine+mg") into its
-// two registered workloads.
-func ParsePair(s string) (a, b Info, err error) {
-	parts := strings.Split(s, "+")
-	if len(parts) != 2 || parts[0] == "" || parts[1] == "" {
-		return Info{}, Info{}, fmt.Errorf("workloads: co-run spec %q, want \"a+b\"", s)
-	}
-	a, ok := ByName(parts[0])
-	if !ok {
-		return Info{}, Info{}, fmt.Errorf("workloads: unknown workload %q in co-run spec %q", parts[0], s)
-	}
-	b, ok = ByName(parts[1])
-	if !ok {
-		return Info{}, Info{}, fmt.Errorf("workloads: unknown workload %q in co-run spec %q", parts[1], s)
-	}
-	return a, b, nil
 }
