@@ -327,7 +327,10 @@ func BenchmarkAdaptivePhaseShift(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := machine.MustNew(cfg)
-		ad = core.NewAdaptiveController(core.Combined{}, core.DefaultMonitorParams()).Run(m, info.Factory(m))
+		ctl := core.NewController(core.Combined{})
+		mp := core.DefaultMonitorParams()
+		ctl.Monitor = &mp
+		ad = ctl.Run(m, info.Factory(m))
 		m2 := machine.MustNew(cfg)
 		once = core.NewController(core.Combined{}).Run(m2, info.Factory(m2))
 	}

@@ -140,11 +140,13 @@ func (f *Flags) Control(name string) (core.Control, error) {
 	if err != nil {
 		return c, err
 	}
-	if c.HillClimb != nil {
-		c.HillClimb.ProbeIters, c.HillClimb.MinGain = f.ProbeIters, f.MinGain
-	}
-	if c.Hybrid != nil {
-		c.Hybrid.HP.ProbeIters, c.Hybrid.HP.MinGain = f.ProbeIters, f.MinGain
+	switch p := c.Policy.(type) {
+	case core.HillClimb:
+		p.ProbeIters, p.MinGain = f.ProbeIters, f.MinGain
+		c.Policy = p
+	case core.Hybrid:
+		p.HP.ProbeIters, p.HP.MinGain = f.ProbeIters, f.MinGain
+		c.Policy = p
 	}
 	return c, nil
 }

@@ -105,15 +105,15 @@ func TestControlTunesProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hc.HillClimb.ProbeIters != 32 || hc.HillClimb.MinGain != 0.05 {
-		t.Errorf("hill-climb tuning %+v", *hc.HillClimb)
+	if h := hc.Policy.(core.HillClimb); h.ProbeIters != 32 || h.MinGain != 0.05 {
+		t.Errorf("hill-climb tuning %+v", h)
 	}
 	hy, err := f.Control("hybrid")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hy.Hybrid.HP.ProbeIters != 32 || hy.Hybrid.HP.MinGain != 0.05 {
-		t.Errorf("hybrid tuning %+v", hy.Hybrid.HP)
+	if h := hy.Policy.(core.Hybrid); h.HP.ProbeIters != 32 || h.HP.MinGain != 0.05 {
+		t.Errorf("hybrid tuning %+v", h.HP)
 	}
 }
 

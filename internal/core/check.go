@@ -76,7 +76,7 @@ func (cc ctlCheck) hybridState(c *thread.Ctx, from, to string, res float64, hp H
 // decision re-derives the policy's decision from the condensed
 // training measurements and checks the Estimate stage's output against
 // it, component by component.
-func (cc ctlCheck) decision(pol Policy, tr TrainResult, cores int, d Decision, cycle uint64) {
+func (cc ctlCheck) decision(pol Model, tr TrainResult, cores int, d Decision, cycle uint64) {
 	if !cc.on {
 		return
 	}

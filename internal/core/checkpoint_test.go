@@ -54,7 +54,10 @@ var ckptPolicies = []struct {
 	{"SAT", func() *core.Controller { return core.NewController(core.SAT{}) }},
 	{"BAT", func() *core.Controller { return core.NewController(core.BAT{}) }},
 	{"adaptive", func() *core.Controller {
-		return core.NewAdaptiveController(core.Combined{}, core.DefaultMonitorParams())
+		ctl := core.NewController(core.Combined{})
+		mp := core.DefaultMonitorParams()
+		ctl.Monitor = &mp
+		return ctl
 	}},
 }
 

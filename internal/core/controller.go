@@ -152,12 +152,14 @@ func (r RunResult) AvgThreads() float64 {
 	return float64(wsum) / float64(cyc)
 }
 
-// Controller runs workloads under a threading policy using the FDT
-// pipeline: Sample (peeled-iteration instrumentation) -> Estimate
-// (the policy's model) -> Execute (chunked team execution) ->
-// Monitor (per-interval counter deltas during execution). With
-// Monitor nil the pipeline degenerates to Fig 5's train-once flow —
-// the seed controller, bit-identical.
+// Controller runs workloads under a threading policy. A Model policy
+// goes through the FDT pipeline: Sample (peeled-iteration
+// instrumentation) -> Estimate (the policy's model) -> Execute
+// (chunked team execution) -> Monitor (per-interval counter deltas
+// during execution). With Monitor nil the pipeline degenerates to Fig
+// 5's train-once flow — the seed controller, bit-identical. A measured
+// policy runs each whole kernel itself; the run frame around the
+// kernels is the same for both.
 type Controller struct {
 	Policy Policy
 	Params TrainingParams
@@ -185,14 +187,6 @@ type Controller struct {
 // training parameters.
 func NewController(p Policy) *Controller {
 	return &Controller{Policy: p, Params: DefaultTrainingParams()}
-}
-
-// NewAdaptiveController builds a controller with phase-adaptive
-// monitoring enabled.
-func NewAdaptiveController(p Policy, mp MonitorParams) *Controller {
-	c := NewController(p)
-	c.Monitor = &mp
-	return c
 }
 
 // Run executes the workload on the machine under the controller's
@@ -263,42 +257,25 @@ func (ctl *Controller) setFreq(c *thread.Ctx, idx int) {
 	m.SetFreq(idx, c.CPU.CycleCount())
 }
 
-// runBody builds the master function for one workload execution,
-// filling res as kernels complete. Extracted from Run so a co-run can
-// hand each team's controller pipeline to thread.RunTeams: every team
-// runs its own Sample -> Estimate -> Execute -> Monitor loop
-// concurrently against the shared memory system.
+// runBody builds the master function for one workload execution: it
+// sets the workload up, then runs its kernels in order, filling res as
+// they complete. Extracted from Run so a co-run can hand each team's
+// controller pipeline to thread.RunTeams: every team runs its own
+// Sample -> Estimate -> Execute -> Monitor loop concurrently against
+// the shared memory system.
 func (ctl *Controller) runBody(w Workload, res *RunResult) func(c *thread.Ctx) {
 	if ctl.Mode.Sampled {
 		ctl.st = &sampled.Stats{}
 		res.Sampled = ctl.st
 	}
-	return kernelLoop(w, res, ctl.runKernel)
-}
-
-// kernelLoop is the master thread of one workload execution: it sets
-// the workload up, then runs its kernels in order through kernel,
-// appending each result to res.
-func kernelLoop(w Workload, res *RunResult, kernel func(*thread.Ctx, Kernel) KernelResult) func(*thread.Ctx) {
 	return func(c *thread.Ctx) {
 		if sw, ok := w.(SetupWorkload); ok {
 			sw.Setup(c)
 		}
 		for _, k := range w.Kernels() {
-			res.Kernels = append(res.Kernels, kernel(c, k))
+			res.Kernels = append(res.Kernels, ctl.runKernel(c, k))
 		}
 	}
-}
-
-// runWorkload executes w on the fresh machine m kernel by kernel — the
-// shared frame of the controllers that bring their own kernel loop —
-// and reports the run's timing and power.
-func runWorkload(m *machine.Machine, w Workload, policy string, kernel func(*thread.Ctx, Kernel) KernelResult) RunResult {
-	res := RunResult{Workload: w.Name(), Policy: policy}
-	thread.Run(m, kernelLoop(w, &res, kernel))
-	res.TotalCycles = m.Eng.Now()
-	res.AvgActiveCores = m.Power.AverageActiveCores(res.TotalCycles)
-	return res
 }
 
 // ctlTrace emits the controller's pipeline onto the trace's
@@ -357,19 +334,24 @@ func (ct ctlTrace) retrain(cycle uint64, dr *Drift) {
 	})
 }
 
-// runKernel drives one kernel through the pipeline. Policies that do
-// not train (and kernels too small to peel) take the static path;
-// training policies sample, estimate and execute — once when
-// monitoring is off, per phase when it is on.
+// runKernel drives one kernel through the pipeline. A measured policy
+// executes the kernel itself. Models that do not train (and kernels
+// too small to peel) take the static path; training models sample,
+// estimate and execute — once when monitoring is off, per phase when
+// it is on.
 func (ctl *Controller) runKernel(c *thread.Ctx, k Kernel) KernelResult {
+	pol, ok := ctl.Policy.(Model)
+	if !ok {
+		return ctl.Policy.(measuredPolicy).runKernel(c, k)
+	}
 	m := c.Machine()
 	cores := c.TeamSize()
 	n := k.Iterations()
 	start := c.CPU.CycleCount()
 	ct := newCtlTrace(m)
 
-	if !ctl.Policy.NeedsTraining() || n < ctl.Params.MinIterations {
-		d := Decision{Threads: ctl.Policy.StaticThreads(cores)}
+	if !pol.NeedsTraining() || n < ctl.Params.MinIterations {
+		d := Decision{Threads: pol.StaticThreads(cores)}
 		if ctl.dvfsOn(m) {
 			pp := ctl.powerParams()
 			idx := ctl.trainState(m)
@@ -393,7 +375,7 @@ func (ctl *Controller) runKernel(c *thread.Ctx, k Kernel) KernelResult {
 		}
 	}
 
-	return ctl.runTrained(c, k, n, cores, start, ct)
+	return ctl.runTrained(c, k, pol, n, cores, start, ct)
 }
 
 // runTrained is the training pipeline: Sample -> Estimate -> Execute,
@@ -403,7 +385,7 @@ func (ctl *Controller) runKernel(c *thread.Ctx, k Kernel) KernelResult {
 // MaxRetrains); tails too short to re-train on, and the remainder
 // after the retrain budget is spent, execute unmonitored with the
 // current decision.
-func (ctl *Controller) runTrained(c *thread.Ctx, k Kernel, n, cores int, start uint64, ct ctlTrace) KernelResult {
+func (ctl *Controller) runTrained(c *thread.Ctx, k Kernel, pol Model, n, cores int, start uint64, ct ctlTrace) KernelResult {
 	sampler := Sampler{Params: ctl.Params}
 	estimator := Estimator{Params: ctl.Params}
 	m := c.Machine()
@@ -419,14 +401,14 @@ func (ctl *Controller) runTrained(c *thread.Ctx, k Kernel, n, cores int, start u
 		if dvfs {
 			ctl.setFreq(c, ctl.trainState(m))
 		}
-		out := sampler.Sample(c, k, ctl.Policy, iter, n)
+		out := sampler.Sample(c, k, pol, iter, n)
 		ctl.countTraining(out.Train.Iters)
 		var d Decision
 		var tr TrainResult
 		if dvfs {
-			d, tr = estimator.EstimateDVFS(ctl.Policy, out, cores, m.Cfg.Freq, ctl.powerParams(), ctl.trainState(m))
+			d, tr = estimator.EstimateDVFS(pol, out, cores, m.Cfg.Freq, ctl.powerParams(), ctl.trainState(m))
 		} else {
-			d, tr = estimator.Estimate(ctl.Policy, out, cores)
+			d, tr = estimator.Estimate(pol, out, cores)
 		}
 		trainCycles := c.CPU.CycleCount() - phaseStart
 		ct.span("sample", k.Name(), phaseStart, c.CPU.CycleCount(), uint64(out.Train.Iters), uint64(iter), 0)
@@ -441,7 +423,7 @@ func (ctl *Controller) runTrained(c *thread.Ctx, k Kernel, n, cores int, start u
 			// assumes the unconstrained nominal-frequency Estimate
 			// stage; the DVFS search is covered by its own estimator
 			// tests instead.
-			cc.decision(ctl.Policy, tr, cores, d, c.CPU.CycleCount())
+			cc.decision(pol, tr, cores, d, c.CPU.CycleCount())
 		}
 
 		var stop int

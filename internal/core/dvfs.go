@@ -123,7 +123,7 @@ func predictTime(tr TrainResult, p int) float64 {
 // pinned, else nominal), so scaling is relative to it. When no state
 // admits even one thread within the budget, the search degenerates to
 // one thread in the lowest-power admissible configuration.
-func (e Estimator) EstimateDVFS(pol Policy, out SampleOutcome, cores int, fc machine.FreqConfig, pp PowerParams, trained int) (Decision, TrainResult) {
+func (e Estimator) EstimateDVFS(pol Model, out SampleOutcome, cores int, fc machine.FreqConfig, pp PowerParams, trained int) (Decision, TrainResult) {
 	if fc.Trivial() {
 		// No ladder: the plane is one-dimensional. Apply only the
 		// budget clamp against the implicit flat table (Active 1,

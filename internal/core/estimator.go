@@ -21,7 +21,7 @@ type Estimator struct {
 // excluded explicitly (DESIGN.md, "Known deviations"). When the
 // stability window is available beyond that, keep only the trailing
 // window — the measurements the stability criterion actually accepted.
-func (e Estimator) Estimate(pol Policy, out SampleOutcome, cores int) (Decision, TrainResult) {
+func (e Estimator) Estimate(pol Model, out SampleOutcome, cores int) (Decision, TrainResult) {
 	tr := out.Train
 	if est := e.steadySamples(out.Samples); est != nil {
 		var wt, wcs, wb, wms uint64

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fdt/internal/machine"
-	"fdt/internal/thread"
-)
+import "fdt/internal/thread"
 
 // HillClimb is the self-tuning processor-allocation baseline from the
 // paper's related work (Nguyen et al. [27], Corbalan et al. [6][7]):
@@ -28,14 +25,9 @@ type HillClimb struct {
 // Name identifies the policy in reports.
 func (HillClimb) Name() string { return "hill-climb" }
 
-// Run executes the workload under hill-climbing allocation. It
-// mirrors Controller.Run's contract: fresh machine, returns timing,
-// power and per-kernel decisions (TrainIters counts the probed
-// iterations).
-func (h HillClimb) Run(m *machine.Machine, w Workload) RunResult {
-	return runWorkload(m, w, h.Name(), h.runKernel)
-}
-
+// runKernel probes doubling team sizes with real chunks while
+// throughput improves, then runs the rest at the best size found
+// (TrainIters counts the probed iterations).
 func (h HillClimb) runKernel(c *thread.Ctx, k Kernel) KernelResult {
 	m := c.Machine()
 	cores := m.Contexts()
@@ -44,10 +36,7 @@ func (h HillClimb) runKernel(c *thread.Ctx, k Kernel) KernelResult {
 
 	probe := h.ProbeIters
 	if probe <= 0 {
-		probe = n / 100
-		if probe < 1 {
-			probe = 1
-		}
+		probe = max(1, n/100)
 	}
 	minGain := h.MinGain
 	if minGain <= 0 {

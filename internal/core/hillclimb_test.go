@@ -12,7 +12,7 @@ func TestHillClimbStopsAtCSKnee(t *testing.T) {
 	// sqrt knee, so the climb must stop well below the core count.
 	m := machine.MustNew(machine.DefaultConfig())
 	f := newSynthFactory(2000, 960, 60, 0)
-	res := HillClimb{}.Run(m, f(m))
+	res := NewController(HillClimb{}).Run(m, f(m))
 	got := res.Kernels[0].Decision.Threads
 	if got > 8 {
 		t.Errorf("hill-climb chose %d threads for a CS-bound kernel, want <= 8", got)
@@ -25,7 +25,7 @@ func TestHillClimbStopsAtCSKnee(t *testing.T) {
 func TestHillClimbScalesComputeBoundKernel(t *testing.T) {
 	m := machine.MustNew(machine.DefaultConfig())
 	f := newSynthFactory(4000, 2000, 0, 0)
-	res := HillClimb{}.Run(m, f(m))
+	res := NewController(HillClimb{}).Run(m, f(m))
 	if got := res.Kernels[0].Decision.Threads; got < 16 {
 		t.Errorf("hill-climb chose %d threads for a scalable kernel, want >= 16", got)
 	}
@@ -35,7 +35,7 @@ func TestHillClimbProbesMultipleSizes(t *testing.T) {
 	m := machine.MustNew(machine.DefaultConfig())
 	f := newSynthFactory(4000, 2000, 0, 0)
 	w := f(m)
-	res := HillClimb{ProbeIters: 10}.Run(m, w)
+	res := NewController(HillClimb{ProbeIters: 10}).Run(m, w)
 	k := w.Kernels()[0].(*synthKernel)
 	// The probe chunks must appear in doubling order before the final
 	// execution chunk.
@@ -61,7 +61,7 @@ func TestHillClimbCompletesAllIterations(t *testing.T) {
 	m := machine.MustNew(machine.DefaultConfig())
 	f := newSynthFactory(500, 300, 20, 0)
 	w := f(m)
-	HillClimb{}.Run(m, w)
+	NewController(HillClimb{}).Run(m, w)
 	k := w.Kernels()[0].(*synthKernel)
 	total := 0
 	for range k.chunkTeams {
@@ -88,7 +88,7 @@ func TestHillClimbOneIterationKernel(t *testing.T) {
 	m := machine.MustNew(machine.DefaultConfig())
 	f := newSynthFactory(1, 300, 20, 0)
 	w := f(m)
-	res := HillClimb{}.Run(m, w)
+	res := NewController(HillClimb{}).Run(m, w)
 	k := w.Kernels()[0].(*synthKernel)
 	if got := res.Kernels[0].Decision.Threads; got != 1 {
 		t.Errorf("one-iteration kernel decided %d threads, want 1", got)
@@ -108,7 +108,7 @@ func TestHillClimbProbeExceedsRemaining(t *testing.T) {
 	m := machine.MustNew(machine.DefaultConfig())
 	f := newSynthFactory(500, 300, 20, 0)
 	w := f(m)
-	res := HillClimb{ProbeIters: 1000}.Run(m, w)
+	res := NewController(HillClimb{ProbeIters: 1000}).Run(m, w)
 	k := w.Kernels()[0].(*synthKernel)
 	kr := res.Kernels[0]
 	if kr.Decision.Threads != 1 {
@@ -132,7 +132,7 @@ func TestHillClimbMonotoneDegrading(t *testing.T) {
 	m := machine.MustNew(machine.DefaultConfig())
 	f := newSynthFactory(2000, 64, 2000, 0)
 	w := f(m)
-	res := HillClimb{}.Run(m, w)
+	res := NewController(HillClimb{}).Run(m, w)
 	k := w.Kernels()[0].(*synthKernel)
 	if got := res.Kernels[0].Decision.Threads; got != 1 {
 		t.Errorf("monotone-degrading kernel decided %d threads, want 1", got)
@@ -176,7 +176,7 @@ func TestHillClimbTieKeepsIncumbent(t *testing.T) {
 	m := machine.MustNew(machine.DefaultConfig())
 	k := &nonScalingKernel{iters: 1000}
 	w := &synthWorkload{name: "non-scaling", kernels: []Kernel{k}}
-	res := HillClimb{}.Run(m, w)
+	res := NewController(HillClimb{}).Run(m, w)
 	if got := res.Kernels[0].Decision.Threads; got != 1 {
 		t.Errorf("tied throughput displaced the incumbent: decided %d threads, want 1", got)
 	}

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 
-	"fdt/internal/counters"
-	"fdt/internal/machine"
 	"fdt/internal/thread"
 )
 
@@ -127,16 +125,10 @@ func (p HybridParams) Validate() error {
 	return nil
 }
 
-// Hybrid is the model+measurement controller. Like HillClimb it is not
-// a model-driven Policy — its probes time real chunks, so it always
-// executes exactly.
+// Hybrid is the model+measurement controller. Combined, the full Eq. 7
+// FDT model, seeds each decision. Like HillClimb it is a measured
+// policy — its probes time real chunks, so it always executes exactly.
 type Hybrid struct {
-	// Policy is the analytic model seeding each decision (nil =
-	// Combined, the full Eq. 7 FDT policy).
-	Policy Policy
-	// Params tunes the Sample stage; the zero value means the paper's
-	// defaults.
-	Params TrainingParams
 	// HP tunes the probes and the fallback state machine; zero fields
 	// mean DefaultHybridParams.
 	HP HybridParams
@@ -150,17 +142,6 @@ type Hybrid struct {
 
 // Name identifies the controller in reports.
 func (Hybrid) Name() string { return "hybrid" }
-
-// Run executes the workload under hybrid control. It mirrors
-// Controller.Run's contract: fresh machine, returns timing, power, bus
-// occupancy and per-kernel decisions (TrainIters counts sampling and
-// probe iterations; Fallbacks/Recoveries count state transitions).
-func (h Hybrid) Run(m *machine.Machine, w Workload) RunResult {
-	res := runWorkload(m, w, h.Name(), h.runKernel)
-	m.FinishCheck()
-	res.BusBusyCycles = m.Ctrs.Counter(counters.BusBusyCycles).Read()
-	return res
-}
 
 // runKernel drives one kernel through the hybrid state machine. Each
 // phase starts at a safe decision point with the Sample stage (both
@@ -178,22 +159,15 @@ func (h Hybrid) runKernel(c *thread.Ctx, k Kernel) KernelResult {
 	ct := newCtlTrace(m)
 	cc := newCtlCheck(m)
 
-	pol := h.Policy
-	if pol == nil {
-		pol = Combined{}
-	}
-	params := h.Params
-	if params == (TrainingParams{}) {
-		// The hybrid leans on probes, not on estimate precision: the
-		// seed only has to land near the optimum, because the bounded
-		// walk corrects it against live measurement. Half the paper's
-		// training budget buys back most of the sampling cost on
-		// kernels whose training window is expensive (a serial,
-		// bandwidth-saturated prefix trains at the worst possible
-		// per-iteration rate).
-		params = DefaultTrainingParams()
-		params.MaxTrainFraction /= 2
-	}
+	var pol Combined
+	// The hybrid leans on probes, not on estimate precision: the seed
+	// only has to land near the optimum, because the bounded walk
+	// corrects it against live measurement. Half the paper's training
+	// budget buys back most of the sampling cost on kernels whose
+	// training window is expensive (a serial, bandwidth-saturated
+	// prefix trains at the worst possible per-iteration rate).
+	params := DefaultTrainingParams()
+	params.MaxTrainFraction /= 2
 	hp := h.HP.WithDefaults()
 
 	if n < params.MinIterations {

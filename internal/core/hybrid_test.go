@@ -56,7 +56,7 @@ func runHybridOn(t *testing.T, h Hybrid, k *waveKernel, cores int) (RunResult, *
 	ck := invariant.New()
 	m.AttachChecker(ck)
 	w := &synthWorkload{name: k.name, kernels: []Kernel{k}}
-	return h.Run(m, w), ck
+	return NewController(h).Run(m, w), ck
 }
 
 func TestHybridParamsWithDefaults(t *testing.T) {
@@ -283,8 +283,8 @@ func TestRunHybridKeyedMemoizes(t *testing.T) {
 	f := newSynthFactory(400, 2000, 50, 0)
 
 	h0, _ := RunCacheStats()
-	r1 := keyedRun(cfg, "synth/hybrid-memo", f, Control{Hybrid: &Hybrid{}})
-	r2 := keyedRun(cfg, "synth/hybrid-memo", f, Control{Hybrid: &Hybrid{}})
+	r1 := keyedRun(cfg, "synth/hybrid-memo", f, Control{Policy: Hybrid{}})
+	r2 := keyedRun(cfg, "synth/hybrid-memo", f, Control{Policy: Hybrid{}})
 	h1, _ := RunCacheStats()
 	if h1 == h0 {
 		t.Error("second identical call did not hit the cache")
@@ -296,13 +296,13 @@ func TestRunHybridKeyedMemoizes(t *testing.T) {
 	// A different tuning is a different run.
 	hp := DefaultHybridParams()
 	hp.ProbeIters = 12
-	r3 := keyedRun(cfg, "synth/hybrid-memo", f, Control{Hybrid: &Hybrid{HP: hp}})
+	r3 := keyedRun(cfg, "synth/hybrid-memo", f, Control{Policy: Hybrid{HP: hp}})
 	if r3.Kernels[0].TrainIters == r1.Kernels[0].TrainIters && r3.TotalCycles == r1.TotalCycles {
 		t.Log("different tuning produced identical run (possible, but suspicious)")
 	}
 	h2, m2 := RunCacheStats()
 	_ = h2
-	r4 := keyedRun(cfg, "synth/hybrid-memo", f, Control{Hybrid: &Hybrid{HP: hp}})
+	r4 := keyedRun(cfg, "synth/hybrid-memo", f, Control{Policy: Hybrid{HP: hp}})
 	h3, m3 := RunCacheStats()
 	if m3 != m2 {
 		t.Error("repeated tuned call re-simulated (tuning not in the content address?)")
@@ -316,7 +316,7 @@ func TestRunHybridKeyedMemoizes(t *testing.T) {
 
 	// Empty workload key bypasses the cache entirely.
 	_, mBefore := RunCacheStats()
-	keyedRun(cfg, "", f, Control{Hybrid: &Hybrid{}})
+	keyedRun(cfg, "", f, Control{Policy: Hybrid{}})
 	_, mAfter := RunCacheStats()
 	if mAfter != mBefore {
 		t.Error("empty wkey touched the cache")
@@ -330,8 +330,8 @@ func TestRunHillClimbKeyedMemoizes(t *testing.T) {
 	f := newSynthFactory(400, 2000, 50, 0)
 
 	h0, _ := RunCacheStats()
-	r1 := keyedRun(cfg, "synth/hc-memo", f, Control{HillClimb: &HillClimb{}})
-	r2 := keyedRun(cfg, "synth/hc-memo", f, Control{HillClimb: &HillClimb{}})
+	r1 := keyedRun(cfg, "synth/hc-memo", f, Control{Policy: HillClimb{}})
+	r2 := keyedRun(cfg, "synth/hc-memo", f, Control{Policy: HillClimb{}})
 	h1, _ := RunCacheStats()
 	if h1 == h0 {
 		t.Error("second identical call did not hit the cache")
@@ -341,14 +341,14 @@ func TestRunHillClimbKeyedMemoizes(t *testing.T) {
 	}
 
 	_, m0 := RunCacheStats()
-	keyedRun(cfg, "synth/hc-memo", f, Control{HillClimb: &HillClimb{ProbeIters: 16}})
+	keyedRun(cfg, "synth/hc-memo", f, Control{Policy: HillClimb{ProbeIters: 16}})
 	_, m1 := RunCacheStats()
 	if m1 == m0 {
 		t.Error("different tuning hit the same cache entry")
 	}
 
 	_, mBefore := RunCacheStats()
-	keyedRun(cfg, "", f, Control{HillClimb: &HillClimb{}})
+	keyedRun(cfg, "", f, Control{Policy: HillClimb{}})
 	_, mAfter := RunCacheStats()
 	if mAfter != mBefore {
 		t.Error("empty wkey touched the cache")

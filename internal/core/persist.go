@@ -10,8 +10,10 @@ import (
 // RunStoreSchema versions the persisted RunResult wire format (JSON of
 // RunResult). Bump it whenever RunResult or anything it embeds changes
 // shape in a way old payloads must not be decoded into — stale entries
-// then read as misses and are recomputed, never misparsed.
-const RunStoreSchema = 1
+// then read as misses and are recomputed, never misparsed. A changed
+// stored value under an existing key needs a bump too: schema 2
+// retires hill-climb runs stored with a zero BusBusyCycles.
+const RunStoreSchema = 2
 
 var (
 	runStoreMu sync.Mutex
@@ -99,7 +101,3 @@ func RunStoreStats() (st store.Stats, ok bool) {
 // (as opposed to loading from an attached store). Zero computes over a
 // warm store is the restart-resilience acceptance criterion.
 func RunCacheComputes() uint64 { return runCache.Computes() }
-
-// RunCacheBackingHits reports how many cache misses the attached disk
-// store satisfied.
-func RunCacheBackingHits() uint64 { return runCache.BackingHits() }

@@ -85,7 +85,7 @@ func TestRunStoreSurvivesRestart(t *testing.T) {
 	if got := RunCacheComputes(); got != 0 {
 		t.Fatalf("warm computes = %d, want 0 (store should satisfy the miss)", got)
 	}
-	if got := RunCacheBackingHits(); got != 1 {
+	if got := runCache.BackingHits(); got != 1 {
 		t.Fatalf("backing hits = %d, want 1", got)
 	}
 	warmJSON, err := json.Marshal(warm)

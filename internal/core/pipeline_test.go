@@ -40,9 +40,10 @@ func seedRunKernel(ctl *Controller, c *thread.Ctx, k Kernel) KernelResult {
 	cores := m.Contexts()
 	n := k.Iterations()
 	start := c.CPU.CycleCount()
+	pol := ctl.Policy.(Model)
 
-	if !ctl.Policy.NeedsTraining() || n < ctl.Params.MinIterations {
-		d := Decision{Threads: ctl.Policy.StaticThreads(cores)}
+	if !pol.NeedsTraining() || n < ctl.Params.MinIterations {
+		d := Decision{Threads: pol.StaticThreads(cores)}
 		if n > 0 {
 			k.RunChunk(c, d.Threads, 0, n)
 		}
@@ -68,8 +69,8 @@ func seedRunKernel(ctl *Controller, c *thread.Ctx, k Kernel) KernelResult {
 	var ratios []float64
 	type iterSample struct{ dt, dcs, db uint64 }
 	var samples []iterSample
-	satDone := !ctl.Policy.WantsSAT()
-	batDone := !ctl.Policy.WantsBAT()
+	satDone := !pol.WantsSAT()
+	batDone := !pol.WantsBAT()
 
 	iter := 0
 	for iter < maxTrain && !(satDone && batDone) {
@@ -123,7 +124,7 @@ func seedRunKernel(ctl *Controller, c *thread.Ctx, k Kernel) KernelResult {
 		}
 	}
 
-	d := ctl.Policy.Estimate(tr, cores)
+	d := pol.Estimate(tr, cores)
 	trainCycles := c.CPU.CycleCount() - start
 	if iter < n {
 		k.RunChunk(c, d.Threads, iter, n)

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"fdt/internal/thread"
+)
 
 // TrainResult aggregates what the FDT training loop measured while
 // executing a kernel's peeled iterations single-threaded.
@@ -77,13 +81,21 @@ type Decision struct {
 	PredPower float64 `json:",omitempty"`
 }
 
-// Policy chooses thread counts for kernels. Policies that train
-// (NeedsTraining true) receive the training measurements; static
-// policies are asked directly.
+// Policy chooses thread counts for kernels. A policy is either a
+// training Model, which the Controller's FDT pipeline drives, or a
+// measured controller, which times real chunks and receives whole
+// kernels (HillClimb, Hybrid, RefinedBAT).
 type Policy interface {
 	// Name identifies the policy in reports ("SAT", "BAT", "SAT+BAT",
-	// "static-32").
+	// "static-32", "hill-climb").
 	Name() string
+}
+
+// Model is a policy the FDT pipeline drives: trained ones (NeedsTraining
+// true) receive the training measurements; static ones are asked
+// directly.
+type Model interface {
+	Policy
 	// NeedsTraining reports whether the controller should run the FDT
 	// training loop for this policy.
 	NeedsTraining() bool
@@ -96,6 +108,13 @@ type Policy interface {
 	Estimate(tr TrainResult, cores int) Decision
 	// StaticThreads is consulted when NeedsTraining is false.
 	StaticThreads(cores int) int
+}
+
+// measuredPolicy is a policy that brings its own kernel execution: the
+// Controller hands it each whole kernel and keeps the run frame
+// (setup, bus and energy accounting, end-of-run checks) for itself.
+type measuredPolicy interface {
+	runKernel(c *thread.Ctx, k Kernel) KernelResult
 }
 
 // --- SAT -------------------------------------------------------------

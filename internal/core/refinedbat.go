@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"fdt/internal/counters"
-	"fdt/internal/machine"
 	"fdt/internal/thread"
 )
 
@@ -20,52 +19,32 @@ import (
 // confirms it: it executes a probe chunk at the predicted size,
 // measures the achieved utilization, and — if the bus is not yet
 // saturated — rescales the prediction by the measured shortfall
-// (P' = P * target/BU(P)), up to Rounds times. Each probe does real
-// work, so the confirmation costs iterations; experiments quantify
-// the trade against plain BAT.
-type RefinedBAT struct {
-	// Rounds bounds the confirmation probes (default 2).
-	Rounds int
-	// TargetUtil is the saturation threshold (default 0.95).
-	TargetUtil float64
-	// ProbeIters is the per-probe chunk length; zero means
-	// max(1, iterations/100).
-	ProbeIters int
-}
+// (P' = P * target/BU(P)), up to refinedRounds times. Each probe does
+// real work, so the confirmation costs iterations; experiments
+// quantify the trade against plain BAT.
+type RefinedBAT struct{}
+
+const (
+	// refinedRounds bounds the confirmation probes.
+	refinedRounds = 2
+	// refinedTargetUtil is the saturation threshold.
+	refinedTargetUtil = 0.95
+)
 
 // Name identifies the policy in reports.
 func (RefinedBAT) Name() string { return "BAT-refined" }
 
-// Run executes the workload under refined BAT. Mirrors
-// Controller.Run's contract.
-func (r RefinedBAT) Run(m *machine.Machine, w Workload) RunResult {
-	res := runWorkload(m, w, r.Name(), r.runKernel)
-	res.BusBusyCycles = m.Ctrs.Counter(counters.BusBusyCycles).Read()
-	return res
-}
-
-func (r RefinedBAT) runKernel(c *thread.Ctx, k Kernel) KernelResult {
+// runKernel trains single-threaded like BAT, confirms the prediction
+// with probe chunks of max(1, iterations/100) iterations, then runs
+// the rest at the confirmed size.
+func (RefinedBAT) runKernel(c *thread.Ctx, k Kernel) KernelResult {
 	m := c.Machine()
 	cores := m.Contexts()
 	n := k.Iterations()
 	start := c.CPU.CycleCount()
 	busCtr := m.Ctrs.Counter(counters.BusBusyCycles)
 
-	rounds := r.Rounds
-	if rounds <= 0 {
-		rounds = 2
-	}
-	target := r.TargetUtil
-	if target <= 0 || target > 1 {
-		target = 0.95
-	}
-	probe := r.ProbeIters
-	if probe <= 0 {
-		probe = n / 100
-		if probe < 1 {
-			probe = 1
-		}
-	}
+	probe := max(1, n/100)
 
 	// Stage 1: BAT's own training — single-threaded, first iteration
 	// is warmup (cf. Controller).
@@ -102,7 +81,7 @@ func (r RefinedBAT) runKernel(c *thread.Ctx, k Kernel) KernelResult {
 		// Stage 2: confirmation probes. A probe must give every
 		// thread several iterations, or the fork/join ramp drowns the
 		// steady-state utilization and the correction overshoots.
-		for round := 0; round < rounds && p < cores; round++ {
+		for round := 0; round < refinedRounds && p < cores; round++ {
 			confIters := probe
 			if minIters := 6 * p; confIters < minIters {
 				confIters = minIters
@@ -111,10 +90,10 @@ func (r RefinedBAT) runKernel(c *thread.Ctx, k Kernel) KernelResult {
 				break
 			}
 			u := measure(p, confIters, &iter)
-			if u >= target || u <= 0 {
+			if u >= refinedTargetUtil || u <= 0 {
 				break
 			}
-			next := int(math.Ceil(float64(p) * target / u))
+			next := int(math.Ceil(float64(p) * refinedTargetUtil / u))
 			if next <= p {
 				break
 			}

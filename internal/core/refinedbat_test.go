@@ -9,7 +9,7 @@ import (
 func TestRefinedBATUnlimitedForComputeBound(t *testing.T) {
 	m := machine.MustNew(machine.DefaultConfig())
 	f := newSynthFactory(2000, 2000, 0, 0)
-	res := RefinedBAT{}.Run(m, f(m))
+	res := NewController(RefinedBAT{}).Run(m, f(m))
 	if got := res.Kernels[0].Decision.Threads; got != 32 {
 		t.Errorf("compute-bound kernel got %d threads, want 32", got)
 	}
@@ -22,7 +22,7 @@ func TestRefinedBATAtLeastPlainBAT(t *testing.T) {
 	mPlain := machine.MustNew(machine.DefaultConfig())
 	plain := NewController(BAT{}).Run(mPlain, f(mPlain))
 	mRef := machine.MustNew(machine.DefaultConfig())
-	refined := RefinedBAT{}.Run(mRef, f(mRef))
+	refined := NewController(RefinedBAT{}).Run(mRef, f(mRef))
 	p, r := plain.Kernels[0].Decision.Threads, refined.Kernels[0].Decision.Threads
 	if r < p {
 		t.Errorf("refined BAT chose %d threads below plain BAT's %d", r, p)
@@ -37,7 +37,7 @@ func TestRefinedBATTrainsMoreThanPlain(t *testing.T) {
 	mPlain := machine.MustNew(machine.DefaultConfig())
 	plain := NewController(BAT{}).Run(mPlain, f(mPlain))
 	mRef := machine.MustNew(machine.DefaultConfig())
-	refined := RefinedBAT{}.Run(mRef, f(mRef))
+	refined := NewController(RefinedBAT{}).Run(mRef, f(mRef))
 	if refined.Kernels[0].TrainIters <= plain.Kernels[0].TrainIters {
 		t.Errorf("refined BAT trained %d iters, plain %d — confirmation probes missing",
 			refined.Kernels[0].TrainIters, plain.Kernels[0].TrainIters)
@@ -57,7 +57,7 @@ func TestRefinedBATCompletesWork(t *testing.T) {
 	m := machine.MustNew(machine.DefaultConfig())
 	f := newSynthFactory(500, 100, 0, 4)
 	w := f(m)
-	RefinedBAT{}.Run(m, w)
+	NewController(RefinedBAT{}).Run(m, w)
 	k := w.Kernels()[0].(*synthKernel)
 	if len(k.chunkTeams) < 2 {
 		t.Errorf("only %d chunks ran", len(k.chunkTeams))

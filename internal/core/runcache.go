@@ -95,14 +95,22 @@ func ConfigKey(cfg machine.Config) string {
 // the given core count. Static counts are normalized (Static{} and
 // Static{N: cores} are the same run); trained policies are identified
 // by name, which is sufficient because RunSpec always trains with
-// DefaultTrainingParams. Custom controllers must not use the cache.
+// DefaultTrainingParams; the tunable measured policies add their
+// tuning. Custom controllers must not use the cache.
 //
 // A memoized RunResult carries the Policy label of whichever
 // equivalent policy simulated first ("static-all" vs "static-32");
 // the label is display-only, every measured quantity is identical.
 func policyKey(pol Policy, cores int) string {
-	if s, ok := pol.(Static); ok {
-		return fmt.Sprintf("static/%d", s.StaticThreads(cores))
+	switch p := pol.(type) {
+	case Static:
+		return fmt.Sprintf("static/%d", p.StaticThreads(cores))
+	case HillClimb:
+		return fmt.Sprintf("policy/hill-climb/%+v", p)
+	case Hybrid:
+		// The seed and the training parameters were once knobs; their
+		// fixed values keep the fragments they rendered as defaults.
+		return fmt.Sprintf("policy/hybrid/seed=combined/%+v|train/%+v", p.HP, TrainingParams{})
 	}
 	return "policy/" + pol.Name()
 }

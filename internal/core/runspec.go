@@ -10,15 +10,13 @@ import (
 	"fdt/internal/runner"
 )
 
-// Control names a run's controller: a model-driven Policy, trained
-// once or, with Monitor set, phase-adaptive; or one of the measured
-// controllers, whose probes time real chunks. Exactly one of Policy,
-// HillClimb and Hybrid is set.
+// Control names a run's controller: a policy plus an optional
+// monitor. A Model policy trains once or, with Monitor set, is
+// phase-adaptive; a measured policy (HillClimb, Hybrid, RefinedBAT)
+// times real chunks and takes no monitor.
 type Control struct {
-	Policy    Policy
-	Monitor   *MonitorParams
-	HillClimb *HillClimb
-	Hybrid    *Hybrid
+	Policy  Policy
+	Monitor *MonitorParams
 }
 
 // ParseController resolves a policy name; it is the one table of names
@@ -40,9 +38,9 @@ func ParseController(name string) (Control, error) {
 		mp := DefaultMonitorParams()
 		return Control{Policy: Combined{}, Monitor: &mp}, nil
 	case "hillclimb", "hill-climb":
-		return Control{HillClimb: &HillClimb{}}, nil
+		return Control{Policy: HillClimb{}}, nil
 	case "hybrid":
-		return Control{Hybrid: &Hybrid{}}, nil
+		return Control{Policy: Hybrid{}}, nil
 	}
 	if rest, ok := strings.CutPrefix(n, "static:"); ok {
 		k, err := strconv.Atoi(rest)
@@ -57,10 +55,6 @@ func ParseController(name string) (Control, error) {
 // Name labels the controller in reports.
 func (c Control) Name() string {
 	switch {
-	case c.HillClimb != nil:
-		return c.HillClimb.Name()
-	case c.Hybrid != nil:
-		return c.Hybrid.Name()
 	case c.Policy == nil:
 		return ""
 	case c.Monitor != nil:
@@ -69,9 +63,13 @@ func (c Control) Name() string {
 	return c.Policy.Name()
 }
 
-func (c Control) measured() bool { return c.HillClimb != nil || c.Hybrid != nil }
+// measured reports whether c's policy times real chunks itself.
+func (c Control) measured() bool {
+	_, ok := c.Policy.(measuredPolicy)
+	return ok
+}
 
-// controller builds the pipeline of a model-driven Control.
+// controller builds the Controller that runs c in mode md.
 func (c Control) controller(md Mode) *Controller {
 	ctl := NewController(c.Policy)
 	ctl.Monitor = c.Monitor
@@ -137,8 +135,10 @@ func (s RunSpec) Validate() error {
 	}
 	for _, c := range ctls {
 		switch {
-		case (c.Policy != nil) == c.measured() || c.HillClimb != nil && c.Hybrid != nil:
-			return errors.New("run needs exactly one controller: a policy, hill-climb or hybrid")
+		case c.Policy == nil:
+			return errors.New("run needs a policy")
+		case c.measured() && c.Monitor != nil:
+			return fmt.Errorf("policy %q takes no monitor (its probes time real chunks)", c.Name())
 		case s.Power != nil && s.Power.Budget < 0:
 			return fmt.Errorf("bad power budget %g (want >= 0; 0 = unconstrained)", s.Power.Budget)
 		case c.measured() && s.dvfs():
@@ -147,8 +147,9 @@ func (s RunSpec) Validate() error {
 			return fmt.Errorf("policy %q does not support co-runs (its probes own the whole machine)", c.Name())
 		case corun && s.dvfs():
 			return errors.New("co-runs do not support a power budget or P-state ladder (per-team power attribution is not modeled)")
-		case c.Hybrid != nil:
-			if err := c.Hybrid.HP.WithDefaults().Validate(); err != nil {
+		}
+		if h, ok := c.Policy.(Hybrid); ok {
+			if err := h.HP.WithDefaults().Validate(); err != nil {
 				return err
 			}
 		}
@@ -169,19 +170,23 @@ func (s RunSpec) ExactNote() string {
 		return "-check forces exact execution (invariant accounting needs every cycle simulated)"
 	case s.Trace:
 		return "-trace forces exact execution (a golden trace must record every event)"
-	case c.HillClimb != nil:
-		return "-policy hillclimb forces exact execution (its probes time real chunks)"
-	case c.Hybrid != nil:
-		return "-policy hybrid forces exact execution (its refinement probes time real chunks)"
+	case c.measured():
+		return "-policy " + c.Name() + " forces exact execution (its probes time real chunks)"
 	case c.Monitor != nil && s.dvfs():
 		return "-policy adaptive forces exact execution under a power budget or P-state ladder (monitor-driven retraining with frequency switching has no sampled-mode audit)"
 	}
 	return ""
 }
 
+// normalized resolves what a run actually executes: a forced-exact
+// run runs exact, and a measured policy's probes run at nominal
+// frequency under no budget, so it drops Power.
 func (s RunSpec) normalized() RunSpec {
 	if s.ExactNote() != "" {
 		s.Mode = ExactMode()
+	}
+	if s.Control.measured() {
+		s.Power = nil
 	}
 	return s
 }
@@ -218,18 +223,7 @@ func (s RunSpec) key() string {
 		return s.teamsKey()
 	}
 	c := s.Control
-	prefix := ConfigKey(s.Cfg) + "|" + s.Workload + "|"
-	switch {
-	case c.HillClimb != nil:
-		return prefix + fmt.Sprintf("policy/hill-climb/%+v", *c.HillClimb)
-	case c.Hybrid != nil:
-		seed := "combined"
-		if c.Hybrid.Policy != nil {
-			seed = c.Hybrid.Policy.Name()
-		}
-		return prefix + fmt.Sprintf("policy/hybrid/seed=%s/%+v|train/%+v", seed, c.Hybrid.HP, c.Hybrid.Params)
-	}
-	key := prefix + policyKey(c.Policy, machineContexts(s.Cfg))
+	key := ConfigKey(s.Cfg) + "|" + s.Workload + "|" + policyKey(c.Policy, machineContexts(s.Cfg))
 	if c.Monitor != nil {
 		key += fmt.Sprintf("|monitor/%+v", *c.Monitor)
 	}
@@ -259,16 +253,9 @@ func (s RunSpec) RunOn(m *machine.Machine) RunResult {
 	if len(s.Teams) > 0 {
 		return s.runTeams(m)
 	}
-	w := s.Factory(m)
-	switch c := s.Control; {
-	case c.HillClimb != nil:
-		return c.HillClimb.Run(m, w)
-	case c.Hybrid != nil:
-		return c.Hybrid.Run(m, w)
-	}
 	ctl := s.Control.controller(s.Mode)
 	ctl.Power = s.Power
-	return ctl.Run(m, w)
+	return ctl.Run(m, s.Factory(m))
 }
 
 // RunPolicy runs the workload under a policy on a fresh machine.

@@ -42,7 +42,7 @@ type Sampler struct {
 // first iteration runs against cold caches and serves as warmup).
 // Training stops early once every measurement the policy wants is
 // stable or excluded — SAT's stability window, BAT's early-out.
-func (s Sampler) Sample(c *thread.Ctx, k Kernel, pol Policy, lo, hi int) SampleOutcome {
+func (s Sampler) Sample(c *thread.Ctx, k Kernel, pol Model, lo, hi int) SampleOutcome {
 	m := c.Machine()
 	cores := c.TeamSize()
 	span := hi - lo

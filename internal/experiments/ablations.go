@@ -142,7 +142,7 @@ func AblationTrainingOverhead(o Options) Ablation {
 	a := Ablation{Title: "FDT training vs hill-climbing allocation search"}
 	for _, name := range []string{"pagemine", "ed", "bscholes"} {
 		fdt := o.run(name, core.Control{Policy: core.Combined{}})
-		hc := o.run(name, core.Control{HillClimb: &core.HillClimb{}})
+		hc := o.run(name, core.Control{Policy: core.HillClimb{}})
 		a.Rows = append(a.Rows,
 			AblationRow{
 				Config: "FDT (SAT+BAT)", Workload: name,
@@ -168,8 +168,7 @@ func AblationRefinedBAT(o Options) Ablation {
 	a := Ablation{Title: "BAT vs refined BAT (future work, Section 9)"}
 	for _, name := range []string{"ed", "convert", "transpose"} {
 		plain := o.run(name, core.Control{Policy: core.BAT{}})
-		m := machine.MustNew(o.Cfg)
-		refined := core.RefinedBAT{}.Run(m, factory(name)(m))
+		refined := o.run(name, core.Control{Policy: core.RefinedBAT{}})
 		a.Rows = append(a.Rows,
 			AblationRow{
 				Config: "BAT", Workload: name,

@@ -19,7 +19,9 @@ func TestAdaptiveRedecidesAtPhaseBoundaries(t *testing.T) {
 
 	m := machine.MustNew(o.Cfg)
 	w := factory("phaseshift")(m)
-	ad := core.NewAdaptiveController(core.Combined{}, mp).Run(m, w)
+	ctl := core.NewController(core.Combined{})
+	ctl.Monitor = &mp
+	ad := ctl.Run(m, w)
 	if err := w.(interface{ Verify() error }).Verify(); err != nil {
 		t.Fatalf("adaptive run computed a wrong result: %v", err)
 	}

@@ -34,18 +34,27 @@ func runChecked(t *testing.T, cores int, ctl *core.Controller, workload string) 
 
 func policies() map[string]func() *core.Controller {
 	return map[string]func() *core.Controller{
-		"serial":  func() *core.Controller { return core.NewController(core.Static{N: 1}) },
-		"SAT":     func() *core.Controller { return core.NewController(core.SAT{}) },
-		"BAT":     func() *core.Controller { return core.NewController(core.BAT{}) },
-		"SAT+BAT": func() *core.Controller { return core.NewController(core.Combined{}) },
-		"adaptive": func() *core.Controller {
-			return core.NewAdaptiveController(core.Combined{}, core.DefaultMonitorParams())
-		},
+		"serial":      func() *core.Controller { return core.NewController(core.Static{N: 1}) },
+		"SAT":         func() *core.Controller { return core.NewController(core.SAT{}) },
+		"BAT":         func() *core.Controller { return core.NewController(core.BAT{}) },
+		"SAT+BAT":     func() *core.Controller { return core.NewController(core.Combined{}) },
+		"adaptive":    adaptive,
+		"hill-climb":  func() *core.Controller { return core.NewController(core.HillClimb{}) },
+		"hybrid":      func() *core.Controller { return core.NewController(core.Hybrid{}) },
+		"BAT-refined": func() *core.Controller { return core.NewController(core.RefinedBAT{}) },
 	}
 }
 
+func adaptive() *core.Controller {
+	ctl := core.NewController(core.Combined{})
+	mp := core.DefaultMonitorParams()
+	ctl.Monitor = &mp
+	return ctl
+}
+
 // TestMatrixZeroViolations is the acceptance matrix: 12 workloads x
-// {serial, SAT, BAT, SAT+BAT, adaptive}, zero violations everywhere.
+// {serial, SAT, BAT, SAT+BAT, adaptive, hill-climb, hybrid,
+// BAT-refined}, zero violations everywhere.
 func TestMatrixZeroViolations(t *testing.T) {
 	pols := policies()
 	for _, info := range workloads.All() {
@@ -68,8 +77,7 @@ func TestMatrixZeroViolations(t *testing.T) {
 // (beyond Table 2) under the adaptive controller: retraining must not
 // unbalance any ledger or queue audit.
 func TestMatrixAdaptivePhaseShift(t *testing.T) {
-	ck := runChecked(t, 16,
-		core.NewAdaptiveController(core.Combined{}, core.DefaultMonitorParams()), "phaseshift")
+	ck := runChecked(t, 16, adaptive(), "phaseshift")
 	if err := ck.Err(); err != nil {
 		t.Fatal(err)
 	}

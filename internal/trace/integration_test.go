@@ -24,7 +24,10 @@ func runPhaseShift(p workloads.PhaseShiftParams, mask trace.Category, capacity i
 	tr := trace.New(capacity, mask)
 	m.AttachTracer(tr)
 	w := workloads.NewPhaseShift(m, p)
-	res := core.NewAdaptiveController(core.Combined{}, core.DefaultMonitorParams()).Run(m, w)
+	ctl := core.NewController(core.Combined{})
+	mp := core.DefaultMonitorParams()
+	ctl.Monitor = &mp
+	res := ctl.Run(m, w)
 	return tr, res
 }
 

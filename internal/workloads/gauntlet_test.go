@@ -141,7 +141,7 @@ func FuzzGauntlet(f *testing.F) {
 
 		m2 := machine.MustNew(cfg)
 		w2 := NewAdversary(m2, p)
-		core.Hybrid{}.Run(m2, w2)
+		core.NewController(core.Hybrid{}).Run(m2, w2)
 		if err := w2.Verify(); err != nil {
 			t.Fatalf("hybrid: %v", err)
 		}

@@ -349,7 +349,9 @@ func TestPhaseShiftVerifies(t *testing.T) {
 	w := NewPhaseShift(m, small)
 	mp := core.DefaultMonitorParams()
 	mp.Interval = 8
-	core.NewAdaptiveController(core.Combined{}, mp).Run(m, w)
+	ctl := core.NewController(core.Combined{})
+	ctl.Monitor = &mp
+	ctl.Run(m, w)
 	if err := w.Verify(); err != nil {
 		t.Errorf("under adaptive FDT: %v", err)
 	}
