@@ -7,8 +7,9 @@ package sim
 // drains that list until every worker has finished — so any panic or
 // stuck run the fuzzer finds is an engine bug, not a bad program. The
 // kernel's contracts are then checked directly: dispatch times never
-// go backwards, and the same program replayed gives the identical
-// event count and final clock (determinism).
+// go backwards, Events() counts every dispatch, and the same program
+// replayed gives the identical event count and final clock
+// (determinism).
 
 import (
 	"fmt"
@@ -37,28 +38,14 @@ func decodeProgram(data []byte) fuzzProgram {
 	return p
 }
 
-// runProgram executes the decoded program on a fresh engine and
-// returns (events dispatched, final clock).
-func runProgram(t *testing.T, p fuzzProgram) (uint64, uint64) {
-	t.Helper()
-	e := NewEngine()
-
-	// The hook runs on process goroutines, where t.Fatalf is illegal:
-	// record the first violation and report it once Run has returned.
-	var lastDispatch uint64
-	var backwards string
-	e.stepHook = func(now uint64, _ *Proc) {
-		if now < lastDispatch && backwards == "" {
-			backwards = fmt.Sprintf("dispatch time went backwards: %d after %d", now, lastDispatch)
-		}
-		lastDispatch = now
-	}
-
-	done := 0
+// spawnProgram spawns the decoded program's workers and master on e
+// and returns the count of workers that have finished.
+func spawnProgram(e *Engine, p fuzzProgram) *int {
+	done := new(int)
 	var wantWake []*Proc
 	for w := 0; w < p.workers; w++ {
 		ops := p.ops[w]
-		e.Spawn("worker", func(proc *Proc) {
+		e.Spawn(fmt.Sprintf("worker%d", w), func(proc *Proc) {
 			for _, b := range ops {
 				switch b % 4 {
 				case 0:
@@ -76,11 +63,11 @@ func runProgram(t *testing.T, p fuzzProgram) (uint64, uint64) {
 					proc.Advance(uint64(b) * 97)
 				}
 			}
-			done++
+			*done++
 		})
 	}
 	e.Spawn("master", func(proc *Proc) {
-		for done < p.workers {
+		for *done < p.workers {
 			if len(wantWake) > 0 {
 				q := wantWake[0]
 				wantWake = wantWake[1:]
@@ -91,26 +78,59 @@ func runProgram(t *testing.T, p fuzzProgram) (uint64, uint64) {
 			proc.Advance(1)
 		}
 	})
+	return done
+}
+
+// runProgram executes the decoded program on a fresh engine and
+// returns (events dispatched, final clock).
+func runProgram(t *testing.T, p fuzzProgram) (uint64, uint64) {
+	t.Helper()
+	e := NewEngine()
+
+	// The hook runs on process goroutines, where t.Fatalf is illegal:
+	// record the first violation and report it once Run has returned.
+	var lastDispatch, hooks uint64
+	var backwards string
+	e.stepHook = func(now uint64, _ *Proc) {
+		if now < lastDispatch && backwards == "" {
+			backwards = fmt.Sprintf("dispatch time went backwards: %d after %d", now, lastDispatch)
+		}
+		lastDispatch = now
+		hooks++
+	}
+
+	done := spawnProgram(e, p)
 	e.Run()
 
 	if backwards != "" {
 		t.Fatal(backwards)
 	}
-	if done != p.workers {
-		t.Fatalf("%d of %d workers finished", done, p.workers)
+	if *done != p.workers {
+		t.Fatalf("%d of %d workers finished", *done, p.workers)
 	}
 	if e.Live() != 0 {
 		t.Fatalf("%d processes still live after Run", e.Live())
 	}
+	if e.Events() != hooks {
+		t.Fatalf("Events() = %d, but the step hook saw %d dispatches", e.Events(), hooks)
+	}
 	return e.Events(), e.Now()
 }
 
+// fuzzSeeds is FuzzEngine's inline seed corpus; the dispatch-order
+// golden replays it along with the files under testdata/fuzz.
+var fuzzSeeds = [][]byte{
+	{},
+	{0},
+	{3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2},
+	{7, 2, 2, 2, 2, 2, 2, 2, 2},
+	{1, 0, 4, 8, 12, 255, 251, 2, 6},
+}
+
 func FuzzEngine(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0})
-	f.Add([]byte{3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2})
-	f.Add([]byte{7, 2, 2, 2, 2, 2, 2, 2, 2})
-	f.Add([]byte{1, 0, 4, 8, 12, 255, 251, 2, 6})
+	for _, seed := range fuzzSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodeProgram(data)
 		events1, now1 := runProgram(t, p)

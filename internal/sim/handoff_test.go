@@ -302,10 +302,11 @@ func TestRunOnAnotherGoroutine(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// BenchmarkEngineHandoff measures the kernel's per-event cost on its
-// two handoff paths: a coroutine resume that switches from one process
-// to another through Run, and a process that is its own successor and
-// never switches.
+// BenchmarkEngineHandoff measures the kernel's per-event cost on three
+// schedules: pingpong switches between two processes on every event,
+// solo is one process that is always its own successor, and ring8 is
+// eight processes that advance round-robin, the shape of an 8-thread
+// lockstep team, so every event hands off to a third process.
 func BenchmarkEngineHandoff(b *testing.B) {
 	b.Run("pingpong", func(b *testing.B) {
 		e := NewEngine()
@@ -331,6 +332,19 @@ func BenchmarkEngineHandoff(b *testing.B) {
 				p.Advance(1)
 			}
 		})
+		b.ResetTimer()
+		e.Run()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.Events()), "ns/event")
+	})
+	b.Run("ring8", func(b *testing.B) {
+		e := NewEngine()
+		for i := 0; i < 8; i++ {
+			e.Spawn(fmt.Sprintf("ring%d", i), func(p *Proc) {
+				for j := 0; j < b.N/8+1; j++ {
+					p.Advance(1)
+				}
+			})
+		}
 		b.ResetTimer()
 		e.Run()
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.Events()), "ns/event")

@@ -64,17 +64,7 @@ func TestStressManyProcsAndResources(t *testing.T) {
 func TestStressDeterministicUnderContention(t *testing.T) {
 	run := func() uint64 {
 		e := NewEngine()
-		r := NewResource("bus")
-		for i := 0; i < 64; i++ {
-			i := i
-			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-				p.Advance(uint64(i % 9))
-				for j := 0; j < 5; j++ {
-					r.AcquireAndHold(p, 8)
-					p.Advance(uint64((i + j) % 11))
-				}
-			})
-		}
+		spawnContention(e)
 		e.Run()
 		return e.Now()
 	}
@@ -83,5 +73,20 @@ func TestStressDeterministicUnderContention(t *testing.T) {
 		if got := run(); got != first {
 			t.Fatalf("run %d ended at %d, first at %d", i, got, first)
 		}
+	}
+}
+
+// spawnContention spawns 64 processes that take turns on one shared
+// bus resource with staggered think times.
+func spawnContention(e *Engine) {
+	r := NewResource("bus")
+	for i := 0; i < 64; i++ {
+		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			p.Advance(uint64(i % 9))
+			for j := 0; j < 5; j++ {
+				r.AcquireAndHold(p, 8)
+				p.Advance(uint64((i + j) % 11))
+			}
+		})
 	}
 }
