@@ -1,7 +1,9 @@
-//go:build go1.23
+//go:build go1.24
 
-// Processes are iter.Pull coroutines (Go 1.23); go.mod stays at go 1.22
-// so the cmd/fdtbench module, which pins go 1.22, still builds.
+// The handoff calls one coroutine's yield from another goroutine, which
+// iter.Pull allows as of Go 1.24 (see the package comment); go.mod stays
+// at go 1.22 so the cmd/fdtbench module, which pins go 1.22, still
+// builds.
 
 // Package sim implements a deterministic, process-oriented
 // discrete-event simulation kernel.
@@ -17,18 +19,31 @@
 // higher layers (internal/mem, internal/cpu) and are expressed purely
 // in terms of WaitUntil/Park/Wake.
 //
-// Each process body runs as a runtime coroutine (iter.Pull), and only
-// Run resumes them, one at a time. A process that waits picks its own
-// successor from the queue: if that is itself it keeps running with no
-// switch at all, otherwise it records the successor and suspends, and
-// Run resumes the successor next. A coroutine switch hands the thread
-// over directly, with no channel operation and no trip through the
-// goroutine scheduler.
+// A process that waits picks its own successor from the queue. When it
+// is still the earliest it keeps running with no switch and no queue
+// traffic at all: WaitUntil just moves the clock. When the heap's top
+// event runs next, the waiting process's event replaces it in place.
+// Otherwise the process resumes its successor's goroutine directly,
+// with one coroutine switch and no trip through Run or the goroutine
+// scheduler.
+//
+// Each process body runs as a runtime coroutine (iter.Pull). A
+// coroutine is a slot that holds exactly one suspended goroutine:
+// calling its next or its yield, from any goroutine, parks the caller
+// in the slot and resumes the goroutine that was there. The engine
+// records, for every suspended goroutine (each process's and Run's),
+// the slot it sits in and whether it is blocked in that slot's next or
+// its yield, and resumes it by calling the other one. This calls one
+// coroutine's yield from a goroutine other than the coroutine's own,
+// which iter.Pull permits on Go 1.24 without any linkname; the file
+// carries a go1.24 build constraint for it. A process that exits wakes
+// whichever goroutine sits in its slot, and that goroutine passes
+// control on to the successor the exiting process chose.
 //
 // One Engine simulates one execution as a single thread of control:
-// Run and the coroutines it resumes never run at once, and Run may be
-// called from any goroutine. An Engine is not safe for concurrent use.
-// Host-level parallelism belongs one layer up (internal/runner), across
+// Run and the processes never run at once, and Run may be called from
+// any goroutine. An Engine is not safe for concurrent use. Host-level
+// parallelism belongs one layer up (internal/runner), across
 // independent engines.
 package sim
 
@@ -65,17 +80,19 @@ type Engine struct {
 	dispatched uint64
 	live       map[*Proc]struct{}
 	fault      *procFault
-	// succ is the process Run resumes next, recorded by the process
-	// that just suspended or returned; nil when the queue drained or a
-	// body panicked.
-	succ *Proc
+	// run is the goroutine that called Run, while another one runs.
+	run thread
+	// want is the goroutine an exiting process hands control to: its
+	// dispatched successor, or Run's when the queue drained or the
+	// body panicked. The goroutine its exit wakes passes control on.
+	want *thread
 	// stepHook, when non-nil, is invoked before each event dispatch,
-	// from Run or from a process that is its own successor. Used by
-	// tests to observe scheduling order.
+	// on the goroutine that picked the event. Used by tests to observe
+	// scheduling order.
 	stepHook func(t uint64, p *Proc)
 	// tracer receives kernel-level trace events (dispatches, blocked
 	// spans) when simTrace is set; the cached boolean keeps the
-	// disabled case a single predictable branch in the dispatch loop.
+	// disabled case a single predictable branch in the dispatch path.
 	tracer   *trace.Tracer
 	simTrace bool
 }
@@ -124,7 +141,7 @@ func (e *Engine) Events() uint64 { return e.dispatched }
 // tracer's mask the engine emits a "dispatch" instant per delivered
 // event and a "blocked" span per Park/Wake pair, each on a track named
 // after the process. A nil tracer (or a mask without CatSim) keeps
-// the dispatch loop's tracing cost at one always-false branch.
+// the dispatch path's tracing cost at one always-false branch.
 func (e *Engine) SetTracer(t *trace.Tracer) {
 	e.tracer = t
 	e.simTrace = t.Wants(trace.CatSim)
@@ -203,6 +220,15 @@ func (h *eventHeap) pop() event {
 	return ev
 }
 
+// replaceTop returns the earliest event and puts ev in its place with
+// one sift-down: a push and a pop folded into one.
+func (h eventHeap) replaceTop(ev event) event {
+	top := h[0]
+	h[0] = ev
+	h.down(0)
+	return top
+}
+
 // schedule queues p to run at cycle t. Events at the current cycle
 // take the FIFO fast path; only genuinely future events pay for heap
 // maintenance. Spawn-before-Run schedules (now == 0, nothing
@@ -219,31 +245,85 @@ func (e *Engine) schedule(t uint64, p *Proc) {
 // next pops the earliest pending process, advancing the clock when the
 // current cycle drains. It returns nil when no events remain.
 func (e *Engine) next() *Proc {
-	for {
-		if e.curHead < len(e.cur) {
-			p := e.cur[e.curHead]
-			e.cur[e.curHead] = nil // release for GC
-			e.curHead++
-			return p
-		}
+	if e.curHead == len(e.cur) {
 		if len(e.events) == 0 {
 			return nil
 		}
-		// The current cycle is exhausted: advance to the earliest
-		// future time and move every event at that time into the FIFO
-		// (heap pops yield them in seq order, preserving the global
-		// (t, seq) dispatch order of the original design).
-		e.cur = e.cur[:0]
-		e.curHead = 0
-		t := e.events[0].t
-		if t < e.now {
-			panic("sim: event queue went backwards")
+		e.cur, e.curHead = e.cur[:0], 0
+		return e.advance(e.events.pop())
+	}
+	p := e.cur[e.curHead]
+	e.cur[e.curHead] = nil // release for GC
+	e.curHead++
+	return p
+}
+
+// advance moves the clock to ev, the event just taken off the heap top
+// while the cur FIFO is empty, moves every other event at that cycle
+// into the FIFO (heap pops yield them in seq order, preserving the
+// global (t, seq) dispatch order), and returns ev's process.
+func (e *Engine) advance(ev event) *Proc {
+	if ev.t < e.now {
+		panic("sim: event queue went backwards")
+	}
+	e.now = ev.t
+	for len(e.events) > 0 && e.events[0].t == ev.t {
+		e.cur = append(e.cur, e.events.pop().p)
+	}
+	return ev.p
+}
+
+// thread is one goroutine the engine hands control between: a
+// process's body or Run's caller. While the goroutine is suspended,
+// slot is the process whose coroutine holds it and inNext tells
+// whether it is blocked in that coroutine's next (resume) or in its
+// yield (or has not started); the goroutine is resumed through the
+// other one. slot is nil while the goroutine runs.
+type thread struct {
+	slot   *Proc
+	inNext bool
+	// released is set by an aborted Run before it stops the process;
+	// from then on the process only unwinds.
+	released bool
+}
+
+// transfer suspends the running goroutine, recorded by from, and
+// resumes the one recorded by to. It returns once from runs again:
+// either a handoff resumed it (and cleared from.slot), or the process
+// owning the slot it sat in exited and chose from as its successor.
+// When that process chose another successor, from passes control on;
+// when an aborted Run stopped the slot or released from, from unwinds.
+func (e *Engine) transfer(from, to *thread) {
+	for {
+		s := to.slot
+		to.slot = nil
+		from.slot, from.inNext = s, !to.inNext
+		if to.inNext {
+			s.yield(struct{}{})
+		} else {
+			s.resume()
 		}
-		e.now = t
-		for len(e.events) > 0 && e.events[0].t == t {
-			e.cur = append(e.cur, e.events.pop().p)
+		if from.slot == nil {
+			return
+		}
+		from.slot = nil
+		if from.released {
+			panic(releasedPanic{})
+		}
+		if to, e.want = e.want, nil; to == from {
+			return
 		}
 	}
+}
+
+// successor dispatches q and returns its goroutine, or Run's when q is
+// nil (the queue drained).
+func (e *Engine) successor(q *Proc) *thread {
+	if q == nil {
+		return &e.run
+	}
+	e.dispatch(q)
+	return &q.thread
 }
 
 // Proc is a simulated process: a coroutine that cooperates with the
@@ -251,19 +331,17 @@ func (e *Engine) next() *Proc {
 // must be called from the process's own body function, except Wake,
 // which is called by whichever process is currently running.
 type Proc struct {
+	thread
 	eng  *Engine
 	name string
-	// resume runs the process until it next suspends or returns; stop
-	// releases it after an aborted Run. Both come from iter.Pull and
-	// are only called by Run. yield suspends the process back to Run;
-	// it reports false once the process has been released.
+	// resume, yield and stop are the process's coroutine slot, from
+	// iter.Pull: resume and yield switch whichever goroutine calls them
+	// with the one the slot holds (see thread), and stop releases the
+	// slot after an aborted Run. yield is set once the body starts.
 	resume func() (struct{}, bool)
-	stop   func()
 	yield  func(struct{}) bool
-	// released is set by an aborted Run before it stops the process;
-	// from then on the process only unwinds.
-	released bool
-	parked   bool
+	stop   func()
+	parked bool
 	// track and parkedAt support kernel-level tracing; both are
 	// maintained only while the engine's simTrace flag is set.
 	track    trace.TrackID
@@ -281,9 +359,8 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Now() uint64 { return p.eng.now }
 
 // Spawn creates a process that will first run at the current simulated
-// time. The body runs as a coroutine that only Run resumes, one
-// process at a time, so body code may freely touch shared model state
-// without host-level locking.
+// time. The body runs as a coroutine, one process at a time, so body
+// code may freely touch shared model state without host-level locking.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name}
 	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
@@ -291,6 +368,7 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 		defer p.exit()
 		body(p)
 	})
+	p.slot = p // the slot holds the body's goroutine, not yet started
 	if e.simTrace {
 		p.track = e.tracer.Track(name)
 	}
@@ -299,9 +377,8 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 	return p
 }
 
-// dispatch does the accounting for delivering the next event to p. It
-// runs in Run before p is resumed, or in p itself when p is its own
-// successor and keeps running.
+// dispatch does the accounting for delivering the next event to p, on
+// the goroutine that picked p just before p runs.
 func (e *Engine) dispatch(p *Proc) {
 	e.dispatched++
 	if e.stepHook != nil {
@@ -314,21 +391,11 @@ func (e *Engine) dispatch(p *Proc) {
 	}
 }
 
-// suspend gives up the processor after the process has queued itself
-// or parked, and returns when the process is dispatched again. If the
-// process is its own successor it is dispatched here and keeps
-// running; otherwise it records its successor for Run and yields.
-func (p *Proc) suspend() {
+// handoff gives up the processor to q, or to Run when q is nil, and
+// returns when p is dispatched again.
+func (p *Proc) handoff(q *Proc) {
 	e := p.eng
-	q := e.next()
-	if q == p {
-		e.dispatch(p)
-		return
-	}
-	e.succ = q
-	if !p.yield(struct{}{}) {
-		panic(releasedPanic{})
-	}
+	e.transfer(&p.thread, e.successor(q))
 }
 
 // checkLive panics with the release sentinel if an aborted Run has
@@ -340,11 +407,12 @@ func (p *Proc) checkLive() {
 	}
 }
 
-// exit ends the process. A normal return picks the successor for Run;
-// a panic is recorded for Run, which re-raises it on the caller's
+// exit ends the process. A normal return dispatches the successor; a
+// panic is recorded for Run, which re-raises it on the caller's
 // goroutine with the process name instead of crashing the host
-// process; a process released by an aborted Run has finished
-// unwinding, and neither dispatches nor touches the queue.
+// process. Either way the goroutine the exit wakes hands control to
+// e.want. A process released by an aborted Run has finished unwinding,
+// and neither dispatches nor touches the queue.
 func (p *Proc) exit() {
 	e := p.eng
 	r := recover()
@@ -353,8 +421,9 @@ func (p *Proc) exit() {
 	case p.released:
 	case r != nil:
 		e.fault = &procFault{proc: p, value: r}
+		e.want = &e.run
 	default:
-		e.succ = e.next()
+		e.want = e.successor(e.next())
 	}
 }
 
@@ -362,13 +431,31 @@ func (p *Proc) exit() {
 // Waiting for a time in the past (t <= now) re-queues the process at
 // the current time, which still yields to any already-pending events
 // at this cycle.
+//
+// Only the dispatch order matters, so the queue is touched no more than
+// that order needs. With events still pending at this cycle, p queues
+// behind them. Otherwise, if nothing is pending at or before t, p stays
+// the earliest and keeps running at t; if the heap's top event is due
+// first, p's event takes its place.
 func (p *Proc) WaitUntil(t uint64) {
 	p.checkLive()
-	if t < p.eng.now {
-		t = p.eng.now
+	e := p.eng
+	if t < e.now {
+		t = e.now
 	}
-	p.eng.schedule(t, p)
-	p.suspend()
+	if e.curHead < len(e.cur) {
+		e.schedule(t, p)
+		p.handoff(e.next())
+		return
+	}
+	e.cur, e.curHead = e.cur[:0], 0
+	if len(e.events) == 0 || t < e.events[0].t {
+		e.now = t
+		e.dispatch(p)
+		return
+	}
+	e.seq++
+	p.handoff(e.advance(e.events.replaceTop(event{t: t, seq: e.seq, p: p})))
 }
 
 // Advance blocks the process for d cycles.
@@ -388,7 +475,7 @@ func (p *Proc) Park() {
 	if p.eng.simTrace {
 		p.parkedAt = p.eng.now
 	}
-	p.suspend()
+	p.handoff(p.eng.next())
 }
 
 // Wake schedules a parked process q to resume at the current simulated
@@ -421,13 +508,12 @@ func (e *Engine) wake(q *Proc) {
 // panics, naming the process, or if live processes remain parked with
 // an empty event queue (model deadlock), naming the stuck processes.
 // Either way the remaining processes are released first, so an aborted
-// Run leaks no goroutines. Run resumes one process at a time; each
-// runs until it suspends or returns, having recorded its successor.
+// Run leaks no goroutines. Run hands control to the first process;
+// from then on the processes hand it to each other, and it comes back
+// to Run once the queue drains or a body panics.
 func (e *Engine) Run() {
-	for q := e.next(); q != nil; q = e.succ {
-		e.dispatch(q)
-		e.succ = nil
-		q.resume()
+	if q := e.next(); q != nil {
+		e.transfer(&e.run, e.successor(q))
 	}
 	if f := e.fault; f != nil {
 		e.fault = nil
@@ -445,11 +531,14 @@ func (e *Engine) Run() {
 	}
 }
 
-// abort releases every live process after a failed Run. A process that
-// never started is dropped without running; a suspended one sees its
-// yield fail and unwinds through releasedPanic, so its deferred calls
-// run, one process at a time while Run waits. The queue is cleared
-// with them.
+// abort releases every live process after a failed Run, each through
+// the coroutine slot its goroutine sits in. Stopping a slot resumes the
+// goroutine in it: a process that never started is dropped without
+// running, and a suspended one unwinds through releasedPanic, so its
+// deferred calls run. Its exit wakes the goroutine in its own slot,
+// which unwinds in turn, until the chain reaches the slot's owner and
+// control returns here; one chain at a time, so the processes unwind
+// one at a time. The queue is cleared with them.
 func (e *Engine) abort() {
 	procs := make([]*Proc, 0, len(e.live))
 	for p := range e.live {
@@ -457,8 +546,10 @@ func (e *Engine) abort() {
 		procs = append(procs, p)
 	}
 	for _, p := range procs {
-		p.stop()
-		delete(e.live, p)
+		if _, ok := e.live[p]; ok {
+			p.slot.stop()
+			delete(e.live, p)
+		}
 	}
 	clear(e.cur)
 	e.cur = e.cur[:0]
