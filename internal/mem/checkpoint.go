@@ -81,18 +81,26 @@ type DirEntryState struct {
 
 // State captures the directory's entry table.
 func (d *Directory) State() map[uint64]DirEntryState {
-	st := make(map[uint64]DirEntryState, len(d.entries))
-	for line, e := range d.entries {
-		st[line] = DirEntryState{Sharers: e.sharers, Owner: e.owner, Modified: e.modified}
-	}
+	st := make(map[uint64]DirEntryState, d.n)
+	d.ForEach(func(line, sharers uint64, owner int, modified bool) {
+		st[line] = DirEntryState{Sharers: sharers, Owner: owner, Modified: modified}
+	})
 	return st
 }
 
 // Restore overwrites the directory's entry table from a checkpoint.
 func (d *Directory) Restore(st map[uint64]DirEntryState) {
-	d.entries = make(map[uint64]dirEntry, len(st))
+	size := dirInitialSlots
+	for 4*len(st) > 3*size {
+		size *= 2
+	}
+	d.reset(size)
 	for line, e := range st {
-		d.entries[line] = dirEntry{sharers: e.Sharers, owner: e.Owner, modified: e.Modified}
+		if e.Owner < 0 || e.Owner >= 64 {
+			panic(fmt.Sprintf("mem: restoring directory line %#x owned by core %d", line, e.Owner))
+		}
+		s := d.entry(line)
+		s.sharers, s.owner, s.modified = e.Sharers, uint8(e.Owner), e.Modified
 	}
 }
 

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"fdt/internal/counters"
 	"fdt/internal/invariant"
@@ -431,7 +432,8 @@ func (s *System) postOwnership(now uint64, pt *Port, addr, line uint64, tc *Team
 	if cfg.ModelCoherence {
 		invalidate, needWB, owner := s.Dir.WriteMiss(line, pt.core)
 		var worst uint64
-		for _, c := range invalidate {
+		for ; invalidate != 0; invalidate &= invalidate - 1 {
+			c := bits.TrailingZeros64(invalidate)
 			if d := 2 * s.Ring.CoreToBank(c, bank); d > worst {
 				worst = d
 			}
@@ -500,7 +502,8 @@ func (s *System) sharedAccess(p *sim.Proc, pt *Port, addr, line uint64, write bo
 		if write {
 			invalidate, needWB, owner := s.Dir.WriteMiss(line, pt.core)
 			var worst uint64
-			for _, c := range invalidate {
+			for ; invalidate != 0; invalidate &= invalidate - 1 {
+				c := bits.TrailingZeros64(invalidate)
 				if d := 2 * s.Ring.CoreToBank(c, bank); d > worst {
 					worst = d
 				}
@@ -559,8 +562,8 @@ func (s *System) insertL3(now uint64, bank int, line uint64, dirty bool, tc *Tea
 		return
 	}
 	if s.Cfg.ModelCoherence {
-		for _, h := range s.Dir.Drop(victim) {
-			op := s.ports[h]
+		for holders := s.Dir.Drop(victim); holders != 0; holders &= holders - 1 {
+			op := s.ports[bits.TrailingZeros64(holders)]
 			op.l1.Invalidate(victim)
 			if _, wasDirty := op.l2.Invalidate(victim); wasDirty {
 				victimDirty = true
