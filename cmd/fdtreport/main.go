@@ -81,26 +81,38 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// served over HTTP run the same code path and share cache/store
 	// entries. Only the interference entry is overridden, to apply the
 	// CLI-only -corun / -mapping restrictions (nil keeps the family's
-	// defaults), which are checked before anything runs.
+	// defaults). Its co-runs are checked before anything runs: if one
+	// cannot run (co-runs do not support a power budget or P-state
+	// ladder), asking for the family or restricting it exits 2, and a
+	// full run prints the reason as a one-line note in its place.
 	runners := experiments.Registry(o)
 	restricted := fl.Pair != nil || fl.Mappings != nil
 	var pairs [][2]string
 	if fl.Pair != nil {
 		pairs = [][2]string{{fl.Pair[0].Name, fl.Pair[1].Name}}
 	}
-	if restricted {
-		if err := experiments.ValidateInterference(o, pairs, fl.Mappings); err != nil {
+	want := strings.ToLower(strings.TrimSpace(*only))
+	if want == "" && restricted {
+		// A pair or mapping restriction only affects the interference
+		// family; don't re-run everything else around it.
+		want = "interference"
+	}
+	interference := func() (string, string, any) {
+		f := experiments.RunInterferencePairs(o, pairs, fl.Mappings)
+		return f.String(), f.CSV(), f
+	}
+	if err := experiments.ValidateInterference(o, pairs, fl.Mappings); err != nil {
+		if restricted || want == "interference" {
 			fmt.Fprintln(stderr, "fdtreport:", err)
 			return 2
 		}
-		for i := range runners {
-			if runners[i].Name != "interference" {
-				continue
-			}
-			runners[i].Run = func() (string, string, any) {
-				f := experiments.RunInterferencePairs(o, pairs, fl.Mappings)
-				return f.String(), f.CSV(), f
-			}
+		interference = func() (string, string, any) {
+			return "Co-runner interference: skipped: " + err.Error(), "", nil
+		}
+	}
+	for i := range runners {
+		if runners[i].Name == "interference" {
+			runners[i].Run = interference
 		}
 	}
 
@@ -127,12 +139,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	want := strings.ToLower(strings.TrimSpace(*only))
-	if want == "" && restricted {
-		// A pair or mapping restriction only affects the interference
-		// family; don't re-run everything else around it.
-		want = "interference"
-	}
 	found := false
 	for _, r := range runners {
 		if want != "" && r.Name != want {

@@ -21,6 +21,8 @@ func TestBadInvocations(t *testing.T) {
 		{"-mapping", "nosuch"},
 		{"-corun", "pagemine+mg", "-mapping", "smt"}, // 1 SMT plane, 2 teams
 		{"-corun", "pagemine+mg", "-power-budget", "5"},
+		{"-only", "interference", "-power-budget", "5"}, // co-runs reject DVFS
+		{"-only", "interference", "-freq-ladder", "3200,2400,1600"},
 		{"-power-budget", "-1"},
 		{"-freq-ladder", "notanumber"},
 		{"-freq-ladder", "800,1600"}, // must be strictly descending
