@@ -90,11 +90,7 @@ func (d *Directory) State() map[uint64]DirEntryState {
 
 // Restore overwrites the directory's entry table from a checkpoint.
 func (d *Directory) Restore(st map[uint64]DirEntryState) {
-	size := dirInitialSlots
-	for 4*len(st) > 3*size {
-		size *= 2
-	}
-	d.reset(size)
+	d.reset(dirInitialSlots)
 	for line, e := range st {
 		if e.Owner < 0 || e.Owner >= 64 {
 			panic(fmt.Sprintf("mem: restoring directory line %#x owned by core %d", line, e.Owner))
