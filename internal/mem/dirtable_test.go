@@ -230,3 +230,21 @@ func TestDirTableRestoreRejectsBadEntries(t *testing.T) {
 		})
 	}
 }
+
+func TestDirTableTransitionsAllocateNothing(t *testing.T) {
+	d, _ := newDir()
+	d.ReadMiss(1, 0) // the table is sized; transitions reuse slots
+	line := uint64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		line = (line + 1) % 64
+		d.ReadMiss(line, 1)
+		d.ReadMiss(line, 3)
+		d.WriteMiss(line, 2)
+		d.Evict(line, 2)
+		d.ReadMiss(line, 4)
+		d.Drop(line)
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per round of directory transitions, want 0", allocs)
+	}
+}
