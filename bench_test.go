@@ -24,15 +24,14 @@ import (
 // benchOptions uses the reduced sweep that fdtreport -fast uses; the
 // shapes are identical to the full 1..32 sweep.
 //
-// Each figure benchmark resets the process-wide run cache before its
-// timing loop, so the measurement is self-contained: iteration one
-// simulates cold and fans out over the host worker pool, later
-// iterations recall memoized runs — exactly the behaviour a full
-// fdtreport process sees.
+// Each figure benchmark builds a fresh run cache before its timing
+// loop, so the measurement is self-contained: iteration one simulates
+// cold and fans out over the host worker pool, later iterations recall
+// memoized runs — exactly the behaviour a full fdtreport process sees.
 func benchOptions(b *testing.B) experiments.Options {
 	b.Helper()
-	core.ResetRunCache()
 	o := experiments.DefaultOptions()
+	o.Runs = core.NewRuns(0, nil)
 	o.SweepThreads = []int{1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20, 24, 32}
 	return o
 }

@@ -36,6 +36,7 @@ import (
 	"fdt/internal/core"
 	"fdt/internal/runner"
 	"fdt/internal/service"
+	"fdt/internal/store"
 )
 
 func main() {
@@ -70,12 +71,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *parallel > 0 {
 		runner.SetWorkers(*parallel)
 	}
-	if *cacheLimit > 0 {
-		core.SetRunCacheLimit(*cacheLimit)
-	}
+	var st *store.Store
 	if *storeDir != "" {
-		st, err := core.OpenRunStore(*storeDir)
-		if err != nil {
+		var err error
+		if st, err = store.Open(*storeDir, core.RunStoreSchema); err != nil {
 			fmt.Fprintf(stderr, "fdtd: open store: %v\n", err)
 			return 1
 		}
@@ -95,7 +94,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		defer psrv.Close()
 	}
 
-	svc := service.New(service.Config{Workers: *workers, QueueCap: *queueCap})
+	svc := service.New(service.Config{Workers: *workers, QueueCap: *queueCap, Runs: core.NewRuns(*cacheLimit, st)})
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

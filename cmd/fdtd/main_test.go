@@ -10,8 +10,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"fdt/internal/core"
 )
 
 // lockedBuf makes a bytes.Buffer safe to read while the daemon
@@ -38,13 +36,6 @@ func (b *lockedBuf) String() string {
 // waits for exit.
 func startDaemon(t *testing.T, extraArgs ...string) (base string, stop func() (int, string)) {
 	t.Helper()
-	core.DetachRunStore()
-	core.ResetRunCache()
-	t.Cleanup(func() {
-		core.DetachRunStore()
-		core.ResetRunCache()
-	})
-
 	ctx, cancel := context.WithCancel(context.Background())
 	var out, errOut lockedBuf
 	args := append([]string{"-addr", "127.0.0.1:0"}, extraArgs...)
@@ -174,8 +165,14 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if string(first) != string(third) {
 		t.Fatalf("restart broke byte-identity:\n%s\nvs\n%s", first, third)
 	}
-	if got := core.RunCacheComputes(); got != 0 {
-		t.Fatalf("restarted daemon recomputed %d runs, want 0", got)
+	resp, _ = http.Get(base2 + "/v1/stats")
+	var st3 struct {
+		CacheComputes uint64 `json:"cache_computes"`
+	}
+	json.NewDecoder(resp.Body).Decode(&st3)
+	resp.Body.Close()
+	if st3.CacheComputes != 0 {
+		t.Fatalf("restarted daemon recomputed %d runs, want 0", st3.CacheComputes)
 	}
 	if code, logs := stop2(); code != 0 {
 		t.Fatalf("restarted daemon exit = %d\n%s", code, logs)

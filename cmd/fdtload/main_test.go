@@ -9,22 +9,19 @@ import (
 
 	"fdt/internal/core"
 	"fdt/internal/service"
+	"fdt/internal/store"
 )
 
 func startService(t *testing.T, storeDir string) *httptest.Server {
 	t.Helper()
-	core.DetachRunStore()
-	core.ResetRunCache()
-	t.Cleanup(func() {
-		core.DetachRunStore()
-		core.ResetRunCache()
-	})
+	var st *store.Store
 	if storeDir != "" {
-		if _, err := core.OpenRunStore(storeDir); err != nil {
+		var err error
+		if st, err = store.Open(storeDir, core.RunStoreSchema); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s := service.New(service.Config{Workers: 4})
+	s := service.New(service.Config{Workers: 4, Runs: core.NewRuns(0, st)})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return ts

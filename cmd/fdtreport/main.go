@@ -15,9 +15,10 @@
 //	fdtreport -cache-dir d/   # back the run cache with fdtd's disk store
 //
 // Independent simulations fan out over a host worker pool and are
-// memoized for the process lifetime, so figures sharing baseline
-// sweeps (8, 9, 10, 14, 15) simulate each distinct run once; the
-// footer reports the worker count and the run-cache hit rate.
+// memoized in one run cache for the whole report, so figures sharing
+// baseline sweeps (8, 9, 10, 14, 15) simulate each distinct run once;
+// the footer reports the worker count, the run-cache hit rate and the
+// energy of every run the report simulated.
 //
 // With -sampled every run executes in sampled mode (-sample-tol and
 // -sample-window tune the detector); the per-figure gmean cycle
@@ -39,6 +40,7 @@ import (
 	"fdt/internal/core"
 	"fdt/internal/experiments"
 	"fdt/internal/runner"
+	"fdt/internal/store"
 )
 
 func main() {
@@ -50,8 +52,12 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fdtreport", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var names []string
+	for _, e := range experiments.Registry(experiments.Options{}) {
+		names = append(names, e.Name)
+	}
 	var (
-		only     = fs.String("only", "", "run a single experiment: table1, table2, fig2, fig4, fig8, fig9, fig10, fig12, fig13, fig14, fig15, smt, trainingcost, ablations, interference (-corun or -mapping restricts, and implies, interference)")
+		only     = fs.String("only", "", "run a single experiment: "+strings.Join(names, ", ")+" (-corun or -mapping restricts, and implies, interference)")
 		fast     = fs.Bool("fast", false, "sweep a reduced set of thread counts")
 		csvDir   = fs.String("csv", "", "directory to write per-figure CSV files into")
 		jsonDir  = fs.String("json", "", "directory to write per-experiment JSON files into")
@@ -85,7 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// cannot run (co-runs do not support a power budget or P-state
 	// ladder), asking for the family or restricting it exits 2, and a
 	// full run prints the reason as a one-line note in its place.
-	runners := experiments.Registry(o)
 	restricted := fl.Pair != nil || fl.Mappings != nil
 	var pairs [][2]string
 	if fl.Pair != nil {
@@ -110,6 +115,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return "Co-runner interference: skipped: " + err.Error(), "", nil
 		}
 	}
+	var st *store.Store
+	if *cacheDir != "" {
+		if st, err = store.Open(*cacheDir, core.RunStoreSchema); err != nil {
+			fmt.Fprintln(stderr, "fdtreport:", err)
+			return 1
+		}
+	}
+	runs := core.NewRuns(0, st)
+	o.Runs = runs
+	runners := experiments.Registry(o)
 	for i := range runners {
 		if runners[i].Name == "interference" {
 			runners[i].Run = interference
@@ -117,13 +132,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	runner.SetWorkers(*parallel)
-	if *cacheDir != "" {
-		st, err := core.OpenRunStore(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(stderr, "fdtreport:", err)
-			return 1
-		}
-		defer core.DetachRunStore()
+	if st != nil {
 		entries, bytes := st.Len()
 		fmt.Fprintf(stdout, "[run store %s: %d entries ~%.1f KiB]\n\n",
 			st.Dir(), entries, float64(bytes)/1024)
@@ -146,11 +155,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		found = true
 		start := time.Now()
-		h0, m0 := core.RunCacheStats()
-		_, _, e0 := core.RunCacheUsage()
+		h0, m0 := runs.Stats()
+		_, _, e0 := runs.Usage()
 		text, csv, data := r.Run()
-		h1, m1 := core.RunCacheStats()
-		_, _, e1 := core.RunCacheUsage()
+		h1, m1 := runs.Stats()
+		_, _, e1 := runs.Usage()
 		fmt.Fprintln(stdout, text)
 		fmt.Fprintf(stdout, "  [%s took %.1fs; run cache: %d hits / %d misses, %d evictions]\n\n",
 			r.Name, time.Since(start).Seconds(), h1-h0, m1-m0, e1-e0)
@@ -177,19 +186,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	hits, misses := core.RunCacheStats()
+	hits, misses := runs.Stats()
 	rate := 0.0
 	if hits+misses > 0 {
 		rate = 100 * float64(hits) / float64(hits+misses)
 	}
-	entries, bytes, evictions := core.RunCacheUsage()
+	entries, bytes, evictions := runs.Usage()
 	fmt.Fprintf(stdout, "[%d workers; run cache: %d hits / %d misses (%.1f%% hit rate), %d entries ~%.1f KiB, %d evictions]\n",
 		runner.Workers(), hits, misses, rate, entries, float64(bytes)/1024, evictions)
-	fmt.Fprintf(stdout, "[simulated energy: %.4g core-cycle units across all uncached runs]\n", core.SimEnergyTotal())
-	if st, ok := core.RunStoreStats(); ok {
-		sEntries, sBytes := core.RunStore().Len()
+	fmt.Fprintf(stdout, "[simulated energy: %.4g core-cycle units across all uncached runs]\n", runs.Energy())
+	if st != nil {
+		ss := st.Stats()
+		sEntries, sBytes := st.Len()
 		fmt.Fprintf(stdout, "[run store: %d loads / %d saves this run; %d entries ~%.1f KiB on disk]\n",
-			st.Hits, st.Puts, sEntries, float64(sBytes)/1024)
+			ss.Hits, ss.Puts, sEntries, float64(sBytes)/1024)
 	}
 	return 0
 }

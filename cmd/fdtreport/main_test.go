@@ -6,10 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
-	"fdt/internal/core"
+	"fdt/internal/experiments"
 )
 
 func TestBadInvocations(t *testing.T) {
@@ -31,6 +32,22 @@ func TestBadInvocations(t *testing.T) {
 		var out, errb bytes.Buffer
 		if code := run(args, &out, &errb); code != 2 {
 			t.Errorf("run(%v) = %d, want exit 2; stderr: %s", args, code, errb.String())
+		}
+	}
+}
+
+// The -only help text lists every experiment the registry serves.
+func TestOnlyUsageListsRegistry(t *testing.T) {
+	var out, errb bytes.Buffer
+	run([]string{"-h"}, &out, &errb)
+	_, usage, ok := strings.Cut(errb.String(), "  -only string\n")
+	if !ok {
+		t.Fatalf("no -only flag in usage:\n%s", errb.String())
+	}
+	usage, _, _ = strings.Cut(usage, "\n")
+	for _, e := range experiments.Registry(experiments.Options{}) {
+		if !regexp.MustCompile(`\b` + regexp.QuoteMeta(e.Name) + `\b`).MatchString(usage) {
+			t.Errorf("-only usage %q does not name experiment %q", usage, e.Name)
 		}
 	}
 }
@@ -147,11 +164,6 @@ func TestCacheDirWarm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep")
 	}
-	// The run cache is process-global; start from a clean slate so the
-	// cold pass really computes (earlier tests may have warmed it).
-	core.ResetRunCache()
-	t.Cleanup(core.ResetRunCache)
-
 	dir := t.TempDir()
 	storeLine := func(out string) (loads, saves, entries int) {
 		for _, line := range strings.Split(out, "\n") {
@@ -175,9 +187,9 @@ func TestCacheDirWarm(t *testing.T) {
 			loads, saves, entries)
 	}
 
-	// Simulate a fresh process: drop the in-memory cache, keep the disk
-	// store. The warm pass must be served entirely from disk.
-	core.ResetRunCache()
+	// Each run builds its own in-memory cache, as a fresh process
+	// would; only the disk store carries over. The warm pass must be
+	// served entirely from disk.
 	var warm bytes.Buffer
 	errb.Reset()
 	if code := run(args, &warm, &errb); code != 0 {

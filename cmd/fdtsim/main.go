@@ -117,35 +117,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rs.Mode = core.ExactMode()
 	}
 
-	// Instrumented runs (sparklines, tracing, invariants, counter dumps)
-	// need the machine built here, with the observers attached; plain
-	// runs route through the keyed run cache so repeated invocations in
-	// one process (and the experiment figures) share the simulation.
-	instrumented := *sparkline || *traceOut != "" || *check || *dumpCtrs
+	// The machine is built here so observers (sparklines, tracing,
+	// invariants, counter dumps) can attach before the run; one run
+	// per process has nothing to memoize.
+	m := machine.MustNew(rs.Cfg)
 	var (
-		m       *machine.Machine
 		samples *machine.SampleLog
 		tr      *trace.Tracer
 		ck      *invariant.Checker
-		res     core.RunResult
 	)
-	if instrumented {
-		m = machine.MustNew(rs.Cfg)
-		if *sparkline {
-			samples = m.StartSampler(0)
-		}
-		if *traceOut != "" {
-			tr = trace.New(1<<19, trace.CatMem|trace.CatSync|trace.CatCtl)
-			m.AttachTracer(tr)
-		}
-		if *check {
-			ck = invariant.New()
-			m.AttachChecker(ck)
-		}
-		res = rs.RunOn(m)
-	} else {
-		res = rs.Run()
+	if *sparkline {
+		samples = m.StartSampler(0)
 	}
+	if *traceOut != "" {
+		tr = trace.New(1<<19, trace.CatMem|trace.CatSync|trace.CatCtl)
+		m.AttachTracer(tr)
+	}
+	if *check {
+		ck = invariant.New()
+		m.AttachChecker(ck)
+	}
+	res := rs.RunOn(m)
 	sampled := res.Sampled != nil
 	if corun {
 		sampled = reportCorun(stdout, res, fl, rs.Teams[0].Control)

@@ -15,7 +15,8 @@
 //	fdtsweep -workload ed -cache-dir d/      # back the run cache with fdtd's disk store
 //
 // Sweep points are independent simulations; they fan out over a host
-// worker pool and land in the process-wide run cache.
+// worker pool and land in one run cache, backed by the disk store
+// under -cache-dir.
 //
 // With -sampled the sweep executes in sampled mode (DESIGN.md
 // Section 11); adding -verify runs every point in both modes and
@@ -39,6 +40,7 @@ import (
 	"fdt/internal/machine"
 	"fdt/internal/runner"
 	"fdt/internal/stats"
+	"fdt/internal/store"
 	"fdt/internal/workloads"
 )
 
@@ -71,21 +73,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	runner.SetWorkers(*parallel)
+	var st *store.Store
 	if *cacheDir != "" {
-		if _, err := core.OpenRunStore(*cacheDir); err != nil {
+		if st, err = store.Open(*cacheDir, core.RunStoreSchema); err != nil {
 			fmt.Fprintln(stderr, "fdtsweep:", err)
 			return 1
 		}
-		defer core.DetachRunStore()
 	}
+	runs := core.NewRuns(0, st)
 	if fl.Pair != nil {
 		rs.Control = core.Control{Policy: core.Combined{}}
-		out, err := runCorunSweep(fl.CorunSpec(rs), fl.Mappings, stdout)
+		out, err := runCorunSweep(runs, fl.CorunSpec(rs), fl.Mappings, stdout)
 		if err != nil {
 			fmt.Fprintln(stderr, "fdtsweep:", err)
 			return 2
 		}
-		return finish(out, *jsonPath, stdout, stderr)
+		return finish(runs, out, *jsonPath, stdout, stderr)
 	}
 
 	info, ok := workloads.ByName(*workload)
@@ -125,7 +128,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		placements = append(placements, p)
 	}
 
-	sweep := core.Sweep(rs, counts, nil)
+	sweep := core.Sweep(runs, rs, counts, nil)
 	base := sweep[0].TotalCycles // normalize to the 1-thread run
 	fmt.Fprintf(stdout, "# %s on %d cores, %.2gx bandwidth (time normalized to %d threads)\n",
 		info.Name, fl.Cores, fl.Bandwidth, counts[0])
@@ -156,7 +159,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if rs.Mode.Sampled && *verifyAcc {
 		ex := rs
 		ex.Mode = core.ExactMode()
-		exact := core.Sweep(ex, counts, nil)
+		exact := core.Sweep(runs, ex, counts, nil)
 		fmt.Fprintf(stdout, "# sampled-vs-exact verification\n")
 		fmt.Fprintf(stdout, "%8s %12s %12s %9s %8s %8s %9s %8s\n",
 			"threads", "exact.cyc", "sampled.cyc", "cyc.err", "exact.pw", "smpl.pw", "pw.err", "skipped")
@@ -188,7 +191,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	for _, p := range placements {
-		r := p.Run()
+		r := p.Run(runs)
 		out.Policies = append(out.Policies, r)
 		fmt.Fprintf(stdout, "# %-8s -> ", r.Policy)
 		for _, k := range r.Kernels {
@@ -207,27 +210,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout)
 	}
 
-	return finish(out, *jsonPath, stdout, stderr)
+	return finish(runs, out, *jsonPath, stdout, stderr)
 }
 
 // finish writes the JSON output, when asked for, and prints the worker
 // count and the run-cache and store accounting.
-func finish(out any, jsonPath string, stdout, stderr io.Writer) int {
+func finish(runs *core.Runs, out any, jsonPath string, stdout, stderr io.Writer) int {
 	if jsonPath != "" {
 		if err := writeJSON(jsonPath, out, stdout); err != nil {
 			fmt.Fprintln(stderr, "fdtsweep:", err)
 			return 1
 		}
 	}
-	hits, misses := core.RunCacheStats()
+	hits, misses := runs.Stats()
 	rate := 0.0
 	if hits+misses > 0 {
 		rate = 100 * float64(hits) / float64(hits+misses)
 	}
 	fmt.Fprintf(stdout, "# [%d workers; run cache: %d hits / %d misses (%.1f%% hit rate)]\n",
 		runner.Workers(), hits, misses, rate)
-	if st, ok := core.RunStoreStats(); ok {
-		fmt.Fprintf(stdout, "# [run store: %d loads / %d saves]\n", st.Hits, st.Puts)
+	if st := runs.Store(); st != nil {
+		ss := st.Stats()
+		fmt.Fprintf(stdout, "# [run store: %d loads / %d saves]\n", ss.Hits, ss.Puts)
 	}
 	return 0
 }
@@ -239,7 +243,7 @@ func finish(out any, jsonPath string, stdout, stderr io.Writer) int {
 // combined SAT+BAT controllers. With no mapping named, every mapping
 // the machine can host is swept; a named one it cannot host is an
 // error.
-func runCorunSweep(co core.RunSpec, named []machine.Mapping, stdout io.Writer) (corunSweepJSON, error) {
+func runCorunSweep(runs *core.Runs, co core.RunSpec, named []machine.Mapping, stdout io.Writer) (corunSweepJSON, error) {
 	if named == nil {
 		named = co.Cfg.FeasibleMappings(len(co.Teams))
 	}
@@ -254,13 +258,13 @@ func runCorunSweep(co core.RunSpec, named []machine.Mapping, stdout io.Writer) (
 		if err := co.Validate(); err != nil {
 			return out, err
 		}
-		res := co.Run()
+		res := co.Run(runs)
 		row := corunSweepRow{Mapping: res.Mapping, Makespan: res.TotalCycles, Corun: res}
-		for i, r := range experiments.InterferenceCell(co) {
+		for i, r := range experiments.InterferenceCell(runs, co) {
 			fmt.Fprintf(stdout, "%-10s %-10s %12d %12d %8.1f%% %8.1f %8.1f %8.1f%%\n",
 				r.Mapping, r.Workload, r.SoloCycles, r.CorunCycles, r.SlowdownPct,
 				r.SoloThreads, r.CorunThreads, 100*r.CorunBusShare)
-			row.Solo = append(row.Solo, co.Solo(i).Run().Teams[i])
+			row.Solo = append(row.Solo, co.Solo(i).Run(runs).Teams[i])
 		}
 		out.Rows = append(out.Rows, row)
 	}

@@ -31,7 +31,7 @@ func main() {
 
 	// The oracle: the best single static thread count, found by
 	// simulating every possibility offline (Section 6.3).
-	oracle := core.Oracle(core.RunSpec{Cfg: cfg, Factory: factory}, nil, 0.01)
+	oracle := core.Oracle(core.NewRuns(0, nil), core.RunSpec{Cfg: cfg, Factory: factory}, nil, 0.01)
 	fmt.Printf("Best static policy (offline search over 1..%d): %d threads\n",
 		cfg.Mem.Cores, oracle.Threads)
 

@@ -30,20 +30,21 @@ const identityGolden = "testdata/identity_exact_16c.json"
 
 // identityRuns executes the pinned matrix: 12 workloads x {serial,
 // SAT, BAT, adaptive SAT+BAT}, 16 cores, exact mode. Results flow
-// through the same keyed entry points the experiments use, so the pin
-// also covers the run-cache path.
+// through keyed RunSpecs and a run cache, as the experiments' do, so
+// the pin also covers the run-cache path.
 func identityRuns() []core.RunResult {
 	cfg := machine.DefaultConfig().WithCores(16)
+	runs := core.NewRuns(0, nil)
 	var out []core.RunResult
 	for _, info := range workloads.All() {
 		for _, pol := range []core.Policy{core.Static{N: 1}, core.SAT{}, core.BAT{}} {
-			out = append(out, core.RunPolicyKeyed(cfg, info.Name, info.Factory, pol))
+			out = append(out, core.RunSpec{Cfg: cfg, Workload: info.Name, Factory: info.Factory, Control: core.Control{Policy: pol}}.Run(runs))
 		}
 		adaptive, err := core.ParseController("adaptive")
 		if err != nil {
 			panic(err)
 		}
-		out = append(out, core.RunSpec{Cfg: cfg, Workload: info.Name, Factory: info.Factory, Control: adaptive}.Run())
+		out = append(out, core.RunSpec{Cfg: cfg, Workload: info.Name, Factory: info.Factory, Control: adaptive}.Run(runs))
 	}
 	return out
 }

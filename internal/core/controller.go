@@ -205,9 +205,6 @@ func (ctl *Controller) Run(m *machine.Machine, w Workload) RunResult {
 	if m.Power.Tracked() {
 		e := m.Power.Energy(res.TotalCycles)
 		res.Energy = &e
-		addSimEnergy(e.Total)
-	} else {
-		addSimEnergy(float64(m.Power.ActiveCoreCycles()))
 	}
 	return res
 }

@@ -68,15 +68,14 @@ func TestCorunTwoTeams(t *testing.T) {
 }
 
 func TestCorunCacheHit(t *testing.T) {
-	ResetRunCache()
-	t.Cleanup(ResetRunCache)
+	runs := NewRuns(0, nil)
 	s := corunSpec(machine.MapScattered)
-	a := s.Run()
-	b := s.Run()
+	a := s.Run(runs)
+	b := s.Run(runs)
 	if a.TotalCycles != b.TotalCycles || len(a.Teams) != len(b.Teams) {
 		t.Fatalf("memoized corun differs: %+v vs %+v", a, b)
 	}
-	if hits, misses := RunCacheStats(); hits != 1 || misses != 1 {
+	if hits, misses := runs.Stats(); hits != 1 || misses != 1 {
 		t.Errorf("run cache %d hits / %d misses, want 1 / 1", hits, misses)
 	}
 }
@@ -90,7 +89,8 @@ func TestSoloOnPartitionControl(t *testing.T) {
 	if co.Key() == solo.Key() {
 		t.Fatalf("solo shares the co-run's key %q", co.Key())
 	}
-	sr := solo.Run()
+	runs := NewRuns(0, nil)
+	sr := solo.Run(runs)
 	if len(sr.Teams) != 2 || sr.Teams[0].Team != "t0:idle" || sr.Teams[0].TotalCycles != 0 {
 		t.Fatalf("solo teams %+v, want an idle t0 and the running tenant", sr.Teams)
 	}
@@ -104,7 +104,7 @@ func TestSoloOnPartitionControl(t *testing.T) {
 	}
 	// A co-runner can only add contention on the shared bus: the
 	// bandwidth-heavy tenant must not run faster co-scheduled.
-	if ct := co.Run().Teams[1]; ct.TotalCycles < st.TotalCycles {
+	if ct := co.Run(runs).Teams[1]; ct.TotalCycles < st.TotalCycles {
 		t.Errorf("bw-synth co-run %d cycles faster than solo %d", ct.TotalCycles, st.TotalCycles)
 	}
 }
@@ -122,18 +122,17 @@ func TestCorunMappingError(t *testing.T) {
 }
 
 // An infeasible co-run asked for twice must fail Validate both times
-// and never reach the run cache: a failure is not a result to memoize.
+// and never reach a run cache: a failure is not a result to memoize.
 func TestCorunInfeasibleNeverCached(t *testing.T) {
-	ResetRunCache()
-	t.Cleanup(ResetRunCache)
+	before, _, _ := defaultRuns.Usage()
 	s := corunSpec(machine.MapSMT)
 	for _, spec := range []RunSpec{s, s, s.Solo(0), s.Solo(0)} {
 		if err := spec.Validate(); err == nil {
 			t.Fatalf("%s: want a mapping error", spec.Key())
 		}
 	}
-	if entries, _, _ := RunCacheUsage(); entries != 0 {
-		t.Errorf("run cache holds %d entries after rejected specs, want 0", entries)
+	if entries, _, _ := defaultRuns.Usage(); entries != before {
+		t.Errorf("run cache holds %d entries after rejected specs, want %d", entries, before)
 	}
 }
 
@@ -169,26 +168,23 @@ func TestValidateTeams(t *testing.T) {
 // simulating again.
 func TestCorunStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	withRunStore(t, dir)
+	runs := storeRuns(t, dir)
 	s := corunSpec(machine.MapPacked)
-	coldJSON, err := json.Marshal(s.Run())
+	coldJSON, err := json.Marshal(s.Run(runs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := RunStoreStats(); st.Puts != 1 {
+	if st := runs.Store().Stats(); st.Puts != 1 {
 		t.Fatalf("store puts = %d, want 1", st.Puts)
 	}
 
-	DetachRunStore()
-	ResetRunCache()
-	if _, err := OpenRunStore(dir); err != nil {
-		t.Fatal(err)
-	}
-	warmJSON, err := json.Marshal(s.Run())
+	// "Restart": a new run cache on the reopened store.
+	runs = storeRuns(t, dir)
+	warmJSON, err := json.Marshal(s.Run(runs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := RunCacheComputes(); got != 0 {
+	if got := runs.Computes(); got != 0 {
 		t.Errorf("warm computes = %d, want 0", got)
 	}
 	if string(warmJSON) != string(coldJSON) {
@@ -196,9 +192,27 @@ func TestCorunStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// A co-run's energy counts like a single run's: the run cache that
+// simulates it adds the machine's active-core cycles to its total, and
+// a memoized co-run adds nothing.
+func TestCorunAddsEnergy(t *testing.T) {
+	runs := NewRuns(0, nil)
+	s := corunSpec(machine.MapPacked)
+	res := s.Run(runs)
+	want := res.AvgActiveCores * float64(res.TotalCycles)
+	if got := runs.Energy(); want == 0 || got < 0.999*want {
+		t.Fatalf("energy total %g after a co-run, want at least its %g active-core cycles", got, want)
+	}
+	before := runs.Energy()
+	s.Run(runs)
+	if got := runs.Energy(); got != before {
+		t.Errorf("memoized co-run moved the energy total %g -> %g", before, got)
+	}
+}
+
 // The cache sizer must see a co-run's nested team results.
 func TestRunResultBytesCountsTeams(t *testing.T) {
-	res := corunSpec(machine.MapPacked).Run()
+	res := corunSpec(machine.MapPacked).Run(NewRuns(0, nil))
 	var payload uint64
 	for _, tr := range res.Teams {
 		for _, k := range tr.Kernels {

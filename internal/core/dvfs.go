@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"fdt/internal/machine"
 )
@@ -89,25 +90,20 @@ func scaleTrain(tr TrainResult, k float64) TrainResult {
 
 // predictTime evaluates the blended Eq. 1 + Eq. 6 execution-time
 // model on a (scaled) training profile at p threads: the parallel
-// part speeds up by p until the bus saturates (effective parallelism
-// capped at P_BW), and serialized critical-section time grows
-// linearly in p.
+// part speeds up by p until the bus saturates (Eq. 6, with P_BW
+// unbounded when bandwidth is excluded), and serialized
+// critical-section time grows linearly in p.
 func predictTime(tr TrainResult, p int) float64 {
 	if p < 1 {
 		p = 1
 	}
 	t := float64(tr.TotalCycles)
-	cs := float64(tr.CSCycles)
-	if cs > t {
-		cs = t
+	cs := min(float64(tr.CSCycles), t)
+	pbw := math.Inf(1)
+	if !tr.BWExcluded {
+		pbw = SaturationThreads(tr.BusUtil1())
 	}
-	pe := float64(p)
-	if bu1 := tr.BusUtil1(); !tr.BWExcluded && bu1 > 0 {
-		if pbw := SaturationThreads(bu1); pbw < pe {
-			pe = pbw
-		}
-	}
-	return (t-cs)/pe + float64(p)*cs
+	return ExecTimeBW(t-cs, p, pbw) + float64(p)*cs
 }
 
 // EstimateDVFS is the Estimate stage over the (threads, frequency)

@@ -270,9 +270,9 @@ func TestHybridIllegalFallbackCaught(t *testing.T) {
 	}
 }
 
-// keyedRun executes a controller through a keyed RunSpec.
-func keyedRun(cfg machine.Config, wkey string, f Factory, ctl Control) RunResult {
-	return RunSpec{Cfg: cfg, Workload: wkey, Factory: f, Control: ctl}.Run()
+// keyedRun executes a controller through a keyed RunSpec in runs.
+func keyedRun(runs *Runs, cfg machine.Config, wkey string, f Factory, ctl Control) RunResult {
+	return RunSpec{Cfg: cfg, Workload: wkey, Factory: f, Control: ctl}.Run(runs)
 }
 
 // TestRunHybridKeyedMemoizes: identical (config, wkey, tuning) calls
@@ -281,11 +281,12 @@ func keyedRun(cfg machine.Config, wkey string, f Factory, ctl Control) RunResult
 func TestRunHybridKeyedMemoizes(t *testing.T) {
 	cfg := machine.DefaultConfig().WithCores(8)
 	f := newSynthFactory(400, 2000, 50, 0)
+	runs := NewRuns(0, nil)
 
-	h0, _ := RunCacheStats()
-	r1 := keyedRun(cfg, "synth/hybrid-memo", f, Control{Policy: Hybrid{}})
-	r2 := keyedRun(cfg, "synth/hybrid-memo", f, Control{Policy: Hybrid{}})
-	h1, _ := RunCacheStats()
+	h0, _ := runs.Stats()
+	r1 := keyedRun(runs, cfg, "synth/hybrid-memo", f, Control{Policy: Hybrid{}})
+	r2 := keyedRun(runs, cfg, "synth/hybrid-memo", f, Control{Policy: Hybrid{}})
+	h1, _ := runs.Stats()
 	if h1 == h0 {
 		t.Error("second identical call did not hit the cache")
 	}
@@ -296,14 +297,14 @@ func TestRunHybridKeyedMemoizes(t *testing.T) {
 	// A different tuning is a different run.
 	hp := DefaultHybridParams()
 	hp.ProbeIters = 12
-	r3 := keyedRun(cfg, "synth/hybrid-memo", f, Control{Policy: Hybrid{HP: hp}})
+	r3 := keyedRun(runs, cfg, "synth/hybrid-memo", f, Control{Policy: Hybrid{HP: hp}})
 	if r3.Kernels[0].TrainIters == r1.Kernels[0].TrainIters && r3.TotalCycles == r1.TotalCycles {
 		t.Log("different tuning produced identical run (possible, but suspicious)")
 	}
-	h2, m2 := RunCacheStats()
+	h2, m2 := runs.Stats()
 	_ = h2
-	r4 := keyedRun(cfg, "synth/hybrid-memo", f, Control{Policy: Hybrid{HP: hp}})
-	h3, m3 := RunCacheStats()
+	r4 := keyedRun(runs, cfg, "synth/hybrid-memo", f, Control{Policy: Hybrid{HP: hp}})
+	h3, m3 := runs.Stats()
 	if m3 != m2 {
 		t.Error("repeated tuned call re-simulated (tuning not in the content address?)")
 	}
@@ -315,9 +316,9 @@ func TestRunHybridKeyedMemoizes(t *testing.T) {
 	}
 
 	// Empty workload key bypasses the cache entirely.
-	_, mBefore := RunCacheStats()
-	keyedRun(cfg, "", f, Control{Policy: Hybrid{}})
-	_, mAfter := RunCacheStats()
+	_, mBefore := runs.Stats()
+	keyedRun(runs, cfg, "", f, Control{Policy: Hybrid{}})
+	_, mAfter := runs.Stats()
 	if mAfter != mBefore {
 		t.Error("empty wkey touched the cache")
 	}
@@ -328,11 +329,12 @@ func TestRunHybridKeyedMemoizes(t *testing.T) {
 func TestRunHillClimbKeyedMemoizes(t *testing.T) {
 	cfg := machine.DefaultConfig().WithCores(8)
 	f := newSynthFactory(400, 2000, 50, 0)
+	runs := NewRuns(0, nil)
 
-	h0, _ := RunCacheStats()
-	r1 := keyedRun(cfg, "synth/hc-memo", f, Control{Policy: HillClimb{}})
-	r2 := keyedRun(cfg, "synth/hc-memo", f, Control{Policy: HillClimb{}})
-	h1, _ := RunCacheStats()
+	h0, _ := runs.Stats()
+	r1 := keyedRun(runs, cfg, "synth/hc-memo", f, Control{Policy: HillClimb{}})
+	r2 := keyedRun(runs, cfg, "synth/hc-memo", f, Control{Policy: HillClimb{}})
+	h1, _ := runs.Stats()
 	if h1 == h0 {
 		t.Error("second identical call did not hit the cache")
 	}
@@ -340,16 +342,16 @@ func TestRunHillClimbKeyedMemoizes(t *testing.T) {
 		t.Errorf("memoized result differs: %d vs %d cycles", r1.TotalCycles, r2.TotalCycles)
 	}
 
-	_, m0 := RunCacheStats()
-	keyedRun(cfg, "synth/hc-memo", f, Control{Policy: HillClimb{ProbeIters: 16}})
-	_, m1 := RunCacheStats()
+	_, m0 := runs.Stats()
+	keyedRun(runs, cfg, "synth/hc-memo", f, Control{Policy: HillClimb{ProbeIters: 16}})
+	_, m1 := runs.Stats()
 	if m1 == m0 {
 		t.Error("different tuning hit the same cache entry")
 	}
 
-	_, mBefore := RunCacheStats()
-	keyedRun(cfg, "", f, Control{Policy: HillClimb{}})
-	_, mAfter := RunCacheStats()
+	_, mBefore := runs.Stats()
+	keyedRun(runs, cfg, "", f, Control{Policy: HillClimb{}})
+	_, mAfter := runs.Stats()
 	if mAfter != mBefore {
 		t.Error("empty wkey touched the cache")
 	}

@@ -24,19 +24,19 @@ type OracleResult struct {
 }
 
 // Oracle implements the paper's best-static-policy comparison
-// (Section 6.3): simulate s at every thread count in counts (nil =
-// 1..cores) and select the fewest threads within tolerance
+// (Section 6.3): simulate s through runs at every thread count in
+// counts (nil = 1..cores) and select the fewest threads within tolerance
 // (fractional, e.g. 0.01) of the minimum execution time. This requires
 // offline knowledge FDT does not need — it is the upper bound FDT is
 // compared against in Fig 15.
-func Oracle(s RunSpec, counts []int, tolerance float64) OracleResult {
+func Oracle(runs *Runs, s RunSpec, counts []int, tolerance float64) OracleResult {
 	if counts == nil {
 		counts = make([]int, s.Cfg.Mem.Cores)
 		for i := range counts {
 			counts[i] = i + 1
 		}
 	}
-	sweep := Sweep(s, counts, nil)
+	sweep := Sweep(runs, s, counts, nil)
 	times := make([]uint64, len(sweep))
 	for i, r := range sweep {
 		times[i] = r.TotalCycles

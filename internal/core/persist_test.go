@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fdt/internal/machine"
+	"fdt/internal/store"
 )
 
 // damage truncates every store entry under dir, simulating a crashed
@@ -34,58 +35,49 @@ func damage(t *testing.T, dir string) {
 	}
 }
 
-// withRunStore attaches a fresh store at dir for the test's duration
-// and restores the pristine global state afterwards.
-func withRunStore(t *testing.T, dir string) {
+// storeRuns opens the store at dir and returns a fresh run cache
+// backed by it, as a new process would build one.
+func storeRuns(t *testing.T, dir string) *Runs {
 	t.Helper()
-	ResetRunCache()
-	if _, err := OpenRunStore(dir); err != nil {
+	st, err := store.Open(dir, RunStoreSchema)
+	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		DetachRunStore()
-		ResetRunCache()
-	})
+	return NewRuns(0, st)
 }
 
-func persistTestRun(t *testing.T) RunResult {
-	t.Helper()
+func persistTestRun(runs *Runs) RunResult {
 	cfg := machine.DefaultConfig().WithCores(8)
-	return RunPolicyKeyed(cfg, "synth/persist", newSynthFactory(40, 900, 60, 2), Static{N: 4})
+	return RunSpec{Cfg: cfg, Workload: "synth/persist", Factory: newSynthFactory(40, 900, 60, 2), Control: Control{Policy: Static{N: 4}}}.Run(runs)
 }
 
 // A run simulated in one "process" must be served from the store —
-// zero computes — after a simulated restart (cache reset), and must
-// re-marshal to byte-identical JSON.
+// zero computes — after a simulated restart (a new run cache), and
+// must re-marshal to byte-identical JSON.
 func TestRunStoreSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	withRunStore(t, dir)
+	runs := storeRuns(t, dir)
 
-	cold := persistTestRun(t)
-	if got := RunCacheComputes(); got != 1 {
+	cold := persistTestRun(runs)
+	if got := runs.Computes(); got != 1 {
 		t.Fatalf("cold computes = %d, want 1", got)
 	}
 	coldJSON, err := json.Marshal(cold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := RunStoreStats(); st.Puts != 1 {
+	if st := runs.Store().Stats(); st.Puts != 1 {
 		t.Fatalf("store puts = %d, want 1", st.Puts)
 	}
 
-	// "Restart": drop the in-memory cache and re-open the store, as a
-	// new daemon process would.
-	DetachRunStore()
-	ResetRunCache()
-	if _, err := OpenRunStore(dir); err != nil {
-		t.Fatal(err)
-	}
-
-	warm := persistTestRun(t)
-	if got := RunCacheComputes(); got != 0 {
+	// "Restart": a new in-memory cache on the re-opened store, as a
+	// new daemon process would build.
+	runs = storeRuns(t, dir)
+	warm := persistTestRun(runs)
+	if got := runs.Computes(); got != 0 {
 		t.Fatalf("warm computes = %d, want 0 (store should satisfy the miss)", got)
 	}
-	if got := runCache.BackingHits(); got != 1 {
+	if got := runs.cache.BackingHits(); got != 1 {
 		t.Fatalf("backing hits = %d, want 1", got)
 	}
 	warmJSON, err := json.Marshal(warm)
@@ -100,24 +92,18 @@ func TestRunStoreSurvivesRestart(t *testing.T) {
 // A corrupted store entry must fall back to recompute and self-repair.
 func TestRunStoreCorruptionRecomputes(t *testing.T) {
 	dir := t.TempDir()
-	withRunStore(t, dir)
-
-	cold := persistTestRun(t)
+	cold := persistTestRun(storeRuns(t, dir))
 	damage(t, dir)
 
-	DetachRunStore()
-	ResetRunCache()
-	if _, err := OpenRunStore(dir); err != nil {
-		t.Fatal(err)
-	}
-	warm := persistTestRun(t)
-	if RunCacheComputes() != 1 {
-		t.Fatalf("computes = %d, want 1 (corrupt entry must recompute)", RunCacheComputes())
+	runs := storeRuns(t, dir)
+	warm := persistTestRun(runs)
+	if got := runs.Computes(); got != 1 {
+		t.Fatalf("computes = %d, want 1 (corrupt entry must recompute)", got)
 	}
 	if warm.TotalCycles != cold.TotalCycles {
 		t.Errorf("recomputed run differs: %d vs %d cycles", warm.TotalCycles, cold.TotalCycles)
 	}
-	if st, _ := RunStoreStats(); st.Corrupt == 0 {
+	if st := runs.Store().Stats(); st.Corrupt == 0 {
 		t.Errorf("store stats = %+v, want corrupt > 0", st)
 	}
 }

@@ -2,31 +2,106 @@ package core
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"fdt/internal/machine"
 	"fdt/internal/mem"
 	"fdt/internal/runner"
+	"fdt/internal/store"
 )
 
-// The run cache memoizes deterministic simulated executions for the
-// lifetime of the process. Every run is a pure function of (machine
-// config, workload identity, policy) — the simulator admits no host
-// nondeterminism — so figures that sweep the same baselines (Fig 8,
-// 14 and 15 all run the twelve workloads over the same static thread
-// counts) share one simulation per distinct run instead of
-// re-simulating it per figure.
+// Runs memoizes deterministic simulated executions. Every run is a
+// pure function of (machine config, workload identity, policy) — the
+// simulator admits no host nondeterminism — so figures that sweep the
+// same baselines (Fig 8, 14 and 15 all run the twelve workloads over
+// the same static thread counts) share one simulation per distinct run
+// (keyed by RunSpec.Key; an empty workload key bypasses the cache).
 //
-// Cache keys are content-addressed: the machine config's printed
-// fields, the caller-supplied workload key, and the policy's resolved
-// identity. A run is cacheable only when the caller can name the
-// workload (including any non-default parameters) — closures carry no
-// identity of their own, so an empty workload key bypasses the cache.
-var runCache runner.Cache[RunResult]
-
-func init() {
-	runCache.SetSizer(runResultBytes)
+// A Runs may write through to a disk store, and it sums the energy of
+// every run it simulates. Each owner (a report, a daemon, a test)
+// holds its own value and reads its own counters; a test that needs
+// cold runs builds a fresh one. A nil *Runs stands for one package
+// default. A Runs is safe for concurrent use.
+type Runs struct {
+	cache  runner.Cache[RunResult]
+	store  atomic.Pointer[store.Store]
+	mu     sync.Mutex
+	energy float64 // summed Energy.Total of every simulated run
 }
+
+// NewRuns returns an empty run cache holding at most limit runs
+// (0 = unlimited; evicted runs are re-simulated on their next use),
+// backed by st when st is non-nil.
+func NewRuns(limit int, st *store.Store) *Runs {
+	r := &Runs{}
+	r.cache.SetSizer(runResultBytes)
+	r.cache.SetLimit(limit)
+	r.attach(st)
+	return r
+}
+
+// defaultRuns is what a nil *Runs means.
+var defaultRuns = NewRuns(0, nil)
+
+func (r *Runs) orDefault() *Runs {
+	if r == nil {
+		return defaultRuns
+	}
+	return r
+}
+
+// simulate runs s on a fresh machine and adds the machine's energy
+// (the table-driven total on a P-state ladder, active core-cycles on
+// a flat machine) to r's total.
+func (r *Runs) simulate(s RunSpec) RunResult {
+	m := machine.MustNew(s.Cfg)
+	res := s.RunOn(m)
+	e := m.Power.Energy(m.Eng.Now()).Total
+	r.mu.Lock()
+	r.energy += e
+	r.mu.Unlock()
+	return res
+}
+
+// Stats reports run-cache hits and misses.
+func (r *Runs) Stats() (hits, misses uint64) { return r.orDefault().cache.Stats() }
+
+// Usage reports the cache's population: entry count, estimated bytes,
+// and entries evicted by the limit.
+func (r *Runs) Usage() (entries int, bytes, evictions uint64) {
+	r = r.orDefault()
+	return r.cache.Len(), r.cache.Bytes(), r.cache.Evictions()
+}
+
+// Computes reports how many cache misses actually simulated (as
+// opposed to loading from the store). Zero computes over a warm store
+// is the restart-resilience acceptance criterion.
+func (r *Runs) Computes() uint64 { return r.orDefault().cache.Computes() }
+
+// Energy reports the total simulated energy of every run r simulated,
+// in nominal-active-core cycle units. Runs served from memory or from
+// the store add nothing.
+func (r *Runs) Energy() float64 {
+	r = r.orDefault()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.energy
+}
+
+// ResetRunCache drops every run the package default memoized and
+// zeroes its statistics. It exists for cmd/fdtbench until ROADMAP item
+// 2 moves that call to a value fdtbench owns.
+func ResetRunCache() { defaultRuns.cache.Reset() }
+
+// RunCacheStats is Stats of the package default. It exists for
+// cmd/fdtbench until ROADMAP item 2 moves that call.
+func RunCacheStats() (hits, misses uint64) { return defaultRuns.Stats() }
+
+// RunCacheComputes is Computes of the package default. It exists for
+// cmd/fdtbench until ROADMAP item 2 moves that call.
+func RunCacheComputes() uint64 { return defaultRuns.Computes() }
 
 // runResultBytes estimates a memoized RunResult's heap footprint for
 // the cache's byte accounting: the structs plus their string and
@@ -51,24 +126,6 @@ func runResultBytes(r RunResult) uint64 {
 	}
 	return size
 }
-
-// RunCacheStats reports process-lifetime run-cache hits and misses.
-func RunCacheStats() (hits, misses uint64) { return runCache.Stats() }
-
-// RunCacheUsage reports the run cache's population: entry count,
-// estimated bytes, and entries evicted by the cap.
-func RunCacheUsage() (entries int, bytes, evictions uint64) {
-	return runCache.Len(), runCache.Bytes(), runCache.Evictions()
-}
-
-// SetRunCacheLimit caps the memoized run count (0 = unlimited): large
-// batch sweeps can bound their memory at the cost of re-simulating
-// whatever they revisit after eviction.
-func SetRunCacheLimit(n int) { runCache.SetLimit(n) }
-
-// ResetRunCache drops every memoized run and zeroes the statistics.
-// Tests and benchmarks use it to measure cold-cache behaviour.
-func ResetRunCache() { runCache.Reset() }
 
 // ConfigKey fingerprints a machine configuration for cache keying.
 // machine.Config is a tree of value types, so the printed form is a

@@ -42,10 +42,10 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 		fac := testFactory(t, name)
 
 		runner.SetWorkers(1)
-		serial := core.Sweep(core.RunSpec{Cfg: cfg, Factory: fac}, threads, nil)
+		serial := core.Sweep(core.NewRuns(0, nil), core.RunSpec{Cfg: cfg, Factory: fac}, threads, nil)
 
 		runner.SetWorkers(8)
-		parallel := core.Sweep(core.RunSpec{Cfg: cfg, Factory: fac}, threads, nil)
+		parallel := core.Sweep(core.NewRuns(0, nil), core.RunSpec{Cfg: cfg, Factory: fac}, threads, nil)
 		runner.SetWorkers(0)
 
 		if len(serial) != len(parallel) {
@@ -66,11 +66,12 @@ func TestRunPolicyKeyedMatchesUncachedAndMemoizes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a full run")
 	}
-	core.ResetRunCache()
-	defer core.ResetRunCache()
 	cfg := machine.DefaultConfig()
 	fac := testFactory(t, "pagemine")
 
+	// RunPolicyKeyed memoizes in the package default; count that
+	// value's hits and misses across the two calls.
+	h0, m0 := core.RunCacheStats()
 	direct := core.RunPolicy(cfg, fac, core.SAT{})
 	first := core.RunPolicyKeyed(cfg, "pagemine", fac, core.SAT{})
 	again := core.RunPolicyKeyed(cfg, "pagemine", fac, core.SAT{})
@@ -82,8 +83,8 @@ func TestRunPolicyKeyedMatchesUncachedAndMemoizes(t *testing.T) {
 		t.Errorf("cache returned a different result on the second call")
 	}
 	hits, misses := core.RunCacheStats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("cache stats = %d hits / %d misses, want 1 / 1", hits, misses)
+	if hits-h0 != 1 || misses-m0 != 1 {
+		t.Errorf("cache stats = %d hits / %d misses, want 1 / 1", hits-h0, misses-m0)
 	}
 }
 
@@ -91,17 +92,19 @@ func TestStaticPolicyKeyNormalization(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a full run")
 	}
-	core.ResetRunCache()
-	defer core.ResetRunCache()
 	cfg := machine.DefaultConfig()
 	fac := testFactory(t, "ep")
+	runs := core.NewRuns(0, nil)
+	run := func(pol core.Policy) core.RunResult {
+		return core.RunSpec{Cfg: cfg, Workload: "ep", Factory: fac, Control: core.Control{Policy: pol}}.Run(runs)
+	}
 
 	// Static{} ("as many threads as cores") and Static{N: cores} are
 	// the same execution; the cache must address them identically so
 	// figure baselines share the sweep's all-cores point.
-	all := core.RunPolicyKeyed(cfg, "ep", fac, core.Static{})
-	n32 := core.RunPolicyKeyed(cfg, "ep", fac, core.Static{N: cfg.Mem.Cores})
-	if hits, misses := core.RunCacheStats(); hits != 1 || misses != 1 {
+	all := run(core.Static{})
+	n32 := run(core.Static{N: cfg.Mem.Cores})
+	if hits, misses := runs.Stats(); hits != 1 || misses != 1 {
 		t.Errorf("cache stats = %d hits / %d misses, want 1 / 1", hits, misses)
 	}
 	if all.TotalCycles != n32.TotalCycles {

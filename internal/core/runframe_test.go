@@ -35,14 +35,14 @@ func TestRunFrameReportsBusTraffic(t *testing.T) {
 }
 
 // TestMeasuredRunAddsEnergy: an uncached hill-climb run folds its
-// active-core cycles into the process-wide energy total, like every
-// other run.
+// active-core cycles into the energy total of the run cache that
+// simulated it, like every other run.
 func TestMeasuredRunAddsEnergy(t *testing.T) {
 	info, _ := workloads.ByName("ed")
 	cfg := machine.DefaultConfig().WithCores(8)
-	before := core.SimEnergyTotal()
-	res := core.RunSpec{Cfg: cfg, Factory: info.Factory, Control: core.Control{Policy: core.HillClimb{}}}.Run()
-	grown := core.SimEnergyTotal() - before
+	runs := core.NewRuns(0, nil)
+	res := core.RunSpec{Cfg: cfg, Factory: info.Factory, Control: core.Control{Policy: core.HillClimb{}}}.Run(runs)
+	grown := runs.Energy()
 	if want := res.AvgActiveCores * float64(res.TotalCycles); grown < 0.999*want {
 		t.Errorf("energy total grew by %g, want at least the run's %g active-core cycles", grown, want)
 	}

@@ -233,17 +233,16 @@ func (s RunSpec) key() string {
 	return key + s.Mode.key()
 }
 
-// Run executes the spec on a fresh machine, memoized under its Key:
-// the first call per key simulates, later ones return the result.
-func (s RunSpec) Run() RunResult {
-	s = s.normalized()
+// Run executes the spec on a fresh machine, memoized in runs under
+// its Key (nil runs = the package default): the first call per key
+// simulates, later ones return the result.
+func (s RunSpec) Run(runs *Runs) RunResult {
+	runs, s = runs.orDefault(), s.normalized()
 	if !s.named() {
-		return s.simulate()
+		return runs.simulate(s)
 	}
-	return runCache.Do(s.key(), s.simulate)
+	return runs.cache.Do(s.key(), func() RunResult { return runs.simulate(s) })
 }
-
-func (s RunSpec) simulate() RunResult { return s.RunOn(machine.MustNew(s.Cfg)) }
 
 // RunOn executes the spec on a fresh caller-built machine, uncached:
 // the entry point for runs observed by a tracer, checker, sampler or
@@ -258,25 +257,28 @@ func (s RunSpec) RunOn(m *machine.Machine) RunResult {
 	return ctl.Run(m, s.Factory(m))
 }
 
-// RunPolicy runs the workload under a policy on a fresh machine.
+// RunPolicy runs the workload under a policy on a fresh machine,
+// uncached.
 func RunPolicy(cfg machine.Config, f Factory, pol Policy) RunResult {
-	return RunSpec{Cfg: cfg, Factory: f, Control: Control{Policy: pol}}.Run()
+	return RunSpec{Cfg: cfg, Factory: f, Control: Control{Policy: pol}}.RunOn(machine.MustNew(cfg))
 }
 
-// RunPolicyKeyed is RunPolicy memoized under workload key wkey.
+// RunPolicyKeyed is RunPolicy memoized under workload key wkey in the
+// package default. It exists for cmd/fdtbench until ROADMAP item 2
+// moves those calls to RunSpec.
 func RunPolicyKeyed(cfg machine.Config, wkey string, f Factory, pol Policy) RunResult {
-	return RunSpec{Cfg: cfg, Workload: wkey, Factory: f, Control: Control{Policy: pol}}.Run()
+	return RunSpec{Cfg: cfg, Workload: wkey, Factory: f, Control: Control{Policy: pol}}.Run(nil)
 }
 
-// Sweep runs s once per static thread count, fanned out over the
-// runner's worker pool; results are ordered like counts. done, when
-// non-nil, sees each point as its worker completes it.
-func Sweep(s RunSpec, counts []int, done func(i int, r RunResult)) []RunResult {
+// Sweep runs s once per static thread count through runs, fanned out
+// over the runner's worker pool; results are ordered like counts.
+// done, when non-nil, sees each point as its worker completes it.
+func Sweep(runs *Runs, s RunSpec, counts []int, done func(i int, r RunResult)) []RunResult {
 	out := make([]RunResult, len(counts))
 	runner.Map(len(counts), func(i int) {
 		p := s
 		p.Control = Control{Policy: Static{N: counts[i]}}
-		out[i] = p.Run()
+		out[i] = p.Run(runs)
 		if done != nil {
 			done(i, out[i])
 		}

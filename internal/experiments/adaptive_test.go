@@ -60,7 +60,7 @@ func TestAdaptiveRedecidesAtPhaseBoundaries(t *testing.T) {
 		t.Errorf("TrainIters %d, want sum of phases %d", k.TrainIters, wantTrain)
 	}
 
-	once := core.RunPolicyKeyed(o.Cfg, "phaseshift", factory("phaseshift"), core.Combined{})
+	once := o.run("phaseshift", core.Control{Policy: core.Combined{}})
 	if len(once.Kernels[0].Phases) != 0 || once.Kernels[0].Retrains != 0 {
 		t.Errorf("train-once run recorded phases: %+v", once.Kernels[0])
 	}

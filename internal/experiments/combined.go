@@ -116,7 +116,7 @@ func RunFig15(o Options) Fig15 {
 	f.Rows = make([]Fig15Row, len(AllWorkloads))
 	runner.Map(len(AllWorkloads), func(i int) {
 		name := AllWorkloads[i]
-		oracle := core.Oracle(o.spec(name, factory(name), core.Control{}), o.threads(), 0.01)
+		oracle := core.Oracle(o.Runs, o.spec(name, factory(name), core.Control{}), o.threads(), 0.01)
 		fdt := runNamed(o, name, core.Combined{})
 		base := runNamed(o, name, core.Static{})
 		f.Rows[i] = Fig15Row{

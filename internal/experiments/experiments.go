@@ -40,6 +40,11 @@ type Options struct {
 	// fdtsweep/fdtd budget plumbing). nil with a trivial ladder is
 	// the PR 9 path, byte-identical results and cache keys.
 	Power *core.PowerParams
+	// Runs memoizes every run the experiment performs (nil = the
+	// core package default). Experiments sharing one value share
+	// their baselines; fdtreport and each fdtd job pass the value
+	// whose counters they report.
+	Runs *core.Runs
 }
 
 // spec describes one run of a workload under ctl on the options'
@@ -51,7 +56,7 @@ func (o Options) spec(wkey string, f core.Factory, ctl core.Control) core.RunSpe
 
 // run executes (or recalls) a registered workload under ctl.
 func (o Options) run(name string, ctl core.Control) core.RunResult {
-	return o.spec(name, factory(name), ctl).Run()
+	return o.spec(name, factory(name), ctl).Run(o.Runs)
 }
 
 // ProgressFunc receives experiment progress events. Implementations
@@ -128,7 +133,7 @@ type Curve struct {
 }
 
 // runNamed executes (or recalls) a registered workload under a policy
-// through the process-wide run cache, keyed by the workload name.
+// through the options' run cache, keyed by the workload name.
 func runNamed(o Options, name string, pol core.Policy) core.RunResult {
 	r := o.run(name, core.Control{Policy: pol})
 	o.emit(ProgressEvent{Workload: name, Policy: r.Policy, Cycles: r.TotalCycles, Total: 1})
@@ -138,7 +143,7 @@ func runNamed(o Options, name string, pol core.Policy) core.RunResult {
 // sweep produces a Curve for a workload. Sweep points are simulated in
 // parallel and memoized under the workload name, so figures sharing a
 // baseline (Fig 8's panels reappear inside Fig 15's oracle) simulate
-// each point once per process. Each completed point is reported to the
+// each point once per run cache. Each completed point is reported to the
 // Options' progress sink from its worker goroutine.
 func sweep(o Options, name string) Curve {
 	ts := o.threads()
@@ -168,7 +173,7 @@ func curveOf(name string, ts []int, runs []core.RunResult) (Curve, []uint64) {
 
 // sweepRuns is core.Sweep with per-point progress reporting.
 func sweepRuns(o Options, name string, ts []int) []core.RunResult {
-	return core.Sweep(o.spec(name, factory(name), core.Control{}), ts, func(i int, r core.RunResult) {
+	return core.Sweep(o.Runs, o.spec(name, factory(name), core.Control{}), ts, func(i int, r core.RunResult) {
 		o.emit(ProgressEvent{
 			Workload: name, Policy: r.Policy, Threads: ts[i],
 			Cycles: r.TotalCycles, Index: i, Total: len(ts),

@@ -7,9 +7,11 @@ import (
 	"fdt/internal/workloads"
 )
 
-// testOptions uses a reduced sweep so the shape checks stay fast.
+// testOptions uses a reduced sweep so the shape checks stay fast, and
+// SharedRuns so the experiments share their baselines.
 func testOptions() Options {
 	o := DefaultOptions()
+	o.Runs = SharedRuns
 	o.SweepThreads = []int{1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 24, 32}
 	return o
 }

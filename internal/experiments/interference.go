@@ -67,12 +67,12 @@ func interferencePairs() [][2]string {
 }
 
 // InterferenceCell runs a two-tenant co-run and both solo controls,
-// producing one row per tenant.
-func InterferenceCell(co core.RunSpec) []InterferenceRow {
-	res := co.Run()
+// producing one row per tenant, through runs.
+func InterferenceCell(runs *core.Runs, co core.RunSpec) []InterferenceRow {
+	res := co.Run(runs)
 	rows := make([]InterferenceRow, len(co.Teams))
 	for i, t := range co.Teams {
-		solo := co.Solo(i).Run().Teams[i]
+		solo := co.Solo(i).Run(runs).Teams[i]
 		ct := res.Teams[i]
 		row := InterferenceRow{
 			Workload:      t.Workload,
@@ -152,7 +152,7 @@ func RunInterferencePairs(o Options, pairs [][2]string, mappings []machine.Mappi
 	cells := interferenceCells(o, pairs, mappings)
 	rows := make([][]InterferenceRow, len(cells))
 	runner.Map(len(cells), func(i int) {
-		rows[i] = InterferenceCell(cells[i])
+		rows[i] = InterferenceCell(o.Runs, cells[i])
 	})
 
 	var out Interference

@@ -58,9 +58,9 @@ func TestSampledErrorGate(t *testing.T) {
 		}
 		cfg := o.Cfg.WithBandwidth(p.bandwidth)
 		spec := core.RunSpec{Cfg: cfg, Workload: info.Name, Factory: info.Factory}
-		exact := core.Sweep(spec, counts, nil)
+		exact := core.Sweep(o.Runs, spec, counts, nil)
 		spec.Mode = md
-		sampled := core.Sweep(spec, counts, nil)
+		sampled := core.Sweep(o.Runs, spec, counts, nil)
 		if _, seen := perFig[p.figure]; !seen {
 			order = append(order, p.figure)
 		}

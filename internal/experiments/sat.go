@@ -77,13 +77,13 @@ func RunFig09(o Options) Fig09 {
 	runner.Map(len(Fig09PageSizes), func(i int) {
 		pb := Fig09PageSizes[i]
 		fac, wkey := pageMineSized(pb)
-		runs := core.Sweep(o.spec(wkey, fac, core.Control{}), o.threads(), nil)
+		runs := core.Sweep(o.Runs, o.spec(wkey, fac, core.Control{}), o.threads(), nil)
 		times := make([]uint64, len(runs))
 		for j, r := range runs {
 			times[j] = r.TotalCycles
 		}
 		best := o.threads()[fewestIdx(times)]
-		sat := o.spec(wkey, fac, core.Control{Policy: core.SAT{}}).Run()
+		sat := o.spec(wkey, fac, core.Control{Policy: core.SAT{}}).Run(o.Runs)
 		f.PageBytes[i] = pb
 		f.BestThreads[i] = best
 		f.SATThreads[i] = chosenThreads(sat)
@@ -143,10 +143,10 @@ func RunFig10(o Options) Fig10 {
 	run := func(pageBytes int) (Curve, PolicyPoint) {
 		fac, wkey := pageMineSized(pageBytes)
 		ts := o.threads()
-		c, times := curveOf(fmt.Sprintf("pagemine-%dB", pageBytes), ts, core.Sweep(o.spec(wkey, fac, core.Control{}), ts, nil))
+		c, times := curveOf(fmt.Sprintf("pagemine-%dB", pageBytes), ts, core.Sweep(o.Runs, o.spec(wkey, fac, core.Control{}), ts, nil))
 		idx := fewestIdx(times)
 		c.MinThreads, c.MinCycles = ts[idx], times[idx]
-		sat := o.spec(wkey, fac, core.Control{Policy: core.SAT{}}).Run()
+		sat := o.spec(wkey, fac, core.Control{Policy: core.SAT{}}).Run(o.Runs)
 		pp := PolicyPoint{
 			Policy:   "SAT",
 			Run:      sat,

@@ -171,7 +171,7 @@ func Assertions() []Assertion {
 				for _, info := range workloads.All() {
 					cycles := func(pol core.Policy) uint64 {
 						s := core.RunSpec{Cfg: o.Cfg, Workload: info.Name, Factory: info.Factory, Control: core.Control{Policy: pol}, Mode: o.Mode}
-						return s.Run().TotalCycles
+						return s.Run(o.Runs).TotalCycles
 					}
 					fdt, sat, bat := cycles(core.Combined{}), cycles(core.SAT{}), cycles(core.BAT{})
 					best := sat
@@ -220,7 +220,7 @@ func Assertions() []Assertion {
 				if err != nil {
 					return err
 				}
-				r := core.RunSpec{Cfg: o.Cfg, Workload: "phaseshift", Factory: info.Factory, Control: adaptive, Mode: o.Mode}.Run()
+				r := core.RunSpec{Cfg: o.Cfg, Workload: "phaseshift", Factory: info.Factory, Control: adaptive, Mode: o.Mode}.Run(o.Runs)
 				if len(r.Kernels) != 1 {
 					return fmt.Errorf("phaseshift: %d kernels, want 1", len(r.Kernels))
 				}
@@ -243,9 +243,9 @@ func Assertions() []Assertion {
 				if err := co.Validate(); err != nil {
 					return err
 				}
-				res := co.Run()
+				res := co.Run(o.Runs)
 				for i, t := range co.Teams {
-					solo := co.Solo(i).Run().Teams[i]
+					solo := co.Solo(i).Run(o.Runs).Teams[i]
 					sn, cn := decidedThreads(solo.RunResult), decidedThreads(res.Teams[i].RunResult)
 					if cn >= sn {
 						return fmt.Errorf("%s: %d threads co-run, %d solo — co-runner traffic did not lower the BAT decision", t.Workload, cn, sn)
@@ -269,7 +269,7 @@ func Assertions() []Assertion {
 				if err := co.Validate(); err != nil {
 					return err
 				}
-				k := co.Run().Teams[0].Kernels[0]
+				k := co.Run(o.Runs).Teams[0].Kernels[0]
 				if k.Retrains < 1 {
 					return fmt.Errorf("bscholes co-run with busburst: %d retrains, want >= 1", k.Retrains)
 				}
@@ -285,7 +285,7 @@ func Assertions() []Assertion {
 				if !throttled {
 					return fmt.Errorf("bscholes: no post-onset phase ran below the initial %d threads", k.Phases[0].Decision.Threads)
 				}
-				if r := co.Solo(0).Run().Teams[0].Kernels[0].Retrains; r != 0 {
+				if r := co.Solo(0).Run(o.Runs).Teams[0].Kernels[0].Retrains; r != 0 {
 					return fmt.Errorf("bscholes solo: %d retrains, want 0 — the drift must come from the co-runner", r)
 				}
 				return nil
@@ -452,7 +452,7 @@ func Assertions() []Assertion {
 					if err := co.Validate(); err != nil {
 						return err
 					}
-					cycles[i] = co.Run().TotalCycles
+					cycles[i] = co.Run(o.Runs).TotalCycles
 				}
 				hi, lo := cycles[0], cycles[1]
 				if lo > hi {

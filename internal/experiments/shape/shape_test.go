@@ -2,8 +2,8 @@ package shape
 
 // Predicate unit tests on synthetic curves — no simulation. The
 // suite that runs the registry against real experiment results lives
-// in internal/experiments (shape_suite_test.go), where it shares the
-// process-wide run cache with the other experiment tests.
+// in internal/experiments (shape_suite_test.go), where it shares one
+// run cache with the other experiment tests.
 
 import (
 	"strings"

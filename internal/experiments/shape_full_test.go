@@ -8,12 +8,13 @@ package experiments_test
 //
 //	go test -tags fullsweep -run TestShapeSuiteFullSweep ./internal/experiments/
 //
-// where the run cache amortizes the sweeps across assertions exactly
+// where its own run cache amortizes the sweeps across assertions exactly
 // as the figure generators do.
 
 import (
 	"testing"
 
+	"fdt/internal/core"
 	"fdt/internal/experiments"
 	"fdt/internal/experiments/shape"
 )
@@ -23,6 +24,7 @@ func TestShapeSuiteFullSweep(t *testing.T) {
 		t.Skip("full 1..32 sweeps")
 	}
 	o := experiments.DefaultOptions()
+	o.Runs = core.NewRuns(0, nil)
 	for _, a := range shape.Assertions() {
 		a := a
 		t.Run(a.Name, func(t *testing.T) {

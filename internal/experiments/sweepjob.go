@@ -26,7 +26,7 @@ type SweepJobResult struct {
 }
 
 // RunSweepJob sweeps a workload across static thread counts and
-// places the named policies, all through the process-wide run cache —
+// places the named policies, all through o.Runs —
 // the daemon-facing twin of the fdtsweep CLI path. counts may be
 // empty when policies are given (policy placements only). The sweep
 // points and placements are independent runs, so they fan out
@@ -69,7 +69,7 @@ func RunSweepJob(o Options, workload string, counts []int, policies []string) (S
 	runs := make([]core.RunResult, len(specs))
 	var mu sync.Mutex // serializes o.Progress within the job
 	runner.Map(len(specs), func(i int) {
-		r := specs[i].Run()
+		r := specs[i].Run(o.Runs)
 		runs[i] = r
 		ev := ProgressEvent{Workload: info.Name, Policy: r.Policy, Cycles: r.TotalCycles}
 		if i < len(counts) {

@@ -16,7 +16,8 @@ import (
 // and every controller family — serially and on four workers, and
 // wants byte-identical results and one progress event per run either
 // way. fdt and sat+bat share a run-cache key, so on four workers one
-// of them waits on the other's in-flight run.
+// of them waits on the other's in-flight run. Each leg runs on a fresh
+// run cache, and checks that it simulated every distinct run once.
 func TestSweepJobFanOutDeterministic(t *testing.T) {
 	t.Cleanup(func() { runner.SetWorkers(0) })
 	counts := []int{1, 2, 4, 8}
@@ -28,12 +29,11 @@ func TestSweepJobFanOutDeterministic(t *testing.T) {
 		var blobs [][]byte
 		for _, workers := range []int{1, 4} {
 			runner.SetWorkers(workers)
-			core.ResetRunCache()
 			var (
 				mu   sync.Mutex
 				seen = map[string]int{}
 			)
-			o := Options{Cfg: machine.DefaultConfig().WithCores(8), Mode: mode.mode}
+			o := Options{Cfg: machine.DefaultConfig().WithCores(8), Mode: mode.mode, Runs: core.NewRuns(0, nil)}
 			o.Progress = func(ev ProgressEvent) {
 				mu.Lock()
 				defer mu.Unlock()
@@ -56,6 +56,20 @@ func TestSweepJobFanOutDeterministic(t *testing.T) {
 			}
 			if fmt.Sprint(seen) != fmt.Sprint(want) {
 				t.Errorf("%s, %d workers: progress events %v, want each of %v once", mode.name, workers, seen, want)
+			}
+			keys := map[string]bool{}
+			for _, n := range counts {
+				keys[o.spec("pagemine", nil, core.Control{Policy: core.Static{N: n}}).Key()] = true
+			}
+			for _, p := range policies {
+				ctl, err := core.ParseController(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				keys[o.spec("pagemine", nil, ctl).Key()] = true
+			}
+			if got := o.Runs.Computes(); got != uint64(len(keys)) {
+				t.Errorf("%s, %d workers: %d runs simulated, want %d (one per distinct key, on a cold cache)", mode.name, workers, got, len(keys))
 			}
 			b, err := json.Marshal(res)
 			if err != nil {

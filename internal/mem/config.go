@@ -166,8 +166,3 @@ func (c Config) ScaleBandwidth(factor float64) Config {
 	out.BusCyclesPerLine = uint64(scaled + 0.5)
 	return out
 }
-
-// LineAddr converts a byte address to a line address.
-func (c Config) LineAddr(addr uint64) uint64 {
-	return addr / uint64(c.LineBytes)
-}

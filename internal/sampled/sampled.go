@@ -543,10 +543,6 @@ func (d *Detector) MaxSkipIters() int {
 	return int(lim)
 }
 
-// Last returns the most recent window profile — the extrapolation
-// reference while steady.
-func (d *Detector) Last() Window { return d.last }
-
 // Extrapolate advances the machine analytically across iters skipped
 // iterations and returns the cycles they are modeled to take.
 //

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fdt/internal/core"
 )
 
 func postJob(t *testing.T, ts *httptest.Server, spec Spec) (View, *http.Response) {
@@ -73,8 +75,7 @@ func getStats(t *testing.T, ts *httptest.Server) Stats {
 }
 
 func TestHTTPSubmitPollResult(t *testing.T) {
-	resetCache(t)
-	s := New(Config{Workers: 1})
+	s := New(Config{Workers: 1, Runs: core.NewRuns(0, nil)})
 	defer drain(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -108,8 +109,7 @@ func TestHTTPSubmitPollResult(t *testing.T) {
 }
 
 func TestHTTPErrors(t *testing.T) {
-	resetCache(t)
-	s := New(Config{Workers: 1})
+	s := New(Config{Workers: 1, Runs: core.NewRuns(0, nil)})
 	defer drain(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -202,8 +202,7 @@ func readSSE(t *testing.T, resp *http.Response) []sseEvent {
 }
 
 func TestSSEStreamTerminatesCleanly(t *testing.T) {
-	resetCache(t)
-	s := New(Config{Workers: 1})
+	s := New(Config{Workers: 1, Runs: core.NewRuns(0, nil)})
 	defer drain(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -256,8 +255,7 @@ func TestSSEStreamTerminatesCleanly(t *testing.T) {
 // flood. We assert on completion order: B finishes before A's last
 // job.
 func TestHTTPFairnessAcrossClients(t *testing.T) {
-	resetCache(t)
-	s := New(Config{Workers: 1})
+	s := New(Config{Workers: 1, Runs: core.NewRuns(0, nil)})
 	defer drain(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -286,8 +284,7 @@ func TestHTTPFairnessAcrossClients(t *testing.T) {
 }
 
 func TestStatsEndpointShape(t *testing.T) {
-	resetCache(t)
-	s := New(Config{Workers: 3, QueueCap: 17})
+	s := New(Config{Workers: 3, QueueCap: 17, Runs: core.NewRuns(0, nil)})
 	defer drain(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -302,8 +299,7 @@ func TestStatsEndpointShape(t *testing.T) {
 }
 
 func TestHTTPPowerSpecValidation(t *testing.T) {
-	resetCache(t)
-	s := New(Config{Workers: 1})
+	s := New(Config{Workers: 1, Runs: core.NewRuns(0, nil)})
 	defer drain(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -335,8 +331,7 @@ func TestHTTPPowerSweepJob(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulated sweep")
 	}
-	resetCache(t)
-	s := New(Config{Workers: 1})
+	s := New(Config{Workers: 1, Runs: core.NewRuns(0, nil)})
 	defer drain(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -6,24 +6,32 @@ import (
 	"testing"
 
 	"fdt/internal/core"
+	"fdt/internal/store"
 )
+
+// storeRuns opens the disk store at dir and returns a fresh run cache
+// backed by it, as a daemon process builds one at start.
+func storeRuns(t *testing.T, dir string) *core.Runs {
+	t.Helper()
+	st, err := store.Open(dir, core.RunStoreSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.NewRuns(0, st)
+}
 
 // TestRestartServedFromStore is the PR's restart-resilience
 // acceptance test: run a sweep through the service backed by a disk
-// store, tear the whole process state down (service drained, run
-// cache reset — the in-process equivalent of killing the daemon),
+// store, tear the whole process state down (service drained, its run
+// cache dropped — the in-process equivalent of killing the daemon),
 // bring a fresh service up on the same store directory, and resubmit.
 // Every run must be a store hit: zero recomputes, and the result
 // bytes must be identical to the first incarnation's.
 func TestRestartServedFromStore(t *testing.T) {
-	resetCache(t)
 	dir := t.TempDir()
 
 	// --- first incarnation: cold, computes and persists ---
-	if _, err := core.OpenRunStore(dir); err != nil {
-		t.Fatal(err)
-	}
-	s1 := New(Config{Workers: 2})
+	s1 := New(Config{Workers: 2, Runs: storeRuns(t, dir)})
 	ts1 := httptest.NewServer(s1.Handler())
 
 	v, resp := postJob(t, ts1, smallSweep("restart"))
@@ -34,7 +42,7 @@ func TestRestartServedFromStore(t *testing.T) {
 	if len(cold.Result) == 0 {
 		t.Fatal("cold run has no result")
 	}
-	if got := core.RunCacheComputes(); got != 2 {
+	if got := s1.cfg.Runs.Computes(); got != 2 {
 		t.Fatalf("cold computes = %d, want 2", got)
 	}
 	st := getStats(t, ts1)
@@ -48,14 +56,8 @@ func TestRestartServedFromStore(t *testing.T) {
 	drain(t, s1)
 	ts1.Close()
 
-	// --- simulated restart: wipe in-process state, reopen same dir ---
-	core.DetachRunStore()
-	core.ResetRunCache()
-	if _, err := core.OpenRunStore(dir); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := New(Config{Workers: 2})
+	// --- simulated restart: a new run cache on the same store dir ---
+	s2 := New(Config{Workers: 2, Runs: storeRuns(t, dir)})
 	defer drain(t, s2)
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
@@ -63,7 +65,7 @@ func TestRestartServedFromStore(t *testing.T) {
 	v2, _ := postJob(t, ts2, smallSweep("restart"))
 	warm := pollDone(t, ts2, v2.ID)
 
-	if got := core.RunCacheComputes(); got != 0 {
+	if got := s2.cfg.Runs.Computes(); got != 0 {
 		t.Fatalf("warm incarnation recomputed %d runs, want 0 (all store hits)", got)
 	}
 	st2 := getStats(t, ts2)
@@ -80,11 +82,7 @@ func TestRestartServedFromStore(t *testing.T) {
 // the store/memory cache afterwards — the daemon's whole reason to
 // exist.
 func TestStoreSharedAcrossDistinctJobs(t *testing.T) {
-	resetCache(t)
-	if _, err := core.OpenRunStore(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-	s := New(Config{Workers: 2})
+	s := New(Config{Workers: 2, Runs: storeRuns(t, t.TempDir())})
 	defer drain(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -94,7 +92,7 @@ func TestStoreSharedAcrossDistinctJobs(t *testing.T) {
 	vb, _ := postJob(t, ts, smallSweep("bob"))
 	b := pollDone(t, ts, vb.ID)
 
-	if got := core.RunCacheComputes(); got != 2 {
+	if got := s.cfg.Runs.Computes(); got != 2 {
 		t.Fatalf("computes = %d, want 2 (second job fully cached)", got)
 	}
 	if !bytes.Equal(a.Result, b.Result) {

@@ -17,7 +17,7 @@ import (
 // exact.
 func newManual(t *testing.T, retain int) *Service {
 	t.Helper()
-	s := New(Config{Workers: -1, QueueCap: -1})
+	s := New(Config{Workers: -1, QueueCap: -1, Runs: core.NewRuns(0, nil)})
 	s.retain = retain
 	t.Cleanup(func() { drain(t, s) })
 	return s
@@ -66,7 +66,6 @@ func statusOf(t *testing.T, ts *httptest.Server, path string) int {
 // never issued stays 404. Resubmitting the dropped job's Spec computes
 // nothing and returns the same bytes.
 func TestDroppedJobAnswersGone(t *testing.T) {
-	resetCache(t)
 	s := newManual(t, 2)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -74,7 +73,7 @@ func TestDroppedJobAnswersGone(t *testing.T) {
 	first := submitOK(t, s, smallSweep("gone"))
 	runNext(t, s)
 	firstResult := first.Result()
-	computes := core.RunCacheComputes()
+	computes := s.cfg.Runs.Computes()
 	for i := 0; i < 2; i++ {
 		submitOK(t, s, smallSweep("gone"))
 		runNext(t, s)
@@ -103,7 +102,7 @@ func TestDroppedJobAnswersGone(t *testing.T) {
 
 	again := submitOK(t, s, smallSweep("gone"))
 	runNext(t, s)
-	if got := core.RunCacheComputes(); got != computes {
+	if got := s.cfg.Runs.Computes(); got != computes {
 		t.Errorf("resubmission computed: %d -> %d", computes, got)
 	}
 	if !bytes.Equal(again.Result(), firstResult) {
@@ -117,7 +116,6 @@ func TestDroppedJobAnswersGone(t *testing.T) {
 // Only finished jobs are dropped, oldest finish first; a queued or
 // running job stays registered however many others finish.
 func TestInFlightJobsNeverDropped(t *testing.T) {
-	resetCache(t)
 	s := newManual(t, 2)
 	jobs := make([]*Job, 6)
 	for i := range jobs {
@@ -155,7 +153,6 @@ func TestInFlightJobsNeverDropped(t *testing.T) {
 // The registry holds exactly the retained finished jobs plus the ones
 // in flight, and live heap stays flat once the retention set is full.
 func TestRegistryMemoryBounded(t *testing.T) {
-	resetCache(t)
 	s := newManual(t, retainFinished)
 	const n = 5000
 	var heapAt1000 uint64
@@ -172,7 +169,7 @@ func TestRegistryMemoryBounded(t *testing.T) {
 			heapAt1000 = liveHeap()
 		}
 	}
-	if computes := core.RunCacheComputes(); computes != 2 {
+	if computes := s.cfg.Runs.Computes(); computes != 2 {
 		t.Errorf("computes = %d, want 2 (every later job is cached)", computes)
 	}
 	grew := int64(liveHeap()) - int64(heapAt1000)
@@ -231,7 +228,6 @@ func TestStreamLosesNoEvents(t *testing.T) {
 // nothing, and a client that connects after the end gets the full
 // history and then EOF.
 func TestSSEStreamSlowReader(t *testing.T) {
-	resetCache(t)
 	s := newManual(t, retainFinished)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -279,7 +275,6 @@ func TestSSEStreamSlowReader(t *testing.T) {
 // An ID is dropped only after a newer job finished, so a client that
 // fetches its result right after "done" always finds it.
 func TestRetainedAtDone(t *testing.T) {
-	resetCache(t)
 	s := newManual(t, 1)
 	for i := 1; i <= 3; i++ {
 		j := submitOK(t, s, smallSweep("fresh"))

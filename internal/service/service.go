@@ -33,6 +33,9 @@ type Config struct {
 	Workers int
 	// QueueCap bounds the admission queue (default 64, <0 unbounded).
 	QueueCap int
+	// Runs memoizes every job's runs and backs the cache, store and
+	// energy counters of Stats (nil = the core package default).
+	Runs *core.Runs
 }
 
 func (c Config) withDefaults() Config {
@@ -158,6 +161,7 @@ func (s *Service) finish(j *Job, result json.RawMessage, err error) {
 func (s *Service) runJob(j *Job) {
 	j.start()
 	o := j.Spec.options()
+	o.Runs = s.cfg.Runs
 	o.Progress = func(ev experiments.ProgressEvent) {
 		j.publish(Event{
 			Type: "point", Job: j.ID,
@@ -239,7 +243,7 @@ type Stats struct {
 	JobsRetained int  `json:"jobs_retained"`
 	Draining     bool `json:"draining"`
 
-	// In-memory run cache (process lifetime).
+	// The service's run cache (Config.Runs), since it was built.
 	CacheHits      uint64 `json:"cache_hits"`
 	CacheMisses    uint64 `json:"cache_misses"`
 	CacheComputes  uint64 `json:"cache_computes"`
@@ -255,10 +259,11 @@ type Stats struct {
 
 	RunnerWorkers int `json:"runner_workers"`
 
-	// SimEnergyTotal is the process-wide simulated energy, in
-	// core-cycle units, summed over every uncached run: table-driven
-	// Energy.Total on laddered machines, active core-cycles on the
-	// flat path.
+	// SimEnergyTotal is the simulated energy, in core-cycle units,
+	// summed over every run the service's run cache simulated, co-runs
+	// included: table-driven Energy.Total on laddered machines, active
+	// core-cycles on the flat path. Runs served from memory or the
+	// store add nothing.
 	SimEnergyTotal float64 `json:"sim_energy_total"`
 }
 
@@ -267,8 +272,9 @@ func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	retained := len(s.finished)
 	s.mu.Unlock()
-	hits, misses := core.RunCacheStats()
-	entries, bytes, evictions := core.RunCacheUsage()
+	runs := s.cfg.Runs
+	hits, misses := runs.Stats()
+	entries, bytes, evictions := runs.Usage()
 	st := Stats{
 		Workers:        s.cfg.Workers,
 		QueueCap:       s.cfg.QueueCap,
@@ -279,14 +285,14 @@ func (s *Service) Stats() Stats {
 		Draining:       s.draining.Load(),
 		CacheHits:      hits,
 		CacheMisses:    misses,
-		CacheComputes:  core.RunCacheComputes(),
+		CacheComputes:  runs.Computes(),
 		CacheEntries:   entries,
 		CacheBytes:     bytes,
 		CacheEvictions: evictions,
 		RunnerWorkers:  runner.Workers(),
-		SimEnergyTotal: core.SimEnergyTotal(),
+		SimEnergyTotal: runs.Energy(),
 	}
-	if rs := core.RunStore(); rs != nil {
+	if rs := runs.Store(); rs != nil {
 		st.StoreAttached = true
 		st.StoreDir = rs.Dir()
 		stats := rs.Stats()

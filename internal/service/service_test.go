@@ -11,18 +11,6 @@ import (
 	"fdt/internal/experiments"
 )
 
-// resetCache gives each test a cold, detached run cache and restores
-// the pristine global state afterwards.
-func resetCache(t *testing.T) {
-	t.Helper()
-	core.DetachRunStore()
-	core.ResetRunCache()
-	t.Cleanup(func() {
-		core.DetachRunStore()
-		core.ResetRunCache()
-	})
-}
-
 // smallSweep is the cheap canonical job used throughout these tests:
 // a two-point static sweep of pagemine on an 8-core machine
 // (sub-second on any host).
@@ -55,8 +43,7 @@ func drain(t *testing.T, s *Service) {
 }
 
 func TestSweepJobLifecycle(t *testing.T) {
-	resetCache(t)
-	s := New(Config{Workers: 1})
+	s := New(Config{Workers: 1, Runs: core.NewRuns(0, nil)})
 	defer drain(t, s)
 
 	j, err := s.Submit(smallSweep("t"))
@@ -100,8 +87,7 @@ func TestSweepJobLifecycle(t *testing.T) {
 }
 
 func TestSpecValidation(t *testing.T) {
-	resetCache(t)
-	s := New(Config{Workers: 1})
+	s := New(Config{Workers: 1, Runs: core.NewRuns(0, nil)})
 	defer drain(t, s)
 
 	bad := []Spec{
@@ -129,8 +115,7 @@ func TestSpecValidation(t *testing.T) {
 // per distinct run via the cache's single-flight keys. Under -race
 // this is the dedup half of the PR's race gauntlet.
 func TestConcurrentIdenticalSubmissionsDedup(t *testing.T) {
-	resetCache(t)
-	s := New(Config{Workers: 4})
+	s := New(Config{Workers: 4, Runs: core.NewRuns(0, nil)})
 	defer drain(t, s)
 
 	const clients = 8
@@ -164,18 +149,17 @@ func TestConcurrentIdenticalSubmissionsDedup(t *testing.T) {
 		}
 	}
 	// 8 jobs x 2 points, but only 2 distinct runs exist.
-	if got := core.RunCacheComputes(); got != 2 {
+	if got := s.cfg.Runs.Computes(); got != 2 {
 		t.Errorf("computes = %d, want 2 (single-flight dedup)", got)
 	}
-	hits, misses := core.RunCacheStats()
+	hits, misses := s.cfg.Runs.Stats()
 	if misses != 2 || hits != clients*2-2 {
 		t.Errorf("cache = %d hits / %d misses, want %d / 2", hits, misses, clients*2-2)
 	}
 }
 
 func TestSubmitWhileDrainingRejected(t *testing.T) {
-	resetCache(t)
-	s := New(Config{Workers: 1})
+	s := New(Config{Workers: 1, Runs: core.NewRuns(0, nil)})
 	drain(t, s)
 	if _, err := s.Submit(smallSweep("t")); err != ErrDraining {
 		t.Fatalf("submit while draining = %v, want ErrDraining", err)
@@ -185,8 +169,7 @@ func TestSubmitWhileDrainingRejected(t *testing.T) {
 // Drain must finish queued work: a job admitted before drain begins
 // still completes.
 func TestDrainFinishesAdmittedJobs(t *testing.T) {
-	resetCache(t)
-	s := New(Config{Workers: 1})
+	s := New(Config{Workers: 1, Runs: core.NewRuns(0, nil)})
 	j1, err := s.Submit(smallSweep("a"))
 	if err != nil {
 		t.Fatal(err)
@@ -204,10 +187,9 @@ func TestDrainFinishesAdmittedJobs(t *testing.T) {
 }
 
 func TestQueueFullMapsToSubmitError(t *testing.T) {
-	resetCache(t)
 	// One worker, capacity 1: the first job occupies the worker, the
 	// second fills the queue, the third must be rejected.
-	s := New(Config{Workers: 1, QueueCap: 1})
+	s := New(Config{Workers: 1, QueueCap: 1, Runs: core.NewRuns(0, nil)})
 	defer drain(t, s)
 
 	j1, err := s.Submit(smallSweep("a"))
@@ -234,8 +216,7 @@ func TestQueueFullMapsToSubmitError(t *testing.T) {
 
 // A policy-only job (no sweep) must work and carry policy placements.
 func TestPolicyOnlyJob(t *testing.T) {
-	resetCache(t)
-	s := New(Config{Workers: 1})
+	s := New(Config{Workers: 1, Runs: core.NewRuns(0, nil)})
 	defer drain(t, s)
 
 	j, err := s.Submit(Spec{

@@ -187,9 +187,6 @@ func (k *boxMullerKernel) RunChunk(master *thread.Ctx, n, lo, hi int) {
 	})
 }
 
-// Gaussians returns the transformed output (not a copy; read-only).
-func (w *MTwister) Gaussians() []float64 { return w.gauss }
-
 // Verify regenerates both stages serially and compares bit-exactly,
 // then sanity-checks the Gaussian moments.
 func (w *MTwister) Verify() error {
