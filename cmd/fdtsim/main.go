@@ -1,7 +1,9 @@
-// Command fdtsim runs one workload on the simulated 32-core CMP under
-// one threading policy and prints a report: execution time, average
-// active cores (the paper's power metric), per-kernel FDT decisions
-// and the verification verdict.
+// Command fdtsim runs one workload (or a co-scheduled pair) on the
+// simulated 32-core CMP under one threading policy and prints a
+// report: execution time, average active cores (the paper's power
+// metric), per-kernel FDT decisions and the verification verdict. It
+// is also the one command that observes a run: -trace, -check,
+// -sparkline and -counters attach to the machine before it starts.
 //
 // Usage:
 //
@@ -9,6 +11,9 @@
 //	fdtsim -workload ed -policy static -threads 32
 //	fdtsim -workload convert -policy bat -bandwidth 0.5
 //	fdtsim -workload ed -policy bat -trace ed.trace.json
+//	fdtsim -workload phaseshift -policy adaptive -trace ps.json -timeline ps.txt
+//	fdtsim -workload convert -policy bat -trace c.json -trace-events all -trace-buf 1048576
+//	fdtsim -corun isort+ed -trace co.json
 //	fdtsim -workload isort -check
 //	fdtsim -workload ep -policy hillclimb
 //	fdtsim -workload phaseshift -policy adaptive
@@ -19,6 +24,13 @@
 // extrapolates through steady-state kernel regions; see DESIGN.md
 // Section 11. Invariant checking (-check) and tracing need every
 // cycle simulated, so they force exact execution with a note.
+//
+// -trace writes Chrome trace-event JSON with one track per core, the
+// off-chip bus, each DRAM bank, plus the controller-decision track;
+// open it in https://ui.perfetto.dev. -timeline adds a plain-text
+// per-resource utilization timeline. Ring-buffer overflow is reported
+// on stderr and recorded in the trace metadata (events_dropped): a
+// truncated trace always says so.
 package main
 
 import (
@@ -54,6 +66,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dumpCtrs  = fs.Bool("counters", false, "dump the machine's counter set")
 		sparkline = fs.Bool("sparkline", false, "sample the run and print bus/active-core sparklines")
 		traceOut  = fs.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto)")
+		timeline  = fs.String("timeline", "", "with -trace, also write a plain-text utilization timeline to this path")
+		events    = fs.String("trace-events", "mem,sync,ctl", "traced categories, comma-separated: sim, mem, sync, ctl (or all)")
+		bufCap    = fs.Int("trace-buf", 1<<19, "trace ring-buffer capacity in events (newest kept on overflow)")
 		check     = fs.Bool("check", false, "arm the runtime invariant checker (conservation, queueing, coherence, controller equations)")
 	)
 	fl := cliflags.Register(fs, cliflags.Machine|cliflags.Power|cliflags.Sampled|cliflags.Probe|cliflags.Corun)
@@ -81,6 +96,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
+	mask, err := trace.ParseCategories(*events)
+	if err != nil {
+		fmt.Fprintln(stderr, "fdtsim:", err)
+		return 2
+	}
+	if *timeline != "" && *traceOut == "" {
+		fmt.Fprintln(stderr, "fdtsim: -timeline needs -trace")
+		return 2
+	}
 	rs.Control, err = fl.Control(*policy)
 	if err != nil {
 		fmt.Fprintln(stderr, "fdtsim:", err)
@@ -89,6 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if s, ok := rs.Control.Policy.(core.Static); ok && s.N == 0 {
 		rs.Control.Policy = core.Static{N: *threads}
 	}
+	ctlName := rs.Control.Name()
 	// Keep every built workload instance for -verify (a co-run
 	// instantiates its teams serially).
 	var built []core.Workload
@@ -130,7 +155,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		samples = m.StartSampler(0)
 	}
 	if *traceOut != "" {
-		tr = trace.New(1<<19, trace.CatMem|trace.CatSync|trace.CatCtl)
+		tr = trace.New(*bufCap, mask)
 		m.AttachTracer(tr)
 	}
 	if *check {
@@ -140,22 +165,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	res := rs.RunOn(m)
 	sampled := res.Sampled != nil
 	if corun {
-		sampled = reportCorun(stdout, res, fl, rs.Teams[0].Control)
+		sampled = reportCorun(stdout, res, fl, ctlName)
 	} else {
 		report(stdout, res, info, fl, rs)
-		if tr != nil {
-			meta := map[string]string{
-				"workload":     res.Workload,
-				"policy":       res.Policy,
-				"cores":        fmt.Sprintf("%d", fl.Cores),
-				"bandwidth":    fmt.Sprintf("%g", fl.Bandwidth),
-				"total_cycles": fmt.Sprintf("%d", res.TotalCycles),
-			}
-			if err := trace.WriteChromeFile(*traceOut, tr, meta); err != nil {
-				fmt.Fprintln(stderr, "fdtsim:", err)
-				return 1
-			}
-			fmt.Fprintf(stdout, "trace      %d events (%d dropped) -> %s\n", tr.Len(), tr.Dropped(), *traceOut)
+	}
+	if tr != nil {
+		if err := writeTrace(stdout, tr, res, fl, rs, ctlName, *traceOut, *timeline); err != nil {
+			fmt.Fprintln(stderr, "fdtsim:", err)
+			return 1
+		}
+		if tr.Dropped() > 0 {
+			fmt.Fprintf(stderr, "fdtsim: ring buffer overflowed: %d events dropped (oldest first); raise -trace-buf or narrow -trace-events\n",
+				tr.Dropped())
 		}
 	}
 
@@ -227,6 +248,9 @@ func report(stdout io.Writer, res core.RunResult, info workloads.Info, fl *clifl
 		}
 		fmt.Fprintf(stdout, "kernel %-22s threads=%-3d%s pcs=%-3d pbw=%-3d csfrac=%.3f%% bu1=%.2f%% train=%d iters (%d cyc) total=%d cyc\n",
 			k.Kernel, d.Threads, freq, d.PCS, d.PBW, 100*d.CSFraction, 100*d.BusUtil1, k.TrainIters, k.TrainCycles, k.Cycles)
+		if k.Retrains > 0 {
+			fmt.Fprintf(stdout, "kernel     %s: %d phases (%d retrains)\n", k.Kernel, len(k.Phases), k.Retrains)
+		}
 	}
 	if s := res.Sampled; s != nil {
 		fmt.Fprintf(stdout, "sampled    %d detailed + %d skipped iters (%.1f%% skipped), %d fast-forwards, %d re-entries, %d cycles extrapolated\n",
@@ -236,9 +260,9 @@ func report(stdout io.Writer, res core.RunResult, info workloads.Info, fl *clifl
 
 // reportCorun prints a co-scheduled pair's makespan plus a per-tenant
 // report, and reports whether any tenant ran sampled.
-func reportCorun(stdout io.Writer, res core.RunResult, fl *cliflags.Flags, ctl core.Control) (sampled bool) {
+func reportCorun(stdout io.Writer, res core.RunResult, fl *cliflags.Flags, ctlName string) (sampled bool) {
 	fmt.Fprintf(stdout, "corun      %s + %s (mapping %s)\n", fl.Pair[0].Name, fl.Pair[1].Name, res.Mapping)
-	fmt.Fprintf(stdout, "policy     %s\n", ctl.Name())
+	fmt.Fprintf(stdout, "policy     %s\n", ctlName)
 	fmt.Fprintf(stdout, "machine    %d cores\n", fl.Cores)
 	fmt.Fprintf(stdout, "makespan   %d cycles\n", res.TotalCycles)
 	fmt.Fprintf(stdout, "power      %.2f avg active cores (whole machine)\n", res.AvgActiveCores)
@@ -251,8 +275,48 @@ func reportCorun(stdout io.Writer, res core.RunResult, fl *cliflags.Flags, ctl c
 			d := k.Decision
 			fmt.Fprintf(stdout, "  kernel %-20s threads=%-3d pcs=%-3d pbw=%-3d csfrac=%.3f%% bu1=%.2f%% train=%d iters (%d cyc) total=%d cyc\n",
 				k.Kernel, d.Threads, d.PCS, d.PBW, 100*d.CSFraction, 100*d.BusUtil1, k.TrainIters, k.TrainCycles, k.Cycles)
+			if k.Retrains > 0 {
+				fmt.Fprintf(stdout, "  kernel     %s: %d phases (%d retrains)\n", k.Kernel, len(k.Phases), k.Retrains)
+			}
 		}
 		sampled = sampled || t.Sampled != nil
 	}
 	return sampled
+}
+
+// writeTrace exports the captured trace as Chrome JSON to out (and,
+// when timeline is set, as a utilization timeline) and reports both.
+// The metadata names the run: machine, controller and either the
+// workload or the co-run pair and mapping, plus the power budget and
+// P-state ladder when one is armed.
+func writeTrace(stdout io.Writer, tr *trace.Tracer, res core.RunResult, fl *cliflags.Flags, rs core.RunSpec, ctlName, out, timeline string) error {
+	meta := map[string]string{
+		"cores":        fmt.Sprintf("%d", fl.Cores),
+		"bandwidth":    fmt.Sprintf("%g", fl.Bandwidth),
+		"policy":       ctlName,
+		"total_cycles": fmt.Sprintf("%d", res.TotalCycles),
+	}
+	if rs.Power != nil {
+		meta["budget"] = fmt.Sprintf("%g", fl.Budget)
+		meta["ladder"] = rs.Cfg.Freq.Key()
+	}
+	if fl.Pair != nil {
+		meta["corun"] = fl.Pair[0].Name + "+" + fl.Pair[1].Name
+		meta["mapping"] = res.Mapping
+	} else {
+		meta["workload"] = res.Workload
+	}
+	if err := trace.WriteChromeFile(out, tr, meta); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "trace      %d events captured (%d emitted, %d dropped; categories %s) -> %s\n",
+		tr.Len(), tr.Emitted(), tr.Dropped(), tr.Mask(), out)
+	if timeline == "" {
+		return nil
+	}
+	if err := trace.WriteTimelineFile(timeline, tr); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "timeline   -> %s\n", timeline)
+	return nil
 }

@@ -2,7 +2,7 @@
 // share — machine shape, power budget, sampled mode, probe tuning and
 // co-runs — once, and resolves them into a core.RunSpec, so every
 // command spells, defaults and validates them the same way. It also
-// prints the -list inventory fdtsim and fdttrace share.
+// prints fdtsim's -list inventory.
 package cliflags
 
 import (
@@ -182,9 +182,8 @@ func (f *Flags) PowerLine(s core.RunSpec) string {
 	return fmt.Sprintf("ladder %s, budget %s", strings.Join(names, ">"), budget)
 }
 
-// PrintList renders the -list inventory of fdtsim and fdttrace:
-// workloads, synthetic extras, combinators, policies, mappings and
-// execution modes.
+// PrintList renders fdtsim's -list inventory: workloads, synthetic
+// extras, combinators, policies, mappings and execution modes.
 func PrintList(stdout io.Writer) {
 	fmt.Fprintln(stdout, "WORKLOADS (Table 2)")
 	fmt.Fprintf(stdout, "  %-10s %-12s %-28s %s\n", "NAME", "CLASS", "PROBLEM", "INPUT")
@@ -204,7 +203,7 @@ func PrintList(stdout io.Writer) {
 	}
 	fmt.Fprintln(stdout, "\nCOMBINATORS")
 	fmt.Fprintf(stdout, "  %-10s %s\n", "corun", "co-schedule two workloads as concurrent teams: -corun a+b (e.g. pagemine+mg)")
-	fmt.Fprintln(stdout, "\nPOLICIES (-policy; the same names on fdtsweep -policies, fdttrace and fdtd)")
+	fmt.Fprintln(stdout, "\nPOLICIES (-policy; the same names on fdtsweep -policies and fdtd)")
 	for _, p := range [][2]string{
 		{"sat", "synchronization-aware threading: Eq. 3 from trained critical-section time"},
 		{"bat", "bandwidth-aware threading: Eq. 5 from trained bus utilization"},

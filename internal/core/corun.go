@@ -81,7 +81,7 @@ func (s RunSpec) teamsKey() string {
 	if running < len(s.Teams) {
 		key = fmt.Sprintf("%s|solo/%s/%d-of-%d|%s", ConfigKey(s.Cfg), s.Mapping, slot, len(s.Teams), s.Teams[slot].key(s.Cfg))
 	}
-	return key + s.Mode.key()
+	return key + s.trainingKey() + s.Mode.key()
 }
 
 // runTeams partitions m under the mapping — team i on partition i of
@@ -110,7 +110,7 @@ func (s RunSpec) runTeams(m *machine.Machine) RunResult {
 		if t.idle() {
 			continue
 		}
-		ctl := t.Control.controller(s.Mode)
+		ctl := s.controller(t.Control)
 		results[i] = RunResult{Workload: t.Workload, Policy: ctl.Policy.Name()}
 		w := t.Factory(m)
 		mains = append(mains, thread.TeamMain{Team: teams[i], Main: ctl.runBody(w, &results[i])})

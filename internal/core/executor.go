@@ -1,14 +1,9 @@
 package core
 
 import (
-	"fmt"
-	"os"
-
 	"fdt/internal/sampled"
 	"fdt/internal/thread"
 )
-
-var sampleDebug = os.Getenv("FDT_SAMPLE_DEBUG") != ""
 
 // This file implements the Execute stage of the FDT pipeline: run the
 // kernel's remaining iterations on the decided team. The train-once
@@ -168,9 +163,6 @@ func (ex Executor) ExecuteSampled(c *thread.Ctx, k Kernel, threads, lo, hi int, 
 				n = room / unit * unit
 			}
 			ff := det.Extrapolate(m, n)
-			if sampleDebug {
-				fmt.Fprintf(os.Stderr, "  [skip] %s lo=%d n=%d ff=%d capped=%v\n", k.Name(), lo, n, ff, capped)
-			}
 			c.FastForward(ff)
 			lo += n
 			st.SkippedIters += n
@@ -196,10 +188,6 @@ func (ex Executor) ExecuteSampled(c *thread.Ctx, k Kernel, threads, lo, hi int, 
 		win := pr.End(m, iters)
 		win.Start = lo
 		lo = end
-		if sampleDebug {
-			fmt.Fprintf(os.Stderr, "  [win]  %s start=%d iters=%d cyc=%d cpi=%.0f\n",
-				k.Name(), win.Start, win.Iters, win.Cycles, float64(win.Cycles)/float64(win.Iters))
-		}
 		st.DetailedIters += iters
 		wins++
 		resized := false
@@ -285,9 +273,6 @@ func (ex Executor) ExecuteSampled(c *thread.Ctx, k Kernel, threads, lo, hi int, 
 		if mo == nil && st.FastForwards == 0 && !det.Steady() && det.StableRun() == 0 && lo < hi && win.Iters > 0 {
 			cpi := win.Cycles / uint64(win.Iters)
 			if uint64(hi-lo)*cpi < p.BailCycles || (wins > 4 && 2*(lo-start) >= hi-start) {
-				if sampleDebug {
-					fmt.Fprintf(os.Stderr, "  [bail] %s lo=%d hi=%d\n", k.Name(), lo, hi)
-				}
 				k.RunChunk(c, threads, lo, hi)
 				st.DetailedIters += hi - lo
 				return hi, nil

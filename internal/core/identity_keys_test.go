@@ -130,3 +130,28 @@ func TestRunCacheKeysFreqFragment(t *testing.T) {
 		t.Error("adaptive run under a budget forced exact without a note")
 	}
 }
+
+// TestRunCacheKeysTrainingFragment pins the training fragment: absent
+// at DefaultTrainingParams, whether Training is nil or spells the
+// defaults out, and keyed before the mode fragment once a parameter
+// differs, so a non-default stability window never collides with the
+// paper's.
+func TestRunCacheKeysTrainingFragment(t *testing.T) {
+	base := RunSpec{Cfg: machine.DefaultConfig(), Workload: "isort", Control: Control{Policy: SAT{}}}
+	def := DefaultTrainingParams()
+	spelled := base
+	spelled.Training = &def
+	if got, want := spelled.Key(), base.Key(); got != want {
+		t.Errorf("default training parameters moved the key:\n got %s\nwant %s", got, want)
+	}
+	w0 := def
+	w0.StabilityWindow = 0
+	win := base
+	win.Training, win.Mode = &w0, SampledMode()
+	want := ConfigKey(base.Cfg) + "|isort|policy/SAT" +
+		"|train/{MaxTrainFraction:0.01 StabilityWindow:0 StabilityTol:0.05 BATEarlyOutCycles:10000 MinIterations:8}" +
+		"|sampled/" + SampledMode().Params.Key()
+	if got := win.Key(); got != want {
+		t.Errorf("window-0 key = %q, want %q", got, want)
+	}
+}

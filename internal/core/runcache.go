@@ -151,9 +151,10 @@ func ConfigKey(cfg machine.Config) string {
 // policyKey resolves a policy to its cache identity on a machine with
 // the given core count. Static counts are normalized (Static{} and
 // Static{N: cores} are the same run); trained policies are identified
-// by name, which is sufficient because RunSpec always trains with
-// DefaultTrainingParams; the tunable measured policies add their
-// tuning. Custom controllers must not use the cache.
+// by name, which is sufficient because RunSpec.Key adds the training
+// parameters when they differ from DefaultTrainingParams; the tunable
+// measured policies add their tuning. Custom controllers must not use
+// the cache.
 //
 // A memoized RunResult carries the Policy label of whichever
 // equivalent policy simulated first ("static-all" vs "static-32");

@@ -69,14 +69,6 @@ func (c Control) measured() bool {
 	return ok
 }
 
-// controller builds the Controller that runs c in mode md.
-func (c Control) controller(md Mode) *Controller {
-	ctl := NewController(c.Policy)
-	ctl.Monitor = c.Monitor
-	ctl.Mode = md
-	return ctl
-}
-
 // RunSpec describes one simulated run. The CLIs build it from flags,
 // the daemon from a job Spec and the experiments from their Options;
 // it owns the run-cache key (Key), the table of allowed combinations
@@ -98,6 +90,9 @@ type RunSpec struct {
 	// Power arms the budget-constrained (threads, frequency) search;
 	// nil is the unconstrained one (see Controller.Power).
 	Power *PowerParams
+	// Training tunes every controller's training loop; nil is
+	// DefaultTrainingParams.
+	Training *TrainingParams
 	// Mapping and Teams describe a partitioned run; see Team.
 	Mapping machine.Mapping
 	Teams   []Team
@@ -193,9 +188,9 @@ func (s RunSpec) normalized() RunSpec {
 
 // Key is the run's content address in the run cache and the disk
 // store: machine fingerprint, workload key and controller identity,
-// then the monitor, power and mode fragments, each empty at its
-// default so keys stay byte-identical to the releases before it. A run
-// forced exact keys as exact. Empty when Workload, or a running team's
+// then the monitor, power, training and mode fragments, each empty at
+// its default so keys stay byte-identical to the releases before it.
+// A run forced exact keys as exact. Empty when Workload, or a running team's
 // Workload, is.
 func (s RunSpec) Key() string {
 	if !s.named() {
@@ -230,7 +225,27 @@ func (s RunSpec) key() string {
 	if s.Power != nil {
 		key += s.Power.key()
 	}
-	return key + s.Mode.key()
+	return key + s.trainingKey() + s.Mode.key()
+}
+
+// trainingKey is the training fragment of a run key: empty at
+// DefaultTrainingParams.
+func (s RunSpec) trainingKey() string {
+	if s.Training == nil || *s.Training == DefaultTrainingParams() {
+		return ""
+	}
+	return fmt.Sprintf("|train/%+v", *s.Training)
+}
+
+// controller builds the Controller that runs c under the spec's mode,
+// power and training parameters.
+func (s RunSpec) controller(c Control) *Controller {
+	ctl := NewController(c.Policy)
+	ctl.Monitor, ctl.Mode, ctl.Power = c.Monitor, s.Mode, s.Power
+	if s.Training != nil {
+		ctl.Params = *s.Training
+	}
+	return ctl
 }
 
 // Run executes the spec on a fresh machine, memoized in runs under
@@ -252,9 +267,7 @@ func (s RunSpec) RunOn(m *machine.Machine) RunResult {
 	if len(s.Teams) > 0 {
 		return s.runTeams(m)
 	}
-	ctl := s.Control.controller(s.Mode)
-	ctl.Power = s.Power
-	return ctl.Run(m, s.Factory(m))
+	return s.controller(s.Control).Run(m, s.Factory(m))
 }
 
 // RunPolicy runs the workload under a policy on a fresh machine,

@@ -45,11 +45,8 @@ func (a Ablation) String() string {
 	return b.String()
 }
 
-func ablationRow(o Options, cfgName, workload string, cfg machine.Config, pol core.Policy) AblationRow {
-	// Keyed by workload name; the machine fingerprint in the cache key
-	// keeps each ablation's config variant distinct.
-	o.Cfg = cfg
-	r := o.run(workload, core.Control{Policy: pol})
+// ablationRow reports a run by its first kernel's decision.
+func ablationRow(cfgName, workload string, r core.RunResult) AblationRow {
 	k := r.Kernels[0]
 	return AblationRow{
 		Config:     cfgName,
@@ -61,6 +58,14 @@ func ablationRow(o Options, cfgName, workload string, cfg machine.Config, pol co
 	}
 }
 
+// configRow runs workload under pol on machine cfg. Runs are keyed by
+// workload name; the machine fingerprint in the cache key keeps each
+// ablation's config variant distinct.
+func configRow(o Options, cfgName, workload string, cfg machine.Config, pol core.Policy) AblationRow {
+	o.Cfg = cfg
+	return ablationRow(cfgName, workload, o.run(workload, core.Control{Policy: pol}))
+}
+
 // AblationRowBuffer toggles DRAM row-buffer modeling: without open
 // rows every access pays the full bank latency, shifting ED's
 // measured BU1 and therefore BAT's knee.
@@ -70,8 +75,8 @@ func AblationRowBuffer(o Options) Ablation {
 	off := o.Cfg
 	off.Mem.ModelRowBuffer = false
 	a.Rows = append(a.Rows,
-		ablationRow(o, "row-buffer on", "ed", on, core.BAT{}),
-		ablationRow(o, "row-buffer off", "ed", off, core.BAT{}),
+		configRow(o, "row-buffer on", "ed", on, core.BAT{}),
+		configRow(o, "row-buffer off", "ed", off, core.BAT{}),
 	)
 	return a
 }
@@ -85,8 +90,8 @@ func AblationCoherence(o Options) Ablation {
 	off := o.Cfg
 	off.Mem.ModelCoherence = false
 	a.Rows = append(a.Rows,
-		ablationRow(o, "coherence on", "pagemine", on, core.SAT{}),
-		ablationRow(o, "coherence off", "pagemine", off, core.SAT{}),
+		configRow(o, "coherence on", "pagemine", on, core.SAT{}),
+		configRow(o, "coherence off", "pagemine", off, core.SAT{}),
 	)
 	return a
 }
@@ -102,7 +107,7 @@ func AblationStoreBuffer(o Options) Ablation {
 		cfg := o.Cfg
 		cfg.Mem.StoreBufferEntries = entries
 		a.Rows = append(a.Rows,
-			ablationRow(o, fmt.Sprintf("store buffer %d", entries), "transpose", cfg, core.BAT{}))
+			configRow(o, fmt.Sprintf("store buffer %d", entries), "transpose", cfg, core.BAT{}))
 	}
 	return a
 }
@@ -113,22 +118,11 @@ func AblationStoreBuffer(o Options) Ablation {
 func AblationStabilityWindow(o Options) Ablation {
 	a := Ablation{Title: "SAT stability window (ISort)"}
 	for _, w := range []int{0, 3, 6} {
-		pol := core.SAT{}
-		ctl := core.NewController(pol)
-		ctl.Mode = o.Mode
-		ctl.Params.StabilityWindow = w
-		m := machine.MustNew(o.Cfg)
-		info := factory("isort")
-		r := ctl.Run(m, info(m))
-		k := r.Kernels[0]
-		a.Rows = append(a.Rows, AblationRow{
-			Config:     fmt.Sprintf("window %d", w),
-			Workload:   "isort",
-			Threads:    k.Decision.Threads,
-			Cycles:     r.TotalCycles,
-			BU1Pct:     100 * k.Decision.BusUtil1,
-			TrainIters: k.TrainIters,
-		})
+		tp := core.DefaultTrainingParams()
+		tp.StabilityWindow = w
+		s := o.spec("isort", factory("isort"), core.Control{Policy: core.SAT{}})
+		s.Training = &tp
+		a.Rows = append(a.Rows, ablationRow(fmt.Sprintf("window %d", w), "isort", s.Run(o.Runs)))
 	}
 	return a
 }
@@ -141,19 +135,9 @@ func AblationStabilityWindow(o Options) Ablation {
 func AblationTrainingOverhead(o Options) Ablation {
 	a := Ablation{Title: "FDT training vs hill-climbing allocation search"}
 	for _, name := range []string{"pagemine", "ed", "bscholes"} {
-		fdt := o.run(name, core.Control{Policy: core.Combined{}})
-		hc := o.run(name, core.Control{Policy: core.HillClimb{}})
 		a.Rows = append(a.Rows,
-			AblationRow{
-				Config: "FDT (SAT+BAT)", Workload: name,
-				Threads: fdt.Kernels[0].Decision.Threads, Cycles: fdt.TotalCycles,
-				BU1Pct: 100 * fdt.Kernels[0].Decision.BusUtil1, TrainIters: fdt.Kernels[0].TrainIters,
-			},
-			AblationRow{
-				Config: "hill-climb", Workload: name,
-				Threads: hc.Kernels[0].Decision.Threads, Cycles: hc.TotalCycles,
-				TrainIters: hc.Kernels[0].TrainIters,
-			},
+			ablationRow("FDT (SAT+BAT)", name, o.run(name, core.Control{Policy: core.Combined{}})),
+			ablationRow("hill-climb", name, o.run(name, core.Control{Policy: core.HillClimb{}})),
 		)
 	}
 	return a
@@ -167,19 +151,9 @@ func AblationTrainingOverhead(o Options) Ablation {
 func AblationRefinedBAT(o Options) Ablation {
 	a := Ablation{Title: "BAT vs refined BAT (future work, Section 9)"}
 	for _, name := range []string{"ed", "convert", "transpose"} {
-		plain := o.run(name, core.Control{Policy: core.BAT{}})
-		refined := o.run(name, core.Control{Policy: core.RefinedBAT{}})
 		a.Rows = append(a.Rows,
-			AblationRow{
-				Config: "BAT", Workload: name,
-				Threads: plain.Kernels[0].Decision.Threads, Cycles: plain.TotalCycles,
-				BU1Pct: 100 * plain.Kernels[0].Decision.BusUtil1, TrainIters: plain.Kernels[0].TrainIters,
-			},
-			AblationRow{
-				Config: "BAT-refined", Workload: name,
-				Threads: refined.Kernels[0].Decision.Threads, Cycles: refined.TotalCycles,
-				BU1Pct: 100 * refined.Kernels[0].Decision.BusUtil1, TrainIters: refined.Kernels[0].TrainIters,
-			},
+			ablationRow("BAT", name, o.run(name, core.Control{Policy: core.BAT{}})),
+			ablationRow("BAT-refined", name, o.run(name, core.Control{Policy: core.RefinedBAT{}})),
 		)
 	}
 	return a
@@ -197,8 +171,8 @@ func AblationPrefetcher(o Options) Ablation {
 	on := o.Cfg
 	on.Mem.PrefetchNextLine = true
 	a.Rows = append(a.Rows,
-		ablationRow(o, "no prefetcher (paper)", "ed", off, core.BAT{}),
-		ablationRow(o, "next-line prefetcher", "ed", on, core.BAT{}),
+		configRow(o, "no prefetcher (paper)", "ed", off, core.BAT{}),
+		configRow(o, "next-line prefetcher", "ed", on, core.BAT{}),
 	)
 	return a
 }

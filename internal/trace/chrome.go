@@ -90,10 +90,10 @@ func WriteChromeFile(path string, t *Tracer, meta map[string]string) error {
 	return writeFile(path, func(w io.Writer) error { return WriteChrome(w, t, meta) })
 }
 
-// WriteTimelineFile writes WriteTimeline's rendition of t to the file
-// at path.
-func WriteTimelineFile(path string, t *Tracer, interval uint64) error {
-	return writeFile(path, func(w io.Writer) error { return WriteTimeline(w, t, interval) })
+// WriteTimelineFile writes WriteTimeline's rendition of t, at the
+// default interval, to the file at path.
+func WriteTimelineFile(path string, t *Tracer) error {
+	return writeFile(path, func(w io.Writer) error { return WriteTimeline(w, t, 0) })
 }
 
 func writeFile(path string, write func(io.Writer) error) error {

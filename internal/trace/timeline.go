@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -144,32 +143,4 @@ func WriteTimeline(w io.Writer, t *Tracer, interval uint64) error {
 			b.Events)
 	}
 	return bw.Flush()
-}
-
-// BusUtil reports a bin's bus utilization in [0, 1].
-func (b TimelineBin) BusUtil(interval uint64) float64 {
-	if interval == 0 {
-		return 0
-	}
-	u := float64(b.BusBusy) / float64(interval)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
-// PeakBusBins returns the indices of the n busiest bus bins — a quick
-// programmatic answer to "where did the bus saturate".
-func (tl Timeline) PeakBusBins(n int) []int {
-	idx := make([]int, len(tl.Bins))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(i, j int) bool {
-		return tl.Bins[idx[i]].BusBusy > tl.Bins[idx[j]].BusBusy
-	})
-	if n > len(idx) {
-		n = len(idx)
-	}
-	return idx[:n]
 }

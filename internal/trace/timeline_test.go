@@ -57,12 +57,6 @@ func TestComputeTimeline(t *testing.T) {
 		t.Errorf("Events = %d,%d,%d; want 3,0,3 (counted at start cycle)",
 			b[0].Events, b[1].Events, b[2].Events)
 	}
-	if u := b[0].BusUtil(100); u != 0.6 {
-		t.Errorf("bin0 BusUtil = %v, want 0.6", u)
-	}
-	if peaks := tl.PeakBusBins(1); len(peaks) != 1 || peaks[0] != 0 {
-		t.Errorf("PeakBusBins(1) = %v, want [0]", peaks)
-	}
 }
 
 func TestComputeTimelineDefaults(t *testing.T) {

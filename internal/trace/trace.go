@@ -23,6 +23,11 @@
 // internal/thread and internal/core all emit into it.
 package trace
 
+import (
+	"fmt"
+	"strings"
+)
+
 // ControllerTrack is the reserved track name for FDT-controller
 // events — the "controller-decision track" exporters and tests key on.
 const ControllerTrack = "controller"
@@ -51,14 +56,16 @@ const (
 	CatAll = CatSim | CatMem | CatSync | CatCtl
 )
 
+// categoryNames names each category bit, in String's order.
+var categoryNames = []struct {
+	bit  Category
+	name string
+}{{CatSim, "sim"}, {CatMem, "mem"}, {CatSync, "sync"}, {CatCtl, "ctl"}}
+
 // String names the categories in the mask ("mem|sync|ctl").
 func (c Category) String() string {
-	names := []struct {
-		bit  Category
-		name string
-	}{{CatSim, "sim"}, {CatMem, "mem"}, {CatSync, "sync"}, {CatCtl, "ctl"}}
 	out := ""
-	for _, n := range names {
+	for _, n := range categoryNames {
 		if c&n.bit == 0 {
 			continue
 		}
@@ -71,6 +78,34 @@ func (c Category) String() string {
 		return "none"
 	}
 	return out
+}
+
+// ParseCategories resolves a comma-separated list of category names
+// ("mem,sync,ctl"), or "all", to a mask. Empty entries are skipped,
+// but at least one category must be named.
+func ParseCategories(s string) (Category, error) {
+	if strings.EqualFold(strings.TrimSpace(s), "all") {
+		return CatAll, nil
+	}
+	var mask Category
+next:
+	for _, part := range strings.Split(s, ",") {
+		name := strings.ToLower(strings.TrimSpace(part))
+		if name == "" {
+			continue
+		}
+		for _, n := range categoryNames {
+			if name == n.name {
+				mask |= n.bit
+				continue next
+			}
+		}
+		return 0, fmt.Errorf("unknown event category %q (want sim, mem, sync, ctl or all)", part)
+	}
+	if mask == 0 {
+		return 0, fmt.Errorf("no event categories selected")
+	}
+	return mask, nil
 }
 
 // Kind is an event's shape.

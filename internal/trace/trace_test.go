@@ -157,3 +157,20 @@ func TestCategoryString(t *testing.T) {
 		}
 	}
 }
+
+func TestParseCategories(t *testing.T) {
+	for in, want := range map[string]Category{
+		"mem,sync,ctl": CatMem | CatSync | CatCtl,
+		" ALL ":        CatAll,
+		"sim,,ctl":     CatSim | CatCtl,
+	} {
+		if got, err := ParseCategories(in); err != nil || got != want {
+			t.Errorf("ParseCategories(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"nosuchcat", "", " , ", "mem,bus"} {
+		if _, err := ParseCategories(in); err == nil {
+			t.Errorf("ParseCategories(%q) accepted", in)
+		}
+	}
+}
