@@ -226,7 +226,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // report prints one run's timing, power and per-kernel decisions.
 func report(stdout io.Writer, res core.RunResult, info workloads.Info, fl *cliflags.Flags, rs core.RunSpec) {
 	fmt.Fprintf(stdout, "workload   %s (%s)\n", res.Workload, info.Class)
-	fmt.Fprintf(stdout, "policy     %s\n", res.Policy)
+	fmt.Fprintf(stdout, "policy     %s\n", rs.Control.Name())
 	if line := fl.PowerLine(rs); line != "" {
 		fmt.Fprintf(stdout, "machine    %d cores, %.2gx bandwidth, %s\n", fl.Cores, fl.Bandwidth, line)
 	} else {

@@ -169,6 +169,23 @@ func TestHybridRunReport(t *testing.T) {
 	}
 }
 
+func TestAdaptiveRunReport(t *testing.T) {
+	// The policy line names the controller, as the trace metadata and
+	// the co-run report do: the adaptive controller's label, not the
+	// bare policy it retrains.
+	if testing.Short() {
+		t.Skip("full simulated run")
+	}
+	var out, errb bytes.Buffer
+	args := []string{"-workload", "phaseshift", "-policy", "adaptive", "-cores", "8"}
+	if code := run(args, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "policy     adaptive(SAT+BAT)\n") {
+		t.Errorf("report does not name the adaptive controller in:\n%s", out.String())
+	}
+}
+
 // TestTraceOutputParses runs one traced case per row and checks the
 // files it writes: the Chrome JSON always, the timeline when asked,
 // the report lines and metadata each case adds.

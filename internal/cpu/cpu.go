@@ -48,8 +48,6 @@ type CPU struct {
 	attr *mem.TeamCtrs
 
 	instret uint64
-	loads   uint64
-	stores  uint64
 }
 
 // New binds a CPU façade to a core, its simulation process, and its
@@ -145,71 +143,48 @@ func (c *CPU) Exec(instrs uint64) {
 
 // Load performs a data load from addr, stalling for the full access.
 func (c *CPU) Load(addr uint64) {
-	c.loads++
+	t0 := c.proc.Now()
 	c.port.SetTeamCtrs(c.attr)
-	if c.led != nil {
-		t0 := c.proc.Now()
-		c.port.Load(c.proc, addr)
-		c.led.Stall += c.proc.Now() - t0
-		return
-	}
 	c.port.Load(c.proc, addr)
+	c.stalled(t0)
 }
 
 // Store performs a data store to addr.
 func (c *CPU) Store(addr uint64) {
-	c.stores++
+	t0 := c.proc.Now()
 	c.port.SetTeamCtrs(c.attr)
-	if c.led != nil {
-		t0 := c.proc.Now()
-		c.port.Store(c.proc, addr)
-		c.led.Stall += c.proc.Now() - t0
-		return
-	}
 	c.port.Store(c.proc, addr)
+	c.stalled(t0)
 }
 
 // LoadRange touches every line in [base, base+bytes) once with a
 // load — the access pattern of a streaming read. It issues one load
-// per line; per-element ALU work should be added with Compute/Exec by
-// the caller, which keeps workload tuning explicit.
+// per line (mem.Port.LoadRange); per-element ALU work should be added
+// with Compute/Exec by the caller, which keeps workload tuning
+// explicit.
 func (c *CPU) LoadRange(base uint64, bytes int) {
-	if bytes <= 0 {
-		return
-	}
-	line := uint64(c.port.LineBytes())
-	first := base &^ (line - 1)
-	last := (base + uint64(bytes) - 1) &^ (line - 1)
-	for a := first; a <= last; a += line {
-		c.Load(a)
-	}
+	t0 := c.proc.Now()
+	c.port.SetTeamCtrs(c.attr)
+	c.port.LoadRange(c.proc, base, bytes)
+	c.stalled(t0)
 }
 
 // StoreRange touches every line in [base, base+bytes) once with a
 // streaming store: the writes retire through the store buffer
-// (mem.Port.StoreStream), so they consume bandwidth without stalling
-// the core unless the buffer fills — the behaviour of a real write
-// stream.
+// (mem.Port.StoreStreamRange), so they consume bandwidth without
+// stalling the core unless the buffer fills — the behaviour of a real
+// write stream.
 func (c *CPU) StoreRange(base uint64, bytes int) {
-	if bytes <= 0 {
-		return
-	}
-	line := uint64(c.port.LineBytes())
-	first := base &^ (line - 1)
-	last := (base + uint64(bytes) - 1) &^ (line - 1)
+	t0 := c.proc.Now()
+	c.port.SetTeamCtrs(c.attr)
+	c.port.StoreStreamRange(c.proc, base, bytes)
+	c.stalled(t0)
+}
+
+// stalled charges the cycles since t0, spent in a memory access, to
+// the ledger's Stall.
+func (c *CPU) stalled(t0 uint64) {
 	if c.led != nil {
-		t0 := c.proc.Now()
-		for a := first; a <= last; a += line {
-			c.stores++
-			c.port.SetTeamCtrs(c.attr)
-			c.port.StoreStream(c.proc, a)
-		}
 		c.led.Stall += c.proc.Now() - t0
-		return
-	}
-	for a := first; a <= last; a += line {
-		c.stores++
-		c.port.SetTeamCtrs(c.attr)
-		c.port.StoreStream(c.proc, a)
 	}
 }

@@ -131,27 +131,51 @@ func (b *Bus) Latency() uint64 { return b.lat }
 // CyclesPerLine reports the data-phase occupancy of one line.
 func (b *Bus) CyclesPerLine() uint64 { return b.perL }
 
-// TransferLine performs the data phase of one line transfer on behalf
-// of process p: it waits for the data bus, holds it for the line's
-// occupancy, and accounts the busy cycles globally and to the
-// requesting tenant (tc, nil for un-attributed traffic).
-func (b *Bus) TransferLine(p *sim.Proc, tc *TeamCtrs) {
-	t0 := p.Now()
-	occ := b.perL + b.faultOccupancySkew
-	start := b.data.Acquire(p, occ)
-	b.wait.Add(start - t0)
-	p.WaitUntil(start + occ)
+// busFetch is the data phase of one demand line transfer in flight,
+// the end of an off-chip fetch: it waits for the data bus, holds it for
+// the line's occupancy, and accounts the busy cycles globally and to
+// the requesting tenant. It is a stage of an access's sim.Op, so it
+// keeps its state between waits.
+type busFetch struct {
+	stage          uint8
+	t0, start, occ uint64
+}
+
+// step runs the transfer for tenant tc (nil for un-attributed traffic)
+// on behalf of p from where it stopped, waiting through p.Await. It
+// reports false when p must give way (the transfer resumes from there
+// on its next call), true once the data phase is over.
+func (f *busFetch) step(b *Bus, p *sim.Proc, tc *TeamCtrs) bool {
+	switch f.stage {
+	case 0:
+		f.t0 = p.Now()
+		f.occ = b.perL + b.faultOccupancySkew
+		f.start = b.data.ReserveAt(f.t0, f.occ)
+		f.stage = 1
+		if f.start > f.t0 && !p.Await(f.start) {
+			return false
+		}
+		fallthrough
+	case 1:
+		b.wait.Add(f.start - f.t0)
+		f.stage = 2
+		if !p.Await(f.start + f.occ) {
+			return false
+		}
+	}
+	f.stage = 0
 	b.busy.Add(b.perL - b.faultAccountingSkew)
 	b.txns.Inc()
 	b.chargeTeam(tc)
 	if b.traced {
 		b.tr.Emit(trace.CatMem, trace.Event{
-			Cycle: start, Dur: b.perL, Track: b.track, Kind: trace.Complete, Name: "xfer",
+			Cycle: f.start, Dur: b.perL, Track: b.track, Kind: trace.Complete, Name: "xfer",
 		})
 	}
 	if b.checked {
-		b.audit.Record(t0, start, start+occ, false)
+		b.audit.Record(f.t0, f.start, f.start+f.occ, false)
 	}
+	return true
 }
 
 // PostTransfer schedules one line's data phase without blocking the

@@ -157,31 +157,57 @@ func BankHash(line uint64, bankBits uint) uint64 {
 	return h & (1<<bankBits - 1)
 }
 
-// Access performs one line access on behalf of process p: it waits for
-// the addressed bank, pays the row-hit or row-miss latency, and leaves
-// the row open. The caller is blocked for queueing plus access time.
-func (d *DRAM) Access(p *sim.Proc, addr uint64) {
-	bank, row := d.bankAndRow(addr)
-	b := d.banks[bank]
-	lat := d.missLat
-	hit := d.modelRow && b.hasOpen && b.openRow == row
-	if hit {
-		lat = d.hitLat
-		d.rowHits.Inc()
-	} else {
-		d.rowMisses.Inc()
+// dramFetch is a demand access to one DRAM bank in flight, the middle
+// of an off-chip fetch: the bank's queue, then its row-hit or row-miss
+// latency, with the row left open. It is a stage of an access's
+// sim.Op, so it keeps its state between waits.
+type dramFetch struct {
+	stage          uint8
+	hit            bool
+	bank           int
+	t0, start, lat uint64
+}
+
+// step runs the fetch of addr on behalf of p from where it stopped,
+// waiting through p.Await. It reports false when p must give way (the
+// fetch resumes from there on its next call), true once the access is
+// complete: the caller was held for queueing plus access time.
+func (f *dramFetch) step(d *DRAM, p *sim.Proc, addr uint64) bool {
+	switch f.stage {
+	case 0:
+		bank, row := d.bankAndRow(addr)
+		b := d.banks[bank]
+		f.bank, f.lat = bank, d.missLat
+		f.hit = d.modelRow && b.hasOpen && b.openRow == row
+		if f.hit {
+			f.lat = d.hitLat
+			d.rowHits.Inc()
+		} else {
+			d.rowMisses.Inc()
+		}
+		b.hasOpen, b.openRow = d.modelRow, row
+		f.t0 = p.Now()
+		f.start = b.res.ReserveAt(f.t0, f.lat)
+		f.stage = 1
+		if f.start > f.t0 && !p.Await(f.start) {
+			return false
+		}
+		fallthrough
+	case 1:
+		d.bankWait.Add(f.start - f.t0)
+		f.stage = 2
+		if !p.Await(f.start + f.lat) {
+			return false
+		}
 	}
-	b.hasOpen, b.openRow = d.modelRow, row
-	t0 := p.Now()
-	start := b.res.Acquire(p, lat)
-	d.bankWait.Add(start - t0)
-	p.WaitUntil(start + lat)
+	f.stage = 0
 	if d.traced {
-		d.traceAccess(bank, start, lat, hit)
+		d.traceAccess(f.bank, f.start, f.lat, f.hit)
 	}
 	if d.checked {
-		d.audits[bank].Record(t0, start, start+lat, false)
+		d.audits[f.bank].Record(f.t0, f.start, f.start+f.lat, false)
 	}
+	return true
 }
 
 // PostAccess performs a posted (non-blocking) access starting no

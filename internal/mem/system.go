@@ -26,6 +26,9 @@ type System struct {
 	l3         []*l3Bank
 	l3BankBits uint
 	ports      []*Port
+	// lineShift is log2 of the line size: an address's line number is
+	// addr >> lineShift.
+	lineShift uint
 
 	l3Hits     *counters.Counter
 	l3Misses   *counters.Counter
@@ -35,6 +38,9 @@ type System struct {
 
 	// heap is the bump allocator cursor for workload address space.
 	heap uint64
+
+	// idle holds accesses no process is inside, for reuse (Port.walk).
+	idle []*access
 
 	// tr/coreTracks emit L3-miss instants onto per-core trace tracks;
 	// memTrace caches the category check.
@@ -89,6 +95,7 @@ func NewSystem(cfg Config, ctrs *counters.Set) (*System, error) {
 		storeStall: ctrs.Counter(counters.StoreStallCycles),
 		prefetches: ctrs.Counter(counters.L2Prefetches),
 		heap:       1 << 20, // leave page zero and low memory unused
+		lineShift:  uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 	}
 	for 1<<s.l3BankBits < cfg.L3Banks {
 		s.l3BankBits++
@@ -284,33 +291,6 @@ func (s *System) bankOf(line uint64) int {
 // layer calls it before every access; see the attr field for why.
 func (pt *Port) SetTeamCtrs(tc *TeamCtrs) { pt.attr = tc }
 
-// Load performs a data load of the line containing addr on behalf of
-// process p running on this port's core, advancing p through every
-// stall the access incurs.
-func (pt *Port) Load(p *sim.Proc, addr uint64) {
-	tc := pt.attr
-	cfg := &pt.sys.Cfg
-	line := addr / uint64(cfg.LineBytes)
-	p.Advance(cfg.L1Lat)
-	if pt.l1.Lookup(line, false) {
-		return
-	}
-	t0 := p.Now()
-	p.Advance(cfg.L2Lat)
-	if pt.l2.Lookup(line, false) {
-		pt.fillL1(line)
-		pt.sys.loadStall.Add(p.Now() - t0)
-		return
-	}
-	pt.sys.sharedAccess(p, pt, addr, line, false, tc)
-	pt.fillL2(p.Now(), line, false, tc)
-	pt.fillL1(line)
-	pt.sys.loadStall.Add(p.Now() - t0)
-	if cfg.PrefetchNextLine {
-		pt.sys.postPrefetch(p.Now(), pt, addr+uint64(cfg.LineBytes), tc)
-	}
-}
-
 // postPrefetch fetches the line containing addr into this core's L2
 // in the background: it performs the coherence bookkeeping, consumes
 // bus and DRAM bandwidth like any fetch, but never stalls the core.
@@ -344,64 +324,6 @@ func (s *System) postPrefetch(now uint64, pt *Port, addr uint64, tc *TeamCtrs) {
 	pt.fillL2(now, line, false, tc)
 }
 
-// Store performs a data store to the line containing addr. The L1 is
-// write-through (Table 1), so L1 copies stay clean and the L2 holds
-// the dirty data. A store to a line this core already owns exclusively
-// retires through the write buffer at L1 latency; stores to shared or
-// absent lines pay the read-for-ownership walk including invalidation
-// round-trips.
-func (pt *Port) Store(p *sim.Proc, addr uint64) {
-	tc := pt.attr
-	cfg := &pt.sys.Cfg
-	line := addr / uint64(cfg.LineBytes)
-	p.Advance(cfg.L1Lat)
-	if pt.l2.Contains(line) && pt.ownsExclusive(line) {
-		pt.l2.Lookup(line, true) // refresh LRU, set dirty
-		if pt.l1.Contains(line) {
-			pt.l1.Lookup(line, false) // write-through keeps L1 clean
-		}
-		return
-	}
-	t0 := p.Now()
-	p.Advance(cfg.L2Lat)
-	pt.sys.sharedAccess(p, pt, addr, line, true, tc)
-	pt.fillL2(p.Now(), line, true, tc)
-	pt.fillL1(line)
-	pt.sys.storeStall.Add(p.Now() - t0)
-}
-
-// StoreStream performs a streaming (write-buffered) store: the store
-// retires at L1 latency into the store buffer and the line fetch it
-// may require proceeds in the background, consuming bus and DRAM
-// bandwidth without stalling the core — unless the store buffer is
-// full, in which case the core waits for the oldest entry. This is
-// how write streams (convert's output image, transpose's output
-// matrix) exert bus pressure in real machines.
-func (pt *Port) StoreStream(p *sim.Proc, addr uint64) {
-	tc := pt.attr
-	cfg := &pt.sys.Cfg
-	line := addr / uint64(cfg.LineBytes)
-	p.Advance(cfg.L1Lat)
-	if pt.l2.Contains(line) && pt.ownsExclusive(line) {
-		pt.l2.Lookup(line, true)
-		if pt.l1.Contains(line) {
-			pt.l1.Lookup(line, false)
-		}
-		return
-	}
-	pt.drainStoreBuffer(p.Now())
-	if len(pt.sb) >= cfg.StoreBufferEntries {
-		t0 := p.Now()
-		p.WaitUntil(pt.sb[0])
-		pt.sys.storeStall.Add(p.Now() - t0)
-		pt.drainStoreBuffer(p.Now())
-	}
-	done := pt.sys.postOwnership(p.Now(), pt, addr, line, tc)
-	pt.sb = append(pt.sb, done)
-	pt.fillL2(p.Now(), line, true, tc)
-	pt.fillL1(line)
-}
-
 // drainStoreBuffer retires completed posted stores.
 func (pt *Port) drainStoreBuffer(now uint64) {
 	i := 0
@@ -412,9 +334,6 @@ func (pt *Port) drainStoreBuffer(now uint64) {
 		pt.sb = append(pt.sb[:0], pt.sb[i:]...)
 	}
 }
-
-// StoreBufferOccupancy reports outstanding posted stores (test aid).
-func (pt *Port) StoreBufferOccupancy() int { return len(pt.sb) }
 
 // postOwnership performs the shared-side work of a posted RFO without
 // blocking: directory bookkeeping and invalidations take effect
@@ -430,25 +349,8 @@ func (s *System) postOwnership(now uint64, pt *Port, addr, line uint64, tc *Team
 
 	lineDirtyInL3 := false
 	if cfg.ModelCoherence {
-		invalidate, needWB, owner := s.Dir.WriteMiss(line, pt.core)
 		var worst uint64
-		for ; invalidate != 0; invalidate &= invalidate - 1 {
-			c := bits.TrailingZeros64(invalidate)
-			if d := 2 * s.Ring.CoreToBank(c, bank); d > worst {
-				worst = d
-			}
-			op := s.ports[c]
-			op.l1.Invalidate(line)
-			if _, wasDirty := op.l2.Invalidate(line); wasDirty {
-				lineDirtyInL3 = true
-			}
-		}
-		if needWB {
-			if d := 2*s.Ring.CoreToBank(owner, bank) + cfg.L2Lat; d > worst {
-				worst = d
-			}
-			lineDirtyInL3 = true
-		}
+		worst, lineDirtyInL3 = s.takeOwnership(pt.core, line, bank)
 		done += worst
 	}
 
@@ -483,74 +385,6 @@ func (pt *Port) ownsExclusive(line uint64) bool {
 	}
 	mod, owner := pt.sys.Dir.IsModified(line)
 	return mod && owner == pt.core
-}
-
-// sharedAccess walks the shared side of the hierarchy: ring to the L3
-// bank, directory actions, L3 lookup, and on a miss the off-chip
-// fetch. On return the line is present in the bank and p has been
-// charged the full round trip.
-func (s *System) sharedAccess(p *sim.Proc, pt *Port, addr, line uint64, write bool, tc *TeamCtrs) {
-	cfg := &s.Cfg
-	bank := s.bankOf(line)
-	b := s.l3[bank]
-
-	p.Advance(s.Ring.CoreToBank(pt.core, bank))
-	b.port.Acquire(p, cfg.L3PortOccupancy)
-
-	lineDirtyInL3 := false
-	if cfg.ModelCoherence {
-		if write {
-			invalidate, needWB, owner := s.Dir.WriteMiss(line, pt.core)
-			var worst uint64
-			for ; invalidate != 0; invalidate &= invalidate - 1 {
-				c := bits.TrailingZeros64(invalidate)
-				if d := 2 * s.Ring.CoreToBank(c, bank); d > worst {
-					worst = d
-				}
-				op := s.ports[c]
-				op.l1.Invalidate(line)
-				if _, wasDirty := op.l2.Invalidate(line); wasDirty {
-					lineDirtyInL3 = true
-				}
-			}
-			if needWB {
-				if d := 2*s.Ring.CoreToBank(owner, bank) + cfg.L2Lat; d > worst {
-					worst = d
-				}
-				lineDirtyInL3 = true
-			}
-			p.Advance(worst)
-		} else {
-			needWB, owner := s.Dir.ReadMiss(line, pt.core)
-			if needWB {
-				p.Advance(2*s.Ring.CoreToBank(owner, bank) + cfg.L2Lat)
-				op := s.ports[owner]
-				op.l2.Clean(line)
-				lineDirtyInL3 = true
-			}
-		}
-	}
-
-	p.Advance(cfg.L3Lat)
-	if b.cache.Lookup(line, lineDirtyInL3) {
-		s.l3Hits.Inc()
-	} else {
-		s.l3Misses.Inc()
-		s.traceL3Miss(p.Now(), pt.core, bank)
-		s.fetchFromMemory(p, addr, tc)
-		s.insertL3(p.Now(), bank, line, lineDirtyInL3, tc)
-	}
-
-	p.Advance(s.Ring.CoreToBank(pt.core, bank))
-}
-
-// fetchFromMemory performs the off-chip portion of a miss: command
-// phase, DRAM bank access, and the data phase that occupies the shared
-// bus — the paper's bandwidth bottleneck.
-func (s *System) fetchFromMemory(p *sim.Proc, addr uint64, tc *TeamCtrs) {
-	p.Advance(s.Cfg.BusLat)
-	s.DRAM.Access(p, addr)
-	s.Bus.TransferLine(p, tc)
 }
 
 // insertL3 places the fetched line into its bank, handling inclusion:
@@ -613,6 +447,3 @@ func (pt *Port) L1() *Cache { return pt.l1 }
 
 // L2 exposes the private L2 (test aid).
 func (pt *Port) L2() *Cache { return pt.l2 }
-
-// L3BankCache exposes a bank's cache shard (test aid).
-func (s *System) L3BankCache(bank int) *Cache { return s.l3[bank].cache }

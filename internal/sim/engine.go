@@ -27,6 +27,19 @@
 // with one coroutine switch and no trip through Run or the goroutine
 // scheduler.
 //
+// A process can also wait inside an Op, a resumable operation such as
+// one memory access or a range of them. The Op's waits (Await) follow
+// WaitUntil's rules exactly, but when the process is not the earliest,
+// only its event is queued: the Op stops, and its goroutine goes on
+// dispatching (Continue). Whichever goroutine later dispatches that
+// event runs the Op's next Step itself, in place of a switch. The
+// process's goroutine is resumed once, when its Op completes, and not
+// at all when it completes on that goroutine. So a team of processes in
+// lockstep, each inside a memory access, costs one switch per completed
+// access rather than one per wait. Body code (locks, barriers,
+// fork/join, compute) still waits with WaitUntil and Park on its own
+// goroutine.
+//
 // Each process body runs as a runtime coroutine (iter.Pull). A
 // coroutine is a slot that holds exactly one suspended goroutine:
 // calling its next or its yield, from any goroutine, parks the caller
@@ -68,7 +81,7 @@ type Engine struct {
 	// events holds future events only (t > now) ordered by (t, seq);
 	// events at the current cycle live in the cur FIFO. Keeping the
 	// same-cycle events out of the heap gives the dominant
-	// schedule-at-now case (Yield, Wake, resource handoff) an O(1)
+	// schedule-at-now case (zero-length waits, Wake) an O(1)
 	// fast path instead of an O(log n) sift.
 	events eventHeap
 	// cur is the FIFO of processes runnable at the current cycle;
@@ -78,8 +91,13 @@ type Engine struct {
 	// dispatched counts events delivered to processes over the
 	// engine's lifetime — the "simulator throughput" numerator.
 	dispatched uint64
-	live       map[*Proc]struct{}
-	fault      *procFault
+	// switches counts the coroutine switches transfer makes.
+	switches uint64
+	// succ is the process an Await that did not stay earliest picked to
+	// run next; Continue hands off to it.
+	succ  *Proc
+	live  map[*Proc]struct{}
+	fault *procFault
 	// run is the goroutine that called Run, while another one runs.
 	run thread
 	// want is the goroutine an exiting process hands control to: its
@@ -136,6 +154,14 @@ func (e *Engine) Live() int { return len(e.live) }
 // Events reports the number of events the engine has dispatched so
 // far — the basis for events/second throughput metrics.
 func (e *Engine) Events() uint64 { return e.dispatched }
+
+// Switches reports the number of coroutine switches the engine has
+// made so far, each from a waiting goroutine to a suspended one (a
+// process's, or Run's). Events dispatched to a process that keeps
+// running, or to a process's Op stepped on the dispatching goroutine,
+// cost none. The wake-up of the goroutine in an exiting process's slot
+// is the runtime's, not a switch the engine makes, and is not counted.
+func (e *Engine) Switches() uint64 { return e.switches }
 
 // SetTracer attaches a tracer to the engine. With trace.CatSim in the
 // tracer's mask the engine emits a "dispatch" instant per delivered
@@ -298,6 +324,7 @@ func (e *Engine) transfer(from, to *thread) {
 		s := to.slot
 		to.slot = nil
 		from.slot, from.inNext = s, !to.inNext
+		e.switches++
 		if to.inNext {
 			s.yield(struct{}{})
 		} else {
@@ -316,13 +343,44 @@ func (e *Engine) transfer(from, to *thread) {
 	}
 }
 
-// successor dispatches q and returns its goroutine, or Run's when q is
-// nil (the queue drained).
+// successor dispatches q and returns the goroutine to resume: q's, or
+// Run's when q is nil (the queue drained). When q is inside an Op, the
+// Op's Step runs here first (see steps).
 func (e *Engine) successor(q *Proc) *thread {
 	if q == nil {
 		return &e.run
 	}
 	e.dispatch(q)
+	if q.op == nil {
+		return &q.thread
+	}
+	return e.steps(q)
+}
+
+// steps runs the Op of q, whose event was just dispatched, and goes on
+// dispatching the events after it until one needs a goroutine: an event
+// of a process waiting in body code, or the one that completes a
+// process's Op. Every other event belongs to an Op that waits again,
+// and its Step runs here, on the dispatching goroutine, which may be
+// another process's or Run's. A panic in a Step is recorded as its
+// process's, as if that process's own goroutine had raised it, and
+// control goes back to Run. steps returns the goroutine to resume.
+func (e *Engine) steps(q *Proc) (to *thread) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.fault = &procFault{proc: q, value: r}
+			to = &e.run
+		}
+	}()
+	for !q.op.Step(q) {
+		// q is queued again, so the queue holds a successor.
+		q = e.succ
+		e.dispatch(q)
+		if q.op == nil {
+			return &q.thread
+		}
+	}
+	q.op = nil
 	return &q.thread
 }
 
@@ -342,6 +400,10 @@ type Proc struct {
 	yield  func(struct{}) bool
 	stop   func()
 	parked bool
+	// op is the Op the process is inside while its event is queued
+	// behind another process's; nil while the process waits in body
+	// code or runs.
+	op Op
 	// track and parkedAt support kernel-level tracing; both are
 	// maintained only while the engine's simTrace flag is set.
 	track    trace.TrackID
@@ -378,9 +440,18 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 }
 
 // dispatch does the accounting for delivering the next event to p, on
-// the goroutine that picked p just before p runs.
+// the goroutine that picked p just before p runs. It is small enough to
+// inline into every dispatching path; the step hook and tracing, off
+// in untraced runs, are in observe.
 func (e *Engine) dispatch(p *Proc) {
 	e.dispatched++
+	if e.stepHook != nil || e.simTrace {
+		e.observe(p)
+	}
+}
+
+// observe calls the step hook and emits the dispatch instant.
+func (e *Engine) observe(p *Proc) {
 	if e.stepHook != nil {
 		e.stepHook(e.now, p)
 	}
@@ -392,10 +463,14 @@ func (e *Engine) dispatch(p *Proc) {
 }
 
 // handoff gives up the processor to q, or to Run when q is nil, and
-// returns when p is dispatched again.
+// returns when p is dispatched again (or, inside Continue, when p's Op
+// has completed). When that happens during the successor loop on p's
+// own goroutine, no switch is made at all.
 func (p *Proc) handoff(q *Proc) {
 	e := p.eng
-	e.transfer(&p.thread, e.successor(q))
+	if to := e.successor(q); to != &p.thread {
+		e.transfer(&p.thread, to)
+	}
 }
 
 // checkLive panics with the release sentinel if an aborted Run has
@@ -431,39 +506,86 @@ func (p *Proc) exit() {
 // Waiting for a time in the past (t <= now) re-queues the process at
 // the current time, which still yields to any already-pending events
 // at this cycle.
+func (p *Proc) WaitUntil(t uint64) { p.wait(t, true) }
+
+// Await is the wait an Op's Step makes: it schedules p at cycle t
+// exactly as WaitUntil does, but does not block. It reports whether p
+// is still the earliest process, in which case the clock is at t and
+// the Step goes on. Otherwise p's event is queued, and the Step must
+// return false at once, touching no model state: the engine runs the
+// Op's next Step when that event is dispatched.
+func (p *Proc) Await(t uint64) bool { return p.wait(t, false) }
+
+// wait is WaitUntil with block set, Await without: it schedules p at
+// cycle t and reports true when p stays the earliest process. Otherwise
+// it picks p's successor and, with block, hands off to it and returns
+// once p runs again; without, it leaves the successor in e.succ and
+// returns false.
 //
 // Only the dispatch order matters, so the queue is touched no more than
 // that order needs. With events still pending at this cycle, p queues
 // behind them. Otherwise, if nothing is pending at or before t, p stays
 // the earliest and keeps running at t; if the heap's top event is due
 // first, p's event takes its place.
-func (p *Proc) WaitUntil(t uint64) {
+func (p *Proc) wait(t uint64, block bool) bool {
 	p.checkLive()
 	e := p.eng
 	if t < e.now {
 		t = e.now
 	}
+	var q *Proc
 	if e.curHead < len(e.cur) {
 		e.schedule(t, p)
-		p.handoff(e.next())
-		return
+		q = e.next()
+	} else {
+		e.cur, e.curHead = e.cur[:0], 0
+		if len(e.events) == 0 || t < e.events[0].t {
+			e.now = t
+			e.dispatch(p)
+			return true
+		}
+		e.seq++
+		q = e.advance(e.events.replaceTop(event{t: t, seq: e.seq, p: p}))
 	}
-	e.cur, e.curHead = e.cur[:0], 0
-	if len(e.events) == 0 || t < e.events[0].t {
-		e.now = t
-		e.dispatch(p)
-		return
+	if block {
+		p.handoff(q)
+		return true
 	}
-	e.seq++
-	p.handoff(e.advance(e.events.replaceTop(event{t: t, seq: e.seq, p: p})))
+	e.succ = q
+	return false
+}
+
+// Op is an operation a process runs as a continuation rather than as
+// body code: a state machine that keeps its own state between waits,
+// such as one memory access or a range of them.
+//
+// The process's own goroutine calls Step first. While every wait
+// completes in place the Op runs there like body code; when a Step
+// returns false, the goroutine passes the Op to Continue, which returns
+// once the Op is complete.
+type Op interface {
+	// Step runs the operation on behalf of p from the wait it last
+	// stopped at (from the start on the first call). Each wait is a
+	// call to p.Await; when one reports false, Step returns false at
+	// once. Step returns true when the operation is complete. A Step
+	// may run on any goroutine, so it must not block, park, or call
+	// WaitUntil.
+	Step(p *Proc) bool
+}
+
+// Continue finishes op, whose Step on p's goroutine has just returned
+// false, and returns when op is complete. p's goroutine goes on
+// dispatching events; from then on op's Steps run on whichever
+// goroutine dispatches p's events, and p's goroutine is resumed only
+// when op completes elsewhere. So an Op costs at most one switch
+// however often it waits.
+func (p *Proc) Continue(op Op) {
+	p.op = op
+	p.handoff(p.eng.succ)
 }
 
 // Advance blocks the process for d cycles.
 func (p *Proc) Advance(d uint64) { p.WaitUntil(p.eng.now + d) }
-
-// Yield re-queues the process at the current cycle, letting any other
-// process scheduled for this cycle run first.
-func (p *Proc) Yield() { p.WaitUntil(p.eng.now) }
 
 // Park suspends the process indefinitely. It returns when another
 // process calls Wake on it. A parked process holds no queue entry, so
@@ -513,7 +635,9 @@ func (e *Engine) wake(q *Proc) {
 // to Run once the queue drains or a body panics.
 func (e *Engine) Run() {
 	if q := e.next(); q != nil {
-		e.transfer(&e.run, e.successor(q))
+		if to := e.successor(q); to != &e.run {
+			e.transfer(&e.run, to)
+		}
 	}
 	if f := e.fault; f != nil {
 		e.fault = nil
@@ -556,4 +680,5 @@ func (e *Engine) abort() {
 	e.curHead = 0
 	clear(e.events)
 	e.events = e.events[:0]
+	e.succ = nil
 }

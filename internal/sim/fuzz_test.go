@@ -7,9 +7,10 @@ package sim
 // drains that list until every worker has finished — so any panic or
 // stuck run the fuzzer finds is an engine bug, not a bad program. The
 // kernel's contracts are then checked directly: dispatch times never
-// go backwards, Events() counts every dispatch, and the same program
+// go backwards, Events() counts every dispatch, the same program
 // replayed gives the identical event count and final clock
-// (determinism).
+// (determinism), and so does the program with each worker's waits
+// between parks run as one Op (an Op's waits follow WaitUntil's rules).
 
 import (
 	"fmt"
@@ -39,30 +40,48 @@ func decodeProgram(data []byte) fuzzProgram {
 }
 
 // spawnProgram spawns the decoded program's workers and master on e
-// and returns the count of workers that have finished.
-func spawnProgram(e *Engine, p fuzzProgram) *int {
+// and returns the count of workers that have finished. With asOps, each
+// run of a worker's waits between parks is one scriptOp instead of body
+// code; the dispatch order must not change.
+func spawnProgram(e *Engine, p fuzzProgram, asOps bool) *int {
 	done := new(int)
 	var wantWake []*Proc
 	for w := 0; w < p.workers; w++ {
 		ops := p.ops[w]
 		e.Spawn(fmt.Sprintf("worker%d", w), func(proc *Proc) {
+			var script []scriptWait
+			advance := func(d uint64) {
+				if asOps {
+					script = append(script, scriptWait{d: d})
+				} else {
+					proc.Advance(d)
+				}
+			}
+			flush := func() {
+				if len(script) > 0 {
+					proc.Do(&scriptOp{waits: script})
+					script = nil
+				}
+			}
 			for _, b := range ops {
 				switch b % 4 {
 				case 0:
-					proc.Advance(1 + uint64(b)/4)
+					advance(1 + uint64(b)/4)
 				case 1:
-					proc.Yield()
+					advance(0) // Yield
 				case 2:
 					// Enqueue-then-park is atomic w.r.t. the
 					// single-threaded scheduler: the master can only
 					// observe the queue entry once this worker has
 					// actually parked.
+					flush()
 					wantWake = append(wantWake, proc)
 					proc.Park()
 				case 3:
-					proc.Advance(uint64(b) * 97)
+					advance(uint64(b) * 97)
 				}
 			}
+			flush()
 			*done++
 		})
 	}
@@ -83,7 +102,7 @@ func spawnProgram(e *Engine, p fuzzProgram) *int {
 
 // runProgram executes the decoded program on a fresh engine and
 // returns (events dispatched, final clock).
-func runProgram(t *testing.T, p fuzzProgram) (uint64, uint64) {
+func runProgram(t *testing.T, p fuzzProgram, asOps bool) (uint64, uint64) {
 	t.Helper()
 	e := NewEngine()
 
@@ -99,7 +118,7 @@ func runProgram(t *testing.T, p fuzzProgram) (uint64, uint64) {
 		hooks++
 	}
 
-	done := spawnProgram(e, p)
+	done := spawnProgram(e, p, asOps)
 	e.Run()
 
 	if backwards != "" {
@@ -133,11 +152,15 @@ func FuzzEngine(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodeProgram(data)
-		events1, now1 := runProgram(t, p)
-		events2, now2 := runProgram(t, p)
+		events1, now1 := runProgram(t, p, false)
+		events2, now2 := runProgram(t, p, false)
 		if events1 != events2 || now1 != now2 {
 			t.Fatalf("non-deterministic replay: (%d events, clock %d) then (%d events, clock %d)",
 				events1, now1, events2, now2)
+		}
+		if events3, now3 := runProgram(t, p, true); events3 != events1 || now3 != now1 {
+			t.Fatalf("as Ops: (%d events, clock %d), as body code: (%d events, clock %d)",
+				events3, now3, events1, now1)
 		}
 	})
 }

@@ -19,8 +19,10 @@ var updateOrder = flag.Bool("update-order", false, "rewrite testdata/dispatch_or
 // each one's dispatch sequence, one "cycle process" line per event. A
 // run of events that dispatch one process on consecutive cycles, such
 // as a master spinning on Advance(1), folds into one "first..last
-// process" line.
-func dispatchOrder(t *testing.T) []byte {
+// process" line. With asOps, the programs' waits run inside Ops (see
+// spawnProgram and spawnContention). It also returns the coroutine
+// switches all the programs made.
+func dispatchOrder(t *testing.T, asOps bool) ([]byte, uint64) {
 	t.Helper()
 	type program struct {
 		name  string
@@ -30,7 +32,7 @@ func dispatchOrder(t *testing.T) []byte {
 	for i, seed := range fuzzSeeds {
 		progs = append(progs, program{
 			name:  fmt.Sprintf("fuzz seed %d %q", i, seed),
-			spawn: func(e *Engine) { spawnProgram(e, decodeProgram(seed)) },
+			spawn: func(e *Engine) { spawnProgram(e, decodeProgram(seed), asOps) },
 		})
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzEngine")
@@ -47,12 +49,13 @@ func dispatchOrder(t *testing.T) []byte {
 		seed := readFuzzSeed(t, filepath.Join(dir, name))
 		progs = append(progs, program{
 			name:  "fuzz corpus " + name,
-			spawn: func(e *Engine) { spawnProgram(e, decodeProgram(seed)) },
+			spawn: func(e *Engine) { spawnProgram(e, decodeProgram(seed), asOps) },
 		})
 	}
-	progs = append(progs, program{name: "contention", spawn: spawnContention})
+	progs = append(progs, program{name: "contention", spawn: func(e *Engine) { spawnContention(e, asOps) }})
 
 	var buf bytes.Buffer
+	var switches uint64
 	for _, prog := range progs {
 		fmt.Fprintf(&buf, "# %s\n", prog.name)
 		var run orderRun
@@ -68,8 +71,9 @@ func dispatchOrder(t *testing.T) []byte {
 		prog.spawn(e)
 		e.Run()
 		run.flush(&buf)
+		switches += e.Switches()
 	}
-	return buf.Bytes()
+	return buf.Bytes(), switches
 }
 
 // orderRun is a run of dispatches of one process on consecutive cycles.
@@ -119,7 +123,7 @@ func readFuzzSeed(t *testing.T, path string) []byte {
 //
 // only when the order is meant to change.
 func TestDispatchOrderGolden(t *testing.T) {
-	got := dispatchOrder(t)
+	got, _ := dispatchOrder(t, false)
 	path := filepath.Join("testdata", "dispatch_order.txt")
 	if *updateOrder {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
@@ -139,4 +143,30 @@ func TestDispatchOrderGolden(t *testing.T) {
 		}
 		t.Fatalf("dispatch order differs from %s: %d lines, want %d", path, len(gl), len(wl))
 	}
+}
+
+// TestOpDispatchOrderGolden runs the golden's programs with their waits
+// inside Ops: an Op's Steps, run on whichever goroutine dispatches
+// them, must deliver the same events in the same order as the waits
+// made by body code, and cost no more switches.
+func TestOpDispatchOrderGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "dispatch_order.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, opSwitches := dispatchOrder(t, true)
+	if !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("as Ops, dispatch order differs from the golden at line %d: got %q, want %q", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("as Ops, dispatch order differs from the golden: %d lines, want %d", len(gl), len(wl))
+	}
+	_, bodySwitches := dispatchOrder(t, false)
+	if opSwitches > bodySwitches {
+		t.Errorf("as Ops the programs made %d switches, as body code %d", opSwitches, bodySwitches)
+	}
+	t.Logf("switches: %d as body code, %d as Ops", bodySwitches, opSwitches)
 }

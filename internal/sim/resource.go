@@ -2,14 +2,15 @@ package sim
 
 // Resource models a single server with deterministic service times —
 // an off-chip bus, a DRAM bank, an L3 bank port. Callers reserve the
-// resource for a number of cycles; if it is busy the caller's process
-// waits until the earliest free cycle. Reservation order is
-// first-come-first-served in simulated time.
+// resource for a number of cycles; if it is busy the slot starts at
+// the earliest free cycle. Reservation order is first-come-first-served
+// in simulated time.
 //
 // The reservation protocol is "reserve then wait": the requester
-// immediately extends the resource's horizon and then sleeps until its
-// own slot begins. Because only one process runs at a time, this is
-// race-free and serves requests in arrival order.
+// immediately extends the resource's horizon with ReserveAt and then,
+// if it must, waits (Proc.Await, inside an Op) until its own slot
+// begins. Because only one process runs at a time, this is race-free
+// and serves requests in arrival order.
 type Resource struct {
 	name string
 	// nextFree is the first cycle at which the resource is idle.
@@ -34,45 +35,14 @@ func (r *Resource) Name() string { return r.name }
 // monotone counter hardware would expose.
 func (r *Resource) BusyCycles() uint64 { return r.busy }
 
-// Grants reports the number of reservations made so far.
-func (r *Resource) Grants() uint64 { return r.grants }
-
 // NextFree reports the first cycle at which the resource is idle.
 func (r *Resource) NextFree() uint64 { return r.nextFree }
 
-// Acquire reserves the resource for occupancy cycles and blocks p
-// until the reserved slot begins. It returns the cycle at which the
-// slot begins; when Acquire returns, the clock equals that cycle and
-// the caller owns the resource until start+occupancy.
-func (r *Resource) Acquire(p *Proc, occupancy uint64) (start uint64) {
-	now := p.Now()
-	start = r.nextFree
-	if start < now {
-		start = now
-	}
-	r.nextFree = start + occupancy
-	r.busy += occupancy
-	r.grants++
-	if start > now {
-		p.WaitUntil(start)
-	}
-	return start
-}
-
-// AcquireAndHold reserves the resource for occupancy cycles and blocks
-// p until the reservation completes (start+occupancy). This is the
-// common pattern for a requester that cannot proceed until its
-// transfer finishes.
-func (r *Resource) AcquireAndHold(p *Proc, occupancy uint64) (start uint64) {
-	start = r.Acquire(p, occupancy)
-	p.WaitUntil(start + occupancy)
-	return start
-}
-
-// ReserveAt makes a fire-and-forget reservation: the slot starts no
-// earlier than now, extends the horizon, and accrues busy cycles, but
-// the caller does not block. Used for posted writebacks that consume
-// bandwidth without stalling the evicting core.
+// ReserveAt reserves the resource for occupancy cycles in the first
+// free slot that starts no earlier than now, extends the horizon,
+// accrues busy cycles, and returns the slot's start. It never blocks:
+// a demand requester then waits for the slot itself, while posted
+// writebacks consume bandwidth without stalling the evicting core.
 func (r *Resource) ReserveAt(now, occupancy uint64) (start uint64) {
 	start = r.nextFree
 	if start < now {

@@ -64,7 +64,7 @@ func TestStressManyProcsAndResources(t *testing.T) {
 func TestStressDeterministicUnderContention(t *testing.T) {
 	run := func() uint64 {
 		e := NewEngine()
-		spawnContention(e)
+		spawnContention(e, false)
 		e.Run()
 		return e.Now()
 	}
@@ -77,11 +77,20 @@ func TestStressDeterministicUnderContention(t *testing.T) {
 }
 
 // spawnContention spawns 64 processes that take turns on one shared
-// bus resource with staggered think times.
-func spawnContention(e *Engine) {
+// bus resource with staggered think times, as body code or, with
+// asOps, each body as one scriptOp.
+func spawnContention(e *Engine, asOps bool) {
 	r := NewResource("bus")
 	for i := 0; i < 64; i++ {
 		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			if asOps {
+				script := []scriptWait{{d: uint64(i % 9)}}
+				for j := 0; j < 5; j++ {
+					script = append(script, scriptWait{d: 8, r: r}, scriptWait{d: uint64((i + j) % 11)})
+				}
+				p.Do(&scriptOp{waits: script})
+				return
+			}
 			p.Advance(uint64(i % 9))
 			for j := 0; j < 5; j++ {
 				r.AcquireAndHold(p, 8)

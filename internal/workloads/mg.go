@@ -157,9 +157,22 @@ func (w *MG) Name() string { return "mg" }
 // Kernels implements core.Workload.
 func (w *MG) Kernels() []core.Kernel { return []core.Kernel{w.kernel} }
 
+// idx3 flattens (x, y, z) on a periodic d-edged grid. Every caller's
+// coordinates lie in [-1, d], at most one step outside the grid, so
+// each wraps with one compare and add instead of a modulo.
 func idx3(x, y, z, d int) int {
-	x, y, z = (x+d)%d, (y+d)%d, (z+d)%d
-	return (x*d+y)*d + z
+	return (wrap1(x, d)*d+wrap1(y, d))*d + wrap1(z, d)
+}
+
+// wrap1 maps v in [-1, d] into [0, d) periodically.
+func wrap1(v, d int) int {
+	switch {
+	case v < 0:
+		return v + d
+	case v >= d:
+		return v - d
+	}
+	return v
 }
 
 // smooth performs one Jacobi smoothing step of src into dst over the

@@ -356,3 +356,20 @@ func TestPhaseShiftVerifies(t *testing.T) {
 		t.Errorf("under adaptive FDT: %v", err)
 	}
 }
+
+func TestIdx3WrapsOneStepOutside(t *testing.T) {
+	// idx3's compare-and-add wrap must agree with the periodic modulo
+	// over the coordinates its callers pass, [-1, d] on each axis.
+	for _, d := range []int{1, 2, 3, 8} {
+		mod := func(v int) int { return (v%d + d) % d }
+		for x := -1; x <= d; x++ {
+			for y := -1; y <= d; y++ {
+				for z := -1; z <= d; z++ {
+					if got, want := idx3(x, y, z, d), (mod(x)*d+mod(y))*d+mod(z); got != want {
+						t.Fatalf("idx3(%d, %d, %d, %d) = %d, want %d", x, y, z, d, got, want)
+					}
+				}
+			}
+		}
+	}
+}
