@@ -1,9 +1,19 @@
 package experiments
 
 import (
+	"encoding/json"
+	"flag"
+	"os"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/gauntlet_scoreboard.json from the current tree")
+
+// gauntletGolden pins every field of the gauntlet scoreboard: each
+// member's oracle and every policy row, hybrid fallbacks and
+// recoveries included.
+const gauntletGolden = "testdata/gauntlet_scoreboard.json"
 
 // The robustness acceptance numbers: per-member ceilings on the hybrid
 // controller's time-vs-oracle ratio, set from the measured table with a
@@ -29,6 +39,7 @@ func TestGauntletRobustness(t *testing.T) {
 	if len(g.Members) != 4 {
 		t.Fatalf("%d gauntlet members, want 4", len(g.Members))
 	}
+	checkGauntletGolden(t, g)
 
 	adaptiveLosses := 0
 	for _, m := range g.Members {
@@ -78,6 +89,35 @@ func TestGauntletRobustness(t *testing.T) {
 	bu, _ := g.Row("gauntlet/busstorm", "hybrid")
 	if bu.Fallbacks < 1 {
 		t.Errorf("gauntlet/busstorm: hybrid never fell back (%d fallbacks)", bu.Fallbacks)
+	}
+}
+
+// checkGauntletGolden compares g's JSON with the golden byte for byte;
+// regenerate it only for an intended behaviour change:
+//
+//	go test ./internal/experiments -run TestGauntletRobustness -update
+func checkGauntletGolden(t *testing.T, g Gauntlet) {
+	t.Helper()
+	got, err := json.MarshalIndent(g, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(gauntletGolden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(gauntletGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("gauntlet scoreboard drifted from %s:\n got %s\nwant %s", gauntletGolden, got, want)
 	}
 }
 
