@@ -13,7 +13,7 @@ import (
 )
 
 // Counter is a monotone event counter. Hardware counters never run
-// backwards; Reset models the privileged clear operation.
+// backwards.
 type Counter struct {
 	v uint64
 }
@@ -27,9 +27,6 @@ func (c *Counter) Inc() { c.v++ }
 // Read samples the counter.
 func (c *Counter) Read() uint64 { return c.v }
 
-// Reset clears the counter to zero.
-func (c *Counter) Reset() { c.v = 0 }
-
 // Sample is a point-in-time reading used for entry/exit deltas.
 type Sample uint64
 
@@ -39,48 +36,6 @@ func (c *Counter) Sample() Sample { return Sample(c.v) }
 // DeltaSince reports the events accumulated since the sample was
 // taken.
 func (c *Counter) DeltaSince(s Sample) uint64 { return c.v - uint64(s) }
-
-// Snapshot is a point-in-time reading of several counters at once —
-// the software idiom for interval-based monitoring: snapshot at the
-// interval's start, ask for the deltas at its end, carry the new
-// snapshot into the next interval.
-type Snapshot map[string]Sample
-
-// Delta holds the events each counter accumulated over one interval.
-type Delta map[string]uint64
-
-// Snapshot samples the named counters (creating absent ones, which
-// read zero) and returns the readings keyed by name.
-func (s *Set) Snapshot(names ...string) Snapshot {
-	snap := make(Snapshot, len(names))
-	for _, n := range names {
-		snap[n] = s.Counter(n).Sample()
-	}
-	return snap
-}
-
-// DeltaSince reports, for every counter in the snapshot, the events
-// accumulated since the snapshot was taken.
-func (s *Set) DeltaSince(snap Snapshot) Delta {
-	d := make(Delta, len(snap))
-	for n, v := range snap {
-		d[n] = s.Counter(n).DeltaSince(v)
-	}
-	return d
-}
-
-// Advance reports the deltas since snap and moves snap forward to the
-// current readings in one step — the per-interval monitoring loop's
-// read-and-rearm operation.
-func (s *Set) Advance(snap Snapshot) Delta {
-	d := make(Delta, len(snap))
-	for n := range snap {
-		c := s.Counter(n)
-		d[n] = c.DeltaSince(snap[n])
-		snap[n] = c.Sample()
-	}
-	return d
-}
 
 // Checkpoint captures every counter's current value by name — the
 // counter file's contribution to a machine state summary.
@@ -136,13 +91,6 @@ func (s *Set) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// ResetAll clears every counter in the set.
-func (s *Set) ResetAll() {
-	for _, c := range s.byName {
-		c.Reset()
-	}
 }
 
 // String renders the set as "name=value" pairs for reports.

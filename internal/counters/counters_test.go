@@ -15,10 +15,6 @@ func TestCounterAddAndRead(t *testing.T) {
 	if got := c.Read(); got != 6 {
 		t.Errorf("Read = %d, want 6", got)
 	}
-	c.Reset()
-	if c.Read() != 0 {
-		t.Error("Reset did not clear")
-	}
 }
 
 func TestSampleDelta(t *testing.T) {
@@ -58,57 +54,12 @@ func TestSetNamesSorted(t *testing.T) {
 	}
 }
 
-func TestSetResetAll(t *testing.T) {
-	s := NewSet()
-	s.Counter("a").Add(1)
-	s.Counter("b").Add(2)
-	s.ResetAll()
-	if s.Counter("a").Read() != 0 || s.Counter("b").Read() != 0 {
-		t.Error("ResetAll left nonzero counters")
-	}
-}
-
 func TestSetString(t *testing.T) {
 	s := NewSet()
 	s.Counter("b").Add(2)
 	s.Counter("a").Add(1)
 	if got, want := s.String(), "a=1 b=2"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
-	}
-}
-
-func TestSnapshotDeltaSince(t *testing.T) {
-	s := NewSet()
-	s.Counter("cs").Add(10)
-	s.Counter("bus").Add(5)
-	snap := s.Snapshot("cs", "bus", "fresh")
-	s.Counter("cs").Add(7)
-	s.Counter("fresh").Add(3)
-	d := s.DeltaSince(snap)
-	if d["cs"] != 7 || d["bus"] != 0 || d["fresh"] != 3 {
-		t.Errorf("DeltaSince = %v, want cs=7 bus=0 fresh=3", d)
-	}
-	// DeltaSince does not re-arm: the same snapshot keeps measuring
-	// from the original point.
-	s.Counter("cs").Add(1)
-	if d := s.DeltaSince(snap); d["cs"] != 8 {
-		t.Errorf("second DeltaSince cs = %d, want 8", d["cs"])
-	}
-}
-
-func TestSnapshotAdvanceReArms(t *testing.T) {
-	s := NewSet()
-	snap := s.Snapshot("cs")
-	s.Counter("cs").Add(4)
-	if d := s.Advance(snap); d["cs"] != 4 {
-		t.Errorf("first interval = %v, want cs=4", d)
-	}
-	s.Counter("cs").Add(9)
-	if d := s.Advance(snap); d["cs"] != 9 {
-		t.Errorf("second interval = %v, want cs=9 (re-armed)", d)
-	}
-	if d := s.Advance(snap); d["cs"] != 0 {
-		t.Errorf("empty interval = %v, want cs=0", d)
 	}
 }
 
