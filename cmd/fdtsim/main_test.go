@@ -122,6 +122,44 @@ func TestRunReportAndCheck(t *testing.T) {
 	}
 }
 
+// TestSparklineObservesOnly: the sampler behind -sparkline must not
+// change the run it observes. Its last Advance may move the clock past
+// the program's end; the report must still read the end of the run,
+// so both invocations print the same report apart from the sparkline
+// lines.
+func TestSparklineObservesOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full simulated runs")
+	}
+	for _, args := range [][]string{
+		{"-workload", "pagemine", "-policy", "static", "-threads", "4", "-cores", "8"},
+		{"-corun", "pagemine+ed", "-cores", "8"},
+	} {
+		var plain, sampled, errb bytes.Buffer
+		if code := run(args, &plain, &errb); code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", args, code, errb.String())
+		}
+		if code := run(append(args, "-sparkline"), &sampled, &errb); code != 0 {
+			t.Fatalf("%v -sparkline: exit %d, stderr: %s", args, code, errb.String())
+		}
+		var kept []string
+		sparks := 0
+		for _, line := range strings.Split(sampled.String(), "\n") {
+			if strings.HasPrefix(line, "bus util ") || strings.HasPrefix(line, "act.cores ") {
+				sparks++
+				continue
+			}
+			kept = append(kept, line)
+		}
+		if sparks != 2 {
+			t.Errorf("%v -sparkline: %d sparkline lines, want 2:\n%s", args, sparks, sampled.String())
+		}
+		if got := strings.Join(kept, "\n"); got != plain.String() {
+			t.Errorf("%v: -sparkline changed the report:\nwithout:\n%s\nwith:\n%s", args, plain.String(), got)
+		}
+	}
+}
+
 func TestCorunReportAndCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulated co-run")

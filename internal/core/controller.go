@@ -197,9 +197,8 @@ func (ctl *Controller) Run(m *machine.Machine, w Workload) RunResult {
 	if ctl.Power != nil && ctl.Power.Budget > 0 {
 		m.SetPowerBudget(ctl.Power.Budget)
 	}
-	thread.Run(m, ctl.runBody(w, &res))
-	m.FinishCheck()
-	res.TotalCycles = m.Eng.Now()
+	res.TotalCycles = thread.Run(m, ctl.runBody(w, &res))
+	m.FinishCheck(res.TotalCycles)
 	res.AvgActiveCores = m.Power.AverageActiveCores(res.TotalCycles)
 	res.BusBusyCycles = m.Ctrs.Counter(counters.BusBusyCycles).Read()
 	if m.Power.Tracked() {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"fdt/internal/counters"
 	"fdt/internal/machine"
@@ -117,14 +118,15 @@ func (s RunSpec) runTeams(m *machine.Machine) RunResult {
 		slots = append(slots, i)
 	}
 	done := thread.RunTeams(m, mains)
-	m.FinishCheck()
+	end := slices.Max(done)
+	m.FinishCheck(end)
 	for j, i := range slots {
 		results[i].TotalCycles = done[j] - start
 	}
 
 	out := RunResult{
 		Mapping:       s.Mapping.String(),
-		TotalCycles:   m.Eng.Now() - start,
+		TotalCycles:   end - start,
 		BusBusyCycles: m.Ctrs.Counter(counters.BusBusyCycles).Read(),
 		Teams:         make([]TeamResult, len(teams)),
 	}

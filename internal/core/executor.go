@@ -28,10 +28,11 @@ func (Executor) Execute(c *thread.Ctx, k Kernel, threads, lo, hi int) {
 }
 
 // ExecuteMonitored runs iterations [lo, hi) at the decided team size
-// in chunks of mo.Params.Interval, consulting the monitor after each.
-// It returns the first iteration not executed and the drift that
-// stopped it — (hi, nil) when the kernel's remainder completed
-// without a phase change.
+// in chunks of mo.Params.Interval, consulting the monitor after each:
+// its binary drift test, then, when a residual is attached, its
+// fallback test. It returns the first iteration not executed and the
+// drift that stopped it — (hi, nil) when the kernel's remainder
+// completed without a phase change.
 func (ex Executor) ExecuteMonitored(c *thread.Ctx, k Kernel, threads, lo, hi int, mo *Monitor) (int, *Drift) {
 	if !c.AtDecisionPoint() {
 		panic("core: ExecuteMonitored outside a decision point")
@@ -50,6 +51,9 @@ func (ex Executor) ExecuteMonitored(c *thread.Ctx, k Kernel, threads, lo, hi int
 		iters := end - lo
 		lo = end
 		if dr := mo.Observe(c, iters, lo); dr != nil {
+			return lo, dr
+		}
+		if dr := mo.fallback(lo, hi); dr != nil {
 			return lo, dr
 		}
 	}

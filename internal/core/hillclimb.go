@@ -51,10 +51,9 @@ func (h HillClimb) runKernel(c *thread.Ctx, k Kernel) KernelResult {
 		if iter+probe > n {
 			break
 		}
-		t0 := c.CPU.CycleCount()
-		k.RunChunk(c, size, iter, iter+probe)
+		cycles, _ := timeChunk(c, k, size, iter, iter+probe)
 		iter += probe
-		perIter := float64(c.CPU.CycleCount()-t0) / float64(probe)
+		perIter := float64(cycles) / float64(probe)
 		if first || improves(perIter, bestPerIter, minGain) {
 			best = size
 			bestPerIter = perIter
@@ -64,16 +63,5 @@ func (h HillClimb) runKernel(c *thread.Ctx, k Kernel) KernelResult {
 		// Throughput stopped improving: stop climbing.
 		break
 	}
-
-	trainCycles := c.CPU.CycleCount() - start
-	if iter < n {
-		k.RunChunk(c, best, iter, n)
-	}
-	return KernelResult{
-		Kernel:      k.Name(),
-		Decision:    Decision{Threads: best},
-		TrainIters:  iter,
-		TrainCycles: trainCycles,
-		Cycles:      c.CPU.CycleCount() - start,
-	}
+	return finishKernel(c, k, Decision{Threads: best}, iter, start)
 }

@@ -21,11 +21,9 @@ import (
 // cannot thrash.
 
 // HybridParams tunes the hybrid controller's refinement probes and its
-// model/measured fallback state machine.
+// model/measured fallback thresholds. The rest of its tuning is fixed:
+// see hybridMonitor, hybridMaxProbes and hybridRecheckIntervals.
 type HybridParams struct {
-	// Monitor supplies the execution-interval cadence, drift
-	// tolerances and the retrain cap shared with the adaptive pipeline.
-	Monitor MonitorParams
 	// ProbeIters is the per-candidate sample length, in iterations, of
 	// each probe comparison. A comparison interleaves the two team
 	// sizes across four half-chunks (A-B-A-B), so it consumes
@@ -35,68 +33,59 @@ type HybridParams struct {
 	// neighbor must deliver to displace the current choice (the same
 	// meaning as HillClimb.MinGain).
 	MinGain float64
-	// MaxProbes bounds the probe comparisons one refinement or climb
-	// may execute — the "bounded" in bounded hill-climb.
-	MaxProbes int
 	// ResidualHigh and ResidualLow are the hysteresis thresholds on
 	// the residual EWMA: the controller falls back to measured mode at
 	// or above High and returns to model mode at or below Low. High
 	// must exceed Low strictly.
 	ResidualHigh, ResidualLow float64
-	// ResidualDecay is the residual EWMA's per-observation weight.
-	ResidualDecay float64
-	// RecheckIntervals is the measured state's recovery cadence: every
-	// this many monitor intervals the controller re-evaluates the
-	// residual (and the windowed throughput) at a safe decision point.
-	RecheckIntervals int
 }
 
-// DefaultHybridParams returns the hybrid controller's tuning. The
-// monitor cadence is three quarters of the adaptive pipeline's: a
-// shorter interval gives the residual more observations per phase to
-// integrate and keeps the per-interval fork-and-rewarm cost paid at
-// every chunk boundary amortized.
-func DefaultHybridParams() HybridParams {
+const (
+	// hybridMaxProbes bounds the probe comparisons one walk may
+	// execute — the "bounded" in bounded hill-climb.
+	hybridMaxProbes = 4
+	// hybridRecheckIntervals is the measured state's recovery cadence:
+	// every this many monitor intervals the controller re-evaluates
+	// the residual (and the windowed throughput) at a safe decision
+	// point.
+	hybridRecheckIntervals = 4
+)
+
+// hybridMonitor is the hybrid's execution-interval cadence, drift
+// tolerances and retrain cap: the adaptive pipeline's, at three
+// quarters of its interval. A shorter interval gives the residual more
+// observations per phase to integrate and keeps the per-interval
+// fork-and-rewarm cost paid at every chunk boundary amortized.
+func hybridMonitor() MonitorParams {
 	mon := DefaultMonitorParams()
 	mon.Interval = 48
+	return mon
+}
+
+// DefaultHybridParams returns the hybrid controller's tuning.
+func DefaultHybridParams() HybridParams {
 	return HybridParams{
-		Monitor:          mon,
-		ProbeIters:       24,
-		MinGain:          0.03,
-		MaxProbes:        4,
-		ResidualHigh:     0.30,
-		ResidualLow:      0.10,
-		ResidualDecay:    0.25,
-		RecheckIntervals: 4,
+		ProbeIters:   24,
+		MinGain:      0.03,
+		ResidualHigh: 0.30,
+		ResidualLow:  0.10,
 	}
 }
 
 // WithDefaults fills zero fields from DefaultHybridParams.
 func (p HybridParams) WithDefaults() HybridParams {
 	d := DefaultHybridParams()
-	if p.Monitor.Interval == 0 {
-		p.Monitor = d.Monitor
-	}
 	if p.ProbeIters == 0 {
 		p.ProbeIters = d.ProbeIters
 	}
 	if p.MinGain == 0 {
 		p.MinGain = d.MinGain
 	}
-	if p.MaxProbes == 0 {
-		p.MaxProbes = d.MaxProbes
-	}
 	if p.ResidualHigh == 0 {
 		p.ResidualHigh = d.ResidualHigh
 	}
 	if p.ResidualLow == 0 {
 		p.ResidualLow = d.ResidualLow
-	}
-	if p.ResidualDecay == 0 {
-		p.ResidualDecay = d.ResidualDecay
-	}
-	if p.RecheckIntervals == 0 {
-		p.RecheckIntervals = d.RecheckIntervals
 	}
 	return p
 }
@@ -109,18 +98,9 @@ func (p HybridParams) Validate() error {
 	if p.MinGain < 0 || p.MinGain >= 1 {
 		return fmt.Errorf("hybrid: MinGain %g, want in [0, 1)", p.MinGain)
 	}
-	if p.MaxProbes < 1 {
-		return fmt.Errorf("hybrid: MaxProbes %d, want >= 1", p.MaxProbes)
-	}
 	if p.ResidualLow <= 0 || p.ResidualHigh <= p.ResidualLow {
 		return fmt.Errorf("hybrid: residual thresholds high %g / low %g, want high > low > 0 (hysteresis)",
 			p.ResidualHigh, p.ResidualLow)
-	}
-	if p.ResidualDecay <= 0 || p.ResidualDecay > 1 {
-		return fmt.Errorf("hybrid: ResidualDecay %g, want in (0, 1]", p.ResidualDecay)
-	}
-	if p.RecheckIntervals < 1 {
-		return fmt.Errorf("hybrid: RecheckIntervals %d, want >= 1", p.RecheckIntervals)
 	}
 	return nil
 }
@@ -169,6 +149,7 @@ func (h Hybrid) runKernel(c *thread.Ctx, k Kernel) KernelResult {
 	params := DefaultTrainingParams()
 	params.MaxTrainFraction /= 2
 	hp := h.HP.WithDefaults()
+	mon := hybridMonitor()
 
 	if n < params.MinIterations {
 		d := Decision{Threads: pol.StaticThreads(cores)}
@@ -180,7 +161,7 @@ func (h Hybrid) runKernel(c *thread.Ctx, k Kernel) KernelResult {
 
 	sampler := Sampler{Params: params}
 	estimator := Estimator{Params: params}
-	res := &Residual{Decay: hp.ResidualDecay}
+	res := &Residual{}
 	kr := KernelResult{Kernel: k.Name()}
 	measured := false
 	// lastModel is the model's most recent decision — the reference the
@@ -203,6 +184,7 @@ func (h Hybrid) runKernel(c *thread.Ctx, k Kernel) KernelResult {
 
 		var d Decision
 		probed, trainIters := 0, 0
+		probeStart := phaseStart
 		if !measured {
 			out := sampler.Sample(c, k, pol, iter, n)
 			var tr TrainResult
@@ -224,34 +206,42 @@ func (h Hybrid) runKernel(c *thread.Ctx, k Kernel) KernelResult {
 			}
 			lastModel = d.Threads
 
-			probeStart := c.CPU.CycleCount()
+			probeStart = c.CPU.CycleCount()
 			threads, probed = h.refine(c, k, d, wstart, iter, n, cores, hp, res)
-			ct.span("probe", k.Name(), probeStart, c.CPU.CycleCount(), uint64(threads), uint64(probed), 0)
 			d.Threads = threads
 		} else {
 			// Pure measured mode: no training loop, no model — climb
 			// from scratch, then audit how far the model's last word
 			// sits from what measurement chose (agreement is how the
-			// model earns its trust back).
-			probeStart := c.CPU.CycleCount()
-			threads, probed = h.climb(c, k, threads, iter, n, cores, hp)
+			// model earns its trust back). The walk starts from the
+			// current team size, with no floor: an optimum far from it
+			// is reached by re-climbs, each re-centered on the previous
+			// winner.
+			if threads < 1 {
+				threads = cores
+			}
+			threads, probed, _ = h.walk(c, k, threads, 1, iter, n, cores, hp)
 			res.Observe(disagreement(lastModel, threads))
-			ct.span("probe", k.Name(), probeStart, c.CPU.CycleCount(), uint64(threads), uint64(probed), 0)
 			d = Decision{Threads: threads}
 		}
+		ct.span("probe", k.Name(), probeStart, c.CPU.CycleCount(), uint64(threads), uint64(probed), 0)
 		iter += probed
 		trainCycles := c.CPU.CycleCount() - phaseStart
 
 		var stop int
 		var dr *Drift
 		execStart := c.CPU.CycleCount()
-		if kr.Retrains >= hp.Monitor.MaxRetrains {
+		if kr.Retrains >= mon.MaxRetrains {
 			Executor{}.Execute(c, k, threads, iter, n)
 			stop = n
 		} else if !measured {
-			stop, dr = h.executeModel(c, k, threads, iter, n, hp, lastSS, res)
+			// The model state runs like the adaptive pipeline, plus the
+			// monitor's residual fallback test.
+			mo := NewMonitor(mon, lastSS)
+			mo.Res, mo.resHigh = res, hp.ResidualHigh
+			stop, dr = Executor{}.ExecuteMonitored(c, k, threads, iter, n, mo)
 		} else {
-			stop, dr = h.executeMeasured(c, k, threads, iter, n, hp, lastSS, res)
+			stop, dr = h.executeMeasured(c, k, threads, iter, n, mon, hp, lastSS, res)
 		}
 		ct.span("execute", k.Name(), execStart, c.CPU.CycleCount(), uint64(threads), uint64(iter), uint64(stop))
 		if dr != nil {
@@ -283,10 +273,9 @@ func (h Hybrid) runKernel(c *thread.Ctx, k Kernel) KernelResult {
 		// sample and every probe after it. One interval at the incumbent
 		// size debounces the edge; a real phase change is still there
 		// when the interval ends, one interval later.
-		if settle := hp.Monitor.Interval; n-iter >= settle+params.MinIterations {
-			sT := c.CPU.CycleCount()
-			k.RunChunk(c, threads, iter, iter+settle)
-			kr.Phases[len(kr.Phases)-1].Cycles += c.CPU.CycleCount() - sT
+		if settle := mon.Interval; n-iter >= settle+params.MinIterations {
+			cycles, _ := timeChunk(c, k, threads, iter, iter+settle)
+			kr.Phases[len(kr.Phases)-1].Cycles += cycles
 			iter += settle
 		}
 		if n-iter < params.MinIterations {
@@ -332,7 +321,8 @@ func (h Hybrid) runKernel(c *thread.Ctx, k Kernel) KernelResult {
 	return kr
 }
 
-// walk is the shared probing primitive behind refine and climb: a
+// walk is the bounded search behind both states — refinement of the
+// model's seed, and the measured state's climb from the current size: a
 // bounded hill walk over team sizes, starting from start, where every
 // comparison is an interleaved A-B-A-B design — four half-chunks of
 // ProbeIters/2 iterations, alternating between the incumbent and the
@@ -357,7 +347,7 @@ func (h Hybrid) runKernel(c *thread.Ctx, k Kernel) KernelResult {
 // never 4), so a moved walk must check its neighborhood, while a start
 // that survived both 2x tests keeps its ±1 neighborhood on the
 // starting authority — polishing a flat landscape buys nothing and
-// costs two comparisons. MaxProbes counts comparisons; each consumes
+// costs two comparisons. hybridMaxProbes counts comparisons; each consumes
 // 2 x ProbeIters iterations. Returns the chosen size, the iterations
 // consumed, and the compounded per-iteration speedup over the start.
 // minSize bounds the halving phase from below: the model can prove a
@@ -369,23 +359,19 @@ func (h Hybrid) walk(c *thread.Ctx, k Kernel, start, minSize, lo, hi, cores int,
 	if half < 1 {
 		half = 1
 	}
-	budget := hp.MaxProbes
+	budget := hybridMaxProbes
 	compare := func(a, b int) (perA, perB float64, ok bool) {
-		if budget < 1 || lo+used+4*half > hi {
+		at := lo + used
+		if budget < 1 || at+4*half > hi {
 			return 0, 0, false
 		}
 		budget--
-		run := func(size int) float64 {
-			t0 := c.CPU.CycleCount()
-			k.RunChunk(c, size, lo+used, lo+used+half)
-			used += half
-			return float64(c.CPU.CycleCount() - t0)
-		}
-		a1 := run(a)
-		b1 := run(b)
-		a2 := run(a)
-		b2 := run(b)
-		return (a1 + a2) / float64(2*half), (b1 + b2) / float64(2*half), true
+		used += 4 * half
+		a1, _ := timeChunk(c, k, a, at, at+half)
+		b1, _ := timeChunk(c, k, b, at+half, at+2*half)
+		a2, _ := timeChunk(c, k, a, at+2*half, at+3*half)
+		b2, _ := timeChunk(c, k, b, at+3*half, at+4*half)
+		return float64(a1+a2) / float64(2*half), float64(b1+b2) / float64(2*half), true
 	}
 	if minSize < 1 {
 		minSize = 1
@@ -482,130 +468,54 @@ func (h Hybrid) refine(c *thread.Ctx, k Kernel, d Decision, wstart, lo, hi, core
 	return best, used
 }
 
-// climb is the measured state's decision procedure: the same bounded
-// hill walk, started from the current team size instead of a model
-// seed — no model input, this is the pure-measurement fallback. An
-// optimum far from the start is reached by re-climbs, each
-// re-centered on the previous winner. Returns prev untouched when the
-// remaining iterations cannot fit a single comparison.
-func (h Hybrid) climb(c *thread.Ctx, k Kernel, prev, lo, hi, cores int, hp HybridParams) (int, int) {
-	if prev < 1 {
-		prev = cores
-	}
-	best, used, _ := h.walk(c, k, prev, 1, lo, hi, cores, hp)
-	return best, used
-}
-
-// executeModel is the model state's monitored execution: interval
-// chunks with the Monitor's binary drift test deciding retrains, like
-// the adaptive pipeline — plus a residual watch. A kernel can violate
-// the model persistently but smoothly (oscillation inside the drift
-// tolerance band, say), so an execution whose every interval deviates
-// moderately never trips the binary test and would lock the model
-// state in forever; when the residual EWMA reaches the high threshold
-// the execution returns to the decision point with a "fallback"
-// drift instead.
-func (h Hybrid) executeModel(c *thread.Ctx, k Kernel, threads, lo, hi int, hp HybridParams, ss SteadyState, res *Residual) (int, *Drift) {
-	if !c.AtDecisionPoint() {
-		panic("core: executeModel outside a decision point")
-	}
-	step := hp.Monitor.Interval
-	if step < 1 {
-		step = 1
-	}
-	mo := NewMonitor(hp.Monitor, ss)
-	mo.Res = res
-	mo.Arm(c)
-	// The residual trigger requires evidence gathered in THIS phase: a
-	// residual that starts above the threshold and only decays is a
-	// stale spike from the previous phase's boundary interval, and
-	// falling back on it would abandon a retrained model that is
-	// currently predicting well.
-	resStart := res.Value()
-	for lo < hi {
-		end := lo + step
-		if end > hi {
-			end = hi
-		}
-		k.RunChunk(c, threads, lo, end)
-		iters := end - lo
-		lo = end
-		if dr := mo.Observe(c, iters, lo); dr != nil {
-			return lo, dr
-		}
-		if res.Value() >= hp.ResidualHigh && res.Value() > resStart && lo < hi {
-			return lo, &Drift{Iter: lo, Signal: "fallback", Observed: res.Value(), Expected: hp.ResidualHigh}
-		}
-	}
-	return hi, nil
-}
-
 // executeMeasured runs [lo, hi) at the climbed team size in
 // monitor-interval chunks. Binary drift is deliberately ignored — the
 // measured state exists because the model's expectations proved
 // untrustworthy, and reacting to every drifting interval is exactly
 // the thrash the fallback escapes — but the residual keeps integrating
 // observed-vs-expected deviations against the freshest training, and
-// every RecheckIntervals intervals the state machine gets a chance to
-// act at a safe point: a residual back at or under ResidualLow returns
-// control to the model ("recover"), while a shift in the windowed mean
-// throughput beyond the drift tolerance triggers a re-climb
-// ("measure"). Oscillation faster than the window averages out of both
-// triggers instead of thrashing them. The monitor is rebuilt at every
-// recheck so each window's deviations measure local stationarity, not
-// distance from a stale snapshot.
-func (h Hybrid) executeMeasured(c *thread.Ctx, k Kernel, threads, lo, hi int, hp HybridParams, ss SteadyState, res *Residual) (int, *Drift) {
+// every hybridRecheckIntervals intervals the state machine gets a
+// chance to act at a safe point: a residual back at or under
+// ResidualLow returns control to the model ("recover"), while a shift
+// in the windowed mean throughput beyond the drift tolerance triggers
+// a re-climb ("measure"). Oscillation faster than the window averages
+// out of both triggers instead of thrashing them. The monitor is
+// rebuilt at every recheck so each window's deviations measure local
+// stationarity, not distance from a stale snapshot.
+func (h Hybrid) executeMeasured(c *thread.Ctx, k Kernel, threads, lo, hi int, mon MonitorParams, hp HybridParams, ss SteadyState, res *Residual) (int, *Drift) {
 	if !c.AtDecisionPoint() {
 		panic("core: executeMeasured outside a decision point")
 	}
-	step := hp.Monitor.Interval
-	if step < 1 {
-		step = 1
-	}
-	mo := NewMonitor(hp.Monitor, ss)
-	mo.Res = res
-	mo.Arm(c)
+	var mo *Monitor
 	basePer := 0.0
 	winIters, intervals := 0, 0
 	var winCycles uint64
 	for lo < hi {
-		end := lo + step
-		if end > hi {
-			end = hi
+		if mo == nil {
+			mo = NewMonitor(mon, ss)
+			mo.Res = res
+			mo.Arm(c)
 		}
-		t0 := c.CPU.CycleCount()
-		k.RunChunk(c, threads, lo, end)
+		end := min(lo+mon.Interval, hi)
+		cycles, _ := timeChunk(c, k, threads, lo, end)
 		iters := end - lo
 		lo = end
 		mo.Observe(c, iters, lo)
 		winIters += iters
-		winCycles += c.CPU.CycleCount() - t0
+		winCycles += cycles
 		intervals++
-		if intervals%hp.RecheckIntervals != 0 || lo >= hi {
+		if intervals%hybridRecheckIntervals != 0 || lo >= hi {
 			continue
 		}
 		if res.Value() <= hp.ResidualLow {
 			return lo, &Drift{Iter: lo, Signal: "recover", Observed: res.Value(), Expected: hp.ResidualLow}
 		}
 		per := float64(winCycles) / float64(winIters)
-		if basePer > 0 {
-			diff := per - basePer
-			if diff < 0 {
-				diff = -diff
-			}
-			small := per
-			if basePer < per {
-				small = basePer
-			}
-			if diff > hp.Monitor.DriftTol*small {
-				return lo, &Drift{Iter: lo, Signal: "measure", Observed: per, Expected: basePer}
-			}
+		if basePer > 0 && mo.drifted(per, basePer, 0) {
+			return lo, &Drift{Iter: lo, Signal: "measure", Observed: per, Expected: basePer}
 		}
 		basePer = per
-		winIters, winCycles = 0, 0
-		mo = NewMonitor(hp.Monitor, ss)
-		mo.Res = res
-		mo.Arm(c)
+		winIters, winCycles, mo = 0, 0, nil
 	}
 	return hi, nil
 }

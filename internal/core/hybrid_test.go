@@ -69,7 +69,7 @@ func TestHybridParamsWithDefaults(t *testing.T) {
 	if p.ProbeIters != 7 || p.ResidualLow != 0.01 {
 		t.Errorf("explicit fields overwritten: %+v", p)
 	}
-	if p.Monitor.Interval == 0 || p.MaxProbes == 0 || p.ResidualHigh == 0 {
+	if p.MinGain == 0 || p.ResidualHigh == 0 {
 		t.Errorf("zero fields not filled: %+v", p)
 	}
 	if err := DefaultHybridParams().Validate(); err != nil {
@@ -91,11 +91,8 @@ func TestHybridParamsValidate(t *testing.T) {
 		{"negative probe iters", mod(func(p *HybridParams) { p.ProbeIters = -1 }), "ProbeIters"},
 		{"min gain one", mod(func(p *HybridParams) { p.MinGain = 1.0 }), "MinGain"},
 		{"negative min gain", mod(func(p *HybridParams) { p.MinGain = -0.1 }), "MinGain"},
-		{"no probes", mod(func(p *HybridParams) { p.MaxProbes = -2 }), "MaxProbes"},
 		{"inverted hysteresis", mod(func(p *HybridParams) { p.ResidualHigh = 0.05 }), "hysteresis"},
 		{"zero low threshold", mod(func(p *HybridParams) { p.ResidualLow = -1 }), "hysteresis"},
-		{"decay above one", mod(func(p *HybridParams) { p.ResidualDecay = 1.5 }), "ResidualDecay"},
-		{"negative recheck", mod(func(p *HybridParams) { p.RecheckIntervals = -1 }), "RecheckIntervals"},
 	}
 	for _, tc := range cases {
 		err := tc.p.Validate()
@@ -170,7 +167,7 @@ func TestHybridShortKernelStatic(t *testing.T) {
 // hybrid must fall back to measured mode during the storm, recover to
 // model mode in the calm, and do each at most twice (hysteresis).
 func TestHybridFallbackAndRecovery(t *testing.T) {
-	iv := DefaultHybridParams().Monitor.Interval
+	iv := hybridMonitor().Interval
 	k := &waveKernel{name: "storm-then-calm", iters: 1920, compute: 2000,
 		cs: func(it int) uint64 {
 			if it >= 576 {
@@ -215,6 +212,39 @@ func TestHybridFallbackAndRecovery(t *testing.T) {
 	}
 	if !k.coveredExactly(1920) {
 		t.Errorf("iteration ranges do not partition [0, 1920): %v", k.ranges)
+	}
+}
+
+// TestMonitorFallback pins the in-phase residual test: inert without a
+// residual (the adaptive pipeline), and otherwise firing only when the
+// residual reaches resHigh, has risen since Arm, and iterations remain.
+func TestMonitorFallback(t *testing.T) {
+	mo := &Monitor{resHigh: 0.3}
+	if dr := mo.fallback(5, 10); dr != nil {
+		t.Errorf("no residual attached, got %+v", dr)
+	}
+	res := &Residual{}
+	mo.Res = res
+	for _, tc := range []struct {
+		v, arm float64
+		lo     int
+		want   bool
+	}{
+		{v: 0.3, arm: 0, lo: 5, want: true},
+		{v: 0.29, arm: 0, lo: 5, want: false},  // below the threshold
+		{v: 0.4, arm: 0.5, lo: 5, want: false}, // a stale spike, decaying
+		{v: 0.4, arm: 0.4, lo: 5, want: false}, // has not risen
+		{v: 0.4, arm: 0, lo: 10, want: false},  // the kernel's last interval
+	} {
+		res.v, mo.resArm = tc.v, tc.arm
+		dr := mo.fallback(tc.lo, 10)
+		if got := dr != nil; got != tc.want {
+			t.Errorf("residual %g armed at %g, lo %d: fallback %v, want %v", tc.v, tc.arm, tc.lo, got, tc.want)
+			continue
+		}
+		if dr != nil && (dr.Signal != "fallback" || dr.Iter != tc.lo || dr.Observed != tc.v || dr.Expected != 0.3) {
+			t.Errorf("fallback drift %+v", dr)
+		}
 	}
 }
 

@@ -155,3 +155,26 @@ func TestRunCacheKeysTrainingFragment(t *testing.T) {
 		t.Errorf("window-0 key = %q, want %q", got, want)
 	}
 }
+
+// TestHybridKeyMatchesOldParams pins the hybrid fragment to the %+v
+// rendering of HybridParams when it still carried the monitor, the
+// probe budget, the residual decay and the recheck cadence, which no
+// caller set: tuned keys stay the addresses they always were.
+func TestHybridKeyMatchesOldParams(t *testing.T) {
+	type oldHybridParams struct {
+		Monitor                   MonitorParams
+		ProbeIters                int
+		MinGain                   float64
+		MaxProbes                 int
+		ResidualHigh, ResidualLow float64
+		ResidualDecay             float64
+		RecheckIntervals          int
+	}
+	for _, hp := range []HybridParams{{}, {ProbeIters: 32, MinGain: 0.05}, {ResidualHigh: 0.8}, {ProbeIters: 7, MinGain: 1e-7, ResidualHigh: 0.35, ResidualLow: 0.125}} {
+		old := oldHybridParams{ProbeIters: hp.ProbeIters, MinGain: hp.MinGain, ResidualHigh: hp.ResidualHigh, ResidualLow: hp.ResidualLow}
+		want := fmt.Sprintf("policy/hybrid/seed=combined/%+v|train/%+v", old, TrainingParams{})
+		if got := policyKey(Hybrid{HP: hp}, 32); got != want {
+			t.Errorf("%+v:\n got %s\nwant %s", hp, got, want)
+		}
+	}
+}

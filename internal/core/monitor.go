@@ -87,16 +87,15 @@ type SteadyState struct {
 // residualDevCap so one pathological interval cannot pin the average
 // beyond recovery.
 type Residual struct {
-	// Decay is each new observation's EWMA weight; zero or
-	// out-of-range values fall back to 0.25.
-	Decay float64
-
 	v float64
-	n int
 }
 
-// residualDevCap bounds a single deviation observation.
-const residualDevCap = 2.0
+const (
+	// residualDevCap bounds a single deviation observation.
+	residualDevCap = 2.0
+	// residualDecay is each new observation's EWMA weight.
+	residualDecay = 0.25
+)
 
 // Observe folds one (non-negative) deviation into the average.
 func (r *Residual) Observe(dev float64) {
@@ -106,19 +105,11 @@ func (r *Residual) Observe(dev float64) {
 	if dev > residualDevCap {
 		dev = residualDevCap
 	}
-	a := r.Decay
-	if a <= 0 || a > 1 {
-		a = 0.25
-	}
-	r.v = (1-a)*r.v + a*dev
-	r.n++
+	r.v = (1-residualDecay)*r.v + residualDecay*dev
 }
 
 // Value reports the current EWMA.
 func (r *Residual) Value() float64 { return r.v }
-
-// Samples reports how many observations have been folded in.
-func (r *Residual) Samples() int { return r.n }
 
 // relDev is the continuous form of the drift test: the absolute
 // difference over the smaller signal. Differences under the noise
@@ -152,6 +143,9 @@ type Monitor struct {
 	// worse of the CS and bus signals) — the hybrid controller's
 	// residual plumbing. The binary drift verdict is unaffected.
 	Res *Residual
+	// resHigh is the residual's fallback threshold (see fallback), and
+	// resArm its value when the monitor was armed.
+	resHigh, resArm float64
 
 	expCS, expBus float64
 	calibrated    bool
@@ -163,13 +157,11 @@ type Monitor struct {
 	// onset as "bus" drift).
 	csCtr, busCtr   *counters.Counter
 	csSnap, busSnap counters.Sample
-	t0              uint64
 
 	// tr/track emit one "monitor" instant per interval reading —
 	// the audit trail behind every retrain (and every non-retrain).
-	tr     *trace.Tracer
-	track  trace.TrackID
-	traced bool
+	tr    *trace.Tracer
+	track trace.TrackID
 }
 
 // NewMonitor builds a monitor expecting the trained steady state.
@@ -183,11 +175,12 @@ func (mo *Monitor) Arm(c *thread.Ctx) {
 	mo.busCtr = c.Machine().Ctrs.Counter(counters.BusBusyCycles)
 	mo.csSnap = mo.csCtr.Sample()
 	mo.busSnap = mo.busCtr.Sample()
-	mo.t0 = c.CPU.CycleCount()
+	if mo.Res != nil {
+		mo.resArm = mo.Res.Value()
+	}
 	if t := c.Machine().Trace; t.Wants(trace.CatCtl) {
 		mo.tr = t
 		mo.track = t.Track(trace.ControllerTrack)
-		mo.traced = true
 	}
 }
 
@@ -215,13 +208,12 @@ func (mo *Monitor) Observe(c *thread.Ctx, iters, nextIter int) *Drift {
 	dbus := mo.busCtr.DeltaSince(mo.busSnap)
 	mo.csSnap = mo.csCtr.Sample()
 	mo.busSnap = mo.busCtr.Sample()
-	mo.t0 = c.CPU.CycleCount()
 	obsCS := float64(dcs) / float64(iters)
 	obsBus := float64(dbus) / float64(iters)
 
-	if mo.traced {
+	if mo.tr != nil {
 		mo.tr.Emit(trace.CatCtl, trace.Event{
-			Cycle: mo.t0, Track: mo.track, Kind: trace.Instant, Name: "monitor",
+			Cycle: c.CPU.CycleCount(), Track: mo.track, Kind: trace.Instant, Name: "monitor",
 			A0: uint64(obsCS + 0.5), A1: uint64(obsBus + 0.5), A2: uint64(nextIter),
 		})
 	}
@@ -248,6 +240,27 @@ func (mo *Monitor) Observe(c *thread.Ctx, iters, nextIter int) *Drift {
 	}
 	if mo.drifted(obsCS, mo.expCS, mo.Params.CSFloorCycles) {
 		return &Drift{Iter: nextIter, Signal: "cs", Observed: obsCS, Expected: mo.expCS}
+	}
+	return nil
+}
+
+// fallback is the residual's in-phase test, run after each interval's
+// Observe: it reports a "fallback" drift once the residual reaches
+// resHigh while iterations [lo, hi) remain. A kernel can violate the
+// model persistently but smoothly (oscillation inside the drift
+// tolerance band, say), so an execution whose every interval deviates
+// moderately never trips the binary test and would keep the model in
+// charge forever. The residual must also have risen since Arm: one
+// that starts above the threshold and only decays is a stale spike
+// from the previous phase's boundary interval, and falling back on it
+// would abandon a retrained model that is predicting well. Without a
+// residual attached it reports nothing.
+func (mo *Monitor) fallback(lo, hi int) *Drift {
+	if mo.Res == nil || lo >= hi {
+		return nil
+	}
+	if v := mo.Res.Value(); v >= mo.resHigh && v > mo.resArm {
+		return &Drift{Iter: lo, Signal: "fallback", Observed: v, Expected: mo.resHigh}
 	}
 	return nil
 }

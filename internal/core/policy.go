@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"fdt/internal/counters"
 	"fdt/internal/thread"
 )
 
@@ -115,6 +116,37 @@ type Model interface {
 // (setup, bus and energy accounting, end-of-run checks) for itself.
 type measuredPolicy interface {
 	runKernel(c *thread.Ctx, k Kernel) KernelResult
+}
+
+// The measured policies (HillClimb, RefinedBAT, Hybrid) share one
+// measurement primitive and one way to close a kernel: each differs
+// only in the order it probes team sizes.
+
+// timeChunk runs iterations [lo, hi) at team size threads and reports
+// the cycles the chunk took and the bus-busy cycles it added.
+func timeChunk(c *thread.Ctx, k Kernel, threads, lo, hi int) (cycles, bus uint64) {
+	busCtr := c.Machine().Ctrs.Counter(counters.BusBusyCycles)
+	t0 := c.CPU.CycleCount()
+	b0 := busCtr.Sample()
+	k.RunChunk(c, threads, lo, hi)
+	return c.CPU.CycleCount() - t0, busCtr.DeltaSince(b0)
+}
+
+// finishKernel runs the kernel's remaining iterations [iter, n) at
+// d.Threads and reports it: the iterations before iter, and the cycles
+// since start up to now, were spent probing and count as training.
+func finishKernel(c *thread.Ctx, k Kernel, d Decision, iter int, start uint64) KernelResult {
+	trainCycles := c.CPU.CycleCount() - start
+	if n := k.Iterations(); iter < n {
+		k.RunChunk(c, d.Threads, iter, n)
+	}
+	return KernelResult{
+		Kernel:      k.Name(),
+		Decision:    d,
+		TrainIters:  iter,
+		TrainCycles: trainCycles,
+		Cycles:      c.CPU.CycleCount() - start,
+	}
 }
 
 // --- SAT -------------------------------------------------------------

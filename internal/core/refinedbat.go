@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"fdt/internal/counters"
 	"fdt/internal/thread"
 )
 
@@ -38,39 +37,23 @@ func (RefinedBAT) Name() string { return "BAT-refined" }
 // with probe chunks of max(1, iterations/100) iterations, then runs
 // the rest at the confirmed size.
 func (RefinedBAT) runKernel(c *thread.Ctx, k Kernel) KernelResult {
-	m := c.Machine()
-	cores := m.Contexts()
+	cores := c.Machine().Contexts()
 	n := k.Iterations()
 	start := c.CPU.CycleCount()
-	busCtr := m.Ctrs.Counter(counters.BusBusyCycles)
-
 	probe := max(1, n/100)
 
 	// Stage 1: BAT's own training — single-threaded, first iteration
 	// is warmup (cf. Controller).
-	measure := func(size, iters int, iter *int) float64 {
-		t0 := c.CPU.CycleCount()
-		b0 := busCtr.Sample()
-		k.RunChunk(c, size, *iter, *iter+iters)
-		*iter += iters
-		dt := c.CPU.CycleCount() - t0
-		if dt == 0 {
-			return 0
-		}
-		u := float64(busCtr.DeltaSince(b0)) / float64(dt)
-		if u > 1 {
-			u = 1
-		}
-		return u
-	}
-
 	iter := 0
 	if n >= 2 {
-		measure(1, 1, &iter) // warmup
+		k.RunChunk(c, 1, 0, 1) // warmup
+		iter = 1
 	}
 	bu1 := 0.0
 	if iter < n {
-		bu1 = measure(1, min(probe, n-iter), &iter)
+		end := iter + min(probe, n-iter)
+		bu1 = busUtil(timeChunk(c, k, 1, iter, end))
+		iter = end
 	}
 
 	d := Decision{BusUtil1: bu1}
@@ -89,7 +72,8 @@ func (RefinedBAT) runKernel(c *thread.Ctx, k Kernel) KernelResult {
 			if iter+confIters > n {
 				break
 			}
-			u := measure(p, confIters, &iter)
+			u := busUtil(timeChunk(c, k, p, iter, iter+confIters))
+			iter += confIters
 			if u >= refinedTargetUtil || u <= 0 {
 				break
 			}
@@ -105,16 +89,14 @@ func (RefinedBAT) runKernel(c *thread.Ctx, k Kernel) KernelResult {
 		d.PBW = p
 		d.Threads = p
 	}
+	return finishKernel(c, k, d, iter, start)
+}
 
-	trainCycles := c.CPU.CycleCount() - start
-	if iter < n {
-		k.RunChunk(c, d.Threads, iter, n)
+// busUtil is a timed chunk's bus utilization, capped at 1 (0 for an
+// empty chunk).
+func busUtil(cycles, bus uint64) float64 {
+	if cycles == 0 {
+		return 0
 	}
-	return KernelResult{
-		Kernel:      k.Name(),
-		Decision:    d,
-		TrainIters:  iter,
-		TrainCycles: trainCycles,
-		Cycles:      c.CPU.CycleCount() - start,
-	}
+	return min(float64(bus)/float64(cycles), 1)
 }

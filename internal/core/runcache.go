@@ -54,11 +54,12 @@ func (r *Runs) orDefault() *Runs {
 
 // simulate runs s on a fresh machine and adds the machine's energy
 // (the table-driven total on a P-state ladder, active core-cycles on
-// a flat machine) to r's total.
+// a flat machine) to r's total. A fresh machine starts at cycle 0, so
+// the run ends at res.TotalCycles.
 func (r *Runs) simulate(s RunSpec) RunResult {
 	m := machine.MustNew(s.Cfg)
 	res := s.RunOn(m)
-	e := m.Power.Energy(m.Eng.Now()).Total
+	e := m.Power.Energy(res.TotalCycles).Total
 	r.mu.Lock()
 	r.energy += e
 	r.mu.Unlock()
@@ -166,9 +167,14 @@ func policyKey(pol Policy, cores int) string {
 	case HillClimb:
 		return fmt.Sprintf("policy/hill-climb/%+v", p)
 	case Hybrid:
-		// The seed and the training parameters were once knobs; their
-		// fixed values keep the fragments they rendered as defaults.
-		return fmt.Sprintf("policy/hybrid/seed=combined/%+v|train/%+v", p.HP, TrainingParams{})
+		// The seed, the training parameters, the monitor, the probe
+		// budget, the residual decay and the recheck cadence were once
+		// knobs; their fixed values keep the zeros they rendered as
+		// defaults, so the fragment reads as HybridParams' old %+v.
+		hp := p.HP
+		return fmt.Sprintf("policy/hybrid/seed=combined/{Monitor:%+v ProbeIters:%v MinGain:%v MaxProbes:0 "+
+			"ResidualHigh:%v ResidualLow:%v ResidualDecay:0 RecheckIntervals:0}|train/%+v",
+			MonitorParams{}, hp.ProbeIters, hp.MinGain, hp.ResidualHigh, hp.ResidualLow, TrainingParams{})
 	}
 	return "policy/" + pol.Name()
 }

@@ -207,7 +207,7 @@ func TestSetPowerBudgetArmsCompliance(t *testing.T) {
 			}
 		})
 		m.Eng.Run()
-		m.FinishCheck()
+		m.FinishCheck(m.Eng.Now())
 		return ck
 	}
 	for _, tc := range []struct {

@@ -227,12 +227,13 @@ func (m *Machine) ContextLedger(ctx int) *invariant.Ledger {
 // FinishCheck runs the machine's end-of-run invariants (the memory
 // system's conservation, queueing and coherence checks, plus the
 // per-team conservation and bus-partition rules when the machine has
-// teams). Call it after the workload completes, at quiescence.
-func (m *Machine) FinishCheck() {
+// teams). Call it after the workload completes, at quiescence, with
+// the cycle the run ended at.
+func (m *Machine) FinishCheck(end uint64) {
 	if m.Check.Enabled() {
-		m.Mem.FinishCheck(m.Eng.Now())
+		m.Mem.FinishCheck(end)
 		m.checkTeams()
-		m.checkPower()
+		m.checkPower(end)
 	}
 }
 
@@ -256,11 +257,10 @@ const powerBudgetSlack = 0.02
 //   - "power-budget-compliance": when a budget was declared
 //     (SetPowerBudget), average chip power over the run stays within
 //     budget × (1 + slack).
-func (m *Machine) checkPower() {
+func (m *Machine) checkPower(now uint64) {
 	if !m.Power.Tracked() {
 		return
 	}
-	now := m.Eng.Now()
 	m.Power.Seal(now)
 	active := m.Power.ActiveByState()
 	wall := m.Power.WallByState()

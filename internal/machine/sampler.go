@@ -19,7 +19,7 @@ type Sample struct {
 }
 
 // SampleLog collects periodic samples over a run — the raw material
-// for utilization-over-time traces (fdtsim -trace).
+// for fdtsim -sparkline.
 type SampleLog struct {
 	Interval uint64
 	// Cores is the machine's core count (the active-core axis).
@@ -29,7 +29,9 @@ type SampleLog struct {
 
 // StartSampler arms a sampling process that snapshots the machine
 // every interval cycles until every other process has finished. Call
-// it before the run starts; read the log after.
+// it before the run starts; read the log after. Its last tick may
+// move the clock past the program's end, so a run's end is its last
+// master's completion (thread.RunTeams), never the engine's clock.
 func (m *Machine) StartSampler(interval uint64) *SampleLog {
 	if interval == 0 {
 		interval = 10000

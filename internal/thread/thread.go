@@ -13,6 +13,7 @@ package thread
 
 import (
 	"fmt"
+	"slices"
 
 	"fdt/internal/counters"
 	"fdt/internal/cpu"
@@ -169,11 +170,12 @@ type TeamMain struct {
 // RunTeams co-schedules one master thread per team — each on its
 // team's first hardware context, spawned in slice order (which fixes
 // the deterministic interleaving) — runs the simulation until every
-// program completes, and accounts each master's occupancy. It returns
-// each master's completion cycle, in input order. This is the
-// multi-tenant generalization of Run: the engine interleaves all
-// teams' processes against the shared memory system while each team
-// forks, synchronizes and accounts only within itself.
+// program completes, and accounts each master's occupancy up to the
+// last master's completion. It returns each master's completion cycle,
+// in input order. This is the multi-tenant generalization of Run: the
+// engine interleaves all teams' processes against the shared memory
+// system while each team forks, synchronizes and accounts only within
+// itself.
 func RunTeams(m *machine.Machine, mains []TeamMain) []uint64 {
 	// Occupy from the engine's current time, not 0: on a fresh machine
 	// they are the same, and on a checkpoint-restored machine (clock
@@ -190,10 +192,11 @@ func RunTeams(m *machine.Machine, mains []TeamMain) []uint64 {
 		})
 	}
 	m.Eng.Run()
-	// Auxiliary processes (the sampler) may keep the engine alive past
-	// a master's last action, and co-runners past a faster program's
-	// completion; each master's tail is idle occupancy.
-	end := m.Eng.Now()
+	// Co-runners keep the engine alive past a faster program's
+	// completion; each master's tail is idle occupancy. The run ends
+	// with its last program: an auxiliary process (the sampler) may
+	// move the clock past it, and must not lengthen the run it observes.
+	end := slices.Max(done)
 	for i := range mains {
 		ctx0 := mains[i].Team.Ctx(0)
 		m.ContextLedger(ctx0).AddIdle(end - done[i])
@@ -206,9 +209,10 @@ func RunTeams(m *machine.Machine, mains []TeamMain) []uint64 {
 // 0), runs the simulation to completion, and accounts the master's
 // power. The master is active for the whole execution, like the
 // initial thread of an OpenMP program. The program runs on the
-// machine's default whole-machine team.
-func Run(m *machine.Machine, main func(c *Ctx)) {
-	RunTeams(m, []TeamMain{{Team: m.DefaultTeam(), Main: main}})
+// machine's default whole-machine team. It returns the cycle the
+// program completed at.
+func Run(m *machine.Machine, main func(c *Ctx)) uint64 {
+	return RunTeams(m, []TeamMain{{Team: m.DefaultTeam(), Main: main}})[0]
 }
 
 // Fork runs body on a team of n threads — thread i on the team's i-th
