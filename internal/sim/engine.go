@@ -19,13 +19,21 @@
 // higher layers (internal/mem, internal/cpu) and are expressed purely
 // in terms of WaitUntil/Park/Wake.
 //
+// The event queue is a timing wheel, a calendar queue (Brown, CACM
+// 31(10), 1988) with one slot per cycle: each slot is the FIFO of the
+// processes due at one of the next wheelSize cycles, and a two-level
+// occupancy bitmap finds the next non-empty slot. So the short waits
+// that dominate (cache and ring latencies) are queued and dispatched in
+// O(1). Longer waits go to a far heap ordered by (t, seq). Each clock
+// move takes the far events that come within the wheel's span into
+// their slots before anything else is scheduled, so every event is
+// dispatched in (t, seq) order: by cycle, FIFO among ties.
+//
 // A process that waits picks its own successor from the queue. When it
 // is still the earliest it keeps running with no switch and no queue
-// traffic at all: WaitUntil just moves the clock. When the heap's top
-// event runs next, the waiting process's event replaces it in place.
-// Otherwise the process resumes its successor's goroutine directly,
-// with one coroutine switch and no trip through Run or the goroutine
-// scheduler.
+// traffic at all: WaitUntil just moves the clock. Otherwise the process
+// resumes its successor's goroutine directly, with one coroutine switch
+// and no trip through Run or the goroutine scheduler.
 //
 // A process can also wait inside an Op, a resumable operation such as
 // one memory access or a range of them. The Op's waits (Await) follow
@@ -63,31 +71,55 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"math/bits"
 	"sort"
 
 	"fdt/internal/trace"
 )
 
-// initialHeapCap pre-sizes the future-event heap so steady-state
-// simulations (a few hundred live processes in the full machine
-// model) never grow it.
-const initialHeapCap = 1024
+// wheelSize is the span of the timing wheel in cycles: a power of two
+// from 64 to 4,096, so that occSum has a bit per word of occ. Shorter
+// waits (cache and ring latencies, compute between accesses) are
+// queued and found in O(1); longer ones go to the far heap. At 1,024
+// cycles, 0.55% of the waits of an exact sweep of the Table-2
+// workloads at 2 and 8 threads are long, and 0.75% of those of their
+// sampled SAT, BAT, SAT+BAT and adaptive runs.
+const (
+	wheelSize = 1024
+	wheelMask = wheelSize - 1
+)
+
+// The wheel's size is checked at compile time: a constant expression
+// that goes negative does not convert to uint.
+const (
+	_ uint = 4096 - wheelSize
+	_ uint = wheelSize - 64
+	_ uint = -(wheelSize & wheelMask)
+)
+
+// never is the due cycle of an empty queue.
+const never = ^uint64(0)
 
 // Engine owns the simulated clock and the pending-event queue.
 // The zero value is not usable; call NewEngine.
 type Engine struct {
 	now uint64
+	// wheel holds every pending event due before now+wheelSize: slot
+	// t&wheelMask is the FIFO of the processes scheduled at cycle t,
+	// so the slot of now is the FIFO of those runnable at the current
+	// cycle. occ has a bit per non-empty slot and occSum a bit per
+	// non-zero word of occ, so the next non-empty slot is two bit
+	// scans away.
+	wheel  [wheelSize]slot
+	occ    [wheelSize / 64]uint64
+	occSum uint64
+	// far holds the events due at now+wheelSize or later, ordered by
+	// (t, seq), where seq counts the events it has taken. Each clock
+	// move takes the far events that come within the wheel's span into
+	// their slots, before anything else is scheduled, so they stay
+	// ahead of the events scheduled later onto the same cycles.
+	far eventHeap
 	seq uint64
-	// events holds future events only (t > now) ordered by (t, seq);
-	// events at the current cycle live in the cur FIFO. Keeping the
-	// same-cycle events out of the heap gives the dominant
-	// schedule-at-now case (zero-length waits, Wake) an O(1)
-	// fast path instead of an O(log n) sift.
-	events eventHeap
-	// cur is the FIFO of processes runnable at the current cycle;
-	// curHead indexes the next one to dispatch.
-	cur     []*Proc
-	curHead int
 	// dispatched counts events delivered to processes over the
 	// engine's lifetime — the "simulator throughput" numerator.
 	dispatched uint64
@@ -115,6 +147,10 @@ type Engine struct {
 	simTrace bool
 }
 
+// slot is the FIFO of the processes scheduled at one cycle, linked
+// through Proc.link: a process has at most one pending event.
+type slot struct{ head, tail *Proc }
+
 // procFault records a panic raised inside a process body so Run can
 // re-raise it on the caller's goroutine.
 type procFault struct {
@@ -125,11 +161,7 @@ type procFault struct {
 // NewEngine returns an engine with the clock at cycle 0 and no
 // processes.
 func NewEngine() *Engine {
-	return &Engine{
-		events: make(eventHeap, 0, initialHeapCap),
-		cur:    make([]*Proc, 0, 64),
-		live:   make(map[*Proc]struct{}),
-	}
+	return &Engine{live: make(map[*Proc]struct{})}
 }
 
 // NewEngineAt returns an engine whose clock starts at cycle now — the
@@ -187,8 +219,7 @@ type event struct {
 // eventHeap is a binary min-heap ordered by (t, seq). The sift
 // routines are hand-rolled rather than going through container/heap:
 // the interface-based API boxes every pushed event into an `any`,
-// which costs an allocation per scheduled event on the hottest path
-// of the whole simulator.
+// which costs an allocation per scheduled event.
 type eventHeap []event
 
 func (h eventHeap) less(i, j int) bool {
@@ -246,57 +277,115 @@ func (h *eventHeap) pop() event {
 	return ev
 }
 
-// replaceTop returns the earliest event and puts ev in its place with
-// one sift-down: a push and a pop folded into one.
-func (h eventHeap) replaceTop(ev event) event {
-	top := h[0]
-	h[0] = ev
-	h.down(0)
-	return top
-}
-
-// schedule queues p to run at cycle t. Events at the current cycle
-// take the FIFO fast path; only genuinely future events pay for heap
-// maintenance. Spawn-before-Run schedules (now == 0, nothing
-// dispatched yet) also take the FIFO path, preserving spawn order.
+// schedule queues p to run at cycle t >= now: at the tail of t's slot
+// when t is within the wheel's span, in the far heap otherwise.
+// Spawn-before-Run schedules (now == 0, nothing dispatched yet) queue
+// in the slot of now, in spawn order.
 func (e *Engine) schedule(t uint64, p *Proc) {
-	if t == e.now {
-		e.cur = append(e.cur, p)
+	if t-e.now < wheelSize {
+		e.enqueue(t, p)
 		return
 	}
 	e.seq++
-	e.events.push(event{t: t, seq: e.seq, p: p})
+	e.far.push(event{t: t, seq: e.seq, p: p})
 }
 
-// next pops the earliest pending process, advancing the clock when the
-// current cycle drains. It returns nil when no events remain.
-func (e *Engine) next() *Proc {
-	if e.curHead == len(e.cur) {
-		if len(e.events) == 0 {
-			return nil
-		}
-		e.cur, e.curHead = e.cur[:0], 0
-		return e.advance(e.events.pop())
+// enqueue appends p to the FIFO of cycle t, which is within the
+// wheel's span.
+func (e *Engine) enqueue(t uint64, p *Proc) {
+	i := t & wheelMask
+	s := &e.wheel[i]
+	if s.tail == nil {
+		s.head = p
+		e.occ[i>>6] |= 1 << (i & 63)
+		e.occSum |= 1 << (i >> 6)
+	} else {
+		s.tail.link = p
 	}
-	p := e.cur[e.curHead]
-	e.cur[e.curHead] = nil // release for GC
-	e.curHead++
+	s.tail = p
+}
+
+// pending reports whether an event is pending at the current cycle.
+func (e *Engine) pending() bool { return e.wheel[e.now&wheelMask].head != nil }
+
+// pop takes the first process off the FIFO of the current cycle, which
+// must be pending.
+func (e *Engine) pop() *Proc {
+	i := e.now & wheelMask
+	s := &e.wheel[i]
+	p := s.head
+	if s.head = p.link; s.head == nil {
+		s.tail = nil
+		if e.occ[i>>6] &^= 1 << (i & 63); e.occ[i>>6] == 0 {
+			e.occSum &^= 1 << (i >> 6)
+		}
+	}
+	p.link = nil
 	return p
 }
 
-// advance moves the clock to ev, the event just taken off the heap top
-// while the cur FIFO is empty, moves every other event at that cycle
-// into the FIFO (heap pops yield them in seq order, preserving the
-// global (t, seq) dispatch order), and returns ev's process.
-func (e *Engine) advance(ev event) *Proc {
-	if ev.t < e.now {
-		panic("sim: event queue went backwards")
+// due returns the cycle of the earliest pending event, or never when
+// the queue is empty. Every far event is due after every wheel event.
+func (e *Engine) due() uint64 {
+	if e.occSum != 0 {
+		return e.wheelDue()
 	}
-	e.now = ev.t
-	for len(e.events) > 0 && e.events[0].t == ev.t {
-		e.cur = append(e.cur, e.events.pop().p)
+	if len(e.far) != 0 {
+		return e.far[0].t
 	}
-	return ev.p
+	return never
+}
+
+// wheelDue returns the cycle of the earliest event in the wheel, which
+// holds one: the first non-empty slot from now's on, round the wheel.
+func (e *Engine) wheelDue() uint64 {
+	i := e.now & wheelMask
+	if m := e.occ[i>>6] >> (i & 63); m != 0 {
+		return e.now + uint64(bits.TrailingZeros64(m))
+	}
+	// The slots after i in its word are empty: the next non-empty word
+	// after i's holds the first slot, or, past the wheel's end, the
+	// first non-empty word does (i's own, below i, comes last).
+	w := e.occSum &^ (2<<(i>>6) - 1)
+	if w == 0 {
+		w = e.occSum
+	}
+	wi := uint64(bits.TrailingZeros64(w))
+	j := wi<<6 | uint64(bits.TrailingZeros64(e.occ[wi]))
+	return e.now + (j-i)&wheelMask
+}
+
+// moveTo moves the clock forward to t, which is at most the due cycle,
+// and takes the far events that come within the wheel's span into it.
+func (e *Engine) moveTo(t uint64) {
+	e.now = t
+	if len(e.far) != 0 && e.far[0].t-t < wheelSize {
+		e.pull()
+	}
+}
+
+// pull moves every far event due before now+wheelSize into its slot.
+// The heap yields them in (t, seq) order, and their slots are empty:
+// any event scheduled to one of these cycles before this clock move
+// was itself far.
+func (e *Engine) pull() {
+	for len(e.far) != 0 && e.far[0].t-e.now < wheelSize {
+		ev := e.far.pop()
+		e.enqueue(ev.t, ev.p)
+	}
+}
+
+// next pops the earliest pending process, moving the clock to its
+// cycle. It returns nil when no events remain.
+func (e *Engine) next() *Proc {
+	if !e.pending() {
+		t := e.due()
+		if t == never {
+			return nil
+		}
+		e.moveTo(t)
+	}
+	return e.pop()
 }
 
 // thread is one goroutine the engine hands control between: a
@@ -400,6 +489,9 @@ type Proc struct {
 	yield  func(struct{}) bool
 	stop   func()
 	parked bool
+	// link is the next process in the wheel slot p's event is queued
+	// in.
+	link *Proc
 	// op is the Op the process is inside while its event is queued
 	// behind another process's; nil while the process waits in body
 	// code or runs.
@@ -525,28 +617,32 @@ func (p *Proc) Await(t uint64) bool { return p.wait(t, false) }
 // Only the dispatch order matters, so the queue is touched no more than
 // that order needs. With events still pending at this cycle, p queues
 // behind them. Otherwise, if nothing is pending at or before t, p stays
-// the earliest and keeps running at t; if the heap's top event is due
-// first, p's event takes its place.
+// the earliest and keeps running at t, and its event is never queued.
 func (p *Proc) wait(t uint64, block bool) bool {
 	p.checkLive()
 	e := p.eng
 	if t < e.now {
 		t = e.now
 	}
-	var q *Proc
-	if e.curHead < len(e.cur) {
+	if e.occSum == 0 && len(e.far) == 0 {
+		// The queue is empty.
+		e.now = t
+		e.dispatch(p)
+		return true
+	}
+	if e.pending() {
 		e.schedule(t, p)
-		q = e.next()
 	} else {
-		e.cur, e.curHead = e.cur[:0], 0
-		if len(e.events) == 0 || t < e.events[0].t {
-			e.now = t
+		d := e.due()
+		if t < d {
+			e.moveTo(t)
 			e.dispatch(p)
 			return true
 		}
-		e.seq++
-		q = e.advance(e.events.replaceTop(event{t: t, seq: e.seq, p: p}))
+		e.schedule(t, p)
+		e.moveTo(d)
 	}
+	q := e.pop()
 	if block {
 		p.handoff(q)
 		return true
@@ -675,10 +771,8 @@ func (e *Engine) abort() {
 			delete(e.live, p)
 		}
 	}
-	clear(e.cur)
-	e.cur = e.cur[:0]
-	e.curHead = 0
-	clear(e.events)
-	e.events = e.events[:0]
+	e.wheel, e.occ, e.occSum = [wheelSize]slot{}, [wheelSize / 64]uint64{}, 0
+	clear(e.far)
+	e.far = e.far[:0]
 	e.succ = nil
 }

@@ -302,11 +302,13 @@ func TestRunOnAnotherGoroutine(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// BenchmarkEngineHandoff measures the kernel's per-event cost on three
+// BenchmarkEngineHandoff measures the kernel's per-event cost on five
 // schedules: pingpong switches between two processes on every event,
-// solo is one process that is always its own successor, and ring8 is
-// eight processes that advance round-robin, the shape of an 8-thread
-// lockstep team, so every event hands off to a third process.
+// solo is one process that is always its own successor, ring8 and
+// ring32 are eight and 32 processes that advance one cycle round-robin,
+// the shape of a lockstep team, so every event hands off to another
+// process, and far is ring8 with waits of wheelSize cycles, each of
+// which goes through the far heap.
 func BenchmarkEngineHandoff(b *testing.B) {
 	b.Run("pingpong", func(b *testing.B) {
 		e := NewEngine()
@@ -336,17 +338,20 @@ func BenchmarkEngineHandoff(b *testing.B) {
 		e.Run()
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.Events()), "ns/event")
 	})
-	b.Run("ring8", func(b *testing.B) {
+	ring := func(b *testing.B, procs int, wait uint64) {
 		e := NewEngine()
-		for i := 0; i < 8; i++ {
+		for i := 0; i < procs; i++ {
 			e.Spawn(fmt.Sprintf("ring%d", i), func(p *Proc) {
-				for j := 0; j < b.N/8+1; j++ {
-					p.Advance(1)
+				for j := 0; j < b.N/procs+1; j++ {
+					p.Advance(wait)
 				}
 			})
 		}
 		b.ResetTimer()
 		e.Run()
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.Events()), "ns/event")
-	})
+	}
+	b.Run("ring8", func(b *testing.B) { ring(b, 8, 1) })
+	b.Run("ring32", func(b *testing.B) { ring(b, 32, 1) })
+	b.Run("far", func(b *testing.B) { ring(b, 8, wheelSize) })
 }
