@@ -157,6 +157,16 @@ func (c *CPU) Store(addr uint64) {
 	c.stalled(t0)
 }
 
+// LoadStride performs n data loads, from base on, stride bytes apart,
+// as one memory operation (mem.Port.LoadStride): the access pattern
+// of a column walk, which costs what n Loads back to back cost.
+func (c *CPU) LoadStride(base, stride uint64, n int) {
+	t0 := c.proc.Now()
+	c.port.SetTeamCtrs(c.attr)
+	c.port.LoadStride(c.proc, base, stride, n)
+	c.stalled(t0)
+}
+
 // LoadRange touches every line in [base, base+bytes) once with a
 // load — the access pattern of a streaming read. It issues one load
 // per line (mem.Port.LoadRange); per-element ALU work should be added

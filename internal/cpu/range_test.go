@@ -65,23 +65,71 @@ func TestLockstepRangesSwitchOncePerRange(t *testing.T) {
 		ranges.Switches(), loads.Switches(), (rounds+1)*lines)
 }
 
+func TestLockstepColumnsSwitchOncePerColumn(t *testing.T) {
+	// Eight contexts each walk columns of their own row-major matrix in
+	// lockstep, every load a fresh line, as transpose does. A column is
+	// one strided access: however often its loads wait behind another
+	// context, the context's goroutine is resumed at most once per
+	// column. Loaded one by one, the column costs a switch per load.
+	const contexts, rows, columns, pitch = 8, 128, 8, 8 << 10
+	run := func(strided bool) *sim.Engine {
+		sys := mem.MustNewSystem(mem.DefaultConfig(), counters.NewSet())
+		e := sim.NewEngine()
+		for i := 0; i < contexts; i++ {
+			base := sys.Alloc(rows * pitch)
+			e.Spawn(fmt.Sprintf("ctx%d", i), func(p *sim.Proc) {
+				c := New(i, 2, p, sys.Port(i))
+				for j := uint64(0); j < columns; j++ {
+					if strided {
+						c.LoadStride(base+8*j, pitch, rows)
+						continue
+					}
+					for r := uint64(0); r < rows; r++ {
+						c.Load(base + r*pitch + 8*j)
+					}
+				}
+			})
+		}
+		e.Run()
+		return e
+	}
+	strided, loads := run(true), run(false)
+	if strided.Now() != loads.Now() || strided.Events() != loads.Events() {
+		t.Fatalf("LoadStride: %d events to cycle %d; Load per row: %d events to cycle %d",
+			strided.Events(), strided.Now(), loads.Events(), loads.Now())
+	}
+	// Per context: one switch to start it, at most one per column, and
+	// one for its exit to pass control on; then one back to Run.
+	if max := uint64(contexts*(columns+2) + 1); strided.Switches() > max {
+		t.Errorf("LoadStride: %d switches, want at most %d (one per column per context)", strided.Switches(), max)
+	}
+	if loads.Switches() <= contexts*columns*rows/2 {
+		t.Errorf("Load per row: only %d switches: the contexts did not run in lockstep", loads.Switches())
+	}
+	t.Logf("switches: %d for LoadStride, %d for a Load per row (%d columns of %d rows per context)",
+		strided.Switches(), loads.Switches(), columns, rows)
+}
+
 func TestRangeAccessAllocatesNothing(t *testing.T) {
-	// A range of cold lines walks the whole hierarchy down to DRAM and
-	// the bus while a second context streams its own ranges, so Steps
-	// of each run on the other's goroutine. None of it allocates.
+	// A range of cold lines, and a strided column of them, walk the
+	// whole hierarchy down to DRAM and the bus while a second context
+	// streams its own ranges, so Steps of each run on the other's
+	// goroutine. None of it allocates.
 	sys := mem.MustNewSystem(mem.DefaultConfig(), counters.NewSet())
 	e := sim.NewEngine()
-	const bytes = 16 * 64
-	mine, theirs := sys.Alloc(64*bytes), sys.Alloc(1<<20)
+	const bytes, pitch = 16 * 64, 4096
+	mine, cols, theirs := sys.Alloc(64*bytes), sys.Alloc(16*pitch), sys.Alloc(1<<20)
 	stop := false
 	var allocs float64
 	e.Spawn("measured", func(p *sim.Proc) {
 		c := New(0, 2, p, sys.Port(0))
-		base := mine
+		base, col := mine, cols
 		allocs = testing.AllocsPerRun(50, func() {
 			c.LoadRange(base, bytes)
 			c.StoreRange(base, bytes)
+			c.LoadStride(col, pitch, 16)
 			base += bytes
+			col += 64
 		})
 		stop = true
 	})
@@ -93,7 +141,7 @@ func TestRangeAccessAllocatesNothing(t *testing.T) {
 	})
 	e.Run()
 	if allocs != 0 {
-		t.Errorf("a range access allocates %v times", allocs)
+		t.Errorf("a range or strided access allocates %v times", allocs)
 	}
 	if e.Switches() < 50 {
 		t.Errorf("only %d switches: the two contexts did not interleave", e.Switches())

@@ -37,8 +37,8 @@ const (
 )
 
 // access is one memory operation in flight: a Load, Store or
-// StoreStream of every line from addr to last, one line after the
-// other. It runs as a sim.Op: its state lives in this struct, not in
+// StoreStream of addr and of the left addresses after it, stride bytes
+// apart, one after the other. It runs as a sim.Op: its state lives in this struct, not in
 // a goroutine's frames, so its Steps can run on whichever goroutine
 // dispatches its waits (see package sim). The walk, and each side
 // effect's place between the waits, is that of a blocking access, so
@@ -46,10 +46,10 @@ const (
 type access struct {
 	pt *Port
 	tc *TeamCtrs // tenant charged for the bus traffic, captured at issue
-	// addr is the current line's address (as issued, for a single
-	// access) and last the last line's.
-	addr, last uint64
-	line       uint64
+	// addr is the current address, as issued, and line its line; left
+	// more addresses follow it, stride bytes apart.
+	addr, stride, left uint64
+	line               uint64
 	// t0 is the cycle at which the current line's stall began.
 	t0   uint64
 	bank int
@@ -77,9 +77,9 @@ func (pt *Port) Load(p *sim.Proc, addr uint64) {
 	line := addr >> s.lineShift
 	switch {
 	case !p.Await(p.Now() + s.Cfg.L1Lat):
-		pt.walk(p, kindLoad, addr, addr, line, l1Done)
+		pt.walk(p, kindLoad, addr, 0, 0, l1Done)
 	case !pt.l1.Lookup(line, false):
-		pt.walk(p, kindLoad, addr, addr, line, l1Missed)
+		pt.walk(p, kindLoad, addr, 0, 0, l1Missed)
 	}
 }
 
@@ -108,15 +108,23 @@ func (pt *Port) store(p *sim.Proc, kind accessKind, addr uint64) {
 	line := addr >> s.lineShift
 	switch {
 	case !p.Await(p.Now() + s.Cfg.L1Lat):
-		pt.walk(p, kind, addr, addr, line, l1Done)
+		pt.walk(p, kind, addr, 0, 0, l1Done)
 	case !pt.ownedHit(line):
-		pt.walk(p, kind, addr, addr, line, l1Missed)
+		pt.walk(p, kind, addr, 0, 0, l1Missed)
+	}
+}
+
+// LoadStride loads the n addresses base, base+stride, ... in that
+// order, as one operation: the same accesses, back to back, as n
+// consecutive Loads. A column of a row-major matrix is one LoadStride.
+func (pt *Port) LoadStride(p *sim.Proc, base, stride uint64, n int) {
+	if n > 0 {
+		pt.walk(p, kindLoad, base, stride, uint64(n-1), lineStart)
 	}
 }
 
 // LoadRange loads every line of [base, base+bytes) once, in address
-// order, as one operation: the lines' accesses run back to back, as
-// consecutive Loads would.
+// order, as one operation: LoadStride over the lines.
 func (pt *Port) LoadRange(p *sim.Proc, base uint64, bytes int) {
 	pt.walkRange(p, kindLoad, base, bytes)
 }
@@ -131,22 +139,23 @@ func (pt *Port) walkRange(p *sim.Proc, kind accessKind, base uint64, bytes int) 
 	if bytes <= 0 {
 		return
 	}
-	line := uint64(pt.sys.Cfg.LineBytes)
-	first := base &^ (line - 1)
-	pt.walk(p, kind, first, (base+uint64(bytes)-1)&^(line-1), first>>pt.sys.lineShift, lineStart)
+	shift := pt.sys.lineShift
+	first, last := base>>shift, (base+uint64(bytes)-1)>>shift
+	pt.walk(p, kind, first<<shift, uint64(pt.sys.Cfg.LineBytes), last-first, lineStart)
 }
 
-// walk runs an access of kind over the lines from first to last on
-// behalf of p, charging the port's current tenant, from resume point pc
-// of the first line (whose line number is line); pc is l1Done when the
+// walk runs an access of kind on behalf of p, charging the port's
+// current tenant, over addr and the left addresses after it, stride
+// bytes apart, from resume point pc of the first; pc is l1Done when its
 // L1 wait is still pending. The access runs on this stack until it must
 // wait behind another process; only then is it copied to one from the
 // system's idle list and handed to the engine as a continuation. The
 // list grows to the number of processes ever waiting inside an access
 // at once, so no access allocates in steady state.
-func (pt *Port) walk(p *sim.Proc, kind accessKind, first, last, line uint64, pc accessPC) {
+func (pt *Port) walk(p *sim.Proc, kind accessKind, addr, stride, left uint64, pc accessPC) {
 	var a access // fields set one by one: a literal would be built aside and copied
-	a.pt, a.tc, a.kind, a.pc, a.addr, a.last, a.line = pt, pt.attr, kind, pc, first, last, line
+	a.pt, a.tc, a.kind, a.pc, a.addr, a.stride, a.left = pt, pt.attr, kind, pc, addr, stride, left
+	a.line = addr >> pt.sys.lineShift
 	if pc != l1Done && a.Step(p) {
 		return
 	}
@@ -192,12 +201,12 @@ func (a *access) wait(p *sim.Proc, t uint64, pc accessPC) bool {
 	return p.Await(t)
 }
 
-// Step walks the hierarchy for the current line from a.pc on: private
-// L1 and L2, then on a miss the shared side — ring to the L3 bank, its
-// port, directory actions, the L3 lookup and on a miss the off-chip
-// fetch, and the ring back — then moves on to the next line. It
-// returns false whenever p must give way, true once the last line is
-// done; see sim.Op. Each case falls through to the next when its wait
+// Step walks the hierarchy for the current address from a.pc on:
+// private L1 and L2, then on a miss the shared side — ring to the L3
+// bank, its port, directory actions, the L3 lookup and on a miss the
+// off-chip fetch, and the ring back — then moves on to the next
+// address. It returns false whenever p must give way, true once the
+// last address is done; see sim.Op. Each case falls through to the next when its wait
 // completes in place.
 func (a *access) Step(p *sim.Proc) bool {
 	pt := a.pt
@@ -213,7 +222,7 @@ func (a *access) Step(p *sim.Proc) bool {
 			fallthrough
 		case l1Done:
 			if pt.privateHit(a.kind, a.line) {
-				if a.lastLine(cfg) {
+				if a.last() {
 					return true
 				}
 				continue
@@ -238,7 +247,7 @@ func (a *access) Step(p *sim.Proc) bool {
 			if a.kind == kindLoad && pt.l2.Lookup(a.line, false) {
 				pt.fillL1(a.line)
 				s.loadStall.Add(p.Now() - a.t0)
-				if a.lastLine(cfg) {
+				if a.last() {
 					return true
 				}
 				continue
@@ -319,7 +328,7 @@ func (a *access) Step(p *sim.Proc) bool {
 			} else {
 				s.storeStall.Add(p.Now() - a.t0)
 			}
-			if a.lastLine(cfg) {
+			if a.last() {
 				return true
 			}
 		case sbDrained:
@@ -331,20 +340,21 @@ func (a *access) Step(p *sim.Proc) bool {
 			pt.sb = append(pt.sb, done)
 			pt.fillL2(p.Now(), a.line, true, a.tc)
 			pt.fillL1(a.line)
-			if a.lastLine(cfg) {
+			if a.last() {
 				return true
 			}
 		}
 	}
 }
 
-// lastLine reports whether the line just done was the access's last;
-// if not, it moves a on to the next line.
-func (a *access) lastLine(cfg *Config) bool {
-	if a.addr >= a.last {
+// last reports whether the address just done was the access's last;
+// if not, it moves a on to the next one.
+func (a *access) last() bool {
+	if a.left == 0 {
 		return true
 	}
-	a.addr += uint64(cfg.LineBytes)
+	a.left--
+	a.addr += a.stride
 	a.pc = lineStart
 	return false
 }

@@ -52,3 +52,44 @@ func TestRangeEqualsItsLines(t *testing.T) {
 		})
 	}
 }
+
+func TestStrideEqualsItsLoads(t *testing.T) {
+	// A strided load is its addresses' Loads issued one by one: the
+	// same clock, events and counters while two cores contend for the
+	// L3, bus and DRAM, so that each one's Steps run on the other's
+	// goroutine. A stride of many lines misses on every address, one
+	// below the line size hits the lines it has just loaded, n = 1 is a
+	// single Load and n = 0 loads nothing.
+	for _, tc := range []struct {
+		stride uint64
+		n      int
+	}{{33*64 + 8, 40}, {24, 40}, {8, 1}, {4096, 0}} {
+		t.Run(fmt.Sprintf("stride=%d/n=%d", tc.stride, tc.n), func(t *testing.T) {
+			run := func(strided bool) string {
+				ctrs := counters.NewSet()
+				s := MustNewSystem(DefaultConfig(), ctrs)
+				e := sim.NewEngine()
+				for c := 0; c < 2; c++ {
+					base := s.Alloc(int(tc.stride)*(tc.n+1)) + 40
+					e.Spawn(fmt.Sprintf("core%d", c), func(p *sim.Proc) {
+						pt := s.Port(c)
+						for r := 0; r < 2; r++ {
+							if strided {
+								pt.LoadStride(p, base, tc.stride, tc.n)
+								continue
+							}
+							for i := 0; i < tc.n; i++ {
+								pt.Load(p, base+uint64(i)*tc.stride)
+							}
+						}
+					})
+				}
+				e.Run()
+				return fmt.Sprintf("clock %d, %d events, counters %v", e.Now(), e.Events(), ctrs.Checkpoint())
+			}
+			if loads, strided := run(false), run(true); strided != loads {
+				t.Errorf("strided: %s\none by one: %s", strided, loads)
+			}
+		})
+	}
+}

@@ -80,7 +80,9 @@ func (w *Transpose) Iterations() int {
 // across the team. Within a group the thread walks each column j over
 // every row i, loading in[i][j] (strided — a fresh line per row for
 // the group's first column, line hits for the rest) and storing
-// out[j][i] (sequential, write-buffered).
+// out[j][i] (sequential, write-buffered). A column's loads are one
+// strided load; the copy itself is host work between the loads and
+// the column's compute, and costs no simulated time.
 func (w *Transpose) RunChunk(master *thread.Ctx, n, lo, hi int) {
 	master.Fork(n, func(tc *thread.Ctx) {
 		myLo, myHi := tc.Range(lo, hi)
@@ -90,8 +92,8 @@ func (w *Transpose) RunChunk(master *thread.Ctx, n, lo, hi int) {
 				jHi = w.p.Cols
 			}
 			for j := g * groupCols; j < jHi; j++ {
+				tc.LoadStride(w.inAddr+uint64(8*j), uint64(8*w.p.Cols), w.p.Rows)
 				for i := 0; i < w.p.Rows; i++ {
-					tc.Load(w.inAddr + uint64(8*(i*w.p.Cols+j)))
 					w.out[j*w.p.Rows+i] = w.in[i*w.p.Cols+j]
 				}
 				tc.Exec(uint64(w.p.Rows) * w.p.ElemInstr)
