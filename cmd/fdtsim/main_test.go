@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"fdt/internal/machine"
 )
 
 func TestListWorkloads(t *testing.T) {
@@ -158,6 +160,30 @@ func TestSparklineObservesOnly(t *testing.T) {
 			t.Errorf("%v: -sparkline changed the report:\nwithout:\n%s\nwith:\n%s", args, plain.String(), got)
 		}
 	}
+}
+
+// TestSparklineEndsAtTheRunsEnd: a static 4-thread run holds four of
+// eight cores to its last cycle, where its team joins, so the last
+// column of the act.cores sparkline reads half height.
+func TestSparklineEndsAtTheRunsEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full simulated run")
+	}
+	var out, errb bytes.Buffer
+	args := []string{"-workload", "pagemine", "-policy", "static", "-threads", "4", "-cores", "8", "-sparkline"}
+	if code := run(args, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	half := machine.Sparkline([]float64{4}, 1, 8)
+	for _, line := range strings.Split(out.String(), "\n") {
+		if cores, ok := strings.CutPrefix(line, "act.cores "); ok {
+			if !strings.HasSuffix(cores, half) {
+				t.Errorf("act.cores %s ends below %s", cores, half)
+			}
+			return
+		}
+	}
+	t.Fatalf("no act.cores line in:\n%s", out.String())
 }
 
 func TestCorunReportAndCheck(t *testing.T) {

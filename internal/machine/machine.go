@@ -88,10 +88,15 @@ type Machine struct {
 
 	// ctxBusy tracks hardware-context occupancy; coreLoad counts the
 	// occupied contexts per core; coreSince records when each core
-	// last became active (for the power integral).
+	// last became active (for the power integral) and coreFreed when
+	// it last went idle.
 	ctxBusy   []bool
 	coreLoad  []int
 	coreSince []uint64
+	coreFreed []uint64
+	// end is the cycle the last program to complete so far completed
+	// at (see ProgramDone).
+	end uint64
 	// coreTracks caches per-core trace tracks for the threading
 	// runtime's synchronization spans.
 	coreTracks []trace.TrackID
@@ -153,6 +158,7 @@ func New(cfg Config) (*Machine, error) {
 		ctxBusy:   make([]bool, cfg.Mem.Cores*cfg.SMTContexts),
 		coreLoad:  make([]int, cfg.Mem.Cores),
 		coreSince: make([]uint64, cfg.Mem.Cores),
+		coreFreed: make([]uint64, cfg.Mem.Cores),
 		ctxTeam:   make([]*Team, cfg.Mem.Cores*cfg.SMTContexts),
 		ctxSince:  make([]uint64, cfg.Mem.Cores*cfg.SMTContexts),
 	}
@@ -442,8 +448,14 @@ func (m *Machine) ReleaseContext(ctx int, now uint64) {
 	m.coreLoad[core]--
 	if m.coreLoad[core] == 0 {
 		m.Power.AddActive(core, m.coreSince[core], now)
+		m.coreFreed[core] = now
 	}
 }
+
+// ProgramDone records that a team's program completed at cycle now.
+// thread.RunTeams calls it as each master finishes, so once the run is
+// over it holds the run's end.
+func (m *Machine) ProgramDone(now uint64) { m.end = now }
 
 // CoreLoad reports how many contexts are active on a core — the
 // divisor for shared issue width under SMT.

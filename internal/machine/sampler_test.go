@@ -1,9 +1,11 @@
 package machine
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"fdt/internal/counters"
 	"fdt/internal/sim"
 )
 
@@ -35,6 +37,35 @@ func TestSamplerStopsWhenWorkEnds(t *testing.T) {
 	last := log.Samples[len(log.Samples)-1].Time
 	if last > 1000 {
 		t.Errorf("sampler ran to %d cycles after 250-cycle workload", last)
+	}
+}
+
+func TestSamplerEndsAtTheRunsEnd(t *testing.T) {
+	// The program holds two cores and ends at cycle 2,500, where the
+	// second goes idle, after 300 bus-busy cycles in its last 500. The
+	// final sample is taken at 2,500, not at the sampler's next tick:
+	// its bus utilization is over those 500 cycles, and it counts both
+	// cores.
+	m := MustNew(DefaultConfig())
+	log := m.StartSampler(1000)
+	m.OccupyContext(0, 0)
+	m.OccupyContext(1, 0)
+	m.Eng.Spawn("master", func(p *sim.Proc) {
+		p.Advance(2200)
+		m.Ctrs.Counter(counters.BusBusyCycles).Add(300)
+		p.Advance(300)
+		m.ReleaseContext(1, p.Now())
+		m.ProgramDone(p.Now())
+	})
+	m.Eng.Run()
+	m.ReleaseContext(0, 2500)
+	want := []Sample{
+		{Time: 1000, ActiveCores: 2},
+		{Time: 2000, ActiveCores: 2},
+		{Time: 2500, BusUtil: 0.6, ActiveCores: 2},
+	}
+	if !reflect.DeepEqual(log.Samples, want) {
+		t.Errorf("samples %+v, want %+v", log.Samples, want)
 	}
 }
 
