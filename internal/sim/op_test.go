@@ -20,6 +20,16 @@ type scriptOp struct {
 	i     int
 	held  bool // waits[i]'s slot has begun; the hold is next
 	start uint64
+	// note, when set, sees each wait's cycle before the wait.
+	note func(t uint64, p *Proc)
+}
+
+// await is p.Await(t), seen by note first.
+func (o *scriptOp) await(p *Proc, t uint64) bool {
+	if o.note != nil {
+		o.note(t, p)
+	}
+	return p.Await(t)
 }
 
 func (o *scriptOp) Step(p *Proc) bool {
@@ -27,7 +37,7 @@ func (o *scriptOp) Step(p *Proc) bool {
 		w := o.waits[o.i]
 		if w.r == nil {
 			o.i++
-			if !p.Await(p.Now() + w.d) {
+			if !o.await(p, p.Now()+w.d) {
 				return false
 			}
 			continue
@@ -35,13 +45,13 @@ func (o *scriptOp) Step(p *Proc) bool {
 		if !o.held {
 			o.start = w.r.ReserveAt(p.Now(), w.d)
 			o.held = true
-			if o.start > p.Now() && !p.Await(o.start) {
+			if o.start > p.Now() && !o.await(p, o.start) {
 				return false
 			}
 		}
 		o.held = false
 		o.i++
-		if !p.Await(o.start + w.d) {
+		if !o.await(p, o.start+w.d) {
 			return false
 		}
 	}
