@@ -192,8 +192,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rate = 100 * float64(hits) / float64(hits+misses)
 	}
 	entries, bytes, evictions := runs.Usage()
-	fmt.Fprintf(stdout, "[%d workers; run cache: %d hits / %d misses (%.1f%% hit rate), %d entries ~%.1f KiB, %d evictions]\n",
-		runner.Workers(), hits, misses, rate, entries, float64(bytes)/1024, evictions)
+	fmt.Fprintf(stdout, "[%d workers; run cache: %d hits / %d misses (%.1f%% hit rate), %d derived, %d entries ~%.1f KiB, %d evictions]\n",
+		runner.Workers(), hits, misses, rate, runs.Derived(), entries, float64(bytes)/1024, evictions)
 	fmt.Fprintf(stdout, "[simulated energy: %.4g core-cycle units across all uncached runs]\n", runs.Energy())
 	if st != nil {
 		ss := st.Stats()

@@ -181,6 +181,9 @@ type Controller struct {
 	// st accumulates sampled-execution statistics for the current run;
 	// set by Run when Mode.Sampled, nil otherwise.
 	st *sampled.Stats
+	// rec, when set, receives each train-once kernel's training record
+	// (see runRecord).
+	rec *runRecord
 }
 
 // NewController builds a train-once controller with the paper's
@@ -362,6 +365,7 @@ func (ctl *Controller) runKernel(c *thread.Ctx, k Kernel) KernelResult {
 			}
 		}
 		ct.decision(k.Name(), start, d)
+		ctl.record(kernelRecord{cores: cores, threads: d.Threads})
 		ctl.execute(c, k, d.Threads, 0, n)
 		ct.span("execute", k.Name(), start, c.CPU.CycleCount(), uint64(d.Threads), 0, uint64(n))
 		return KernelResult{
@@ -406,6 +410,7 @@ func (ctl *Controller) runTrained(c *thread.Ctx, k Kernel, pol Model, n, cores i
 		} else {
 			d, tr = estimator.Estimate(pol, out, cores)
 		}
+		ctl.record(kernelRecord{trained: true, samples: out.Samples, span: n - iter, cores: cores, threads: d.Threads})
 		trainCycles := c.CPU.CycleCount() - phaseStart
 		ct.span("sample", k.Name(), phaseStart, c.CPU.CycleCount(), uint64(out.Train.Iters), uint64(iter), 0)
 		ct.decision(k.Name(), c.CPU.CycleCount(), d)
@@ -484,6 +489,14 @@ func (ctl *Controller) execute(c *thread.Ctx, k Kernel, threads, lo, hi int) {
 		return
 	}
 	Executor{}.Execute(c, k, threads, lo, hi)
+}
+
+// record appends a kernel's training record when the controller
+// keeps one.
+func (ctl *Controller) record(kr kernelRecord) {
+	if ctl.rec != nil {
+		ctl.rec.kernels = append(ctl.rec.kernels, kr)
+	}
 }
 
 // countTraining folds a training sample's iterations into the sampled

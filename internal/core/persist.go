@@ -33,22 +33,22 @@ func (r *Runs) attach(st *store.Store) {
 		return
 	}
 	r.cache.SetBacking(
-		func(key string) (RunResult, bool) {
+		func(key string) (runEntry, bool) {
 			blob, ok := st.Get(key)
 			if !ok {
-				return RunResult{}, false
+				return runEntry{}, false
 			}
 			var res RunResult
 			if err := json.Unmarshal(blob, &res); err != nil {
 				// A payload that passed the store's CRC but does not
 				// decode means the schema changed without a
 				// RunStoreSchema bump; treat as a miss and overwrite.
-				return RunResult{}, false
+				return runEntry{}, false
 			}
-			return res, true
+			return runEntry{res: res}, true
 		},
-		func(key string, res RunResult) {
-			blob, err := json.Marshal(res)
+		func(key string, e runEntry) {
+			blob, err := json.Marshal(e.res)
 			if err != nil {
 				return // unmarshalable results are simply not persisted
 			}

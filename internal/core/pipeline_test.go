@@ -138,6 +138,34 @@ func seedRunKernel(ctl *Controller, c *thread.Ctx, k Kernel) KernelResult {
 	}
 }
 
+// synthShape is one synthetic kernel of the pipeline tests.
+type synthShape struct {
+	iters    int
+	compute  uint64
+	cs       uint64
+	memLines int
+}
+
+func (sh synthShape) String() string {
+	return fmt.Sprintf("it%d-c%d-cs%d-m%d", sh.iters, sh.compute, sh.cs, sh.memLines)
+}
+
+func (sh synthShape) factory() Factory {
+	return newSynthFactory(sh.iters, sh.compute, sh.cs, sh.memLines)
+}
+
+// synthShapes spans the policy and shape space the pipeline tests
+// sweep.
+var synthShapes = []synthShape{
+	{5, 1000, 0, 0},     // below MinIterations: static fallback
+	{10, 1000, 50, 0},   // tiny kernel, trains at floor
+	{400, 800, 40, 0},   // CS-limited
+	{400, 500, 0, 24},   // bandwidth-limited
+	{1000, 900, 5, 4},   // mixed, mild
+	{2000, 200, 0, 0},   // scalable, fast iterations
+	{64, 12000, 600, 8}, // slow iterations, CS + bus
+}
+
 // TestPipelineReproducesSeedController sweeps synthetic kernels across
 // the policy and shape space and demands the monitoring-disabled
 // pipeline match the seed reference exactly: identical RunResult
@@ -146,24 +174,10 @@ func seedRunKernel(ctl *Controller, c *thread.Ctx, k Kernel) KernelResult {
 // bit-identical across the refactor.
 func TestPipelineReproducesSeedController(t *testing.T) {
 	policies := []Policy{SAT{}, BAT{}, Combined{}, Static{N: 5}, Static{}}
-	shapes := []struct {
-		iters    int
-		compute  uint64
-		cs       uint64
-		memLines int
-	}{
-		{5, 1000, 0, 0},     // below MinIterations: static fallback
-		{10, 1000, 50, 0},   // tiny kernel, trains at floor
-		{400, 800, 40, 0},   // CS-limited
-		{400, 500, 0, 24},   // bandwidth-limited
-		{1000, 900, 5, 4},   // mixed, mild
-		{2000, 200, 0, 0},   // scalable, fast iterations
-		{64, 12000, 600, 8}, // slow iterations, CS + bus
-	}
 	for _, pol := range policies {
-		for _, sh := range shapes {
-			name := fmt.Sprintf("%s/it%d-c%d-cs%d-m%d", pol.Name(), sh.iters, sh.compute, sh.cs, sh.memLines)
-			f := newSynthFactory(sh.iters, sh.compute, sh.cs, sh.memLines)
+		for _, sh := range synthShapes {
+			name := pol.Name() + "/" + sh.String()
+			f := sh.factory()
 
 			mSeed := machine.MustNew(machine.DefaultConfig())
 			wSeed := f(mSeed)

@@ -25,10 +25,18 @@ import (
 // cold runs builds a fresh one. A nil *Runs stands for one package
 // default. A Runs is safe for concurrent use.
 type Runs struct {
-	cache  runner.Cache[RunResult]
-	store  atomic.Pointer[store.Store]
-	mu     sync.Mutex
-	energy float64 // summed Energy.Total of every simulated run
+	cache   runner.Cache[runEntry]
+	store   atomic.Pointer[store.Store]
+	mu      sync.Mutex
+	energy  float64 // summed Energy.Total of every simulated run
+	derived atomic.Uint64
+}
+
+// runEntry is one memoized run: its result and, for a Derivable run
+// this Runs simulated or derived, its training record.
+type runEntry struct {
+	res RunResult
+	rec *runRecord
 }
 
 // NewRuns returns an empty run cache holding at most limit runs
@@ -36,7 +44,7 @@ type Runs struct {
 // backed by st when st is non-nil.
 func NewRuns(limit int, st *store.Store) *Runs {
 	r := &Runs{}
-	r.cache.SetSizer(runResultBytes)
+	r.cache.SetSizer(func(e runEntry) uint64 { return runResultBytes(e.res) + e.rec.bytes() })
 	r.cache.SetLimit(limit)
 	r.attach(st)
 	return r
@@ -52,18 +60,42 @@ func (r *Runs) orDefault() *Runs {
 	return r
 }
 
-// simulate runs s on a fresh machine and adds the machine's energy
-// (the table-driven total on a P-state ladder, active core-cycles on
-// a flat machine) to r's total. A fresh machine starts at cycle 0, so
-// the run ends at res.TotalCycles.
-func (r *Runs) simulate(s RunSpec) RunResult {
+// compute fills a cache miss for the normalized, named s: derived from
+// a sibling's record when one proves s identical, simulated otherwise.
+func (r *Runs) compute(s RunSpec) runEntry {
+	derivable := s.Derivable()
+	if derivable {
+		if e, ok := r.derive(s); ok {
+			return e
+		}
+	}
+	return r.simulate(s, derivable)
+}
+
+// simulate runs the normalized s on a fresh machine, recording its
+// training when record is set, and adds the machine's energy (the
+// table-driven total on a P-state ladder, active core-cycles on a flat
+// machine) to r's total. A fresh machine starts at cycle 0, so the run
+// ends at res.TotalCycles.
+func (r *Runs) simulate(s RunSpec, record bool) runEntry {
 	m := machine.MustNew(s.Cfg)
-	res := s.RunOn(m)
+	var rec *runRecord
+	if record {
+		rec = new(runRecord)
+	}
+	res := s.runOn(m, rec)
 	e := m.Power.Energy(res.TotalCycles).Total
+	if rec != nil {
+		rec.energy = e
+	}
+	r.addEnergy(e)
+	return runEntry{res: res, rec: rec}
+}
+
+func (r *Runs) addEnergy(e float64) {
 	r.mu.Lock()
 	r.energy += e
 	r.mu.Unlock()
-	return res
 }
 
 // Stats reports run-cache hits and misses.
@@ -77,13 +109,19 @@ func (r *Runs) Usage() (entries int, bytes, evictions uint64) {
 }
 
 // Computes reports how many cache misses actually simulated (as
-// opposed to loading from the store). Zero computes over a warm store
-// is the restart-resilience acceptance criterion.
+// opposed to loading from the store), derived runs included. Zero
+// computes over a warm store is the restart-resilience acceptance
+// criterion.
 func (r *Runs) Computes() uint64 { return r.orDefault().cache.Computes() }
 
+// Derived reports how many of the Computes were derived from a
+// sibling's training record instead of simulated.
+func (r *Runs) Derived() uint64 { return r.orDefault().derived.Load() }
+
 // Energy reports the total simulated energy of every run r simulated,
-// in nominal-active-core cycle units. Runs served from memory or from
-// the store add nothing.
+// in nominal-active-core cycle units; a derived run adds its sibling's
+// energy, which simulating it would have added. Runs served from
+// memory or from the store add nothing.
 func (r *Runs) Energy() float64 {
 	r = r.orDefault()
 	r.mu.Lock()
@@ -94,7 +132,10 @@ func (r *Runs) Energy() float64 {
 // ResetRunCache drops every run the package default memoized and
 // zeroes its statistics. It exists for cmd/fdtbench until ROADMAP item
 // 2 moves that call to a value fdtbench owns.
-func ResetRunCache() { defaultRuns.cache.Reset() }
+func ResetRunCache() {
+	defaultRuns.cache.Reset()
+	defaultRuns.derived.Store(0)
+}
 
 // RunCacheStats is Stats of the package default. It exists for
 // cmd/fdtbench until ROADMAP item 2 moves that call.

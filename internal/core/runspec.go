@@ -242,10 +242,16 @@ func (s RunSpec) trainingKey() string {
 func (s RunSpec) controller(c Control) *Controller {
 	ctl := NewController(c.Policy)
 	ctl.Monitor, ctl.Mode, ctl.Power = c.Monitor, s.Mode, s.Power
-	if s.Training != nil {
-		ctl.Params = *s.Training
-	}
+	ctl.Params = s.trainingParams()
 	return ctl
+}
+
+// trainingParams resolves the spec's training parameters.
+func (s RunSpec) trainingParams() TrainingParams {
+	if s.Training != nil {
+		return *s.Training
+	}
+	return DefaultTrainingParams()
 }
 
 // Run executes the spec on a fresh machine, memoized in runs under
@@ -254,20 +260,25 @@ func (s RunSpec) controller(c Control) *Controller {
 func (s RunSpec) Run(runs *Runs) RunResult {
 	runs, s = runs.orDefault(), s.normalized()
 	if !s.named() {
-		return runs.simulate(s)
+		return runs.simulate(s, false).res
 	}
-	return runs.cache.Do(s.key(), func() RunResult { return runs.simulate(s) })
+	return runs.cache.Do(s.key(), func() runEntry { return runs.compute(s) }).res
 }
 
 // RunOn executes the spec on a fresh caller-built machine, uncached:
 // the entry point for runs observed by a tracer, checker, sampler or
 // counter dump attached to m.
-func (s RunSpec) RunOn(m *machine.Machine) RunResult {
-	s = s.normalized()
+func (s RunSpec) RunOn(m *machine.Machine) RunResult { return s.normalized().runOn(m, nil) }
+
+// runOn executes the normalized s on m; a single-team run's controller
+// records its training into rec when rec is non-nil.
+func (s RunSpec) runOn(m *machine.Machine, rec *runRecord) RunResult {
 	if len(s.Teams) > 0 {
 		return s.runTeams(m)
 	}
-	return s.controller(s.Control).Run(m, s.Factory(m))
+	ctl := s.controller(s.Control)
+	ctl.rec = rec
+	return ctl.Run(m, s.Factory(m))
 }
 
 // RunPolicy runs the workload under a policy on a fresh machine,

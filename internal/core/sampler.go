@@ -37,23 +37,11 @@ type Sampler struct {
 	Params TrainingParams
 }
 
-// Sample peels training iterations from [lo, hi) for pol, at most the
-// params' fraction of the span (but at least two when available: the
-// first iteration runs against cold caches and serves as warmup).
-// Training stops early once every measurement the policy wants is
-// stable or excluded — SAT's stability window, BAT's early-out.
+// Sample peels training iterations from [lo, hi) for pol, one at a
+// time, until the stop rule (trainStop) says the series is complete.
 func (s Sampler) Sample(c *thread.Ctx, k Kernel, pol Model, lo, hi int) SampleOutcome {
 	m := c.Machine()
 	cores := c.TeamSize()
-	span := hi - lo
-
-	maxTrain := int(float64(span) * s.Params.MaxTrainFraction)
-	if maxTrain < 2 {
-		maxTrain = 2
-	}
-	if maxTrain > span {
-		maxTrain = span
-	}
 
 	// CS cycles come from the team's private counter file — a real
 	// runtime's lock instrumentation only sees its own program, and
@@ -73,55 +61,92 @@ func (s Sampler) Sample(c *thread.Ctx, k Kernel, pol Model, lo, hi int) SampleOu
 	stCtr := m.Ctrs.Counter(counters.StoreStallCycles)
 
 	var out SampleOutcome
-	var ratios []float64
-	satDone := !pol.WantsSAT()
-	batDone := !pol.WantsBAT()
-
-	iter := 0
-	for iter < maxTrain && !(satDone && batDone) {
+	for {
+		tr, stopped := s.Params.trainStop(pol, out.Samples, hi-lo, cores)
+		if stopped {
+			out.Train = tr
+			break
+		}
 		t0 := c.CPU.CycleCount()
 		cs0 := csCtr.Sample()
 		b0 := busCtr.Sample()
 		ld0 := ldCtr.Sample()
 		st0 := stCtr.Sample()
-		k.RunChunk(c, 1, lo+iter, lo+iter+1)
-		iter++
-		dt := c.CPU.CycleCount() - t0
-		dcs := csCtr.DeltaSince(cs0)
-		db := busCtr.DeltaSince(b0)
-		dms := ldCtr.DeltaSince(ld0) + stCtr.DeltaSince(st0)
-		out.Train.TotalCycles += dt
-		out.Train.CSCycles += dcs
-		out.Train.BusBusyCycles += db
-		out.Train.MemStallCycles += dms
-		out.Samples = append(out.Samples, IterSample{Cycles: dt, CS: dcs, BusBusy: db, MemStall: dms})
+		iter := lo + len(out.Samples)
+		k.RunChunk(c, 1, iter, iter+1)
+		out.Samples = append(out.Samples, IterSample{
+			Cycles:   c.CPU.CycleCount() - t0,
+			CS:       csCtr.DeltaSince(cs0),
+			BusBusy:  busCtr.DeltaSince(b0),
+			MemStall: ldCtr.DeltaSince(ld0) + stCtr.DeltaSince(st0),
+		})
+	}
+	out.Next = lo + out.Train.Iters
+	return out
+}
 
+// trainStop is the Sample stage's stop rule, a pure function of the
+// peeled series so far: the live Sampler asks it after every
+// iteration, and the run cache replays it over a sibling policy's
+// recorded series. It scans the prefixes of samples in order and
+// stops at the first one where every measurement pol wants is complete
+// — SAT's T_CS/T_NoCS stability window, BAT's early-out — or where
+// the prefix reaches the cap: the params' fraction of the span, but
+// at least two iterations when available (the first runs against cold
+// caches and serves as warmup). Both completions are sticky. At the
+// stop it reports the prefix's raw aggregate (Iters, the summed
+// counters and the two flags) and true; when no prefix of samples
+// stops, it reports false.
+func (p TrainingParams) trainStop(pol Model, samples []IterSample, span, cores int) (TrainResult, bool) {
+	maxTrain := int(float64(span) * p.MaxTrainFraction)
+	if maxTrain < 2 {
+		maxTrain = 2
+	}
+	if maxTrain > span {
+		maxTrain = span
+	}
+	var (
+		tr      TrainResult
+		ratios  []float64
+		wt, wb  uint64 // warm (all but the first) cycles and bus-busy cycles
+		satDone = !pol.WantsSAT()
+		batDone = !pol.WantsBAT()
+	)
+	for i := 0; ; i++ {
+		if i >= maxTrain || satDone && batDone {
+			tr.Iters = i
+			return tr, true
+		}
+		if i == len(samples) {
+			return TrainResult{}, false
+		}
+		sm := samples[i]
+		tr.TotalCycles += sm.Cycles
+		tr.CSCycles += sm.CS
+		tr.BusBusyCycles += sm.BusBusy
+		tr.MemStallCycles += sm.MemStall
+		if i > 0 {
+			wt += sm.Cycles
+			wb += sm.BusBusy
+		}
 		if !satDone {
-			ratios = append(ratios, csRatio(dt, dcs))
-			if stableWindow(ratios, s.Params.StabilityWindow, s.Params.StabilityTol) {
+			ratios = append(ratios, csRatio(sm.Cycles, sm.CS))
+			if stableWindow(ratios, p.StabilityWindow, p.StabilityTol) {
 				satDone = true
-				out.Train.SATStable = true
+				tr.SATStable = true
 			}
 		}
-		if !batDone && out.Train.TotalCycles >= s.Params.BATEarlyOutCycles && len(out.Samples) >= 2 {
+		if !batDone && tr.TotalCycles >= p.BATEarlyOutCycles && i > 0 {
 			// Judge bandwidth on warm iterations only (drop the cold
 			// first sample): a kernel whose steady state cannot
 			// saturate the bus even with every core running will
 			// never be bandwidth-limited, and training may stop.
-			var wt, wb uint64
-			for _, sm := range out.Samples[1:] {
-				wt += sm.Cycles
-				wb += sm.BusBusy
-			}
 			if wt > 0 && float64(wb)/float64(wt)*float64(cores) < 1 {
 				batDone = true
-				out.Train.BWExcluded = true
+				tr.BWExcluded = true
 			}
 		}
 	}
-	out.Train.Iters = iter
-	out.Next = lo + iter
-	return out
 }
 
 // csRatio computes one iteration's T_CS / T_NoCS.

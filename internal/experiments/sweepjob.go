@@ -68,7 +68,7 @@ func RunSweepJob(o Options, workload string, counts []int, policies []string) (S
 
 	runs := make([]core.RunResult, len(specs))
 	var mu sync.Mutex // serializes o.Progress within the job
-	runner.Map(len(specs), func(i int) {
+	mapSiblingsLast(specs, func(i int) {
 		r := specs[i].Run(o.Runs)
 		runs[i] = r
 		ev := ProgressEvent{Workload: info.Name, Policy: r.Policy, Cycles: r.TotalCycles}
@@ -98,4 +98,46 @@ func RunSweepJob(o Options, workload string, counts []int, policies []string) (S
 		res.MinThreads = counts[idx]
 	}
 	return res, nil
+}
+
+// mapSiblingsLast runs fn(i) for every spec over the runner pool. A SAT
+// or BAT placement whose SAT+BAT sibling is in specs runs after every
+// other spec and waits for that sibling, so the run cache can derive it
+// from the sibling's training record instead of simulating it
+// (core.RunSpec.Derivable). The pool starts calls in order, so the
+// sibling has started by the time a waiter does; the waiters go on when
+// the sibling's fn returns or panics.
+func mapSiblingsLast(specs []core.RunSpec, fn func(i int)) {
+	sibling := -1
+	for i, s := range specs {
+		if isCombined(s) && s.Derivable() {
+			sibling = i
+			break
+		}
+	}
+	var order, last []int
+	for i, s := range specs {
+		if sibling >= 0 && !isCombined(s) && s.Derivable() {
+			last = append(last, i)
+		} else {
+			order = append(order, i)
+		}
+	}
+	order = append(order, last...)
+	ready := make(chan struct{})
+	runner.Map(len(order), func(k int) {
+		i := order[k]
+		if i == sibling {
+			defer close(ready)
+		} else if k >= len(order)-len(last) {
+			<-ready
+		}
+		fn(i)
+	})
+}
+
+// isCombined reports whether s places the SAT+BAT policy.
+func isCombined(s core.RunSpec) bool {
+	_, ok := s.Control.Policy.(core.Combined)
+	return ok
 }

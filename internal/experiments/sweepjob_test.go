@@ -82,3 +82,47 @@ func TestSweepJobFanOutDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestSiblingsRunLast places sat, bat, sat+bat and adaptive after a
+// sweep point on two workers: sat and bat must start after every other
+// run, and the SAT+BAT run must release them even when it panics.
+func TestSiblingsRunLast(t *testing.T) {
+	t.Cleanup(func() { runner.SetWorkers(0) })
+	runner.SetWorkers(2)
+	o := Options{Cfg: machine.DefaultConfig()}
+	specs := []core.RunSpec{o.spec("pagemine", nil, core.Control{Policy: core.Static{N: 2}})}
+	for _, p := range []string{"sat", "bat", "sat+bat", "adaptive"} {
+		ctl, err := core.ParseController(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, o.spec("pagemine", nil, ctl))
+	}
+	var (
+		mu      sync.Mutex
+		started []int
+	)
+	func() {
+		defer func() {
+			if r := recover(); r == nil {
+				t.Error("the SAT+BAT run's panic was not re-raised")
+			}
+		}()
+		mapSiblingsLast(specs, func(i int) {
+			mu.Lock()
+			started = append(started, i)
+			mu.Unlock()
+			if i == 3 {
+				panic("sat+bat")
+			}
+		})
+	}()
+	if len(started) != len(specs) {
+		t.Fatalf("started %v, want every one of %d runs", started, len(specs))
+	}
+	for k, i := range started {
+		if (i == 1 || i == 2) && k < len(specs)-2 {
+			t.Errorf("start order %v: sat or bat started before the other runs", started)
+		}
+	}
+}

@@ -321,3 +321,25 @@ func TestTooManyCoresRejected(t *testing.T) {
 		t.Error("128-core config accepted despite 64-bit sharer mask")
 	}
 }
+
+// BenchmarkL2HitLoad times a lone process's loads that miss the L1 and
+// hit the L2, cycling over four L1s' worth of lines: each load builds
+// an access and finishes it in place, without waiting behind anyone.
+func BenchmarkL2HitLoad(b *testing.B) {
+	cfg := DefaultConfig()
+	sys := MustNewSystem(cfg, counters.NewSet())
+	e := sim.NewEngine()
+	lines := uint64(4 * cfg.L1Bytes / cfg.LineBytes)
+	base := sys.Alloc(int(lines) * cfg.LineBytes)
+	e.Spawn("loader", func(p *sim.Proc) {
+		pt := sys.Port(0)
+		for l := uint64(0); l < lines; l++ {
+			pt.Load(p, base+l*uint64(cfg.LineBytes))
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pt.Load(p, base+uint64(i)%lines*uint64(cfg.LineBytes))
+		}
+	})
+	e.Run()
+}

@@ -136,6 +136,19 @@ func (c *Cache[V]) Do(key string, fn func() V) V {
 	return e.val
 }
 
+// Peek returns key's value when a completed entry holds it, without
+// computing, consulting the backing, waiting for an in-flight entry or
+// counting a hit or miss.
+func (c *Cache[V]) Peek(key string) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[key]; ok && e.done {
+		return e.val, true
+	}
+	var zero V
+	return zero, false
+}
+
 // evictLocked drops the oldest completed entries until the population
 // fits the limit. In-flight entries are skipped: their waiters hold
 // the entry pointer and their accounting lands when they complete.
@@ -168,15 +181,6 @@ func (c *Cache[V]) evictLocked() {
 // Reset.
 func (c *Cache[V]) Stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
-}
-
-// HitRate reports hits / (hits + misses), or 0 before any lookup.
-func (c *Cache[V]) HitRate() float64 {
-	h, m := c.Stats()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
 }
 
 // Len reports the number of cached entries.

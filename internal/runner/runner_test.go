@@ -231,3 +231,38 @@ func TestCacheZeroLimitUnbounded(t *testing.T) {
 		t.Errorf("Evictions = %d, want 0", got)
 	}
 }
+
+func TestCachePeekNeitherComputesNorWaits(t *testing.T) {
+	var c Cache[int]
+	c.SetBacking(func(string) (int, bool) { return 7, true }, nil)
+	if _, ok := c.Peek("a"); ok {
+		t.Fatal("Peek found a key never requested (it must not consult the backing)")
+	}
+	release, started := make(chan struct{}), make(chan struct{})
+	c.Do("b", func() int { return 0 }) // loads from the backing
+	if v, ok := c.Peek("b"); !ok || v != 7 {
+		t.Errorf("Peek(b) = %d, %v after a backing load, want 7, true", v, ok)
+	}
+	c.SetBacking(nil, nil)
+	go c.Do("c", func() int { close(started); <-release; return 3 })
+	<-started
+	if _, ok := c.Peek("c"); ok {
+		t.Error("Peek returned an in-flight entry")
+	}
+	close(release)
+	for {
+		if v, ok := c.Peek("c"); ok {
+			if v != 3 {
+				t.Errorf("Peek = %d, want 3", v)
+			}
+			break
+		}
+		runtime.Gosched()
+	}
+	if h, m := c.Stats(); h != 0 || m != 2 {
+		t.Errorf("stats %d hits / %d misses, want 0 / 2: Peek counts neither", h, m)
+	}
+	if c.Computes() != 1 {
+		t.Errorf("%d computes, want 1", c.Computes())
+	}
+}

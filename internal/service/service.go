@@ -96,7 +96,8 @@ func New(cfg Config) *Service {
 }
 
 // Submit validates, registers, and enqueues a job. The returned job is
-// live: poll Snapshot or Subscribe to its stream.
+// live: poll Snapshot, or follow its events over GET
+// /v1/jobs/{id}/stream.
 func (s *Service) Submit(spec Spec) (*Job, error) {
 	if s.draining.Load() {
 		return nil, ErrDraining
@@ -244,9 +245,12 @@ type Stats struct {
 	Draining     bool `json:"draining"`
 
 	// The service's run cache (Config.Runs), since it was built.
+	// CacheDerived counts the computes served from a sibling policy's
+	// training record instead of simulated (core.Runs.Derived).
 	CacheHits      uint64 `json:"cache_hits"`
 	CacheMisses    uint64 `json:"cache_misses"`
 	CacheComputes  uint64 `json:"cache_computes"`
+	CacheDerived   uint64 `json:"cache_derived"`
 	CacheEntries   int    `json:"cache_entries"`
 	CacheBytes     uint64 `json:"cache_bytes"`
 	CacheEvictions uint64 `json:"cache_evictions"`
@@ -286,6 +290,7 @@ func (s *Service) Stats() Stats {
 		CacheHits:      hits,
 		CacheMisses:    misses,
 		CacheComputes:  runs.Computes(),
+		CacheDerived:   runs.Derived(),
 		CacheEntries:   entries,
 		CacheBytes:     bytes,
 		CacheEvictions: evictions,

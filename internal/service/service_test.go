@@ -238,3 +238,19 @@ func TestPolicyOnlyJob(t *testing.T) {
 		t.Errorf("policy label = %q, want SAT+BAT", res.Policies[0].Policy)
 	}
 }
+
+// TestStatsCountDerivedRuns places SAT+BAT and SAT on sconv, whose SAT
+// run the run cache derives from SAT+BAT's training record: /v1/stats
+// counts it in cache_derived and still in cache_computes.
+func TestStatsCountDerivedRuns(t *testing.T) {
+	s := New(Config{Workers: 1, Runs: core.NewRuns(0, nil)})
+	defer drain(t, s)
+	j, err := s.Submit(Spec{Client: "t", Workload: "sconv", Policies: []string{"sat", "sat+bat"}, Cores: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	if st := s.Stats(); st.CacheDerived != 1 || st.CacheComputes != 2 {
+		t.Errorf("stats: %d derived, %d computes; want 1 and 2", st.CacheDerived, st.CacheComputes)
+	}
+}
