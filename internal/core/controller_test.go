@@ -16,7 +16,8 @@ type synthKernel struct {
 	iters         int
 	computeCycles uint64
 	csCycles      uint64
-	memLines      int // cold lines streamed per iteration (bus demand)
+	memLines      int  // cold lines streamed per iteration (bus demand)
+	reuse         bool // every iteration rereads the same lines instead
 	base          uint64
 	nextLine      int
 
@@ -58,8 +59,15 @@ func (k *synthKernel) RunChunk(master *thread.Ctx, n, lo, hi int) {
 			// sim kernel runs one process at a time.
 			lines := k.memLines * (myHi - myLo) / 64
 			for l := 0; l < lines; l++ {
-				tc.Load(k.base + uint64(k.nextLine)*64)
-				k.nextLine++
+				line := k.nextLine
+				if k.reuse {
+					// Each thread rereads its own share, so only
+					// the first iteration finds the lines cold.
+					line = k.memLines*myLo/64 + l
+				} else {
+					k.nextLine++
+				}
+				tc.Load(k.base + uint64(line)*64)
 			}
 			if k.csCycles > 0 {
 				tc.Critical(&k.lock, func() { tc.Compute(k.csCycles) })

@@ -144,26 +144,43 @@ type synthShape struct {
 	compute  uint64
 	cs       uint64
 	memLines int
+	reuse    bool // the lines are reread each iteration (synthKernel.reuse)
 }
 
 func (sh synthShape) String() string {
-	return fmt.Sprintf("it%d-c%d-cs%d-m%d", sh.iters, sh.compute, sh.cs, sh.memLines)
+	s := fmt.Sprintf("it%d-c%d-cs%d-m%d", sh.iters, sh.compute, sh.cs, sh.memLines)
+	if sh.reuse {
+		s += "-reuse"
+	}
+	return s
 }
 
 func (sh synthShape) factory() Factory {
-	return newSynthFactory(sh.iters, sh.compute, sh.cs, sh.memLines)
+	f := newSynthFactory(sh.iters, sh.compute, sh.cs, sh.memLines)
+	if !sh.reuse {
+		return f
+	}
+	return func(m *machine.Machine) Workload {
+		w := f(m)
+		w.Kernels()[0].(*synthKernel).reuse = true
+		return w
+	}
 }
 
 // synthShapes spans the policy and shape space the pipeline tests
 // sweep.
 var synthShapes = []synthShape{
-	{5, 1000, 0, 0},     // below MinIterations: static fallback
-	{10, 1000, 50, 0},   // tiny kernel, trains at floor
-	{400, 800, 40, 0},   // CS-limited
-	{400, 500, 0, 24},   // bandwidth-limited
-	{1000, 900, 5, 4},   // mixed, mild
-	{2000, 200, 0, 0},   // scalable, fast iterations
-	{64, 12000, 600, 8}, // slow iterations, CS + bus
+	{5, 1000, 0, 0, false},     // below MinIterations: static fallback
+	{10, 1000, 50, 0, false},   // tiny kernel, trains at floor
+	{400, 800, 40, 0, false},   // CS-limited
+	{400, 500, 0, 24, false},   // bandwidth-limited
+	{1000, 900, 5, 4, false},   // mixed, mild
+	{2000, 200, 0, 0, false},   // scalable, fast iterations
+	{64, 12000, 600, 8, false}, // slow iterations, CS + bus
+	// Only the cold first iteration uses the bus, enough on its own to
+	// trip BAT's threshold: judging it with the warm ones would keep
+	// BAT training to the cap.
+	{2000, 2000, 0, 64, true},
 }
 
 // TestPipelineReproducesSeedController sweeps synthetic kernels across

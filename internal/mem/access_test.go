@@ -93,3 +93,42 @@ func TestStrideEqualsItsLoads(t *testing.T) {
 		})
 	}
 }
+
+func TestOwnedStoreHitCountsAsLookup(t *testing.T) {
+	// A store to a line the core owns finishes in the private caches
+	// with one tag scan per cache. It must count as the Lookups it
+	// replaces: a hit in the L2, marked dirty, and a hit in the L1
+	// when the line is there, left clean; a cache that misses counts
+	// nothing.
+	s := MustNewSystem(DefaultConfig(), counters.NewSet())
+	e := sim.NewEngine()
+	pt := s.Port(0)
+	a := s.Alloc(64)
+	line := a >> s.lineShift
+	e.Spawn("core0", func(p *sim.Proc) {
+		pt.Store(p, a) // read for ownership
+		for _, inL1 := range []bool{true, false} {
+			if !inL1 {
+				pt.l1.Invalidate(line)
+			}
+			if pt.l1.Contains(line) != inL1 || !pt.l2.Contains(line) || !pt.ownsExclusive(line) {
+				t.Fatalf("inL1 %v: line not set up as owned", inL1)
+			}
+			l1h, l1m, l2h, l2m := pt.l1.Hits, pt.l1.Misses, pt.l2.Hits, pt.l2.Misses
+			pt.Store(p, a)
+			wantL1 := l1h
+			if inL1 {
+				wantL1++
+			}
+			if pt.l1.Hits != wantL1 || pt.l1.Misses != l1m || pt.l2.Hits != l2h+1 || pt.l2.Misses != l2m {
+				t.Errorf("inL1 %v: L1 %d/%d hits/misses, L2 %d/%d; want L1 %d/%d, L2 %d/%d",
+					inL1, pt.l1.Hits, pt.l1.Misses, pt.l2.Hits, pt.l2.Misses, wantL1, l1m, l2h+1, l2m)
+			}
+			if !pt.l2.Dirty(line) || pt.l1.Dirty(line) {
+				t.Errorf("inL1 %v: L2 dirty %v, L1 dirty %v; want the L2 copy dirty, the L1 copy clean",
+					inL1, pt.l2.Dirty(line), pt.l1.Dirty(line))
+			}
+		}
+	})
+	e.Run()
+}

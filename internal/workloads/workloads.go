@@ -1,10 +1,13 @@
 // Package workloads re-implements the paper's twelve multi-threaded
 // applications (Table 2) against the simulated machine. Each workload
 // performs its real computation in Go (histograms are really counted,
-// keys really sorted, options really priced) while driving the
+// keys really sorted, fields really advanced) while driving the
 // simulator with the memory accesses, critical sections and barriers
 // the paper describes — so tests can verify both the computed results
-// and the timing behaviour.
+// and the timing behaviour. Where every pass computes the same values
+// (bscholes' option prices, sconv's convolved frame), each distinct
+// value is computed once per run, while Exec still charges every pass
+// its work and the pass's loads and stores still run.
 //
 // Inputs are scaled relative to the paper (DESIGN.md Section 5): the
 // phenomena FDT exploits depend on ratios — the fraction of time in
