@@ -185,15 +185,15 @@ func (pt *Port) privateHit(kind accessKind, line uint64) bool {
 // ownedHit is privateHit for a store. It scans each cache's set once;
 // a hit counts as a Lookup hit does, and a miss counts nothing.
 func (pt *Port) ownedHit(line uint64) bool {
-	keys, lo, way := pt.l2.find(line)
+	keys, way := pt.l2.find(line)
 	if way < 0 || !pt.ownsExclusive(line) {
 		return false
 	}
-	pt.l2.touch(lo, way) // refresh LRU, set dirty
-	keys[way] |= dirtyBit
+	keys[way] |= dirtyBit // before touch moves the way
+	touch(keys, way)
 	pt.l2.Hits++
-	if _, lo, way := pt.l1.find(line); way >= 0 {
-		pt.l1.touch(lo, way) // write-through keeps L1 clean
+	if keys, way := pt.l1.find(line); way >= 0 {
+		touch(keys, way) // write-through keeps L1 clean
 		pt.l1.Hits++
 	}
 	return true

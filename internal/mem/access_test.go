@@ -99,20 +99,32 @@ func TestOwnedStoreHitCountsAsLookup(t *testing.T) {
 	// with one tag scan per cache. It must count as the Lookups it
 	// replaces: a hit in the L2, marked dirty, and a hit in the L1
 	// when the line is there, left clean; a cache that misses counts
-	// nothing.
+	// nothing. At each store the owned line is clean and a line of
+	// the same sets was loaded after it, so the store must move the
+	// owned line to the front of its set and dirty it, not the line
+	// that was there.
 	s := MustNewSystem(DefaultConfig(), counters.NewSet())
 	e := sim.NewEngine()
 	pt := s.Port(0)
-	a := s.Alloc(64)
-	line := a >> s.lineShift
+	stride := uint64(pt.l2.Sets()) << s.lineShift
+	a := s.Alloc(int(stride) + 64)
+	other := a + stride
+	line, otherLine := a>>s.lineShift, other>>s.lineShift
 	e.Spawn("core0", func(p *sim.Proc) {
 		pt.Store(p, a) // read for ownership
 		for _, inL1 := range []bool{true, false} {
 			if !inL1 {
 				pt.l1.Invalidate(line)
 			}
+			pt.l2.Clean(line)
+			pt.l1.Invalidate(otherLine) // so the load reaches the L2
+			pt.Load(p, other)
 			if pt.l1.Contains(line) != inL1 || !pt.l2.Contains(line) || !pt.ownsExclusive(line) {
 				t.Fatalf("inL1 %v: line not set up as owned", inL1)
+			}
+			if _, way := pt.l2.find(line); way == 0 || pt.l2.Dirty(line) || pt.l2.Dirty(otherLine) {
+				t.Fatalf("inL1 %v: owned line at L2 way %d, dirty %v, other line dirty %v; want a clean line behind a clean one",
+					inL1, way, pt.l2.Dirty(line), pt.l2.Dirty(otherLine))
 			}
 			l1h, l1m, l2h, l2m := pt.l1.Hits, pt.l1.Misses, pt.l2.Hits, pt.l2.Misses
 			pt.Store(p, a)
@@ -124,9 +136,15 @@ func TestOwnedStoreHitCountsAsLookup(t *testing.T) {
 				t.Errorf("inL1 %v: L1 %d/%d hits/misses, L2 %d/%d; want L1 %d/%d, L2 %d/%d",
 					inL1, pt.l1.Hits, pt.l1.Misses, pt.l2.Hits, pt.l2.Misses, wantL1, l1m, l2h+1, l2m)
 			}
-			if !pt.l2.Dirty(line) || pt.l1.Dirty(line) {
-				t.Errorf("inL1 %v: L2 dirty %v, L1 dirty %v; want the L2 copy dirty, the L1 copy clean",
-					inL1, pt.l2.Dirty(line), pt.l1.Dirty(line))
+			if !pt.l2.Dirty(line) || pt.l1.Dirty(line) || pt.l2.Dirty(otherLine) {
+				t.Errorf("inL1 %v: L2 dirty %v, L1 dirty %v, other line's L2 dirty %v; want only the owned line's L2 copy dirty",
+					inL1, pt.l2.Dirty(line), pt.l1.Dirty(line), pt.l2.Dirty(otherLine))
+			}
+			if _, way := pt.l2.find(line); way != 0 {
+				t.Errorf("inL1 %v: owned line at L2 way %d after the store, want the most recently used way 0", inL1, way)
+			}
+			if _, way := pt.l1.find(line); inL1 && way != 0 {
+				t.Errorf("owned line at L1 way %d after the store, want the most recently used way 0", way)
 			}
 		}
 	})

@@ -10,25 +10,21 @@ import "fmt"
 // L3 bank shards included: a shard indexes its sets with the low bits
 // of the line address (see System.bankOf).
 //
-// The tag array is two parallel slices of sets*ways entries, row-major,
-// 5 bytes per way:
-//
-//   - key holds line address + 1 with the dirty flag in bit 31; 0 is an
-//     invalid way. Line addresses are therefore limited to MaxLines.
-//   - age holds each valid way's recency rank within its set, 0 for
-//     the most recently used; the ranks of a set's n valid ways are a
-//     permutation of 0..n-1. A hit or a refresh ages every younger way
-//     by one, an insert ages every other way by one, and an
-//     invalidation closes the gap above the removed rank, so the valid
-//     way with the highest rank is exactly the least recently used one.
-//     An invalid way's age is never read, since it is written when
-//     the way becomes valid, so the rank updates run over every way of
-//     the set without testing validity.
+// The tag array is one slice of sets*ways keys, row-major, 4 bytes per
+// way. A key holds line address + 1 with the dirty flag in bit 31; 0
+// is an invalid way, so line addresses are limited to MaxLines. Each
+// set keeps its valid ways packed at its front in recency order: way 0
+// is the most recently used, the last valid way the least recently
+// used, and the invalid ways form the tail. A hit moves its key to the
+// front; an insert shifts the valid prefix back by one way, so the last
+// way falls out as the victim only when the set is full; an
+// invalidation shifts the ways behind the removed one forward. Probes
+// stop at the first invalid way. The shifts are element loops, not
+// copy: a set is a few ways, and copy would call memmove for each.
 type Cache struct {
 	sets int
 	ways int
 	key  []uint32
-	age  []uint8
 
 	// Statistics.
 	Hits   uint64
@@ -44,8 +40,8 @@ const (
 	// every line address must be below it (128 GiB at 64-byte lines).
 	MaxLines = keyMask
 
-	// MaxWays is the largest associativity the uint8 recency ranks
-	// can order.
+	// MaxWays is the largest associativity whose recency ranks fit
+	// the checkpoint's uint8 CacheLineState.LRU.
 	MaxWays = 255
 )
 
@@ -66,7 +62,6 @@ func NewCache(capacityBytes, ways, lineBytes int) *Cache {
 		sets: sets,
 		ways: ways,
 		key:  make([]uint32, sets*ways),
-		age:  make([]uint8, sets*ways),
 	}
 }
 
@@ -94,30 +89,28 @@ func lineOutOfRange(lineAddr uint64) {
 
 // find returns lineAddr's set's keys and the way holding the line,
 // or -1.
-func (c *Cache) find(lineAddr uint64) (keys []uint32, lo, way int) {
+func (c *Cache) find(lineAddr uint64) (keys []uint32, way int) {
 	lo, want := c.set(lineAddr)
 	keys = c.key[lo : lo+c.ways]
 	for i, k := range keys {
 		if k&keyMask == want {
-			return keys, lo, i
+			return keys, i
+		}
+		if k == 0 {
+			break
 		}
 	}
-	return keys, lo, -1
+	return keys, -1
 }
 
-// touch makes way i of the set at lo the most recently used.
-func (c *Cache) touch(lo, i int) {
-	ages := c.age[lo : lo+c.ways]
-	r := ages[i]
-	if r == 0 {
-		return
+// touch moves way i of a set's keys to the front, the most recently
+// used position. A caller that sets the way's dirty bit does so first.
+func touch(keys []uint32, i int) {
+	k := keys[i]
+	for ; i > 0; i-- {
+		keys[i] = keys[i-1]
 	}
-	for j, a := range ages {
-		if a < r {
-			ages[j]++
-		}
-	}
-	ages[i] = 0
+	keys[0] = k
 }
 
 // Lookup probes for the line. On a hit it refreshes LRU state, sets
@@ -130,12 +123,15 @@ func (c *Cache) Lookup(lineAddr uint64, markDirty bool) bool {
 	keys := c.key[lo : lo+c.ways]
 	for i, k := range keys {
 		if k&keyMask == want {
-			c.touch(lo, i)
 			if markDirty {
 				keys[i] |= dirtyBit
 			}
+			touch(keys, i)
 			c.Hits++
 			return true
+		}
+		if k == 0 {
+			break
 		}
 	}
 	c.Misses++
@@ -149,6 +145,9 @@ func (c *Cache) Contains(lineAddr uint64) bool {
 		if k&keyMask == want {
 			return true
 		}
+		if k == 0 {
+			break
+		}
 	}
 	return false
 }
@@ -158,40 +157,32 @@ func (c *Cache) Contains(lineAddr uint64) bool {
 func (c *Cache) Insert(lineAddr uint64, dirty bool) (victim uint64, victimDirty, evicted bool) {
 	lo, want := c.set(lineAddr)
 	keys := c.key[lo : lo+c.ways]
-	ages := c.age[lo : lo+len(keys)]
-	// One pass finds an existing copy, the first invalid way and the
-	// oldest valid way.
-	free, oldest := -1, -1
+	// One pass finds an existing copy or the first invalid way; with
+	// neither, the set is full and its last way is the victim.
+	last := len(keys) - 1
 	for i, k := range keys {
-		switch {
-		case k&keyMask == want:
-			// Refresh the existing copy in place.
-			c.touch(lo, i)
+		if k&keyMask == want {
+			// Refresh the existing copy.
 			if dirty {
 				keys[i] |= dirtyBit
 			}
+			touch(keys, i)
 			return 0, false, false
-		case k == 0:
-			if free < 0 {
-				free = i
-			}
-		case oldest < 0 || ages[i] > ages[oldest]:
-			oldest = i
+		}
+		if k == 0 {
+			last = i
+			break
 		}
 	}
-	v := free
-	if v < 0 {
-		v = oldest
-		victim, victimDirty, evicted = uint64(keys[v]&keyMask-1), keys[v]&dirtyBit != 0, true
+	if k := keys[last]; k != 0 {
+		victim, victimDirty, evicted = uint64(k&keyMask-1), k&dirtyBit != 0, true
 		c.Evicts++
 	}
-	for j := range ages {
-		ages[j]++
-	}
-	keys[v], ages[v] = want, 0
 	if dirty {
-		keys[v] |= dirtyBit
+		want |= dirtyBit
 	}
+	keys[last] = want
+	touch(keys, last)
 	return victim, victimDirty, evicted
 }
 
@@ -199,19 +190,15 @@ func (c *Cache) Insert(lineAddr uint64, dirty bool) (victim uint64, victimDirty,
 // present and whether it was dirty (the caller owes a writeback for
 // dirty invalidations).
 func (c *Cache) Invalidate(lineAddr uint64) (present, wasDirty bool) {
-	keys, lo, i := c.find(lineAddr)
+	keys, i := c.find(lineAddr)
 	if i < 0 {
 		return false, false
 	}
 	wasDirty = keys[i]&dirtyBit != 0
-	keys[i] = 0
-	ages := c.age[lo : lo+c.ways]
-	r := ages[i]
-	for j, a := range ages {
-		if a > r {
-			ages[j]--
-		}
+	for ; i+1 < len(keys) && keys[i+1] != 0; i++ {
+		keys[i] = keys[i+1]
 	}
+	keys[i] = 0
 	return true, wasDirty
 }
 
@@ -219,7 +206,7 @@ func (c *Cache) Invalidate(lineAddr uint64) (present, wasDirty bool) {
 // touching LRU order or statistics, and reports whether the line was
 // present (used for posted writebacks from a private L2 into the L3).
 func (c *Cache) MarkDirty(lineAddr uint64) bool {
-	keys, _, i := c.find(lineAddr)
+	keys, i := c.find(lineAddr)
 	if i < 0 {
 		return false
 	}
@@ -230,7 +217,7 @@ func (c *Cache) MarkDirty(lineAddr uint64) bool {
 // Clean clears the dirty bit of the line if present (used when the
 // directory forces a writeback from a remote owner).
 func (c *Cache) Clean(lineAddr uint64) {
-	if keys, _, i := c.find(lineAddr); i >= 0 {
+	if keys, i := c.find(lineAddr); i >= 0 {
 		keys[i] &^= dirtyBit
 	}
 }
@@ -238,7 +225,7 @@ func (c *Cache) Clean(lineAddr uint64) {
 // Dirty reports whether the line is present with its dirty bit set,
 // without touching LRU order or statistics.
 func (c *Cache) Dirty(lineAddr uint64) bool {
-	keys, _, i := c.find(lineAddr)
+	keys, i := c.find(lineAddr)
 	return i >= 0 && keys[i]&dirtyBit != 0
 }
 

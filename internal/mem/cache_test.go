@@ -403,7 +403,9 @@ func (c *refCache) Dirty(l uint64) bool {
 }
 
 // state renders the oracle in the Cache's checkpoint form: a valid
-// way's rank is the number of valid ways in its set used more recently.
+// way's rank is the number of valid ways in its set used more
+// recently, and the way of rank r sits at position r of its set, with
+// the invalid ways last.
 func (c *refCache) state() CacheState {
 	st := CacheState{Hits: c.hits, Misses: c.misses, Evicts: c.evicts, Lines: make([]CacheLineState, len(c.arr))}
 	for i, l := range c.arr {
@@ -417,7 +419,7 @@ func (c *refCache) state() CacheState {
 				rank++
 			}
 		}
-		st.Lines[i] = CacheLineState{Tag: l.tag, Valid: true, Dirty: l.dirty, LRU: uint8(rank)}
+		st.Lines[s+rank] = CacheLineState{Tag: l.tag, Valid: true, Dirty: l.dirty, LRU: uint8(rank)}
 	}
 	return st
 }
@@ -491,21 +493,41 @@ func diffCache(sets, ways int, seed int64, ops int) error {
 }
 
 func TestCacheStateRoundTrip(t *testing.T) {
-	c := NewCache(2*4*64, 4, 64) // 2 sets, 4 ways
-	// Set 0: full, ranks 0..3, two dirty lines.
-	for _, l := range []uint64{0, 2, 4, 6} {
-		c.Insert(l, l%4 == 0)
+	build := func() *Cache {
+		c := NewCache(2*4*64, 4, 64) // 2 sets, 4 ways
+		// Set 0: full, ranks 0..3, two dirty lines.
+		for _, l := range []uint64{0, 2, 4, 6} {
+			c.Insert(l, l%4 == 0)
+		}
+		c.Lookup(2, true)
+		// Set 1: two valid ways, one invalidated between them, one
+		// never used.
+		c.Insert(1, false)
+		c.Insert(3, true)
+		c.Insert(5, false)
+		c.Invalidate(3)
+		c.Lookup(9, false)
+		return c
 	}
-	c.Lookup(2, true)
-	// Set 1: two valid ways around an invalidated one, one way never used.
-	c.Insert(1, false)
-	c.Insert(3, true)
-	c.Insert(5, false)
-	c.Invalidate(3)
-	c.Lookup(9, false)
 
-	st := c.State()
+	st := build().State()
 	want := CacheState{Hits: 1, Misses: 1, Lines: []CacheLineState{
+		{Tag: 2, Valid: true, Dirty: true, LRU: 0},
+		{Tag: 6, Valid: true, Dirty: false, LRU: 1},
+		{Tag: 4, Valid: true, Dirty: true, LRU: 2},
+		{Tag: 0, Valid: true, Dirty: true, LRU: 3},
+		{Tag: 5, Valid: true, Dirty: false, LRU: 0},
+		{Tag: 1, Valid: true, Dirty: false, LRU: 1},
+		{},
+		{},
+	}}
+	if !reflect.DeepEqual(st, want) {
+		t.Fatalf("State = %+v\nwant    %+v", st, want)
+	}
+	// The same lines and ranks at arbitrary way positions: where a
+	// tag array that stores a rank beside each way, and never moves a
+	// line between ways, leaves them.
+	scattered := CacheState{Hits: 1, Misses: 1, Lines: []CacheLineState{
 		{Tag: 0, Valid: true, Dirty: true, LRU: 3},
 		{Tag: 2, Valid: true, Dirty: true, LRU: 0},
 		{Tag: 4, Valid: true, Dirty: true, LRU: 2},
@@ -515,23 +537,25 @@ func TestCacheStateRoundTrip(t *testing.T) {
 		{Tag: 5, Valid: true, Dirty: false, LRU: 0},
 		{},
 	}}
-	if !reflect.DeepEqual(st, want) {
-		t.Fatalf("State = %+v\nwant    %+v", st, want)
-	}
 
-	r := NewCache(2*4*64, 4, 64)
-	r.Insert(7, true) // overwritten by Restore
-	r.Restore(st)
-	if got := r.State(); !reflect.DeepEqual(got, st) {
-		t.Fatalf("round trip: %+v\nwant %+v", got, st)
-	}
-	// The restored cache evicts exactly what the original does.
-	for _, l := range []uint64{8, 10, 11, 13, 15} {
-		v1, d1, e1 := c.Insert(l, false)
-		v2, d2, e2 := r.Insert(l, false)
-		if v1 != v2 || d1 != d2 || e1 != e2 {
-			t.Errorf("insert %d: original (%d,%v,%v), restored (%d,%v,%v)", l, v1, d1, e1, v2, d2, e2)
-		}
+	for name, from := range map[string]CacheState{"packed": st, "scattered": scattered} {
+		t.Run(name, func(t *testing.T) {
+			orig := build()
+			r := NewCache(2*4*64, 4, 64)
+			r.Insert(7, true) // overwritten by Restore
+			r.Restore(from)
+			if got := r.State(); !reflect.DeepEqual(got, st) {
+				t.Fatalf("round trip: %+v\nwant %+v", got, st)
+			}
+			// The restored cache evicts exactly what the original does.
+			for _, l := range []uint64{8, 10, 11, 13, 15} {
+				v1, d1, e1 := orig.Insert(l, false)
+				v2, d2, e2 := r.Insert(l, false)
+				if v1 != v2 || d1 != d2 || e1 != e2 {
+					t.Errorf("insert %d: original (%d,%v,%v), restored (%d,%v,%v)", l, v1, d1, e1, v2, d2, e2)
+				}
+			}
+		})
 	}
 }
 
@@ -540,7 +564,11 @@ func TestCacheRestoreRejectsMismatch(t *testing.T) {
 	for name, mutate := range map[string]func(*CacheState){
 		"geometry": func(s *CacheState) { s.Lines = s.Lines[:2] },
 		"rank":     func(s *CacheState) { s.Lines[0] = CacheLineState{Tag: 2, Valid: true, LRU: 2} },
-		"tag":      func(s *CacheState) { s.Lines[0] = CacheLineState{Tag: MaxLines, Valid: true} },
+		"duplicate": func(s *CacheState) {
+			s.Lines[0] = CacheLineState{Tag: 2, Valid: true}
+			s.Lines[1] = CacheLineState{Tag: 4, Valid: true}
+		},
+		"tag": func(s *CacheState) { s.Lines[0] = CacheLineState{Tag: MaxLines, Valid: true} },
 	} {
 		t.Run(name, func(t *testing.T) {
 			bad := st

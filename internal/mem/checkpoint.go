@@ -19,7 +19,9 @@ import (
 
 // CacheLineState is one tag-array entry. LRU is the way's recency
 // rank within its set (0 = most recently used); an invalid way has
-// every field zero.
+// every field zero. A Cache reports each valid way's rank as its
+// position in the set, and restores a state whose ranks sit at any
+// positions.
 type CacheLineState struct {
 	Tag   uint64
 	Valid bool
@@ -44,30 +46,40 @@ func (c *Cache) State() CacheState {
 	}
 	for i, k := range c.key {
 		if k != 0 {
-			st.Lines[i] = CacheLineState{Tag: uint64(k&keyMask - 1), Valid: true, Dirty: k&dirtyBit != 0, LRU: c.age[i]}
+			st.Lines[i] = CacheLineState{Tag: uint64(k&keyMask - 1), Valid: true, Dirty: k&dirtyBit != 0, LRU: uint8(i % c.ways)}
 		}
 	}
 	return st
 }
 
 // Restore overwrites the cache's state from a checkpoint taken on a
-// cache of identical geometry.
+// cache of identical geometry. It places each valid way at its rank;
+// the ranks of a set's n valid ways must be 0..n-1, each once.
 func (c *Cache) Restore(st CacheState) {
 	if len(st.Lines) != len(c.key) {
 		panic(fmt.Sprintf("mem: restoring %d cache lines into a %d-line cache", len(st.Lines), len(c.key)))
 	}
 	c.Hits, c.Misses, c.Evicts = st.Hits, st.Misses, st.Evicts
-	for i, l := range st.Lines {
-		c.key[i] = 0
-		if !l.Valid {
-			continue
+	clear(c.key)
+	for lo := 0; lo < len(c.key); lo += c.ways {
+		lines, keys := st.Lines[lo:lo+c.ways], c.key[lo:lo+c.ways]
+		n := 0
+		for _, l := range lines {
+			if l.Valid {
+				n++
+			}
 		}
-		if l.Tag >= MaxLines || int(l.LRU) >= c.ways {
-			panic(fmt.Sprintf("mem: restoring line %#x with rank %d into a %d-way cache", l.Tag, l.LRU, c.ways))
-		}
-		c.key[i], c.age[i] = uint32(l.Tag)+1, l.LRU
-		if l.Dirty {
-			c.key[i] |= dirtyBit
+		for _, l := range lines {
+			if !l.Valid {
+				continue
+			}
+			if l.Tag >= MaxLines || int(l.LRU) >= n || keys[l.LRU] != 0 {
+				panic(fmt.Sprintf("mem: restoring line %#x with rank %d into a set of %d valid ways, or a rank given twice", l.Tag, l.LRU, n))
+			}
+			keys[l.LRU] = uint32(l.Tag) + 1
+			if l.Dirty {
+				keys[l.LRU] |= dirtyBit
+			}
 		}
 	}
 }

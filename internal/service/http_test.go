@@ -252,11 +252,13 @@ func TestSSEStreamTerminatesCleanly(t *testing.T) {
 
 // Per-client fairness end to end: with one worker, a flood from
 // client A must not delay client B's single job behind the whole
-// flood. We assert on completion order: B finishes before A's last
-// job.
+// flood. The worker is held at its first job until all seven jobs are
+// queued; B's job must then start before A's last job.
 func TestHTTPFairnessAcrossClients(t *testing.T) {
+	hold := holdDispatch(t)
 	s := New(Config{Workers: 1, Runs: core.NewRuns(0, nil)})
 	defer drain(t, s)
+	defer hold.release()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -271,15 +273,19 @@ func TestHTTPFairnessAcrossClients(t *testing.T) {
 	if single.ID == "" {
 		t.Fatal("single submit failed")
 	}
+	hold.release()
 
-	singleDone := pollDone(t, ts, single.ID)
-	lastFlood := pollDone(t, ts, flood[len(flood)-1].ID)
-	if singleDone.Finished == nil || lastFlood.Finished == nil {
-		t.Fatal("missing finish timestamps")
+	pollDone(t, ts, single.ID)
+	lastFlood := flood[len(flood)-1].ID
+	pollDone(t, ts, lastFlood)
+	order := hold.order()
+	pos := map[string]int{}
+	for i, id := range order {
+		pos[id] = i
 	}
-	if singleDone.Finished.After(*lastFlood.Finished) {
-		t.Errorf("fairness violated: single client's job finished %v, after the flood's last job %v",
-			singleDone.Finished, lastFlood.Finished)
+	if len(order) != 7 || pos[single.ID] > pos[lastFlood] {
+		t.Errorf("fairness violated: jobs started in order %v; want the single client's %s before the flood's last %s",
+			order, single.ID, lastFlood)
 	}
 }
 

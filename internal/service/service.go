@@ -75,10 +75,15 @@ type Service struct {
 	failed atomic.Uint64
 }
 
+// testHookDispatch, when set, is called by the dispatchers of the
+// services New builds with each job they take, before running it.
+var testHookDispatch func(*Job)
+
 // New starts a service with cfg.Workers dispatcher goroutines.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{cfg: cfg, q: newQueue(cfg.QueueCap), jobs: map[string]*Job{}, retain: retainFinished}
+	hook := testHookDispatch
 	for w := 0; w < cfg.Workers; w++ {
 		s.wg.Add(1)
 		go func() {
@@ -87,6 +92,9 @@ func New(cfg Config) *Service {
 				j, ok := s.q.pop()
 				if !ok {
 					return
+				}
+				if hook != nil {
+					hook(j)
 				}
 				s.runJob(j)
 			}
