@@ -37,30 +37,14 @@ func (c *Counter) Sample() Sample { return Sample(c.v) }
 // taken.
 func (c *Counter) DeltaSince(s Sample) uint64 { return c.v - uint64(s) }
 
-// Checkpoint captures every counter's current value by name — the
-// counter file's contribution to a machine state summary.
-func (s *Set) Checkpoint() map[string]uint64 {
-	cp := make(map[string]uint64, len(s.byName))
+// Values reports every counter's current value by name, as a copy
+// the caller may keep while the counters move on.
+func (s *Set) Values() map[string]uint64 {
+	vals := make(map[string]uint64, len(s.byName))
 	for n, c := range s.byName {
-		cp[n] = c.v
+		vals[n] = c.v
 	}
-	return cp
-}
-
-// Restore sets the named counters to the checkpointed values,
-// creating absent ones. Counters in the set but not in the checkpoint
-// are cleared, so the set's state after Restore equals the state at
-// Checkpoint. Existing Counter pointers stay valid: restoration
-// mutates counters in place.
-func (s *Set) Restore(cp map[string]uint64) {
-	for n, c := range s.byName {
-		if _, ok := cp[n]; !ok {
-			c.v = 0
-		}
-	}
-	for n, v := range cp {
-		s.Counter(n).v = v
-	}
+	return vals
 }
 
 // Set is a named collection of counters, the moral equivalent of a

@@ -133,59 +133,3 @@ func TestTeamContextActiveAccumulates(t *testing.T) {
 		t.Errorf("ContextActiveCycles = %d, want 200", got)
 	}
 }
-
-func TestCheckpointRestoresTeams(t *testing.T) {
-	cfg := DefaultConfig().WithCores(8)
-	m := MustNew(cfg)
-	teams, err := m.SplitTeams(MapPacked, []string{"t0:a", "t1:b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	teams[0].ChargeCS(42)
-	m.OccupyContext(teams[1].Ctx(0), 10)
-	m.ReleaseContext(teams[1].Ctx(0), 60)
-
-	cp := m.Checkpoint()
-	if len(cp.Teams) != 2 {
-		t.Fatalf("%d team checkpoints, want 2", len(cp.Teams))
-	}
-
-	// Restore into a fresh machine of the same config.
-	m2 := MustNew(cfg)
-	m2.RestoreCheckpoint(cp)
-	got := m2.Teams()
-	if len(got) != 2 {
-		t.Fatalf("restored %d teams, want 2", len(got))
-	}
-	if got[0].Name != "t0:a" || got[1].Name != "t1:b" {
-		t.Errorf("restored names %q, %q", got[0].Name, got[1].Name)
-	}
-	wantEq(t, "restored team 0 ctxs", got[0].Contexts(), teams[0].Contexts())
-	if cs := got[0].Ctrs.Counter(CtrTeamCSCycles).Read(); cs != 42 {
-		t.Errorf("restored team 0 cs cycles = %d, want 42", cs)
-	}
-	if a := got[1].ContextActiveCycles(); a != 50 {
-		t.Errorf("restored team 1 ctxActive = %d, want 50", a)
-	}
-	if m2.TeamOf(got[1].Ctx(0)) != got[1] {
-		t.Error("restored context ownership wrong")
-	}
-}
-
-// TestCheckpointRestoreClearsStaleTeams restores a teamless checkpoint
-// over a partitioned machine: the partition must disappear.
-func TestCheckpointRestoreClearsStaleTeams(t *testing.T) {
-	cfg := DefaultConfig().WithCores(8)
-	clean := MustNew(cfg).Checkpoint()
-	m := MustNew(cfg)
-	if _, err := m.SplitTeams(MapPacked, []string{"a", "b"}); err != nil {
-		t.Fatal(err)
-	}
-	m.RestoreCheckpoint(clean)
-	if len(m.Teams()) != 0 {
-		t.Errorf("%d teams after restoring a teamless checkpoint", len(m.Teams()))
-	}
-	if m.TeamOf(0) != nil {
-		t.Error("context 0 still owned after restore")
-	}
-}

@@ -44,7 +44,7 @@ func TestRangeEqualsItsLines(t *testing.T) {
 					})
 				}
 				e.Run()
-				return fmt.Sprintf("clock %d, %d events, counters %v", e.Now(), e.Events(), ctrs.Checkpoint())
+				return fmt.Sprintf("clock %d, %d events, counters %v", e.Now(), e.Events(), ctrs.Values())
 			}
 			if lines, ranges := run(false), run(true); ranges != lines {
 				t.Errorf("as ranges: %s\nline by line: %s", ranges, lines)
@@ -85,7 +85,7 @@ func TestStrideEqualsItsLoads(t *testing.T) {
 					})
 				}
 				e.Run()
-				return fmt.Sprintf("clock %d, %d events, counters %v", e.Now(), e.Events(), ctrs.Checkpoint())
+				return fmt.Sprintf("clock %d, %d events, counters %v", e.Now(), e.Events(), ctrs.Values())
 			}
 			if loads, strided := run(false), run(true); strided != loads {
 				t.Errorf("strided: %s\none by one: %s", strided, loads)

@@ -39,19 +39,15 @@ const (
 	// MaxLines bounds the simulated line addresses a Cache can tag:
 	// every line address must be below it (128 GiB at 64-byte lines).
 	MaxLines = keyMask
-
-	// MaxWays is the largest associativity whose recency ranks fit
-	// the checkpoint's uint8 CacheLineState.LRU.
-	MaxWays = 255
 )
 
 // NewCache builds a cache of the given capacity in bytes with the
 // given associativity and line size. Capacity must be an exact
 // multiple of ways*lineBytes and the resulting set count a power of
-// two; ways may not exceed MaxWays.
+// two.
 func NewCache(capacityBytes, ways, lineBytes int) *Cache {
-	if ways <= 0 || ways > MaxWays {
-		panic(fmt.Sprintf("mem: cache associativity %d outside 1..%d", ways, MaxWays))
+	if ways <= 0 {
+		panic(fmt.Sprintf("mem: cache associativity %d is not positive", ways))
 	}
 	lines := capacityBytes / lineBytes
 	sets := lines / ways

@@ -233,13 +233,12 @@ func TestCacheResetStats(t *testing.T) {
 }
 
 func TestCacheAssociativityBound(t *testing.T) {
-	NewCache(MaxWays*64, MaxWays, 64) // one set of MaxWays ways
 	defer func() {
 		if recover() == nil {
-			t.Error("expected panic for more than MaxWays ways")
+			t.Error("expected panic for zero ways")
 		}
 	}()
-	NewCache(256*64, 256, 64)
+	NewCache(64, 0, 64)
 }
 
 func TestCacheLineAddressBound(t *testing.T) {
@@ -266,16 +265,16 @@ func TestCacheLineAddressBound(t *testing.T) {
 // invalidation and an eviction, checking every way's recency rank.
 func TestCacheRankOrder(t *testing.T) {
 	c := NewCache(4*64, 4, 64) // 1 set, 4 ways
-	ranks := func() map[uint64]uint8 {
-		m := map[uint64]uint8{}
-		for _, l := range c.State().Lines {
+	ranks := func() map[uint64]int {
+		m := map[uint64]int{}
+		for _, l := range stateOf(c).Lines {
 			if l.Valid {
 				m[l.Tag] = l.LRU
 			}
 		}
 		return m
 	}
-	check := func(step string, want map[uint64]uint8) {
+	check := func(step string, want map[uint64]int) {
 		t.Helper()
 		if got := ranks(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: ranks %v, want %v", step, got, want)
@@ -284,19 +283,19 @@ func TestCacheRankOrder(t *testing.T) {
 	for _, l := range []uint64{1, 2, 3, 4} {
 		c.Insert(l, false)
 	}
-	check("fill", map[uint64]uint8{4: 0, 3: 1, 2: 2, 1: 3})
+	check("fill", map[uint64]int{4: 0, 3: 1, 2: 2, 1: 3})
 	c.Lookup(2, false)
-	check("hit", map[uint64]uint8{2: 0, 4: 1, 3: 2, 1: 3})
+	check("hit", map[uint64]int{2: 0, 4: 1, 3: 2, 1: 3})
 	c.Insert(1, false)
-	check("refresh", map[uint64]uint8{1: 0, 2: 1, 4: 2, 3: 3})
+	check("refresh", map[uint64]int{1: 0, 2: 1, 4: 2, 3: 3})
 	c.Invalidate(2)
-	check("invalidate", map[uint64]uint8{1: 0, 4: 1, 3: 2})
+	check("invalidate", map[uint64]int{1: 0, 4: 1, 3: 2})
 	c.Insert(5, false)
-	check("refill", map[uint64]uint8{5: 0, 1: 1, 4: 2, 3: 3})
+	check("refill", map[uint64]int{5: 0, 1: 1, 4: 2, 3: 3})
 	if victim, _, _ := c.Insert(6, false); victim != 3 {
 		t.Errorf("victim %d, want 3", victim)
 	}
-	check("evict", map[uint64]uint8{6: 0, 5: 1, 1: 2, 4: 3})
+	check("evict", map[uint64]int{6: 0, 5: 1, 1: 2, 4: 3})
 }
 
 // refCache is the cache's previous tag array, kept as a test oracle:
@@ -402,12 +401,43 @@ func (c *refCache) Dirty(l uint64) bool {
 	return w != nil && w.dirty
 }
 
-// state renders the oracle in the Cache's checkpoint form: a valid
+// wayState is one way of a tag array as the tests read it. LRU is the
+// way's recency rank within its set (0 = most recently used); an
+// invalid way has every field zero.
+type wayState struct {
+	Tag   uint64
+	Valid bool
+	Dirty bool
+	LRU   int
+}
+
+// cacheState is a tag array plus its statistics, as the tests read
+// them.
+type cacheState struct {
+	Hits   uint64
+	Misses uint64
+	Evicts uint64
+	Lines  []wayState
+}
+
+// stateOf reads c's tag array. A set keeps its valid ways at its front
+// in recency order, so a valid way's rank is its position in the set.
+func stateOf(c *Cache) cacheState {
+	st := cacheState{Hits: c.Hits, Misses: c.Misses, Evicts: c.Evicts, Lines: make([]wayState, len(c.key))}
+	for i, k := range c.key {
+		if k != 0 {
+			st.Lines[i] = wayState{Tag: uint64(k&keyMask - 1), Valid: true, Dirty: k&dirtyBit != 0, LRU: i % c.ways}
+		}
+	}
+	return st
+}
+
+// state renders the oracle the way stateOf reads a Cache: a valid
 // way's rank is the number of valid ways in its set used more
 // recently, and the way of rank r sits at position r of its set, with
 // the invalid ways last.
-func (c *refCache) state() CacheState {
-	st := CacheState{Hits: c.hits, Misses: c.misses, Evicts: c.evicts, Lines: make([]CacheLineState, len(c.arr))}
+func (c *refCache) state() cacheState {
+	st := cacheState{Hits: c.hits, Misses: c.misses, Evicts: c.evicts, Lines: make([]wayState, len(c.arr))}
 	for i, l := range c.arr {
 		if !l.valid {
 			continue
@@ -419,15 +449,14 @@ func (c *refCache) state() CacheState {
 				rank++
 			}
 		}
-		st.Lines[s+rank] = CacheLineState{Tag: l.tag, Valid: true, Dirty: l.dirty, LRU: uint8(rank)}
+		st.Lines[s+rank] = wayState{Tag: l.tag, Valid: true, Dirty: l.dirty, LRU: rank}
 	}
 	return st
 }
 
 // TestCacheMatchesTickLRU drives the cache and the tick-LRU oracle
 // through the same random mixed operations and requires every return
-// value, and periodically the whole state, to agree. Midway each run
-// also swaps in a cache restored from a checkpoint.
+// value, and periodically the whole state, to agree.
 func TestCacheMatchesTickLRU(t *testing.T) {
 	geometries := []struct{ sets, ways int }{
 		{1, 1}, {1, 2}, {4, 2}, {4, 4}, {8, 8}, {2, 16},
@@ -479,39 +508,32 @@ func diffCache(sets, ways int, seed int64, ops int) error {
 			return fmt.Errorf("op %d on line %#x: got %v, oracle %v", op, l, got, want)
 		}
 		if op%97 == 0 || op == ops-1 {
-			if st, rst := c.State(), ref.state(); !reflect.DeepEqual(st, rst) {
+			if st, rst := stateOf(c), ref.state(); !reflect.DeepEqual(st, rst) {
 				return fmt.Errorf("op %d: state diverged from the oracle", op)
 			}
-		}
-		if op == ops/2 {
-			restored := NewCache(sets*ways*64, ways, 64)
-			restored.Restore(c.State())
-			c = restored
 		}
 	}
 	return nil
 }
 
+// TestCacheStateRoundTrip pins the packed layout: each set's valid
+// ways at its front, most recently used first, invalid ways last.
 func TestCacheStateRoundTrip(t *testing.T) {
-	build := func() *Cache {
-		c := NewCache(2*4*64, 4, 64) // 2 sets, 4 ways
-		// Set 0: full, ranks 0..3, two dirty lines.
-		for _, l := range []uint64{0, 2, 4, 6} {
-			c.Insert(l, l%4 == 0)
-		}
-		c.Lookup(2, true)
-		// Set 1: two valid ways, one invalidated between them, one
-		// never used.
-		c.Insert(1, false)
-		c.Insert(3, true)
-		c.Insert(5, false)
-		c.Invalidate(3)
-		c.Lookup(9, false)
-		return c
+	c := NewCache(2*4*64, 4, 64) // 2 sets, 4 ways
+	// Set 0: full, ranks 0..3, two dirty lines.
+	for _, l := range []uint64{0, 2, 4, 6} {
+		c.Insert(l, l%4 == 0)
 	}
+	c.Lookup(2, true)
+	// Set 1: two valid ways, one invalidated between them, one never
+	// used.
+	c.Insert(1, false)
+	c.Insert(3, true)
+	c.Insert(5, false)
+	c.Invalidate(3)
+	c.Lookup(9, false)
 
-	st := build().State()
-	want := CacheState{Hits: 1, Misses: 1, Lines: []CacheLineState{
+	want := cacheState{Hits: 1, Misses: 1, Lines: []wayState{
 		{Tag: 2, Valid: true, Dirty: true, LRU: 0},
 		{Tag: 6, Valid: true, Dirty: false, LRU: 1},
 		{Tag: 4, Valid: true, Dirty: true, LRU: 2},
@@ -521,66 +543,8 @@ func TestCacheStateRoundTrip(t *testing.T) {
 		{},
 		{},
 	}}
-	if !reflect.DeepEqual(st, want) {
-		t.Fatalf("State = %+v\nwant    %+v", st, want)
-	}
-	// The same lines and ranks at arbitrary way positions: where a
-	// tag array that stores a rank beside each way, and never moves a
-	// line between ways, leaves them.
-	scattered := CacheState{Hits: 1, Misses: 1, Lines: []CacheLineState{
-		{Tag: 0, Valid: true, Dirty: true, LRU: 3},
-		{Tag: 2, Valid: true, Dirty: true, LRU: 0},
-		{Tag: 4, Valid: true, Dirty: true, LRU: 2},
-		{Tag: 6, Valid: true, Dirty: false, LRU: 1},
-		{Tag: 1, Valid: true, Dirty: false, LRU: 1},
-		{},
-		{Tag: 5, Valid: true, Dirty: false, LRU: 0},
-		{},
-	}}
-
-	for name, from := range map[string]CacheState{"packed": st, "scattered": scattered} {
-		t.Run(name, func(t *testing.T) {
-			orig := build()
-			r := NewCache(2*4*64, 4, 64)
-			r.Insert(7, true) // overwritten by Restore
-			r.Restore(from)
-			if got := r.State(); !reflect.DeepEqual(got, st) {
-				t.Fatalf("round trip: %+v\nwant %+v", got, st)
-			}
-			// The restored cache evicts exactly what the original does.
-			for _, l := range []uint64{8, 10, 11, 13, 15} {
-				v1, d1, e1 := orig.Insert(l, false)
-				v2, d2, e2 := r.Insert(l, false)
-				if v1 != v2 || d1 != d2 || e1 != e2 {
-					t.Errorf("insert %d: original (%d,%v,%v), restored (%d,%v,%v)", l, v1, d1, e1, v2, d2, e2)
-				}
-			}
-		})
-	}
-}
-
-func TestCacheRestoreRejectsMismatch(t *testing.T) {
-	st := NewCache(4*64, 2, 64).State()
-	for name, mutate := range map[string]func(*CacheState){
-		"geometry": func(s *CacheState) { s.Lines = s.Lines[:2] },
-		"rank":     func(s *CacheState) { s.Lines[0] = CacheLineState{Tag: 2, Valid: true, LRU: 2} },
-		"duplicate": func(s *CacheState) {
-			s.Lines[0] = CacheLineState{Tag: 2, Valid: true}
-			s.Lines[1] = CacheLineState{Tag: 4, Valid: true}
-		},
-		"tag": func(s *CacheState) { s.Lines[0] = CacheLineState{Tag: MaxLines, Valid: true} },
-	} {
-		t.Run(name, func(t *testing.T) {
-			bad := st
-			bad.Lines = append([]CacheLineState(nil), st.Lines...)
-			mutate(&bad)
-			defer func() {
-				if recover() == nil {
-					t.Error("Restore accepted a mismatched state")
-				}
-			}()
-			NewCache(4*64, 2, 64).Restore(bad)
-		})
+	if st := stateOf(c); !reflect.DeepEqual(st, want) {
+		t.Fatalf("state = %+v\nwant    %+v", st, want)
 	}
 }
 

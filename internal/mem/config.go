@@ -133,8 +133,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("mem: L3 geometry %dB/%d-way/%d-bank invalid", c.L3Bytes, c.L3Ways, c.L3Banks)
 	case c.L3Banks <= 0 || c.L3Banks&(c.L3Banks-1) != 0:
 		return fmt.Errorf("mem: L3Banks = %d, want power of two", c.L3Banks)
-	case c.L1Ways > MaxWays || c.L2Ways > MaxWays || c.L3Ways > MaxWays:
-		return fmt.Errorf("mem: cache associativity %d/%d/%d exceeds %d ways", c.L1Ways, c.L2Ways, c.L3Ways, MaxWays)
 	case c.DRAMBanks <= 0:
 		return fmt.Errorf("mem: DRAMBanks = %d, want > 0", c.DRAMBanks)
 	case c.DRAMRowBytes < c.LineBytes:

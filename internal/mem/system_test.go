@@ -39,9 +39,6 @@ func TestConfigValidate(t *testing.T) {
 		"L2 0 ways":           func(c *Config) { c.L2Ways = 0 },
 		"L3 below banks":      func(c *Config) { c.L3Bytes = 2 << 10 },
 		"L3 0 ways":           func(c *Config) { c.L3Ways = 0 },
-		"L1 256 ways":         func(c *Config) { c.L1Bytes, c.L1Ways = 256*64, 256 },
-		"L2 256 ways":         func(c *Config) { c.L2Bytes, c.L2Ways = 256*64, 256 },
-		"L3 256 ways":         func(c *Config) { c.L3Bytes, c.L3Ways = 8*256*64, 256 },
 		"3 L3 banks":          func(c *Config) { c.L3Banks = 3 },
 		"0 L3 banks":          func(c *Config) { c.L3Banks = 0 },
 		"0 DRAM banks":        func(c *Config) { c.DRAMBanks = 0 },
@@ -56,12 +53,6 @@ func TestConfigValidate(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-	}
-	// The associativity bound is inclusive.
-	ok := DefaultConfig()
-	ok.L3Bytes, ok.L3Ways = 8*MaxWays*64, MaxWays
-	if err := ok.Validate(); err != nil {
-		t.Errorf("%d-way L3 rejected: %v", MaxWays, err)
 	}
 }
 

@@ -194,35 +194,6 @@ func (m *Meter) FaultTableSkew(f float64) { m.faultTableSkew = f }
 // state's wall interval, losing residency.
 func (m *Meter) FaultDropTransition() { m.faultDropTransition = true }
 
-// Snapshot captures the tracked meter's residency state for a machine
-// checkpoint; nil on flat meters (whose whole state is PerCore).
-func (m *Meter) Snapshot() *Snapshot {
-	if m.table == nil {
-		return nil
-	}
-	return &Snapshot{
-		ActiveByState: copy2d(m.activeByState),
-		WallByState:   copy2d(m.wallByState),
-		State:         append([]int(nil), m.state...),
-		StateSince:    append([]uint64(nil), m.stateSince...),
-	}
-}
-
-// RestoreSnapshot overwrites the tracked residency state from a
-// checkpoint taken on a meter with an identical table.
-func (m *Meter) RestoreSnapshot(s *Snapshot) {
-	if s == nil || m.table == nil {
-		return
-	}
-	if len(s.State) != m.cores {
-		panic(fmt.Sprintf("power: restoring %d-core snapshot into a %d-core meter", len(s.State), m.cores))
-	}
-	m.activeByState = copy2d(s.ActiveByState)
-	m.wallByState = copy2d(s.WallByState)
-	m.state = append([]int(nil), s.State...)
-	m.stateSince = append([]uint64(nil), s.StateSince...)
-}
-
 // Cores reports the number of cores metered.
 func (m *Meter) Cores() int { return m.cores }
 
@@ -255,15 +226,6 @@ func (m *Meter) AddActiveCycles(core int, cycles uint64) {
 	if m.activeByState != nil {
 		m.activeByState[core][m.state[core]] += cycles
 	}
-}
-
-// Restore overwrites the per-core integrals from a checkpoint. The
-// slice must have exactly one entry per core.
-func (m *Meter) Restore(perCore []uint64) {
-	if len(perCore) != m.cores {
-		panic(fmt.Sprintf("power: restoring %d cores into a %d-core meter", len(perCore), m.cores))
-	}
-	copy(m.perCore, perCore)
 }
 
 // ActiveCoreCycles reports the total core-cycles of activity.

@@ -82,15 +82,6 @@ type Energy struct {
 	States []StateEnergy `json:"states"`
 }
 
-// Snapshot is a tracked meter's checkpointable state-residency view
-// (the legacy per-core integrals travel separately, see Meter.PerCore).
-type Snapshot struct {
-	ActiveByState [][]uint64
-	WallByState   [][]uint64
-	State         []int
-	StateSince    []uint64
-}
-
 // ChipPower evaluates the table's chip power with active of cores
 // cores occupied in state s and the rest idle in the same state — the
 // quantity a power budget constrains.

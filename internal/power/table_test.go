@@ -194,24 +194,6 @@ func TestMeterTableEdges(t *testing.T) {
 		}
 	})
 
-	t.Run("snapshot restore resumes residency", func(t *testing.T) {
-		m, err := NewMeterTable(1, Table{Rows: two})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.AddActive(0, 0, 20)
-		m.SetState(0, 1, 20)
-		snap := m.Snapshot()
-		m.AddActive(0, 20, 80) // diverging tail, to be discarded
-		m.RestoreSnapshot(snap)
-		m.AddActive(0, 20, 40)
-		e := m.Energy(40)
-		want := 20*1.0 + 20*0.216
-		if math.Abs(e.Total-want) > 1e-12 {
-			t.Fatalf("restored Energy = %.6f, want %.6f", e.Total, want)
-		}
-	})
-
 	t.Run("flat meter rejects state changes", func(t *testing.T) {
 		m := NewMeter(2)
 		m.SetState(0, 0, 10) // no-op, allowed

@@ -168,7 +168,7 @@ type Probe struct {
 func Begin(m *machine.Machine) Probe {
 	return Probe{
 		cycles: m.Eng.Now(),
-		ctrs:   m.Ctrs.Checkpoint(),
+		ctrs:   m.Ctrs.Values(),
 		power:  m.Power.PerCore(),
 	}
 }
@@ -199,7 +199,7 @@ func (pr Probe) End(m *machine.Machine, iters int) Window {
 		Ctrs:    make(map[string]uint64),
 		PerCore: m.Power.PerCore(),
 	}
-	for name, v := range m.Ctrs.Checkpoint() {
+	for name, v := range m.Ctrs.Values() {
 		if d := v - pr.ctrs[name]; d != 0 {
 			w.Ctrs[name] = d
 		}

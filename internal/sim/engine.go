@@ -164,17 +164,6 @@ func NewEngine() *Engine {
 	return &Engine{live: make(map[*Proc]struct{})}
 }
 
-// NewEngineAt returns an engine whose clock starts at cycle now — the
-// restore half of the checkpoint protocol. A restored simulation's
-// processes are spawned fresh (coroutine stacks cannot be
-// checkpointed), which is why checkpoints are only taken at quiescent
-// points where no process is mid-flight.
-func NewEngineAt(now uint64) *Engine {
-	e := NewEngine()
-	e.now = now
-	return e
-}
-
 // Now reports the current simulated cycle. It is only meaningful while
 // the engine is running or after Run returns.
 func (e *Engine) Now() uint64 { return e.now }

@@ -54,28 +54,6 @@ func (r *Resource) ReserveAt(now, occupancy uint64) (start uint64) {
 	return start
 }
 
-// ResourceState is a resource's complete checkpointable state: the
-// reservation horizon plus the utilization counters.
-type ResourceState struct {
-	NextFree uint64
-	Busy     uint64
-	Grants   uint64
-}
-
-// State captures the resource's current state. Meaningful at any
-// time; for checkpoint/restore use it only at quiescent points, where
-// no process is sleeping on an in-flight reservation.
-func (r *Resource) State() ResourceState {
-	return ResourceState{NextFree: r.nextFree, Busy: r.busy, Grants: r.grants}
-}
-
-// Restore overwrites the resource's state from a checkpoint.
-func (r *Resource) Restore(st ResourceState) {
-	r.nextFree = st.NextFree
-	r.busy = st.Busy
-	r.grants = st.Grants
-}
-
 // Reset clears utilization counters but keeps the reservation horizon,
 // so resetting mid-simulation does not retroactively free the
 // resource.

@@ -180,10 +180,10 @@ type TeamMain struct {
 // system while each team forks, synchronizes and accounts only within
 // itself.
 func RunTeams(m *machine.Machine, mains []TeamMain) []uint64 {
-	// Occupy from the engine's current time, not 0: on a fresh machine
-	// they are the same, and on a checkpoint-restored machine (clock
-	// warped forward) the masters' active spans must start at the
-	// restore point.
+	// Occupy from the engine's current time, not 0: for a machine's
+	// first kernel they are the same, but a later kernel starts where
+	// the one before it ended, and the masters' active spans must
+	// start there.
 	done := make([]uint64, len(mains))
 	for i := range mains {
 		tm := mains[i]
