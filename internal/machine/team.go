@@ -169,13 +169,6 @@ func (t *Team) Size() int { return len(t.ctxs) }
 // context in the team's placement order.
 func (t *Team) Ctx(slot int) int { return t.ctxs[slot] }
 
-// Contexts lists the team's hardware contexts in placement order.
-func (t *Team) Contexts() []int {
-	out := make([]int, len(t.ctxs))
-	copy(out, t.ctxs)
-	return out
-}
-
 // ProcName prefixes a simulation-process name with the team's label;
 // the default team's names are unprefixed (the legacy spelling).
 func (t *Team) ProcName(base string) string { return t.prefix + base }

@@ -15,8 +15,8 @@ func TestDefaultTeamIdentity(t *testing.T) {
 	}
 	// Legacy placement order and unprefixed names: a default-team run
 	// is indistinguishable from the pre-team machine.
-	for i, c := range dt.Contexts() {
-		if c != i {
+	for i := 0; i < dt.Size(); i++ {
+		if c := dt.Ctx(i); c != i {
 			t.Fatalf("default team ctx[%d] = %d, want identity order", i, c)
 		}
 	}
@@ -53,8 +53,8 @@ func TestSplitTeams(t *testing.T) {
 	if teams[0].Name != "t0:a" || teams[0].ProcName("master") != "t0:a:master" {
 		t.Errorf("team 0 name %q, proc %q", teams[0].Name, teams[0].ProcName("master"))
 	}
-	for _, c := range teams[1].Contexts() {
-		if m.TeamOf(c) != teams[1] {
+	for i := 0; i < teams[1].Size(); i++ {
+		if c := teams[1].Ctx(i); m.TeamOf(c) != teams[1] {
 			t.Errorf("context %d not owned by team 1", c)
 		}
 	}

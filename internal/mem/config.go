@@ -137,6 +137,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("mem: DRAMBanks = %d, want > 0", c.DRAMBanks)
 	case c.DRAMRowBytes < c.LineBytes:
 		return fmt.Errorf("mem: DRAMRowBytes = %d, want >= line size", c.DRAMRowBytes)
+	case c.DRAMRowBytes&(c.DRAMRowBytes-1) != 0:
+		// The row of an address is then a shift of it (DRAM.bankAndRow).
+		return fmt.Errorf("mem: DRAMRowBytes = %d, want power of two", c.DRAMRowBytes)
 	case c.BusCyclesPerLine == 0:
 		return fmt.Errorf("mem: BusCyclesPerLine = 0")
 	case c.StoreBufferEntries <= 0:

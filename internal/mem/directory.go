@@ -19,15 +19,14 @@ import (
 // consequences the paper's limiters depend on — invalidation
 // round-trips and forced writebacks — are identical.
 //
-// The entries live in an open-addressed table keyed by line: linear
-// probing from a Fibonacci hash of the line, with backward-shift
-// deletion, so a lookup touches one or two adjacent slots and no
-// tombstones build up as lines come and go. A slot packs an entry
-// into 16 bytes; a Go map slot of the same entry took 32.
+// The entries live in a table indexed directly by line number, split
+// into pages of dirPageLines lines that are allocated the first time
+// one of their lines gets an entry. A slot is 16 bytes and holds an
+// entry exactly when its sharer mask is non-zero, so a lookup is two
+// indexed loads and a removal zeroes the slot.
 type Directory struct {
-	slots []dirSlot // power-of-two length, at most 3/4 occupied
-	shift uint      // 64 - log2(len(slots)): the hash keeps the top bits
-	n     int       // occupied slots
+	pages []*dirPage // pages[line>>dirPageShift]; nil until first used
+	n     int        // entries: slots with sharers != 0
 
 	invals *counters.Counter
 	wbs    *counters.Counter
@@ -45,112 +44,71 @@ type Directory struct {
 	faultDropDowngrade bool
 }
 
-// dirSlot is one table slot: a line's entry, or an empty slot.
+// dirSlot is one line's entry; a zero sharer mask marks no entry.
 type dirSlot struct {
 	sharers  uint64 // bitmask of cores with a copy
-	key      uint32 // line address + 1 (lines are below MaxLines); 0 marks an empty slot
 	owner    uint8  // meaningful when modified
 	modified bool
 }
 
-// dirInitialSlots sizes a new directory's table; it doubles as lines
-// arrive.
-const dirInitialSlots = 1024
+const (
+	dirPageShift = 12
+	dirPageLines = 1 << dirPageShift
+)
+
+// dirPage holds the slots of dirPageLines consecutive lines (64 KB).
+type dirPage [dirPageLines]dirSlot
 
 // NewDirectory builds an empty directory and registers its counters.
 func NewDirectory(ctrs *counters.Set) *Directory {
-	d := &Directory{
+	return &Directory{
 		invals: ctrs.Counter(counters.CoherenceInvalidations),
 		wbs:    ctrs.Counter(counters.CoherenceWritebacks),
 	}
-	d.reset(dirInitialSlots)
-	return d
 }
 
-// reset empties the table and sizes it to size slots, a power of two.
-func (d *Directory) reset(size int) {
-	d.slots = make([]dirSlot, size)
-	d.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	d.n = 0
+// entry returns line's slot, counting it as an entry (the caller's
+// transition gives it a sharer).
+func (d *Directory) entry(line uint64) *dirSlot {
+	pi := line >> dirPageShift
+	if pi >= uint64(len(d.pages)) || d.pages[pi] == nil {
+		d.addPage(line)
+	}
+	e := &d.pages[pi][line&(dirPageLines-1)]
+	if e.sharers == 0 {
+		d.n++
+	}
+	return e
 }
 
-// dirKey is the table key of line.
-func dirKey(line uint64) uint32 {
+// addPage allocates the page holding line, the first of its lines to
+// get an entry.
+func (d *Directory) addPage(line uint64) {
 	if line >= MaxLines {
 		lineOutOfRange(line)
 	}
-	return uint32(line) + 1
-}
-
-// home is the slot a key's probe starts at.
-func (d *Directory) home(key uint32) int {
-	return int(uint64(key) * 0x9e3779b97f4a7c15 >> d.shift)
-}
-
-// find returns the slot holding key and true, or the empty slot that
-// ends its probe and false.
-func (d *Directory) find(key uint32) (int, bool) {
-	mask := len(d.slots) - 1
-	for i := d.home(key); ; i = (i + 1) & mask {
-		switch d.slots[i].key {
-		case key:
-			return i, true
-		case 0:
-			return i, false
-		}
+	pi := int(line >> dirPageShift)
+	for pi >= len(d.pages) {
+		d.pages = append(d.pages, nil)
 	}
-}
-
-// entry returns line's slot, claiming an empty one (growing the table
-// first if it is full) when the line has no entry yet.
-func (d *Directory) entry(line uint64) *dirSlot {
-	key := dirKey(line)
-	i, ok := d.find(key)
-	if !ok {
-		if 4*(d.n+1) > 3*len(d.slots) {
-			d.grow()
-			i, _ = d.find(key)
-		}
-		d.slots[i].key = key
-		d.n++
-	}
-	return &d.slots[i]
+	d.pages[pi] = new(dirPage)
 }
 
 // lookup returns line's slot, or nil when the line has no entry.
 func (d *Directory) lookup(line uint64) *dirSlot {
-	if i, ok := d.find(dirKey(line)); ok {
-		return &d.slots[i]
+	if pi := line >> dirPageShift; pi < uint64(len(d.pages)) {
+		if pg := d.pages[pi]; pg != nil {
+			if e := &pg[line&(dirPageLines-1)]; e.sharers != 0 {
+				return e
+			}
+		}
 	}
 	return nil
 }
 
-// grow doubles the table and reinserts every entry.
-func (d *Directory) grow() {
-	old := d.slots
-	d.reset(2 * len(old))
-	for _, s := range old {
-		if s.key != 0 {
-			i, _ := d.find(s.key)
-			d.slots[i] = s
-			d.n++
-		}
-	}
-}
-
-// remove empties slot i by backward shift: each later entry of the
-// probe run whose home lies at or before the hole moves into it, and
-// the hole moves to where that entry was, until the run ends. The
-// table never holds tombstones.
-func (d *Directory) remove(i int) {
-	mask := len(d.slots) - 1
-	for j := (i + 1) & mask; d.slots[j].key != 0; j = (j + 1) & mask {
-		if (j-d.home(d.slots[j].key))&mask >= (j-i)&mask {
-			d.slots[i] = d.slots[j]
-			i = j
-		}
-	}
-	d.slots[i] = dirSlot{}
+// remove drops e's entry.
+func (d *Directory) remove(e *dirSlot) {
+	*e = dirSlot{}
 	d.n--
 }
 
@@ -197,14 +155,13 @@ func (d *Directory) WriteMiss(line uint64, core int) (invalidate uint64, needWri
 // Evict records that core no longer caches line (private-hierarchy
 // eviction). When the last sharer leaves, the entry is dropped.
 func (d *Directory) Evict(line uint64, core int) {
-	i, ok := d.find(dirKey(line))
-	if !ok {
+	e := d.lookup(line)
+	if e == nil {
 		return
 	}
-	e := &d.slots[i]
 	e.sharers &^= 1 << uint(core)
 	if e.sharers == 0 {
-		d.remove(i)
+		d.remove(e)
 		return
 	}
 	if e.modified && int(e.owner) == core {
@@ -217,12 +174,12 @@ func (d *Directory) Evict(line uint64, core int) {
 // returns the bitmask of cores that held copies so the caller can
 // invalidate their private caches.
 func (d *Directory) Drop(line uint64) (holders uint64) {
-	i, ok := d.find(dirKey(line))
-	if !ok {
+	e := d.lookup(line)
+	if e == nil {
 		return 0
 	}
-	holders = d.slots[i].sharers
-	d.remove(i)
+	holders = e.sharers
+	d.remove(e)
 	return holders
 }
 
@@ -255,12 +212,17 @@ func (d *Directory) checkEntry(line uint64, e *dirSlot) {
 }
 
 // ForEach visits every directory entry (used by the quiescent
-// directory-vs-cache coherence walk). fn must not change the
-// directory.
+// directory-vs-cache coherence walk) in ascending line order. fn must
+// not change the directory.
 func (d *Directory) ForEach(fn func(line uint64, sharers uint64, owner int, modified bool)) {
-	for _, s := range d.slots {
-		if s.key != 0 {
-			fn(uint64(s.key-1), s.sharers, int(s.owner), s.modified)
+	for pi, pg := range d.pages {
+		if pg == nil {
+			continue
+		}
+		for i, s := range pg {
+			if s.sharers != 0 {
+				fn(uint64(pi)<<dirPageShift|uint64(i), s.sharers, int(s.owner), s.modified)
+			}
 		}
 	}
 }

@@ -6,98 +6,38 @@ import (
 	"testing"
 )
 
-// checkDirTable verifies the open-addressed table's invariants: the
-// occupied count matches, and every entry is reachable from its home
-// slot without crossing an empty one (backward-shift deletion must
-// never cut a probe run).
-func checkDirTable(t *testing.T, d *Directory) {
+// pageSpread maps a draw from [0, 3000) onto 750 lines in each of
+// four directory pages: the first, the second, the sixth, and the last,
+// whose 750 lines end at the highest line, MaxLines-1.
+func pageSpread(i int) uint64 {
+	off := uint64(i % 750)
+	switch i / 750 {
+	case 0:
+		return off
+	case 1:
+		return dirPageLines + off
+	case 2:
+		return 5*dirPageLines + off
+	}
+	return MaxLines - 750 + off
+}
+
+// checkForEach verifies that ForEach visits each entry once, in
+// ascending line order, and as many as Entries counts.
+func checkForEach(t *testing.T, d *Directory) {
 	t.Helper()
-	mask := len(d.slots) - 1
-	n := 0
-	for i, s := range d.slots {
-		if s.key == 0 {
-			continue
+	n, prev := 0, uint64(0)
+	d.ForEach(func(line, sharers uint64, _ int, _ bool) {
+		if n > 0 && line <= prev {
+			t.Fatalf("ForEach visited line %#x after %#x", line, prev)
 		}
-		n++
-		for j := d.home(s.key); j != i; j = (j + 1) & mask {
-			if d.slots[j].key == 0 {
-				t.Fatalf("line %#x in slot %d is cut off from its home %d by the empty slot %d",
-					s.key-1, i, d.home(s.key), j)
-			}
+		if sharers == 0 {
+			t.Fatalf("ForEach visited line %#x with no sharers", line)
 		}
-	}
-	if n != d.n || n != d.Entries() {
-		t.Fatalf("%d occupied slots, but the directory counts %d", n, d.n)
-	}
-}
-
-// linesHomedAt returns the first k lines whose probe starts at slot
-// home of d's current table.
-func linesHomedAt(d *Directory, home, k int) []uint64 {
-	var out []uint64
-	for line := uint64(0); len(out) < k; line++ {
-		if d.home(dirKey(line)) == home {
-			out = append(out, line)
-		}
-	}
-	return out
-}
-
-func TestDirTableDeleteAcrossWrap(t *testing.T) {
-	// Three lines homed at the last slot fill it and wrap to slots 0
-	// and 1; a line homed at slot 0 lands in slot 2. Deleting each in
-	// turn must shift the rest back across the wrap so every one stays
-	// reachable.
-	d, _ := newDir()
-	last := len(d.slots) - 1
-	lines := append(linesHomedAt(d, last, 3), linesHomedAt(d, 0, 1)...)
-	for i, line := range lines {
-		d.ReadMiss(line, i)
-	}
-	for i, want := range []int{last, 0, 1, 2} {
-		if got, _ := d.find(dirKey(lines[i])); got != want {
-			t.Fatalf("line %d sits in slot %d, want %d", i, got, want)
-		}
-	}
-	checkDirTable(t, d)
-
-	d.Evict(lines[0], 0) // the run's head, in the last slot
-	checkDirTable(t, d)
-	if got, _ := d.find(dirKey(lines[1])); got != last {
-		t.Errorf("after deleting the head, line 1 sits in slot %d, want %d", got, last)
-	}
-	if got, _ := d.find(dirKey(lines[3])); got != 1 {
-		t.Errorf("after deleting the head, the slot-0 line sits in slot %d, want 1", got)
-	}
-	if d.Drop(lines[2]) != 1<<2 { // now in slot 0, past the wrap
-		t.Error("Drop of the wrapped line lost its holder")
-	}
-	checkDirTable(t, d)
-	for i, line := range []uint64{lines[1], lines[3]} {
-		if got := d.Sharers(line); len(got) != 1 {
-			t.Errorf("surviving line %d: sharers %v", i, got)
-		}
-	}
-	if d.Sharers(lines[0]) != nil || d.Sharers(lines[2]) != nil {
-		t.Error("a deleted line still has sharers")
-	}
-}
-
-func TestDirTableGrows(t *testing.T) {
-	d, _ := newDir()
-	size := len(d.slots)
-	const lines = 5000
-	for line := uint64(0); line < lines; line++ {
-		d.WriteMiss(line*7, int(line%64))
-	}
-	if len(d.slots) <= size || 4*d.n > 3*len(d.slots) {
-		t.Fatalf("%d entries in %d slots (started with %d)", d.n, len(d.slots), size)
-	}
-	checkDirTable(t, d)
-	for line := uint64(0); line < lines; line++ {
-		if mod, owner := d.IsModified(line * 7); !mod || owner != int(line%64) {
-			t.Fatalf("line %d after growth: (%v, %d)", line*7, mod, owner)
-		}
+		n, prev = n+1, line
+	})
+	if n != d.Entries() {
+		t.Fatalf("ForEach visited %d lines, but Entries reports %d", n, d.Entries())
 	}
 }
 
@@ -106,7 +46,7 @@ func TestDirTableForEachVisitsEachEntryOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	want := map[uint64]uint64{}
 	for i := 0; i < 20000; i++ {
-		line, core := uint64(rng.Intn(1500)), rng.Intn(8)
+		line, core := pageSpread(rng.Intn(3000)), rng.Intn(8)
 		if rng.Intn(3) == 0 {
 			d.Drop(line)
 			delete(want, line)
@@ -115,14 +55,9 @@ func TestDirTableForEachVisitsEachEntryOnce(t *testing.T) {
 			want[line] |= 1 << uint(core)
 		}
 	}
-	checkDirTable(t, d)
+	checkForEach(t, d)
 	got := map[uint64]uint64{}
-	d.ForEach(func(line, sharers uint64, _ int, _ bool) {
-		if _, dup := got[line]; dup {
-			t.Errorf("line %#x visited twice", line)
-		}
-		got[line] = sharers
-	})
+	d.ForEach(func(line, sharers uint64, _ int, _ bool) { got[line] = sharers })
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("ForEach visited %d entries, want %d", len(got), len(want))
 	}
@@ -186,14 +121,14 @@ func (r refDir) evict(line uint64, core int) {
 }
 
 func TestDirTableMatchesMapDirectory(t *testing.T) {
-	// Random protocol traffic over a few table sizes' worth of lines:
-	// every answer and the final entries match the map-based
-	// reference, and the table keeps its invariants throughout.
+	// Random protocol traffic over lines spread across four pages, up
+	// to the highest line: every answer and the final entries match the
+	// map-based reference, and ForEach agrees with Entries throughout.
 	d, _ := newDir()
 	ref := refDir{}
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 60000; i++ {
-		line, core := uint64(rng.Intn(3000)), rng.Intn(16)
+		line, core := pageSpread(rng.Intn(3000)), rng.Intn(16)
 		switch rng.Intn(4) {
 		case 0:
 			wb, o := d.ReadMiss(line, core)
@@ -218,10 +153,10 @@ func TestDirTableMatchesMapDirectory(t *testing.T) {
 			delete(ref, line)
 		}
 		if i%20000 == 19999 {
-			checkDirTable(t, d)
+			checkForEach(t, d)
 		}
 	}
-	checkDirTable(t, d)
+	checkForEach(t, d)
 	if got := entries(d); !reflect.DeepEqual(got, ref) {
 		t.Errorf("final entries: %d, want %d", len(got), len(ref))
 	}
@@ -229,7 +164,7 @@ func TestDirTableMatchesMapDirectory(t *testing.T) {
 
 func TestDirTableTransitionsAllocateNothing(t *testing.T) {
 	d, _ := newDir()
-	d.ReadMiss(1, 0) // the table is sized; transitions reuse slots
+	d.ReadMiss(1, 0) // the page exists; transitions reuse its slots
 	line := uint64(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		line = (line + 1) % 64

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"fdt/internal/counters"
 	"fdt/internal/invariant"
@@ -18,13 +19,14 @@ import (
 // most recently touched in each bank, giving streams row hits and
 // conflicting access patterns the row-miss penalty.
 type DRAM struct {
-	banks    []*dramBank
+	banks    []dramBank
 	bankBits uint
-	lineSz   uint64
-	linesRow uint64
-	hitLat   uint64
-	missLat  uint64
-	modelRow bool
+	// lineShift and rowShift are log2 of the line and row sizes: an
+	// address's line is addr >> lineShift and its row addr >> rowShift.
+	lineShift, rowShift uint
+	hitLat              uint64
+	missLat             uint64
+	modelRow            bool
 
 	rowHits   *counters.Counter
 	rowMisses *counters.Counter
@@ -43,27 +45,24 @@ type DRAM struct {
 }
 
 type dramBank struct {
-	res     *sim.Resource
+	res     sim.Resource
 	openRow uint64
 	hasOpen bool
 }
 
 // NewDRAM builds main memory from the configuration and registers its
 // row-buffer counters in the set. The bank count must be a power of
-// two for the XOR fold (Table 1's 32 is).
+// two for the XOR fold (Table 1's 32 is), and so must the line and row
+// sizes (Config.Validate checks all three).
 func NewDRAM(cfg Config, ctrs *counters.Set) *DRAM {
 	if cfg.DRAMBanks&(cfg.DRAMBanks-1) != 0 {
 		panic("mem: DRAM bank count must be a power of two")
 	}
-	bits := uint(0)
-	for 1<<bits < cfg.DRAMBanks {
-		bits++
-	}
 	d := &DRAM{
-		banks:     make([]*dramBank, cfg.DRAMBanks),
-		bankBits:  bits,
-		lineSz:    uint64(cfg.LineBytes),
-		linesRow:  uint64(cfg.DRAMRowBytes / cfg.LineBytes),
+		banks:     make([]dramBank, cfg.DRAMBanks),
+		bankBits:  uint(bits.TrailingZeros(uint(cfg.DRAMBanks))),
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		rowShift:  uint(bits.TrailingZeros(uint(cfg.DRAMRowBytes))),
 		hitLat:    cfg.DRAMRowHitLat,
 		missLat:   cfg.DRAMRowMissLat,
 		modelRow:  cfg.ModelRowBuffer,
@@ -72,7 +71,7 @@ func NewDRAM(cfg Config, ctrs *counters.Set) *DRAM {
 		bankWait:  ctrs.Counter(counters.DRAMBankWaitCycles),
 	}
 	for i := range d.banks {
-		d.banks[i] = &dramBank{res: sim.NewResource("dram-bank")}
+		d.banks[i].res = *sim.NewResource("dram-bank")
 	}
 	return d
 }
@@ -110,7 +109,8 @@ func (d *DRAM) finishCheck(ck *invariant.Checker, now uint64) {
 		return
 	}
 	var accesses, waits uint64
-	for i, b := range d.banks {
+	for i := range d.banks {
+		b := &d.banks[i]
 		d.audits[i].Check(ck, now, b.res.BusyCycles())
 		accesses += d.audits[i].Count()
 		waits += d.audits[i].WaitSum()
@@ -145,9 +145,7 @@ func (d *DRAM) traceAccess(bank int, start, lat uint64, hit bool) {
 // matters — streams get row hits, conflicting patterns get the
 // row-miss penalty.
 func (d *DRAM) bankAndRow(addr uint64) (int, uint64) {
-	line := addr / d.lineSz
-	row := line / d.linesRow
-	return int(BankHash(line, d.bankBits)), row
+	return int(BankHash(addr>>d.lineShift, d.bankBits)), addr >> d.rowShift
 }
 
 // BankHash XOR-folds a line address down to bankBits bits. Exported
@@ -176,7 +174,7 @@ func (f *dramFetch) step(d *DRAM, p *sim.Proc, addr uint64) bool {
 	switch f.stage {
 	case 0:
 		bank, row := d.bankAndRow(addr)
-		b := d.banks[bank]
+		b := &d.banks[bank]
 		f.bank, f.lat = bank, d.missLat
 		f.hit = d.modelRow && b.hasOpen && b.openRow == row
 		if f.hit {
@@ -216,7 +214,7 @@ func (f *dramFetch) step(d *DRAM, p *sim.Proc, addr uint64) bool {
 // stalling a core.
 func (d *DRAM) PostAccess(earliest, addr uint64) (done uint64) {
 	bank, row := d.bankAndRow(addr)
-	b := d.banks[bank]
+	b := &d.banks[bank]
 	lat := d.missLat
 	hit := d.modelRow && b.hasOpen && b.openRow == row
 	if hit {

@@ -6,7 +6,7 @@ import "fdt/internal/sim"
 func (pt *Port) StoreBufferOccupancy() int { return len(pt.sb) }
 
 // L3BankCache exposes a bank's cache shard.
-func (s *System) L3BankCache(bank int) *Cache { return s.l3[bank].cache }
+func (s *System) L3BankCache(bank int) *Cache { return &s.l3[bank].cache }
 
 // dramOp runs one dramFetch as an Op of its own.
 type dramOp struct {

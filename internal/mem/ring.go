@@ -7,31 +7,39 @@ package mem
 // contention is not modeled — the paper's ring is 64 bytes wide with
 // separate control and data rings, so queueing there is negligible
 // next to the off-chip bus, which is the bottleneck under study.
+//
+// Every latency a message can take is fixed by the geometry, so the
+// ring is a cores×banks table built once.
 type Ring struct {
-	stops  int
-	hopLat uint64
-	banks  int
+	banks int
+	lat   []uint64 // lat[core*banks+bank]: core's stop to bank's stop
 }
 
 // NewRing builds a ring with one stop per core and L3 banks placed at
 // stops bank*(cores/banks).
 func NewRing(cores, l3Banks int, hopLat uint64) *Ring {
-	return &Ring{stops: cores, hopLat: hopLat, banks: l3Banks}
+	r := &Ring{banks: l3Banks, lat: make([]uint64, cores*l3Banks)}
+	for c := 0; c < cores; c++ {
+		for b := 0; b < l3Banks; b++ {
+			r.lat[c*l3Banks+b] = hops(cores, c, bankStop(cores, l3Banks, b)) * hopLat
+		}
+	}
+	return r
 }
 
-// BankStop reports the ring stop of an L3 bank.
-func (r *Ring) BankStop(bank int) int {
-	return bank * (r.stops / r.banks)
+// bankStop reports the ring stop of an L3 bank.
+func bankStop(stops, banks, bank int) int {
+	return bank * (stops / banks)
 }
 
-// Hops reports the minimum hop count between two stops on the
-// bidirectional ring.
-func (r *Ring) Hops(a, b int) uint64 {
+// hops reports the minimum hop count between two stops on a
+// bidirectional ring of the given size.
+func hops(stops, a, b int) uint64 {
 	d := a - b
 	if d < 0 {
 		d = -d
 	}
-	if other := r.stops - d; other < d {
+	if other := stops - d; other < d {
 		d = other
 	}
 	return uint64(d)
@@ -40,11 +48,5 @@ func (r *Ring) Hops(a, b int) uint64 {
 // CoreToBank reports the one-way latency from a core's stop to an L3
 // bank's stop.
 func (r *Ring) CoreToBank(core, bank int) uint64 {
-	return r.Hops(core, r.BankStop(bank)) * r.hopLat
-}
-
-// CoreToCore reports the one-way latency between two cores' stops
-// (used for invalidation and ownership-transfer messages).
-func (r *Ring) CoreToCore(a, b int) uint64 {
-	return r.Hops(a, b) * r.hopLat
+	return r.lat[core*r.banks+bank]
 }

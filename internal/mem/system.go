@@ -23,7 +23,7 @@ type System struct {
 	DRAM *DRAM
 	Dir  *Directory
 
-	l3         []*l3Bank
+	l3         []l3Bank
 	l3BankBits uint
 	ports      []*Port
 	// lineShift is log2 of the line size: an address's line number is
@@ -54,8 +54,8 @@ type System struct {
 }
 
 type l3Bank struct {
-	cache *Cache
-	port  *sim.Resource
+	cache Cache
+	port  sim.Resource
 }
 
 // Port is one core's window into the memory system: its private L1
@@ -63,8 +63,8 @@ type l3Bank struct {
 type Port struct {
 	sys  *System
 	core int
-	l1   *Cache
-	l2   *Cache
+	l1   Cache
+	l2   Cache
 	// sb holds completion times of outstanding posted stores (the
 	// store buffer). StoreStream stalls only when it is full.
 	sb []uint64
@@ -102,17 +102,17 @@ func NewSystem(cfg Config, ctrs *counters.Set) (*System, error) {
 	}
 	bankBytes := cfg.L3Bytes / cfg.L3Banks
 	for b := 0; b < cfg.L3Banks; b++ {
-		s.l3 = append(s.l3, &l3Bank{
-			cache: NewCache(bankBytes, cfg.L3Ways, cfg.LineBytes),
-			port:  sim.NewResource(fmt.Sprintf("l3-bank-%d", b)),
+		s.l3 = append(s.l3, l3Bank{
+			cache: *NewCache(bankBytes, cfg.L3Ways, cfg.LineBytes),
+			port:  *sim.NewResource(fmt.Sprintf("l3-bank-%d", b)),
 		})
 	}
 	for c := 0; c < cfg.Cores; c++ {
 		s.ports = append(s.ports, &Port{
 			sys:  s,
 			core: c,
-			l1:   NewCache(cfg.L1Bytes, cfg.L1Ways, cfg.LineBytes),
-			l2:   NewCache(cfg.L2Bytes, cfg.L2Ways, cfg.LineBytes),
+			l1:   *NewCache(cfg.L1Bytes, cfg.L1Ways, cfg.LineBytes),
+			l2:   *NewCache(cfg.L2Bytes, cfg.L2Ways, cfg.LineBytes),
 		})
 	}
 	return s, nil
@@ -298,7 +298,7 @@ func (pt *Port) SetTeamCtrs(tc *TeamCtrs) { pt.attr = tc }
 // prefetch's own timeliness, honest on the bandwidth it consumes.)
 func (s *System) postPrefetch(now uint64, pt *Port, addr uint64, tc *TeamCtrs) {
 	cfg := &s.Cfg
-	line := addr / uint64(cfg.LineBytes)
+	line := addr >> s.lineShift
 	if pt.l2.Contains(line) {
 		return
 	}
@@ -344,7 +344,7 @@ func (pt *Port) drainStoreBuffer(now uint64) {
 func (s *System) postOwnership(now uint64, pt *Port, addr, line uint64, tc *TeamCtrs) (done uint64) {
 	cfg := &s.Cfg
 	bank := s.bankOf(line)
-	b := s.l3[bank]
+	b := &s.l3[bank]
 	done = now + s.Ring.CoreToBank(pt.core, bank) + cfg.L3PortOccupancy
 
 	lineDirtyInL3 := false
@@ -406,7 +406,7 @@ func (s *System) insertL3(now uint64, bank int, line uint64, dirty bool, tc *Tea
 	}
 	if victimDirty {
 		s.Bus.PostWriteback(now, tc)
-		s.DRAM.PostWrite(now, victim*uint64(s.Cfg.LineBytes))
+		s.DRAM.PostWrite(now, victim<<s.lineShift)
 	}
 }
 
@@ -428,7 +428,7 @@ func (pt *Port) fillL2(now uint64, line uint64, dirty bool, tc *TeamCtrs) {
 		vb := s.bankOf(victim)
 		if !s.l3[vb].cache.MarkDirty(victim) {
 			s.Bus.PostWriteback(now, tc)
-			s.DRAM.PostWrite(now, victim*uint64(s.Cfg.LineBytes))
+			s.DRAM.PostWrite(now, victim<<s.lineShift)
 		}
 	}
 }
@@ -443,7 +443,7 @@ func (pt *Port) fillL1(line uint64) {
 func (pt *Port) LineBytes() int { return pt.sys.Cfg.LineBytes }
 
 // L1 exposes the private L1 (test aid).
-func (pt *Port) L1() *Cache { return pt.l1 }
+func (pt *Port) L1() *Cache { return &pt.l1 }
 
 // L2 exposes the private L2 (test aid).
-func (pt *Port) L2() *Cache { return pt.l2 }
+func (pt *Port) L2() *Cache { return &pt.l2 }

@@ -44,6 +44,7 @@ func TestConfigValidate(t *testing.T) {
 		"0 DRAM banks":        func(c *Config) { c.DRAMBanks = 0 },
 		"24 DRAM banks":       func(c *Config) { c.DRAMBanks = 24 },
 		"row below line":      func(c *Config) { c.DRAMRowBytes = 32 },
+		"row 6KB":             func(c *Config) { c.DRAMRowBytes = 6 << 10 },
 		"free bus":            func(c *Config) { c.BusCyclesPerLine = 0 },
 		"no store buffer":     func(c *Config) { c.StoreBufferEntries = 0 },
 		"cores not per bank":  func(c *Config) { c.Cores = 12 },
@@ -330,6 +331,37 @@ func BenchmarkL2HitLoad(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			pt.Load(p, base+uint64(i)%lines*uint64(cfg.LineBytes))
+		}
+	})
+	e.Run()
+}
+
+// BenchmarkL3HitLoad times transpose's access: a lone process's
+// LoadStride down a column of 64 lines 16 KB apart. The lines share
+// one L1 set and one L2 set, so each load misses both and goes round
+// the ring to its L3 bank, where it hits: the directory records the
+// read miss, and the L2 fill evicts a line of the column and records
+// that too. One op is one load.
+func BenchmarkL3HitLoad(b *testing.B) {
+	cfg := DefaultConfig()
+	ctrs := counters.NewSet()
+	sys := MustNewSystem(cfg, ctrs)
+	e := sim.NewEngine()
+	const rows = 64
+	stride := uint64(16 << 10)
+	base := sys.Alloc(rows * int(stride))
+	hits := ctrs.Counter(counters.L3Hits)
+	e.Spawn("loader", func(p *sim.Proc) {
+		pt := sys.Port(0)
+		pt.LoadStride(p, base, stride, rows) // the column reaches the L3
+		cold := hits.Read()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += rows {
+			pt.LoadStride(p, base, stride, min(rows, b.N-i))
+		}
+		b.StopTimer()
+		if got := hits.Read() - cold; got != uint64(b.N) {
+			b.Fatalf("%d of %d timed loads hit the L3", got, b.N)
 		}
 	})
 	e.Run()
