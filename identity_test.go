@@ -1,8 +1,10 @@
 // Single-team bit-identity pin: the multi-team refactor must be
-// provably behavior-preserving for N=1. Every Table-2 workload runs
-// under {serial, SAT, BAT, adaptive} on a 16-core machine in exact
-// mode, and the JSON-marshaled results must be byte-identical to the
-// golden captured on the pre-refactor (PR 6) tree.
+// provably behavior-preserving for N=1. Every Table-2 workload and
+// every registered extra (the synthetic phase, co-runner and gauntlet
+// kernels) runs under {serial, SAT, BAT, adaptive} on a 16-core
+// machine in exact mode, and the JSON-marshaled results must be
+// byte-identical to the golden. The Table-2 entries date from before
+// the multi-team refactor.
 //
 // Regenerate the golden ONLY when an intentional behavior change is
 // being made (and say so in the PR):
@@ -28,15 +30,16 @@ var updateIdentity = flag.Bool("update-identity", false,
 
 const identityGolden = "testdata/identity_exact_16c.json"
 
-// identityRuns executes the pinned matrix: 12 workloads x {serial,
-// SAT, BAT, adaptive SAT+BAT}, 16 cores, exact mode. Results flow
+// identityRuns executes the pinned matrix: 12 Table-2 workloads and
+// the extras x {serial, SAT, BAT, adaptive SAT+BAT}, 16 cores, exact
+// mode. Results flow
 // through keyed RunSpecs and a run cache, as the experiments' do, so
 // the pin also covers the run-cache path.
 func identityRuns() []core.RunResult {
 	cfg := machine.DefaultConfig().WithCores(16)
 	runs := core.NewRuns(0, nil)
 	var out []core.RunResult
-	for _, info := range workloads.All() {
+	for _, info := range append(workloads.All(), workloads.Extras()...) {
 		for _, pol := range []core.Policy{core.Static{N: 1}, core.SAT{}, core.BAT{}} {
 			out = append(out, core.RunSpec{Cfg: cfg, Workload: info.Name, Factory: info.Factory, Control: core.Control{Policy: pol}}.Run(runs))
 		}
@@ -51,7 +54,7 @@ func identityRuns() []core.RunResult {
 
 func TestSingleTeamBitIdentity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("48 exact 16-core runs; skipped in -short")
+		t.Skip("72 exact 16-core runs; skipped in -short")
 	}
 	got, err := json.MarshalIndent(identityRuns(), "", "  ")
 	if err != nil {

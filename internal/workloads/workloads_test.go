@@ -422,3 +422,43 @@ func TestStencilVerifySeesMovedValues(t *testing.T) {
 		}
 	}
 }
+
+// TestExtrasHeapLayout pins where each extra's simulated heap ends
+// after construction: the next Alloc on a fresh default machine. Solo
+// runs cannot see a region that is allocated but never touched, yet it
+// moves every later allocation, so a co-runner sharing the machine
+// would see its addresses shift. The layout is the vector, the stream
+// region (only when the kernel streams), the lock line and the
+// accumulator line; busburst has no accumulator line. The table also
+// pins the extras' listing order.
+func TestExtrasHeapLayout(t *testing.T) {
+	want := []struct {
+		name string
+		end  uint64
+	}{
+		// 1 MiB base + 16 KiB vector + 600 16 KiB stream blocks + lock.
+		{"busburst", 0xa64040},
+		// base + vector + lock + accumulator.
+		{"gauntlet/oscillate", 0x104080},
+		{"gauntlet/csdep", 0x104080},
+		// base + vector + 256 stream blocks + lock + accumulator.
+		{"gauntlet/busstorm", 0x504080},
+		{"gauntlet/eqclash", 0x504080},
+		// base + vector + 400 stream blocks + lock + accumulator.
+		{"phaseshift", 0x744080},
+	}
+	extras := Extras()
+	if len(extras) != len(want) {
+		t.Fatalf("%d extras, want %d", len(extras), len(want))
+	}
+	for i, info := range extras {
+		m := machine.MustNew(machine.DefaultConfig())
+		info.Factory(m)
+		if info.Name != want[i].name {
+			t.Errorf("extra %d is %q, want %q", i, info.Name, want[i].name)
+		}
+		if got := m.Alloc(0); got != want[i].end {
+			t.Errorf("%s: heap ends at %#x after construction, want %#x", info.Name, got, want[i].end)
+		}
+	}
+}
