@@ -12,11 +12,11 @@ import (
 // This file implements the robustness gauntlet: every controller —
 // the paper's static and feedback policies, the adaptive pipeline,
 // the hill-climbing baseline and the hybrid controller — scored
-// against the static oracle on the adversarial workload family
-// (internal/workloads/gauntlet.go), whose members each break one
-// assumption behind Eq. 3/5/7. The paper's own figures show the
-// policies where their assumptions hold; this table shows what each
-// one costs where they don't.
+// against the static oracle on the adversarial workload family (the
+// gauntlet rows of internal/workloads/synthetic.go), whose members
+// each break one assumption behind Eq. 3/5/7. The paper's own figures
+// show the policies where their assumptions hold; this table shows
+// what each one costs where they don't.
 //
 // The family always executes exactly, whatever Options.Mode says:
 // hill-climbing and hybrid probes time real chunks, and the oracle

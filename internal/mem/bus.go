@@ -51,7 +51,7 @@ type Bus struct {
 // (counters.BusBusyCycles, counters.BusTransactions) in the set.
 func NewBus(cfg Config, ctrs *counters.Set) *Bus {
 	return &Bus{
-		data: sim.NewResource("offchip-bus"),
+		data: new(sim.Resource),
 		lat:  cfg.BusLat,
 		perL: cfg.BusCyclesPerLine,
 		busy: ctrs.Counter(counters.BusBusyCycles),

@@ -70,9 +70,6 @@ func NewDRAM(cfg Config, ctrs *counters.Set) *DRAM {
 		rowMisses: ctrs.Counter(counters.DRAMRowMisses),
 		bankWait:  ctrs.Counter(counters.DRAMBankWaitCycles),
 	}
-	for i := range d.banks {
-		d.banks[i].res = *sim.NewResource("dram-bank")
-	}
 	return d
 }
 
@@ -239,6 +236,3 @@ func (d *DRAM) PostAccess(earliest, addr uint64) (done uint64) {
 func (d *DRAM) PostWrite(now, addr uint64) {
 	d.PostAccess(now, addr)
 }
-
-// Banks reports the number of banks.
-func (d *DRAM) Banks() int { return len(d.banks) }

@@ -104,7 +104,6 @@ func NewSystem(cfg Config, ctrs *counters.Set) (*System, error) {
 	for b := 0; b < cfg.L3Banks; b++ {
 		s.l3 = append(s.l3, l3Bank{
 			cache: *NewCache(bankBytes, cfg.L3Ways, cfg.LineBytes),
-			port:  *sim.NewResource(fmt.Sprintf("l3-bank-%d", b)),
 		})
 	}
 	for c := 0; c < cfg.Cores; c++ {

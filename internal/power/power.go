@@ -65,20 +65,6 @@ func NewMeterTable(cores int, t Table) (*Meter, error) {
 // (built by NewMeterTable).
 func (m *Meter) Tracked() bool { return m.table != nil }
 
-// Table reports the tracked meter's power table (nil rows when flat).
-func (m *Meter) Table() Table { return Table{Rows: append([]Row(nil), m.table...)} }
-
-// States reports the number of P-states tracked (0 when flat).
-func (m *Meter) States() int { return len(m.table) }
-
-// State reports a core's current P-state (0 when flat).
-func (m *Meter) State(core int) int {
-	if m.state == nil {
-		return 0
-	}
-	return m.state[core]
-}
-
 // SetState moves a core to a new P-state at cycle now, closing the
 // outgoing state's wall-residency interval. The caller (the machine)
 // must flush any open active interval on the core first, so active

@@ -210,7 +210,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		e.stepHook = func(tm uint64, p *Proc) {
 			tr = append(tr, fmt.Sprintf("%d:%s", tm, p.Name()))
 		}
-		r := NewResource("bus")
+		r := new(Resource)
 		for i := 0; i < 8; i++ {
 			name := fmt.Sprintf("w%d", i)
 			delay := uint64(i % 3)

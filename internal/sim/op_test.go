@@ -80,7 +80,7 @@ func TestOpStaysOnItsGoroutineWhenEarliest(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("solo", func(p *Proc) {
 		p.Do(&scriptOp{waits: []scriptWait{{d: 3}, {d: 0}, {d: 4}}})
-		p.Do(&scriptOp{waits: []scriptWait{{d: 5, r: NewResource("r")}}})
+		p.Do(&scriptOp{waits: []scriptWait{{d: 5, r: new(Resource)}}})
 	})
 	e.Run()
 	if e.Now() != 12 || e.Events() != 5 || e.Switches() != 1 {
@@ -169,7 +169,7 @@ func TestAbortedRunReleasesProcsInsideOps(t *testing.T) {
 	unwound, ranPast := 0, false
 	for i := 0; i < 10; i++ {
 		e := NewEngine()
-		r := NewResource("bus")
+		r := new(Resource)
 		for j := 0; j < 4; j++ {
 			e.Spawn("inside", func(p *Proc) {
 				defer func() { unwound++ }()

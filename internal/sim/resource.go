@@ -10,9 +10,8 @@ package sim
 // immediately extends the resource's horizon with ReserveAt and then,
 // if it must, waits (Proc.Await, inside an Op) until its own slot
 // begins. Because only one process runs at a time, this is race-free
-// and serves requests in arrival order.
+// and serves requests in arrival order. The zero Resource is idle.
 type Resource struct {
-	name string
 	// nextFree is the first cycle at which the resource is idle.
 	nextFree uint64
 	// busy accumulates total occupied cycles (the basis for
@@ -22,21 +21,12 @@ type Resource struct {
 	grants uint64
 }
 
-// NewResource returns an idle resource with the given diagnostic name.
-func NewResource(name string) *Resource { return &Resource{name: name} }
-
-// Name reports the diagnostic name.
-func (r *Resource) Name() string { return r.name }
-
 // BusyCycles reports the cumulative cycles the resource has been
 // reserved for. This includes reservations whose slot lies in the
 // future of the current clock; sample it only at points where the
 // model guarantees no in-flight reservations, or treat it as the
 // monotone counter hardware would expose.
 func (r *Resource) BusyCycles() uint64 { return r.busy }
-
-// NextFree reports the first cycle at which the resource is idle.
-func (r *Resource) NextFree() uint64 { return r.nextFree }
 
 // ReserveAt reserves the resource for occupancy cycles in the first
 // free slot that starts no earlier than now, extends the horizon,

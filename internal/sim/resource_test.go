@@ -7,7 +7,7 @@ import (
 
 func TestResourceUncontended(t *testing.T) {
 	e := NewEngine()
-	r := NewResource("bus")
+	r := new(Resource)
 	e.Spawn("a", func(p *Proc) {
 		start := r.Acquire(p, 32)
 		if start != 0 {
@@ -28,7 +28,7 @@ func TestResourceUncontended(t *testing.T) {
 
 func TestResourceSerializesContenders(t *testing.T) {
 	e := NewEngine()
-	r := NewResource("bus")
+	r := new(Resource)
 	starts := map[string]uint64{}
 	for _, name := range []string{"a", "b", "c"} {
 		name := name
@@ -48,7 +48,7 @@ func TestResourceSerializesContenders(t *testing.T) {
 
 func TestResourceAcquireAndHoldBlocksFullSlot(t *testing.T) {
 	e := NewEngine()
-	r := NewResource("bank")
+	r := new(Resource)
 	var end uint64
 	e.Spawn("a", func(p *Proc) {
 		r.AcquireAndHold(p, 200)
@@ -62,7 +62,7 @@ func TestResourceAcquireAndHoldBlocksFullSlot(t *testing.T) {
 
 func TestResourceIdleGapNotCounted(t *testing.T) {
 	e := NewEngine()
-	r := NewResource("bus")
+	r := new(Resource)
 	e.Spawn("a", func(p *Proc) {
 		r.AcquireAndHold(p, 10)
 		p.Advance(100) // idle gap
@@ -79,7 +79,7 @@ func TestResourceIdleGapNotCounted(t *testing.T) {
 
 func TestResourceResetKeepsHorizon(t *testing.T) {
 	e := NewEngine()
-	r := NewResource("bus")
+	r := new(Resource)
 	e.Spawn("a", func(p *Proc) {
 		r.Acquire(p, 50) // occupied until cycle 50
 		r.Reset()
@@ -97,7 +97,7 @@ func TestResourceResetKeepsHorizon(t *testing.T) {
 func TestPropertyResourceBusyEqualsSumOfOccupancies(t *testing.T) {
 	f := func(occs []uint8) bool {
 		e := NewEngine()
-		r := NewResource("x")
+		r := new(Resource)
 		var want uint64
 		for i, o := range occs {
 			if i >= 32 {
@@ -122,7 +122,7 @@ func TestPropertyResourceNeverOverlaps(t *testing.T) {
 		count := int(n%16) + 1
 		o := uint64(occ%32) + 1
 		e := NewEngine()
-		r := NewResource("x")
+		r := new(Resource)
 		var starts []uint64
 		for i := 0; i < count; i++ {
 			e.Spawn("p", func(p *Proc) {

@@ -13,7 +13,7 @@ import (
 func TestStressManyProcsAndResources(t *testing.T) {
 	e := NewEngine()
 	resources := []*Resource{
-		NewResource("r0"), NewResource("r1"), NewResource("r2"),
+		new(Resource), new(Resource), new(Resource),
 	}
 	var wantBusy [3]uint64
 	const procs = 300
@@ -80,7 +80,7 @@ func TestStressDeterministicUnderContention(t *testing.T) {
 // bus resource with staggered think times, as body code or, with
 // asOps, each body as one scriptOp.
 func spawnContention(e *Engine, asOps bool) {
-	r := NewResource("bus")
+	r := new(Resource)
 	for i := 0; i < 64; i++ {
 		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
 			if asOps {

@@ -62,9 +62,6 @@ type Ctx struct {
 // Machine exposes the machine the thread runs on.
 func (c *Ctx) Machine() *machine.Machine { return c.m }
 
-// Team exposes the thread's tenant.
-func (c *Ctx) Team() *machine.Team { return c.team }
-
 // TeamSize reports the thread capacity of this thread's team — the
 // clamp Fork applies and the "cores" a tenant's controller may choose
 // among (the whole machine for a single-tenant program).

@@ -19,11 +19,11 @@ import (
 
 // runPhaseShift runs phaseshift under the adaptive controller on a
 // fresh machine with a tracer of the given mask and capacity attached.
-func runPhaseShift(p workloads.PhaseShiftParams, mask trace.Category, capacity int) (*trace.Tracer, core.RunResult) {
+func runPhaseShift(p workloads.SyntheticParams, mask trace.Category, capacity int) (*trace.Tracer, core.RunResult) {
 	m := machine.MustNew(machine.DefaultConfig())
 	tr := trace.New(capacity, mask)
 	m.AttachTracer(tr)
-	w := workloads.NewPhaseShift(m, p)
+	w := workloads.NewSynthetic(m, p)
 	ctl := core.NewController(core.Combined{})
 	mp := core.DefaultMonitorParams()
 	ctl.Monitor = &mp
@@ -47,9 +47,11 @@ func exportChrome(t *testing.T, tr *trace.Tracer, res core.RunResult) []byte {
 // TestExportDeterminism pins the byte-determinism contract: the same
 // seed and policy produce byte-identical exported traces across runs.
 func TestExportDeterminism(t *testing.T) {
-	p := workloads.DefaultPhaseShiftParams()
-	p.ItersPerPhase = 80
-	p.Elems = 512
+	p := workloads.DefaultSyntheticParams("phaseshift")
+	for i := range p.Spans {
+		p.Spans[i].Iters = 80
+	}
+	p.Iters, p.Elems = 240, 512
 
 	tr1, res1 := runPhaseShift(p, trace.CatMem|trace.CatSync|trace.CatCtl, 1<<16)
 	tr2, res2 := runPhaseShift(p, trace.CatMem|trace.CatSync|trace.CatCtl, 1<<16)
@@ -131,7 +133,7 @@ func controllerRetrains(t *testing.T, data []byte) []retrainEvent {
 // detected within the monitor's interval granularity past the
 // boundary).
 func TestPhaseShiftAdaptiveRetrainTrace(t *testing.T) {
-	tr, res := runPhaseShift(workloads.DefaultPhaseShiftParams(), trace.CatCtl, 1<<12)
+	tr, res := runPhaseShift(workloads.DefaultSyntheticParams("phaseshift"), trace.CatCtl, 1<<12)
 	if len(res.Kernels) != 1 || res.Kernels[0].Retrains != 2 {
 		t.Fatalf("expected 2 retrains in the run result, got %+v", res.Kernels)
 	}

@@ -336,17 +336,19 @@ func TestPhaseShiftRegisteredAsExtra(t *testing.T) {
 // interval-chunked execution and mid-kernel re-training must not
 // change the answer.
 func TestPhaseShiftVerifies(t *testing.T) {
-	small := PhaseShiftParams{ItersPerPhase: 40, Elems: 256, ComputeInstr: 4, MergeInstr: 60, StreamInstr: 4}
+	small := DefaultSyntheticParams("phaseshift")
+	small.Spans = []Span{{Iters: 40}, {Iters: 40, Merge: true}, {Iters: 40, Stream: true}}
+	small.Iters, small.Elems, small.MergeInstr = 120, 256, 60
 	for _, threads := range []int{1, 3, 8} {
 		m := machine.MustNew(machine.DefaultConfig())
-		w := NewPhaseShift(m, small)
+		w := NewSynthetic(m, small)
 		core.NewController(core.Static{N: threads}).Run(m, w)
 		if err := w.Verify(); err != nil {
 			t.Errorf("at %d threads: %v", threads, err)
 		}
 	}
 	m := machine.MustNew(machine.DefaultConfig())
-	w := NewPhaseShift(m, small)
+	w := NewSynthetic(m, small)
 	mp := core.DefaultMonitorParams()
 	mp.Interval = 8
 	ctl := core.NewController(core.Combined{})
