@@ -137,3 +137,38 @@ func TestPowerLineAndList(t *testing.T) {
 		}
 	}
 }
+
+// TestSpecKeyLiterals pins, as literal strings, the run keys of a
+// CLI-tuned sampled run and of single-team adaptive runs: the fixed
+// sampler and monitor tuning print into the key as the values they
+// have always had, so persisted runs keep their addresses.
+func TestSpecKeyLiterals(t *testing.T) {
+	const (
+		monitor = "|monitor/{Interval:64 DriftTol:1 CSFloorCycles:16 BusFloorCycles:24 MaxRetrains:8}"
+		tuned   = "|sampled/w=16,tol=0.1,k=1,s0=4,smax=512,minwc=40000,bail=250000"
+		dflt    = "|sampled/w=8,tol=0.04,k=1,s0=4,smax=512,minwc=40000,bail=250000"
+	)
+	cases := []struct {
+		args   []string
+		policy string
+		want   string
+	}{
+		{[]string{"-sampled", "-sample-window", "16", "-sample-tol", "0.1"}, "sat+bat", "|ed|policy/SAT+BAT" + tuned},
+		{nil, "adaptive", "|ed|policy/SAT+BAT" + monitor},
+		{[]string{"-sampled"}, "adaptive", "|ed|policy/SAT+BAT" + monitor + dflt},
+	}
+	for _, tc := range cases {
+		f := parse(t, tc.args...)
+		s, err := f.Spec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Control, err = f.Control(tc.policy); err != nil {
+			t.Fatal(err)
+		}
+		s.Workload = "ed"
+		if got, want := s.Key(), core.ConfigKey(s.Cfg)+tc.want; got != want {
+			t.Errorf("%v -policy %s:\n got %s\nwant %s", tc.args, tc.policy, got, want)
+		}
+	}
+}
