@@ -156,18 +156,18 @@ func (r RunResult) AvgThreads() float64 {
 // goes through the FDT pipeline: Sample (peeled-iteration
 // instrumentation) -> Estimate (the policy's model) -> Execute
 // (chunked team execution) -> Monitor (per-interval counter deltas
-// during execution). With Monitor nil the pipeline degenerates to Fig
-// 5's train-once flow — the seed controller, bit-identical. A measured
+// during execution). With Adaptive false the pipeline degenerates to
+// Fig 5's train-once flow — the seed controller, bit-identical. A measured
 // policy runs each whole kernel itself; the run frame around the
 // kernels is the same for both.
 type Controller struct {
 	Policy Policy
 	Params TrainingParams
-	// Monitor enables phase-adaptive re-training: execution proceeds
-	// in Interval-sized chunks and drifting counter deltas send the
-	// pipeline back to the Sample stage. nil (the default) reproduces
-	// the paper's train-once controller exactly.
-	Monitor *MonitorParams
+	// Adaptive enables phase-adaptive re-training: execution proceeds
+	// in adaptiveInterval-sized chunks and drifting counter deltas send
+	// the pipeline back to the Sample stage. false (the default)
+	// reproduces the paper's train-once controller exactly.
+	Adaptive bool
 	// Mode selects exact or sampled execution (see Mode). The zero
 	// value is exact mode — bit-identical to the pre-sampling
 	// controller.
@@ -382,7 +382,7 @@ func (ctl *Controller) runKernel(c *thread.Ctx, k Kernel) KernelResult {
 // once for a train-once controller (Fig 7's three-stage flow). With
 // monitoring on, execution runs under the Monitor and the pipeline
 // re-enters the Sample stage at every detected phase change (up to
-// MaxRetrains); tails too short to re-train on, and the remainder
+// maxRetrains); tails too short to re-train on, and the remainder
 // after the retrain budget is spent, execute unmonitored with the
 // current decision.
 func (ctl *Controller) runTrained(c *thread.Ctx, k Kernel, pol Model, n, cores int, start uint64, ct ctlTrace) KernelResult {
@@ -430,11 +430,11 @@ func (ctl *Controller) runTrained(c *thread.Ctx, k Kernel, pol Model, n, cores i
 		var stop int
 		var dr *Drift
 		execStart := c.CPU.CycleCount()
-		if ctl.Monitor == nil || kr.Retrains >= ctl.Monitor.MaxRetrains {
+		if !ctl.Adaptive || kr.Retrains >= maxRetrains {
 			ctl.execute(c, k, d.Threads, out.Next, n)
 			stop = n
 		} else {
-			mo := NewMonitor(*ctl.Monitor, estimator.Steady(out))
+			mo := NewMonitor(adaptiveInterval, estimator.Steady(out))
 			if ctl.Mode.Sampled {
 				stop, dr = Executor{}.ExecuteSampled(c, k, d.Threads, out.Next, n, ctl.Mode.Params, ctl.st, mo)
 			} else {
@@ -474,7 +474,7 @@ func (ctl *Controller) runTrained(c *thread.Ctx, k Kernel, pol Model, n, cores i
 	}
 	kr.Decision = kr.Phases[0].Decision
 	kr.Cycles = c.CPU.CycleCount() - start
-	if ctl.Monitor == nil {
+	if !ctl.Adaptive {
 		kr.Phases = nil // a train-once kernel is its one phase
 	}
 	return kr

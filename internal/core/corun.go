@@ -35,8 +35,8 @@ func (t Team) idle() bool { return t.Factory == nil }
 // key renders the team's fragment of a partitioned run's key.
 func (t Team) key(cfg machine.Config) string {
 	k := t.Workload + "/" + policyKey(t.Control.Policy, machineContexts(cfg))
-	if t.Control.Monitor != nil {
-		k += fmt.Sprintf("/monitor/%+v", *t.Control.Monitor)
+	if t.Control.Adaptive {
+		k += "/" + monitorKey
 	}
 	return k
 }

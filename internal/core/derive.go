@@ -53,7 +53,7 @@ func (rec *runRecord) bytes() uint64 {
 // machine without power parameters, where the team size is all a
 // decision changes.
 func (s RunSpec) Derivable() bool {
-	if len(s.Teams) > 0 || s.Control.Monitor != nil || s.dvfs() {
+	if len(s.Teams) > 0 || s.Control.Adaptive || s.dvfs() {
 		return false
 	}
 	switch s.Control.Policy.(type) {

@@ -85,9 +85,8 @@ func TestRunsDeriveOnlyFromRecords(t *testing.T) {
 		t.Errorf("from a store-loaded sibling: %d derived, %d computes; want 0 and 1", loaded.Derived(), loaded.Computes())
 	}
 
-	mp := DefaultMonitorParams()
 	s := synthSpec(sh, Combined{}, ExactMode())
-	s.Control.Monitor = &mp
+	s.Control.Adaptive = true
 	if s.Derivable() {
 		t.Error("a monitored run reports itself derivable")
 	}

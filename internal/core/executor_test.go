@@ -30,7 +30,7 @@ func TestExecuteSampledKeepsExactOnlyKernelsDetailed(t *testing.T) {
 		thread.Run(m, func(c *thread.Ctx) {
 			var mo *Monitor
 			if monitored {
-				mo = NewMonitor(DefaultMonitorParams(), SteadyState{})
+				mo = NewMonitor(adaptiveInterval, SteadyState{})
 			}
 			end, dr := Executor{}.ExecuteSampled(c, k, threads, 0, iters, sampled.DefaultParams(), &st, mo)
 			if end != iters || dr != nil {
@@ -49,7 +49,7 @@ func TestExecuteSampledKeepsExactOnlyKernelsDetailed(t *testing.T) {
 		}
 		chunks := 1
 		if monitored {
-			chunks = (iters + DefaultMonitorParams().Interval - 1) / DefaultMonitorParams().Interval
+			chunks = (iters + adaptiveInterval - 1) / adaptiveInterval
 		}
 		if len(k.ranges) != chunks {
 			t.Errorf("monitored=%v: %d chunks, want %d", monitored, len(k.ranges), chunks)

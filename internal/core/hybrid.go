@@ -22,7 +22,7 @@ import (
 
 // HybridParams tunes the hybrid controller's refinement probes and its
 // model/measured fallback thresholds. The rest of its tuning is fixed:
-// see hybridMonitor, hybridMaxProbes and hybridRecheckIntervals.
+// see hybridInterval, hybridMaxProbes and hybridRecheckIntervals.
 type HybridParams struct {
 	// ProbeIters is the per-candidate sample length, in iterations, of
 	// each probe comparison. A comparison interleaves the two team
@@ -41,6 +41,12 @@ type HybridParams struct {
 }
 
 const (
+	// hybridInterval is the hybrid's execution-interval cadence: three
+	// quarters of the adaptive pipeline's, whose drift tolerances and
+	// retrain cap it shares. A shorter interval gives the residual more
+	// observations per phase to integrate and keeps the per-interval
+	// fork-and-rewarm cost paid at every chunk boundary amortized.
+	hybridInterval = 48
 	// hybridMaxProbes bounds the probe comparisons one walk may
 	// execute — the "bounded" in bounded hill-climb.
 	hybridMaxProbes = 4
@@ -50,17 +56,6 @@ const (
 	// point.
 	hybridRecheckIntervals = 4
 )
-
-// hybridMonitor is the hybrid's execution-interval cadence, drift
-// tolerances and retrain cap: the adaptive pipeline's, at three
-// quarters of its interval. A shorter interval gives the residual more
-// observations per phase to integrate and keeps the per-interval
-// fork-and-rewarm cost paid at every chunk boundary amortized.
-func hybridMonitor() MonitorParams {
-	mon := DefaultMonitorParams()
-	mon.Interval = 48
-	return mon
-}
 
 // DefaultHybridParams returns the hybrid controller's tuning.
 func DefaultHybridParams() HybridParams {
@@ -149,7 +144,6 @@ func (h Hybrid) runKernel(c *thread.Ctx, k Kernel) KernelResult {
 	params := DefaultTrainingParams()
 	params.MaxTrainFraction /= 2
 	hp := h.HP.WithDefaults()
-	mon := hybridMonitor()
 
 	if n < params.MinIterations {
 		d := Decision{Threads: pol.StaticThreads(cores)}
@@ -231,17 +225,17 @@ func (h Hybrid) runKernel(c *thread.Ctx, k Kernel) KernelResult {
 		var stop int
 		var dr *Drift
 		execStart := c.CPU.CycleCount()
-		if kr.Retrains >= mon.MaxRetrains {
+		if kr.Retrains >= maxRetrains {
 			Executor{}.Execute(c, k, threads, iter, n)
 			stop = n
 		} else if !measured {
 			// The model state runs like the adaptive pipeline, plus the
 			// monitor's residual fallback test.
-			mo := NewMonitor(mon, lastSS)
+			mo := NewMonitor(hybridInterval, lastSS)
 			mo.Res, mo.resHigh = res, hp.ResidualHigh
 			stop, dr = Executor{}.ExecuteMonitored(c, k, threads, iter, n, mo)
 		} else {
-			stop, dr = h.executeMeasured(c, k, threads, iter, n, mon, hp, lastSS, res)
+			stop, dr = h.executeMeasured(c, k, threads, iter, n, hp, lastSS, res)
 		}
 		ct.span("execute", k.Name(), execStart, c.CPU.CycleCount(), uint64(threads), uint64(iter), uint64(stop))
 		if dr != nil {
@@ -273,7 +267,7 @@ func (h Hybrid) runKernel(c *thread.Ctx, k Kernel) KernelResult {
 		// sample and every probe after it. One interval at the incumbent
 		// size debounces the edge; a real phase change is still there
 		// when the interval ends, one interval later.
-		if settle := mon.Interval; n-iter >= settle+params.MinIterations {
+		if settle := hybridInterval; n-iter >= settle+params.MinIterations {
 			cycles, _ := timeChunk(c, k, threads, iter, iter+settle)
 			kr.Phases[len(kr.Phases)-1].Cycles += cycles
 			iter += settle
@@ -482,7 +476,7 @@ func (h Hybrid) refine(c *thread.Ctx, k Kernel, d Decision, wstart, lo, hi, core
 // out of both triggers instead of thrashing them. The monitor is
 // rebuilt at every recheck so each window's deviations measure local
 // stationarity, not distance from a stale snapshot.
-func (h Hybrid) executeMeasured(c *thread.Ctx, k Kernel, threads, lo, hi int, mon MonitorParams, hp HybridParams, ss SteadyState, res *Residual) (int, *Drift) {
+func (h Hybrid) executeMeasured(c *thread.Ctx, k Kernel, threads, lo, hi int, hp HybridParams, ss SteadyState, res *Residual) (int, *Drift) {
 	if !c.AtDecisionPoint() {
 		panic("core: executeMeasured outside a decision point")
 	}
@@ -492,11 +486,11 @@ func (h Hybrid) executeMeasured(c *thread.Ctx, k Kernel, threads, lo, hi int, mo
 	var winCycles uint64
 	for lo < hi {
 		if mo == nil {
-			mo = NewMonitor(mon, ss)
+			mo = NewMonitor(hybridInterval, ss)
 			mo.Res = res
 			mo.Arm(c)
 		}
-		end := min(lo+mon.Interval, hi)
+		end := min(lo+hybridInterval, hi)
 		cycles, _ := timeChunk(c, k, threads, lo, end)
 		iters := end - lo
 		lo = end
@@ -511,7 +505,7 @@ func (h Hybrid) executeMeasured(c *thread.Ctx, k Kernel, threads, lo, hi int, mo
 			return lo, &Drift{Iter: lo, Signal: "recover", Observed: res.Value(), Expected: hp.ResidualLow}
 		}
 		per := float64(winCycles) / float64(winIters)
-		if basePer > 0 && mo.drifted(per, basePer, 0) {
+		if basePer > 0 && drifted(per, basePer, 0) {
 			return lo, &Drift{Iter: lo, Signal: "measure", Observed: per, Expected: basePer}
 		}
 		basePer = per

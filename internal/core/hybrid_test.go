@@ -167,7 +167,7 @@ func TestHybridShortKernelStatic(t *testing.T) {
 // hybrid must fall back to measured mode during the storm, recover to
 // model mode in the calm, and do each at most twice (hysteresis).
 func TestHybridFallbackAndRecovery(t *testing.T) {
-	iv := hybridMonitor().Interval
+	const iv = hybridInterval
 	k := &waveKernel{name: "storm-then-calm", iters: 1920, compute: 2000,
 		cs: func(it int) uint64 {
 			if it >= 576 {

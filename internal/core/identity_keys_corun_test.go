@@ -26,7 +26,6 @@ func goldenCorunKeys() []string {
 		machine.DefaultConfig().WithCores(8),
 		machine.DefaultConfig().WithCores(16).WithSMT(2),
 	}
-	adaptive := DefaultMonitorParams()
 	var keys []string
 	for _, cfg := range cfgs {
 		mappings := []machine.Mapping{machine.MapPacked, machine.MapScattered}
@@ -35,8 +34,8 @@ func goldenCorunKeys() []string {
 		}
 		for _, mp := range mappings {
 			for _, md := range []Mode{ExactMode(), SampledMode()} {
-				for _, mon := range []*MonitorParams{nil, &adaptive} {
-					ctl := func(pol Policy) Control { return Control{Policy: pol, Monitor: mon} }
+				for _, adaptive := range []bool{false, true} {
+					ctl := func(pol Policy) Control { return Control{Policy: pol, Adaptive: adaptive} }
 					teams := []Team{
 						{Workload: "pagemine", Factory: nopFactory, Control: ctl(Combined{})},
 						{Workload: "mg", Factory: nopFactory, Control: ctl(Static{N: 4})},

@@ -16,44 +16,39 @@ import (
 // the kernel has changed phase and the controller re-enters the
 // Sample stage at the current iteration.
 
-// MonitorParams tunes the Monitor stage.
-type MonitorParams struct {
-	// Interval is the execution chunk length in iterations; the
-	// monitor reads counter deltas at every chunk boundary (the only
-	// safe re-decision points — between chunks the team has joined).
-	Interval int
-	// DriftTol is the relative tolerance on the per-iteration signals:
+// The Monitor's tuning is fixed: re-check every adaptiveInterval
+// iterations (hybridInterval under the hybrid controller), tolerate
+// 100% relative drift (single-threaded training underestimates
+// contended critical-section cost, so execution-mode readings sit above
+// the trained estimate even within one phase), floors at a few tens of
+// cycles per iteration, and at most maxRetrains re-trainings per
+// kernel. monitorKey prints these values into run keys as the
+// parameter struct that once carried them rendered, so persisted runs
+// keep their addresses; changing a value must change the key.
+const (
+	// adaptiveInterval is the adaptive controller's execution chunk
+	// length in iterations; the monitor reads counter deltas at every
+	// chunk boundary (the only safe re-decision points — between
+	// chunks the team has joined).
+	adaptiveInterval = 64
+	// driftTol is the relative tolerance on the per-iteration signals:
 	// an interval drifts when |observed - expected| exceeds
-	// DriftTol x min(observed, expected) and the absolute floor. The
+	// driftTol x min(observed, expected) and the absolute floor. The
 	// min makes the test symmetric for onsets (expected ~0) and
 	// drop-offs (observed ~0), both of which mark phase boundaries.
-	DriftTol float64
-	// CSFloorCycles / BusFloorCycles are absolute per-iteration floors
+	driftTol = 1.0
+	// csFloorCycles / busFloorCycles are absolute per-iteration floors
 	// (in cycles) below which a difference is measurement noise, not a
 	// phase change.
-	CSFloorCycles  float64
-	BusFloorCycles float64
-	// MaxRetrains caps re-trainings per kernel; past it the remainder
+	csFloorCycles  = 16
+	busFloorCycles = 24
+	// maxRetrains caps re-trainings per kernel; past it the remainder
 	// executes unmonitored with the last decision, bounding training
 	// overhead on pathologically unstable kernels.
-	MaxRetrains int
-}
+	maxRetrains = 8
 
-// DefaultMonitorParams returns the monitoring configuration used by
-// the adaptive ablation: re-check every 64 iterations, tolerate 100%
-// relative drift (single-threaded training underestimates contended
-// critical-section cost, so execution-mode readings sit above the
-// trained estimate even within one phase), floors at a few tens of
-// cycles per iteration.
-func DefaultMonitorParams() MonitorParams {
-	return MonitorParams{
-		Interval:       64,
-		DriftTol:       1.0,
-		CSFloorCycles:  16,
-		BusFloorCycles: 24,
-		MaxRetrains:    8,
-	}
-}
+	monitorKey = "monitor/{Interval:64 DriftTol:1 CSFloorCycles:16 BusFloorCycles:24 MaxRetrains:8}"
+)
 
 // Drift describes one detected phase change.
 type Drift struct {
@@ -136,7 +131,8 @@ func relDev(obs, exp, floor float64) float64 {
 // Monitor watches one kernel's execution against its trained
 // estimate. Arm it after estimation, then Observe after every chunk.
 type Monitor struct {
-	Params MonitorParams
+	// interval is the execution chunk length in iterations.
+	interval int
 
 	// Res, when non-nil, receives the continuous deviation of every
 	// post-calibration interval (one observation per interval: the
@@ -164,9 +160,10 @@ type Monitor struct {
 	track trace.TrackID
 }
 
-// NewMonitor builds a monitor expecting the trained steady state.
-func NewMonitor(p MonitorParams, ref SteadyState) *Monitor {
-	return &Monitor{Params: p, expCS: ref.CSPerIter, expBus: ref.BusPerIter}
+// NewMonitor builds a monitor that observes every interval iterations
+// and expects the trained steady state.
+func NewMonitor(interval int, ref SteadyState) *Monitor {
+	return &Monitor{interval: interval, expCS: ref.CSPerIter, expBus: ref.BusPerIter}
 }
 
 // Arm snapshots the counters at the start of monitored execution.
@@ -227,18 +224,18 @@ func (mo *Monitor) Observe(c *thread.Ctx, iters, nextIter int) *Drift {
 		// One observation per interval: the worse of the two signals.
 		// Folding both would dilute a drifting signal with the quiet
 		// one's zeros.
-		dev := relDev(obsCS, mo.expCS, mo.Params.CSFloorCycles)
-		if b := relDev(obsBus, mo.expBus, mo.Params.BusFloorCycles); b > dev {
+		dev := relDev(obsCS, mo.expCS, csFloorCycles)
+		if b := relDev(obsBus, mo.expBus, busFloorCycles); b > dev {
 			dev = b
 		}
 		mo.Res.Observe(dev)
 	}
 	// Bus first: a phase that both saturates the bus and synchronizes
 	// more is bandwidth-limited first (Section 6.3's interaction).
-	if mo.drifted(obsBus, mo.expBus, mo.Params.BusFloorCycles) {
+	if drifted(obsBus, mo.expBus, busFloorCycles) {
 		return &Drift{Iter: nextIter, Signal: "bus", Observed: obsBus, Expected: mo.expBus}
 	}
-	if mo.drifted(obsCS, mo.expCS, mo.Params.CSFloorCycles) {
+	if drifted(obsCS, mo.expCS, csFloorCycles) {
 		return &Drift{Iter: nextIter, Signal: "cs", Observed: obsCS, Expected: mo.expCS}
 	}
 	return nil
@@ -266,9 +263,9 @@ func (mo *Monitor) fallback(lo, hi int) *Drift {
 }
 
 // drifted applies the tolerance test: the absolute difference must
-// exceed both the noise floor and DriftTol times the smaller of the
+// exceed both the noise floor and driftTol times the smaller of the
 // two values (symmetric for onsets and drop-offs).
-func (mo *Monitor) drifted(obs, exp, floor float64) bool {
+func drifted(obs, exp, floor float64) bool {
 	diff := obs - exp
 	if diff < 0 {
 		diff = -diff
@@ -280,5 +277,5 @@ func (mo *Monitor) drifted(obs, exp, floor float64) bool {
 	if exp < obs {
 		lo = exp
 	}
-	return diff > mo.Params.DriftTol*lo
+	return diff > driftTol*lo
 }

@@ -213,9 +213,9 @@ func policyKey(pol Policy, cores int) string {
 		// knobs; their fixed values keep the zeros they rendered as
 		// defaults, so the fragment reads as HybridParams' old %+v.
 		hp := p.HP
-		return fmt.Sprintf("policy/hybrid/seed=combined/{Monitor:%+v ProbeIters:%v MinGain:%v MaxProbes:0 "+
-			"ResidualHigh:%v ResidualLow:%v ResidualDecay:0 RecheckIntervals:0}|train/%+v",
-			MonitorParams{}, hp.ProbeIters, hp.MinGain, hp.ResidualHigh, hp.ResidualLow, TrainingParams{})
+		return fmt.Sprintf("policy/hybrid/seed=combined/{Monitor:{Interval:0 DriftTol:0 CSFloorCycles:0 BusFloorCycles:0 MaxRetrains:0} "+
+			"ProbeIters:%v MinGain:%v MaxProbes:0 ResidualHigh:%v ResidualLow:%v ResidualDecay:0 RecheckIntervals:0}|train/%+v",
+			hp.ProbeIters, hp.MinGain, hp.ResidualHigh, hp.ResidualLow, TrainingParams{})
 	}
 	return "policy/" + pol.Name()
 }

@@ -52,18 +52,17 @@ func TestMeasuredRunAddsEnergy(t *testing.T) {
 // takes no monitor, and the hybrid's tuning must be sane.
 func TestValidateAsksThePolicy(t *testing.T) {
 	cfg := machine.DefaultConfig().WithCores(8)
-	mp := core.DefaultMonitorParams()
 	for _, tc := range []struct {
 		name string
 		c    core.Control
 		ok   bool
 	}{
-		{"no policy", core.Control{Monitor: &mp}, false},
-		{"adaptive", core.Control{Policy: core.Combined{}, Monitor: &mp}, true},
+		{"no policy", core.Control{Adaptive: true}, false},
+		{"adaptive", core.Control{Policy: core.Combined{}, Adaptive: true}, true},
 		{"hill-climb", core.Control{Policy: core.HillClimb{}}, true},
 		{"refined BAT", core.Control{Policy: core.RefinedBAT{}}, true},
-		{"hill-climb with monitor", core.Control{Policy: core.HillClimb{}, Monitor: &mp}, false},
-		{"hybrid with monitor", core.Control{Policy: core.Hybrid{}, Monitor: &mp}, false},
+		{"hill-climb with monitor", core.Control{Policy: core.HillClimb{}, Adaptive: true}, false},
+		{"hybrid with monitor", core.Control{Policy: core.Hybrid{}, Adaptive: true}, false},
 		{"hybrid without hysteresis", core.Control{Policy: core.Hybrid{HP: core.HybridParams{ResidualHigh: 0.1, ResidualLow: 0.2}}}, false},
 	} {
 		err := core.RunSpec{Cfg: cfg, Workload: "ed", Control: tc.c}.Validate()

@@ -10,13 +10,13 @@ import (
 	"fdt/internal/runner"
 )
 
-// Control names a run's controller: a policy plus an optional
-// monitor. A Model policy trains once or, with Monitor set, is
-// phase-adaptive; a measured policy (HillClimb, Hybrid, RefinedBAT)
-// times real chunks and takes no monitor.
+// Control names a run's controller: a policy, optionally monitored. A
+// Model policy trains once or, with Adaptive set, is phase-adaptive; a
+// measured policy (HillClimb, Hybrid, RefinedBAT) times real chunks and
+// takes no monitor.
 type Control struct {
-	Policy  Policy
-	Monitor *MonitorParams
+	Policy   Policy
+	Adaptive bool
 }
 
 // ParseController resolves a policy name; it is the one table of names
@@ -35,8 +35,7 @@ func ParseController(name string) (Control, error) {
 	case "static":
 		return Control{Policy: Static{}}, nil
 	case "adaptive":
-		mp := DefaultMonitorParams()
-		return Control{Policy: Combined{}, Monitor: &mp}, nil
+		return Control{Policy: Combined{}, Adaptive: true}, nil
 	case "hillclimb", "hill-climb":
 		return Control{Policy: HillClimb{}}, nil
 	case "hybrid":
@@ -57,7 +56,7 @@ func (c Control) Name() string {
 	switch {
 	case c.Policy == nil:
 		return ""
-	case c.Monitor != nil:
+	case c.Adaptive:
 		return "adaptive(" + c.Policy.Name() + ")"
 	}
 	return c.Policy.Name()
@@ -132,7 +131,7 @@ func (s RunSpec) Validate() error {
 		switch {
 		case c.Policy == nil:
 			return errors.New("run needs a policy")
-		case c.measured() && c.Monitor != nil:
+		case c.measured() && c.Adaptive:
 			return fmt.Errorf("policy %q takes no monitor (its probes time real chunks)", c.Name())
 		case s.Power != nil && s.Power.Budget < 0:
 			return fmt.Errorf("bad power budget %g (want >= 0; 0 = unconstrained)", s.Power.Budget)
@@ -167,7 +166,7 @@ func (s RunSpec) ExactNote() string {
 		return "-trace forces exact execution (a golden trace must record every event)"
 	case c.measured():
 		return "-policy " + c.Name() + " forces exact execution (its probes time real chunks)"
-	case c.Monitor != nil && s.dvfs():
+	case c.Adaptive && s.dvfs():
 		return "-policy adaptive forces exact execution under a power budget or P-state ladder (monitor-driven retraining with frequency switching has no sampled-mode audit)"
 	}
 	return ""
@@ -219,8 +218,8 @@ func (s RunSpec) key() string {
 	}
 	c := s.Control
 	key := ConfigKey(s.Cfg) + "|" + s.Workload + "|" + policyKey(c.Policy, machineContexts(s.Cfg))
-	if c.Monitor != nil {
-		key += fmt.Sprintf("|monitor/%+v", *c.Monitor)
+	if c.Adaptive {
+		key += "|" + monitorKey
 	}
 	if s.Power != nil {
 		key += s.Power.key()
@@ -241,7 +240,7 @@ func (s RunSpec) trainingKey() string {
 // power and training parameters.
 func (s RunSpec) controller(c Control) *Controller {
 	ctl := NewController(c.Policy)
-	ctl.Monitor, ctl.Mode, ctl.Power = c.Monitor, s.Mode, s.Power
+	ctl.Adaptive, ctl.Mode, ctl.Power = c.Adaptive, s.Mode, s.Power
 	ctl.Params = s.trainingParams()
 	return ctl
 }

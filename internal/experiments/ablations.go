@@ -188,9 +188,8 @@ func AblationPrefetcher(o Options) Ablation {
 func AblationAdaptive(o Options) Ablation {
 	a := Ablation{Title: "train-once vs phase-adaptive FDT (phaseshift)"}
 	const name = "phaseshift"
-	mp := core.DefaultMonitorParams()
 	once := o.run(name, core.Control{Policy: core.Combined{}})
-	ad := o.run(name, core.Control{Policy: core.Combined{}, Monitor: &mp})
+	ad := o.run(name, core.Control{Policy: core.Combined{}, Adaptive: true})
 	ok, ak := once.Kernels[0], ad.Kernels[0]
 	a.Rows = append(a.Rows,
 		AblationRow{

@@ -79,7 +79,7 @@ func InterferenceCell(runs *core.Runs, co core.RunSpec) []InterferenceRow {
 			Corunner:      co.Teams[1-i].Workload,
 			Mapping:       res.Mapping,
 			Policy:        t.Control.Policy.Name(),
-			Adaptive:      t.Control.Monitor != nil,
+			Adaptive:      t.Control.Adaptive,
 			SoloCycles:    solo.TotalCycles,
 			CorunCycles:   ct.TotalCycles,
 			SoloPower:     solo.AvgActiveCores,
@@ -117,11 +117,7 @@ func interferenceCells(o Options, pairs [][2]string, mappings []machine.Mapping)
 	for _, p := range pairs {
 		for _, mp := range mappings {
 			for _, adaptive := range []bool{false, true} {
-				ctl := core.Control{Policy: core.Combined{}}
-				if adaptive {
-					mon := core.DefaultMonitorParams()
-					ctl.Monitor = &mon
-				}
+				ctl := core.Control{Policy: core.Combined{}, Adaptive: adaptive}
 				cells = append(cells, core.RunSpec{Cfg: o.Cfg, Mode: o.Mode, Mapping: mp, Teams: []core.Team{
 					{Workload: p[0], Factory: factory(p[0]), Control: ctl},
 					{Workload: p[1], Factory: factory(p[1]), Control: ctl},

@@ -264,8 +264,7 @@ func Assertions() []Assertion {
 				// only exercised end to end by exact execution.
 				co := corunPair(o, machine.MapPacked, "bscholes", "busburst")
 				co.Mode = core.ExactMode()
-				mon := core.DefaultMonitorParams()
-				co.Teams[0].Control.Monitor = &mon
+				co.Teams[0].Control.Adaptive = true
 				if err := co.Validate(); err != nil {
 					return err
 				}

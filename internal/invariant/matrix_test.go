@@ -111,8 +111,7 @@ func policies() map[string]func() *core.Controller {
 
 func adaptive() *core.Controller {
 	ctl := core.NewController(core.Combined{})
-	mp := core.DefaultMonitorParams()
-	ctl.Monitor = &mp
+	ctl.Adaptive = true
 	return ctl
 }
 

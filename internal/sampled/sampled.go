@@ -28,7 +28,9 @@ import (
 // sampled sits below internal/thread in the layer order.
 const csCyclesCounter = "sync.cs_cycles"
 
-// Params tunes sampled execution.
+// Params tunes sampled execution. The rest of the sampler's tuning is
+// fixed: see stableWindows here and the executor's skip and window
+// constants in internal/core.
 type Params struct {
 	// WindowIters is the detailed-window length in kernel iterations.
 	// The first window of each region doubles as cache/row-buffer
@@ -38,48 +40,16 @@ type Params struct {
 	// absolute for the fractional signals (CS fraction, bus
 	// utilization, row-hit rate).
 	Tol float64
-	// StableWindows is K, the consecutive stable windows required
-	// before the region is declared steady and fast-forwarding may
-	// begin.
-	StableWindows int
-	// SkipStartWindows is the first fast-forward length, in windows.
-	// Each subsequent skip doubles up to SkipMaxWindows; a window that
-	// falls out of steady state resets the length.
-	SkipStartWindows int
-	// SkipMaxWindows caps the geometric skip growth.
-	SkipMaxWindows int
-	// MinWindowCycles is the smallest useful detailed-window cost.
-	// Every detailed window pays a fixed chunk-boundary overhead
-	// (fork/join of the team) the single-chunk exact run does not;
-	// windows are grown until they cost at least this many cycles so
-	// that overhead stays a sub-percent fraction of the profile being
-	// extrapolated.
-	MinWindowCycles uint64
-	// BailCycles is the remaining-work floor below which sampling
-	// stops paying: once a kernel's projected remainder (remaining
-	// iterations at the measured cycles/iteration) falls under it, the
-	// executor runs the remainder as one exact chunk. Short, cheap
-	// kernels gain nothing from extrapolation but would still pay the
-	// per-window fork/join overhead as modeling error.
-	BailCycles uint64
 }
 
+// stableWindows is K, the consecutive stable windows required before
+// a region is declared steady and fast-forwarding may begin.
+const stableWindows = 1
+
 // DefaultParams returns the tuning used by the sampled CLIs and
-// benchmarks: 8-iteration windows, 4% tolerance, steady after 1
-// confirming window, skips growing 4 -> 512 windows. The short first
-// skip is the counterweight to the single confirming window: an
-// engagement on flukish agreement is re-verified four windows later,
-// before the ramp reaches consequential skip lengths.
+// benchmarks: 8-iteration windows, 4% tolerance.
 func DefaultParams() Params {
-	return Params{
-		WindowIters:      8,
-		Tol:              0.04,
-		StableWindows:    1,
-		SkipStartWindows: 4,
-		SkipMaxWindows:   512,
-		MinWindowCycles:  40_000,
-		BailCycles:       250_000,
-	}
+	return Params{WindowIters: 8, Tol: 0.04}
 }
 
 // WithDefaults fills zero fields from DefaultParams so partially
@@ -92,32 +62,16 @@ func (p Params) WithDefaults() Params {
 	if p.Tol <= 0 {
 		p.Tol = d.Tol
 	}
-	if p.StableWindows <= 0 {
-		p.StableWindows = d.StableWindows
-	}
-	if p.SkipStartWindows <= 0 {
-		p.SkipStartWindows = d.SkipStartWindows
-	}
-	if p.SkipMaxWindows < p.SkipStartWindows {
-		p.SkipMaxWindows = d.SkipMaxWindows
-		if p.SkipMaxWindows < p.SkipStartWindows {
-			p.SkipMaxWindows = p.SkipStartWindows
-		}
-	}
-	if p.MinWindowCycles == 0 {
-		p.MinWindowCycles = d.MinWindowCycles
-	}
-	if p.BailCycles == 0 {
-		p.BailCycles = d.BailCycles
-	}
 	return p
 }
 
-// Key renders the parameters as a stable cache-key fragment.
+// Key renders the parameters as a stable cache-key fragment. The fixed
+// tuning (stableWindows and the executor's skip lengths, window-cost
+// floor and bail threshold) prints as the values it has always had, so
+// persisted sampled runs keep their addresses.
 func (p Params) Key() string {
 	p = p.WithDefaults()
-	return fmt.Sprintf("w=%d,tol=%g,k=%d,s0=%d,smax=%d,minwc=%d,bail=%d",
-		p.WindowIters, p.Tol, p.StableWindows, p.SkipStartWindows, p.SkipMaxWindows, p.MinWindowCycles, p.BailCycles)
+	return fmt.Sprintf("w=%d,tol=%g,k=1,s0=4,smax=512,minwc=40000,bail=250000", p.WindowIters, p.Tol)
 }
 
 // Stats summarizes one sampled run: how much was cycle-simulated, how
@@ -341,7 +295,7 @@ func NewDetector(p Params) *Detector {
 
 // Observe feeds one detailed window. The first window is warmup (it
 // only establishes the baseline); each later window counts toward the
-// StableWindows run when all four signals match its predecessor
+// stableWindows run when all four signals match its predecessor
 // within tolerance, and resets the run when any does not.
 func (d *Detector) Observe(w Window) {
 	sig := d.measure(w)
@@ -350,7 +304,7 @@ func (d *Detector) Observe(w Window) {
 	} else {
 		d.stable = 0
 	}
-	d.steady = d.stable >= d.p.StableWindows
+	d.steady = d.stable >= stableWindows
 	d.prev = sig
 	if d.have {
 		d.prevWin = d.last
@@ -487,13 +441,13 @@ func (d *Detector) slope() float64 {
 }
 
 // Steady reports whether the region is in detected steady state —
-// either the pairwise stable run reached StableWindows, or the
+// either the pairwise stable run reached stableWindows, or the
 // least-squares trend fit explains the recent windows within
 // tolerance (fit-steady; see observeFit).
 func (d *Detector) Steady() bool { return d.steady || d.fitOK }
 
 // StableRun reports the current run of consecutive stable windows —
-// nonzero while stability is building toward StableWindows.
+// nonzero while stability is building toward stableWindows.
 func (d *Detector) StableRun() int { return d.stable }
 
 // MaxSkipIters bounds a single fast-forward: the linear drift model is

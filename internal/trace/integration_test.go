@@ -25,8 +25,7 @@ func runPhaseShift(p workloads.SyntheticParams, mask trace.Category, capacity in
 	m.AttachTracer(tr)
 	w := workloads.NewSynthetic(m, p)
 	ctl := core.NewController(core.Combined{})
-	mp := core.DefaultMonitorParams()
-	ctl.Monitor = &mp
+	ctl.Adaptive = true
 	res := ctl.Run(m, w)
 	return tr, res
 }

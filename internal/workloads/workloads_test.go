@@ -334,7 +334,8 @@ func TestPhaseShiftRegisteredAsExtra(t *testing.T) {
 // TestPhaseShiftVerifies: the phased workload computes the right
 // reduction at every team size and under the adaptive pipeline, whose
 // interval-chunked execution and mid-kernel re-training must not
-// change the answer.
+// change the answer. The adaptive run's spans are long enough for the
+// monitor's 64-iteration cadence to see a phase change and retrain.
 func TestPhaseShiftVerifies(t *testing.T) {
 	small := DefaultSyntheticParams("phaseshift")
 	small.Spans = []Span{{Iters: 40}, {Iters: 40, Merge: true}, {Iters: 40, Stream: true}}
@@ -347,15 +348,19 @@ func TestPhaseShiftVerifies(t *testing.T) {
 			t.Errorf("at %d threads: %v", threads, err)
 		}
 	}
+	long := small
+	long.Spans = []Span{{Iters: 200}, {Iters: 200, Merge: true}, {Iters: 200, Stream: true}}
+	long.Iters = 600
 	m := machine.MustNew(machine.DefaultConfig())
-	w := NewSynthetic(m, small)
-	mp := core.DefaultMonitorParams()
-	mp.Interval = 8
+	w := NewSynthetic(m, long)
 	ctl := core.NewController(core.Combined{})
-	ctl.Monitor = &mp
-	ctl.Run(m, w)
+	ctl.Adaptive = true
+	res := ctl.Run(m, w)
 	if err := w.Verify(); err != nil {
 		t.Errorf("under adaptive FDT: %v", err)
+	}
+	if r := res.Kernels[0].Retrains; r < 1 {
+		t.Errorf("adaptive FDT retrained %d times, want >= 1 (the test must cross a phase change mid-kernel)", r)
 	}
 }
 
