@@ -35,13 +35,20 @@ type SampleUnitKernel interface {
 }
 
 // ExactOnlyKernel is optionally implemented by kernels that must not
-// be fast-forwarded even in sampled mode: producers whose stores warm
-// the cache working set a later kernel consumes. Skipping their
-// iterations would hand the consumer a cold, never-simulated working
-// set — a microarchitectural state the exact run can never reach — and
-// the consumer's measured windows would inherit that bias even when
-// fully detailed (the classic functional-warming gap of sampled
-// simulation). The sampled executor runs such kernels exactly.
+// be fast-forwarded even in sampled mode. Two kinds need it:
+//
+//   - producers whose stores warm the cache working set a later kernel
+//     consumes. Skipping their iterations would hand the consumer a
+//     cold, never-simulated working set — a microarchitectural state
+//     the exact run can never reach — and the consumer's measured
+//     windows would inherit that bias even when fully detailed (the
+//     classic functional-warming gap of sampled simulation);
+//   - kernels whose behaviour changes at fixed iterations mid-kernel.
+//     The detector only sees the windows it simulates, so a phase
+//     boundary inside a fast-forward goes unobserved and the previous
+//     phase's profile is extrapolated across it.
+//
+// The sampled executor runs such kernels exactly.
 type ExactOnlyKernel interface {
 	SampleExactOnly() bool
 }

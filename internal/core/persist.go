@@ -11,9 +11,10 @@ import (
 // shape in a way old payloads must not be decoded into — stale entries
 // then read as misses and are recomputed, never misparsed. A changed
 // stored value under an existing key needs a bump too: schema 2
-// retires hill-climb runs stored with a zero BusBusyCycles. Open a
-// store for a Runs with store.Open(dir, RunStoreSchema).
-const RunStoreSchema = 2
+// retires hill-climb runs stored with a zero BusBusyCycles, schema 3
+// sampled runs of the multi-span synthetic extras, which now execute
+// exactly. Open a store for a Runs with store.Open(dir, RunStoreSchema).
+const RunStoreSchema = 3
 
 // attach backs r with a disk store, or detaches it when st is nil:
 // cache misses consult the store before simulating, and every freshly

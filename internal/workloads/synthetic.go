@@ -141,6 +141,12 @@ func (w *Synthetic) Setup(c *thread.Ctx) {
 // Iterations implements core.Kernel.
 func (w *Synthetic) Iterations() int { return w.p.Iters }
 
+// SampleExactOnly implements core.ExactOnlyKernel: a kernel of more
+// than one span changes behaviour at span boundaries by design, and a
+// fast-forward that jumps one would carry the old span's profile
+// across it. A single stationary span (csdep) keeps sampling.
+func (w *Synthetic) SampleExactOnly() bool { return len(w.p.Spans) > 1 }
+
 // RunChunk implements core.Kernel: iterations [lo, hi) on a team of
 // n, each ending at a barrier.
 func (w *Synthetic) RunChunk(master *thread.Ctx, n, lo, hi int) {
