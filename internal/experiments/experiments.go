@@ -13,7 +13,6 @@ import (
 
 	"fdt/internal/core"
 	"fdt/internal/machine"
-	"fdt/internal/stats"
 	"fdt/internal/workloads"
 )
 
@@ -147,19 +146,20 @@ func runNamed(o Options, name string, pol core.Policy) core.RunResult {
 // Options' progress sink from its worker goroutine.
 func sweep(o Options, name string) Curve {
 	ts := o.threads()
-	c, times := curveOf(name, ts, sweepRuns(o, name, ts))
-	idx, minCycles := stats.ArgMinUint(times)
-	c.MinThreads, c.MinCycles = ts[idx], minCycles
-	return c
+	return CurveOf(name, ts, sweepRuns(o, name, ts))
 }
 
-// curveOf tabulates a sweep's runs as a curve normalized to its first
-// point; the caller picks the minimum from the returned cycles.
-func curveOf(name string, ts []int, runs []core.RunResult) (Curve, []uint64) {
+// CurveOf tabulates runs at thread counts ts as a curve normalized to
+// its first point, with its minimum. Mutation tests build their curves
+// with it too: their deliberately broken machines must never flow
+// through the keyed run cache.
+func CurveOf(name string, ts []int, runs []core.RunResult) Curve {
+	if len(ts) == 0 || len(runs) != len(ts) {
+		panic("experiments: threads and runs must be non-empty and equal length")
+	}
 	c := Curve{Workload: name}
-	times := make([]uint64, len(runs))
+	minIdx := 0
 	for i, r := range runs {
-		times[i] = r.TotalCycles
 		c.Points = append(c.Points, SweepPoint{
 			Threads:  ts[i],
 			Cycles:   r.TotalCycles,
@@ -167,8 +167,23 @@ func curveOf(name string, ts []int, runs []core.RunResult) (Curve, []uint64) {
 			BusUtil:  machine.BusUtilization(r.BusBusyCycles, r.TotalCycles),
 			Power:    r.AvgActiveCores,
 		})
+		if r.TotalCycles < runs[minIdx].TotalCycles {
+			minIdx = i
+		}
 	}
-	return c, times
+	c.MinThreads, c.MinCycles = ts[minIdx], runs[minIdx].TotalCycles
+	return c
+}
+
+// SaturationThreads reports the fewest swept threads whose bus
+// utilization reached util, or 0 if it never does.
+func (c Curve) SaturationThreads(util float64) int {
+	for _, p := range c.Points {
+		if p.BusUtil >= util {
+			return p.Threads
+		}
+	}
+	return 0
 }
 
 // sweepRuns is core.Sweep with per-point progress reporting.

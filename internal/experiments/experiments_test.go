@@ -43,7 +43,7 @@ func TestFig04EDFlattens(t *testing.T) {
 		t.Errorf("ED time at 32 threads is %.2fx the minimum — curve did not flatten", ratio)
 	}
 	// Utilization climbs roughly linearly then saturates (Fig 4b).
-	sat := f.SaturationThreads()
+	sat := c.SaturationThreads(0.95)
 	if sat < 6 || sat > 12 {
 		t.Errorf("ED bus saturates at %d threads, paper has ~8", sat)
 	}

@@ -39,22 +39,11 @@ func RunFig04(o Options) Fig04 {
 	return Fig04{Curve: sweep(o, "ed")}
 }
 
-// SaturationThreads reports the fewest swept threads whose bus
-// utilization reached 95%.
-func (f Fig04) SaturationThreads() int {
-	for _, p := range f.Curve.Points {
-		if p.BusUtil >= 0.95 {
-			return p.Threads
-		}
-	}
-	return 0
-}
-
 // String renders the figure.
 func (f Fig04) String() string {
 	var b strings.Builder
 	b.WriteString("Figure 4: ED execution time (a) and bus utilization (b) vs thread count\n")
 	formatCurve(&b, f.Curve)
-	fmt.Fprintf(&b, "  bus saturates (>=95%%) at %d threads\n", f.SaturationThreads())
+	fmt.Fprintf(&b, "  bus saturates (>=95%%) at %d threads\n", f.Curve.SaturationThreads(0.95))
 	return b.String()
 }

@@ -44,16 +44,6 @@ func TestFactoryPanicsOnUnknown(t *testing.T) {
 	factory("nonesuch")
 }
 
-func TestFewestIdx(t *testing.T) {
-	// min at index 3 (100); index 1 (101) is within 1%.
-	if got := fewestIdx([]uint64{200, 101, 150, 100}); got != 1 {
-		t.Errorf("fewestIdx = %d, want 1", got)
-	}
-	if got := fewestIdx([]uint64{5}); got != 0 {
-		t.Errorf("single-element fewestIdx = %d", got)
-	}
-}
-
 func TestThreadsLabel(t *testing.T) {
 	single := policyRunWithKernels("k", 7)
 	if got := threadsLabel(single); got != "7 thread(s)" {

@@ -82,7 +82,7 @@ func RunFig09(o Options) Fig09 {
 		for j, r := range runs {
 			times[j] = r.TotalCycles
 		}
-		best := o.threads()[fewestIdx(times)]
+		best := o.threads()[stats.FewestWithin(times, 0.01)]
 		sat := o.spec(wkey, fac, core.Control{Policy: core.SAT{}}).Run(o.Runs)
 		f.PageBytes[i] = pb
 		f.BestThreads[i] = best
@@ -98,24 +98,6 @@ func pageMineSized(pageBytes int) (core.Factory, string) {
 	params.PageBytes = pageBytes
 	fac := func(m *machine.Machine) core.Workload { return workloads.NewPageMine(m, params) }
 	return fac, fmt.Sprintf("pagemine/pb=%d", pageBytes)
-}
-
-// fewestIdx picks the fewest threads within 1% of the minimum — the
-// paper's definition of "best number of threads".
-func fewestIdx(times []uint64) int {
-	best := times[0]
-	for _, t := range times {
-		if t < best {
-			best = t
-		}
-	}
-	limit := float64(best) * 1.01
-	for i, t := range times {
-		if float64(t) <= limit {
-			return i
-		}
-	}
-	return 0
 }
 
 // String renders the figure.
@@ -143,17 +125,22 @@ func RunFig10(o Options) Fig10 {
 	run := func(pageBytes int) (Curve, PolicyPoint) {
 		fac, wkey := pageMineSized(pageBytes)
 		ts := o.threads()
-		c, times := curveOf(fmt.Sprintf("pagemine-%dB", pageBytes), ts, core.Sweep(o.Runs, o.spec(wkey, fac, core.Control{}), ts, nil))
-		idx := fewestIdx(times)
-		c.MinThreads, c.MinCycles = ts[idx], times[idx]
+		c := CurveOf(fmt.Sprintf("pagemine-%dB", pageBytes), ts, core.Sweep(o.Runs, o.spec(wkey, fac, core.Control{}), ts, nil))
 		sat := o.spec(wkey, fac, core.Control{Policy: core.SAT{}}).Run(o.Runs)
 		pp := PolicyPoint{
-			Policy:   "SAT",
-			Run:      sat,
-			NormTime: float64(sat.TotalCycles) / float64(c.Points[0].Cycles),
+			Policy:     "SAT",
+			Run:        sat,
+			NormTime:   float64(sat.TotalCycles) / float64(c.Points[0].Cycles),
+			OverMinPct: 100 * (float64(sat.TotalCycles)/float64(c.MinCycles) - 1),
 		}
-		_, minAll := stats.ArgMinUint(times)
-		pp.OverMinPct = 100 * (float64(sat.TotalCycles)/float64(minAll) - 1)
+		// The figure marks the paper's best: the fewest threads within
+		// 1% of the minimum.
+		times := make([]uint64, len(c.Points))
+		for i, p := range c.Points {
+			times[i] = p.Cycles
+		}
+		idx := stats.FewestWithin(times, 0.01)
+		c.MinThreads, c.MinCycles = ts[idx], times[idx]
 		return c, pp
 	}
 	var f Fig10

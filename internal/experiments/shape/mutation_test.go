@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"fdt/internal/core"
+	"fdt/internal/experiments"
 	"fdt/internal/machine"
 	"fdt/internal/workloads"
 )
@@ -47,12 +48,12 @@ func TestMutationBusOccupancySkewBendsKnee(t *testing.T) {
 	}
 	threads := []int{1, 2, 4, 6, 8, 10, 12}
 
-	control := CurveOf("ed", threads, edSweep(t, threads, nil))
+	control := experiments.CurveOf("ed", threads, edSweep(t, threads, nil))
 	if err := KneeWithin(control, 0.95, 6, 12); err != nil {
 		t.Fatalf("control sweep fails the fig4-ed-knee predicate: %v", err)
 	}
 
-	mutated := CurveOf("ed", threads, edSweep(t, threads, func(m *machine.Machine) {
+	mutated := experiments.CurveOf("ed", threads, edSweep(t, threads, func(m *machine.Machine) {
 		m.Mem.Bus.FaultOccupancySkew(4)
 	}))
 	if err := KneeWithin(mutated, 0.95, 6, 12); err == nil {

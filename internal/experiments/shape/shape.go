@@ -17,37 +17,8 @@ package shape
 import (
 	"fmt"
 
-	"fdt/internal/core"
 	"fdt/internal/experiments"
-	"fdt/internal/machine"
 )
-
-// CurveOf builds an experiments.Curve from direct run results — the
-// entry point for mutation tests, whose deliberately broken machines
-// must never flow through the keyed run cache.
-func CurveOf(workload string, threads []int, runs []core.RunResult) experiments.Curve {
-	if len(threads) == 0 || len(runs) != len(threads) {
-		panic("shape: threads and runs must be non-empty and equal length")
-	}
-	c := experiments.Curve{Workload: workload}
-	base := runs[0].TotalCycles
-	minIdx := 0
-	for i, r := range runs {
-		c.Points = append(c.Points, experiments.SweepPoint{
-			Threads:  threads[i],
-			Cycles:   r.TotalCycles,
-			NormTime: float64(r.TotalCycles) / float64(base),
-			BusUtil:  machine.BusUtilization(r.BusBusyCycles, r.TotalCycles),
-			Power:    r.AvgActiveCores,
-		})
-		if r.TotalCycles < runs[minIdx].TotalCycles {
-			minIdx = i
-		}
-	}
-	c.MinThreads = threads[minIdx]
-	c.MinCycles = runs[minIdx].TotalCycles
-	return c
-}
 
 // Valley checks the U/valley shape of a synchronization-limited curve:
 // the minimum sits at an interior thread count inside [minLo, minHi],
@@ -92,21 +63,10 @@ func Flattens(c experiments.Curve, maxEndOverMin float64) error {
 	return nil
 }
 
-// SaturationThreads reports the fewest swept threads at which bus
-// utilization reaches util, or 0 if it never does.
-func SaturationThreads(c experiments.Curve, util float64) int {
-	for _, p := range c.Points {
-		if p.BusUtil >= util {
-			return p.Threads
-		}
-	}
-	return 0
-}
-
 // KneeWithin checks that the bus saturates (utilization >= util)
 // first at a thread count inside [lo, hi] — the knee-position band.
 func KneeWithin(c experiments.Curve, util float64, lo, hi int) error {
-	knee := SaturationThreads(c, util)
+	knee := c.SaturationThreads(util)
 	if knee == 0 {
 		return fmt.Errorf("%s: bus never reaches %.0f%% utilization on the sweep — no knee",
 			c.Workload, 100*util)

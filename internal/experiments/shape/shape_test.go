@@ -75,7 +75,7 @@ func TestFlattens(t *testing.T) {
 func TestKnee(t *testing.T) {
 	c := curve([]int{1, 4, 8, 16}, []uint64{100, 30, 25, 25},
 		[]float64{0.13, 0.52, 0.97, 1.0})
-	if got := SaturationThreads(c, 0.95); got != 8 {
+	if got := c.SaturationThreads(0.95); got != 8 {
 		t.Errorf("SaturationThreads = %d, want 8", got)
 	}
 	if err := KneeWithin(c, 0.95, 6, 12); err != nil {
@@ -85,7 +85,7 @@ func TestKnee(t *testing.T) {
 		t.Error("knee at 8 accepted for band [10, 12]")
 	}
 	unsat := curve([]int{1, 4}, []uint64{100, 30}, []float64{0.1, 0.4})
-	if got := SaturationThreads(unsat, 0.95); got != 0 {
+	if got := unsat.SaturationThreads(0.95); got != 0 {
 		t.Errorf("unsaturated SaturationThreads = %d, want 0", got)
 	}
 	if err := KneeWithin(unsat, 0.95, 1, 32); err == nil || !strings.Contains(err.Error(), "no knee") {
@@ -136,7 +136,7 @@ func TestCurveOf(t *testing.T) {
 		{TotalCycles: 60, BusBusyCycles: 30},
 		{TotalCycles: 90, BusBusyCycles: 80},
 	}
-	c := CurveOf("w", []int{1, 4, 8}, runs)
+	c := experiments.CurveOf("w", []int{1, 4, 8}, runs)
 	if c.MinThreads != 4 || c.MinCycles != 60 {
 		t.Errorf("min = (%d threads, %d cycles), want (4, 60)", c.MinThreads, c.MinCycles)
 	}
@@ -148,7 +148,7 @@ func TestCurveOf(t *testing.T) {
 			t.Error("length mismatch did not panic")
 		}
 	}()
-	CurveOf("w", []int{1, 2}, runs)
+	experiments.CurveOf("w", []int{1, 2}, runs)
 }
 
 func TestRegistry(t *testing.T) {
