@@ -75,7 +75,7 @@ func (r *Runs) derive(s RunSpec) (runEntry, bool) {
 		}
 		t := s
 		t.Control.Policy = sib
-		e, ok := r.cache.Peek(t.key())
+		e, ok := r.peek(t.key())
 		if !ok || e.rec == nil {
 			continue
 		}

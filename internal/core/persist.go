@@ -16,46 +16,44 @@ import (
 // exactly. Open a store for a Runs with store.Open(dir, RunStoreSchema).
 const RunStoreSchema = 3
 
-// attach backs r with a disk store, or detaches it when st is nil:
-// cache misses consult the store before simulating, and every freshly
-// simulated run is written through. Keys are the same content
-// addresses the in-memory cache uses, so a CLI report run warms the
-// daemon's store and vice versa.
+// load reads key's run from st, the disk store behind a Runs; a nil
+// st holds nothing. Keys are the content addresses the in-memory cache
+// uses, so a CLI report run warms the daemon's store and vice versa.
 //
-// Values are persisted as JSON. encoding/json round-trips every
+// Runs are persisted as JSON. encoding/json round-trips every
 // RunResult field bit-exactly (shortest-float encoding), so a run
 // served from the store is byte-identical, when re-marshaled, to the
 // run that was stored — the property the daemon's restart-resilience
-// test pins.
-func (r *Runs) attach(st *store.Store) {
-	r.store.Store(st)
+// test pins. A loaded run carries no training record.
+func load(st *store.Store, key string) (runEntry, bool) {
 	if st == nil {
-		r.cache.SetBacking(nil, nil)
+		return runEntry{}, false
+	}
+	blob, ok := st.Get(key)
+	if !ok {
+		return runEntry{}, false
+	}
+	var res RunResult
+	if err := json.Unmarshal(blob, &res); err != nil {
+		// A payload that passed the store's CRC but does not decode
+		// means the schema changed without a RunStoreSchema bump;
+		// treat as a miss and overwrite.
+		return runEntry{}, false
+	}
+	return runEntry{res: res}, true
+}
+
+// save writes e's result to st under key, best effort; a nil st
+// drops it.
+func save(st *store.Store, key string, e runEntry) {
+	if st == nil {
 		return
 	}
-	r.cache.SetBacking(
-		func(key string) (runEntry, bool) {
-			blob, ok := st.Get(key)
-			if !ok {
-				return runEntry{}, false
-			}
-			var res RunResult
-			if err := json.Unmarshal(blob, &res); err != nil {
-				// A payload that passed the store's CRC but does not
-				// decode means the schema changed without a
-				// RunStoreSchema bump; treat as a miss and overwrite.
-				return runEntry{}, false
-			}
-			return runEntry{res: res}, true
-		},
-		func(key string, e runEntry) {
-			blob, err := json.Marshal(e.res)
-			if err != nil {
-				return // unmarshalable results are simply not persisted
-			}
-			st.Put(key, blob) // best effort; Put counts its own errors
-		},
-	)
+	blob, err := json.Marshal(e.res)
+	if err != nil {
+		return // unmarshalable results are simply not persisted
+	}
+	_ = st.Put(key, blob) // best effort: Put counts its own errors
 }
 
 // Store returns the disk store backing r, or nil.
@@ -69,10 +67,10 @@ func OpenRunStore(dir string) (*store.Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	defaultRuns.attach(st)
+	defaultRuns.store.Store(st)
 	return st, nil
 }
 
 // DetachRunStore disconnects the package default from its store. It
 // exists for cmd/fdtbench until ROADMAP item 2 moves that call.
-func DetachRunStore() { defaultRuns.attach(nil) }
+func DetachRunStore() { defaultRuns.store.Store(nil) }

@@ -77,8 +77,8 @@ func TestRunStoreSurvivesRestart(t *testing.T) {
 	if got := runs.Computes(); got != 0 {
 		t.Fatalf("warm computes = %d, want 0 (store should satisfy the miss)", got)
 	}
-	if got := runs.cache.BackingHits(); got != 1 {
-		t.Fatalf("backing hits = %d, want 1", got)
+	if got := runs.Store().Stats().Hits; got != 1 {
+		t.Fatalf("store hits = %d, want 1", got)
 	}
 	warmJSON, err := json.Marshal(warm)
 	if err != nil {

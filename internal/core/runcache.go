@@ -8,7 +8,6 @@ import (
 
 	"fdt/internal/machine"
 	"fdt/internal/mem"
-	"fdt/internal/runner"
 	"fdt/internal/store"
 )
 
@@ -19,17 +18,29 @@ import (
 // the same static thread counts) share one simulation per distinct run
 // (keyed by RunSpec.Key; an empty workload key bypasses the cache).
 //
-// A Runs may write through to a disk store, and it sums the energy of
-// every run it simulates. Each owner (a report, a daemon, a test)
-// holds its own value and reads its own counters; a test that needs
-// cold runs builds a fresh one. A nil *Runs stands for one package
-// default. A Runs is safe for concurrent use.
+// The cache is single-flight: when several workers ask for one key
+// concurrently, exactly one fills it and the rest wait for its value.
+// Past its limit the oldest completed entries are evicted, so a long
+// sweep runs in bounded memory at the cost of re-filling what it
+// revisits. A Runs may read and write through a disk store: a miss
+// consults the store before simulating, every fresh run is written
+// through, and an evicted key reloads from the store instead of
+// re-simulating. It also sums the energy of every run it simulates.
+//
+// Each owner (a report, a daemon, a test) holds its own value and
+// reads its own counters; a test that needs cold runs builds a fresh
+// one. A nil *Runs stands for one package default. A Runs is safe for
+// concurrent use.
 type Runs struct {
-	cache   runner.Cache[runEntry]
-	store   atomic.Pointer[store.Store]
 	mu      sync.Mutex
+	entries map[string]*cacheEntry
+	order   []string // keys oldest-first, for FIFO eviction
+	limit   int
+	bytes   uint64
 	energy  float64 // summed Energy.Total of every simulated run
-	derived atomic.Uint64
+	store   atomic.Pointer[store.Store]
+
+	hits, misses, evictions, computes, derived atomic.Uint64
 }
 
 // runEntry is one memoized run: its result and, for a Derivable run
@@ -39,14 +50,23 @@ type runEntry struct {
 	rec *runRecord
 }
 
+// cacheEntry is one key's slot in the cache. The filling goroutine
+// sets e, bytes and done under the cache mutex; done gates eviction
+// and peek, so an in-flight entry is never dropped from under its
+// waiters or handed out half filled.
+type cacheEntry struct {
+	once  sync.Once
+	e     runEntry
+	bytes uint64
+	done  bool
+}
+
 // NewRuns returns an empty run cache holding at most limit runs
 // (0 = unlimited; evicted runs are re-simulated on their next use),
 // backed by st when st is non-nil.
 func NewRuns(limit int, st *store.Store) *Runs {
-	r := &Runs{}
-	r.cache.SetSizer(func(e runEntry) uint64 { return runResultBytes(e.res) + e.rec.bytes() })
-	r.cache.SetLimit(limit)
-	r.attach(st)
+	r := &Runs{limit: limit}
+	r.store.Store(st)
 	return r
 }
 
@@ -58,6 +78,93 @@ func (r *Runs) orDefault() *Runs {
 		return defaultRuns
 	}
 	return r
+}
+
+// do returns the run memoized under key, filling it on the first
+// request: from the attached store when it holds key, otherwise with
+// fill, whose fresh run is written through to the store. Any request
+// for a key already present counts as a hit, one in flight included,
+// and waits for its fill; every other request counts as a miss.
+func (r *Runs) do(key string, fill func() runEntry) runEntry {
+	r.mu.Lock()
+	c, ok := r.entries[key]
+	if !ok {
+		if r.entries == nil {
+			r.entries = make(map[string]*cacheEntry)
+		}
+		c = new(cacheEntry)
+		r.entries[key] = c
+		r.order = append(r.order, key)
+	}
+	r.mu.Unlock()
+	if ok {
+		r.hits.Add(1)
+	} else {
+		r.misses.Add(1)
+	}
+	c.once.Do(func() {
+		st := r.store.Load()
+		e, loaded := load(st, key)
+		if !loaded {
+			e = fill()
+			r.computes.Add(1)
+			save(st, key, e)
+		}
+		r.mu.Lock()
+		c.e, c.bytes, c.done = e, runResultBytes(e.res)+e.rec.bytes(), true
+		r.bytes += c.bytes
+		r.evictLocked()
+		r.mu.Unlock()
+	})
+	return c.e
+}
+
+// peek returns key's run when a completed entry holds it, without
+// filling, consulting the store, waiting for an entry in flight or
+// counting a hit or miss.
+func (r *Runs) peek(key string) (runEntry, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if c, ok := r.entries[key]; ok && c.done {
+		return c.e, true
+	}
+	return runEntry{}, false
+}
+
+// evictLocked drops the oldest completed entries until the population
+// fits the limit. Entries in flight are skipped: their waiters hold
+// the entry and its bytes land when its fill completes.
+func (r *Runs) evictLocked() {
+	if r.limit <= 0 || len(r.entries) <= r.limit {
+		return
+	}
+	kept := r.order[:0]
+	for i, key := range r.order {
+		c := r.entries[key]
+		if len(r.entries) > r.limit && c.done {
+			delete(r.entries, key)
+			r.bytes -= c.bytes
+			r.evictions.Add(1)
+			continue
+		}
+		kept = append(kept, key)
+		if len(r.entries) <= r.limit {
+			kept = append(kept, r.order[i+1:]...)
+			break
+		}
+	}
+	r.order = kept
+}
+
+// reset drops every entry and zeroes the counters; the limit, the
+// store and the energy total stay.
+func (r *Runs) reset() {
+	r.mu.Lock()
+	r.entries, r.order, r.bytes = nil, nil, 0
+	r.mu.Unlock()
+	for _, n := range []*atomic.Uint64{&r.hits, &r.misses, &r.evictions, &r.computes, &r.derived} {
+		n.Store(0)
+	}
 }
 
 // compute fills a cache miss for the normalized, named s: derived from
@@ -99,20 +206,25 @@ func (r *Runs) addEnergy(e float64) {
 }
 
 // Stats reports run-cache hits and misses.
-func (r *Runs) Stats() (hits, misses uint64) { return r.orDefault().cache.Stats() }
+func (r *Runs) Stats() (hits, misses uint64) {
+	r = r.orDefault()
+	return r.hits.Load(), r.misses.Load()
+}
 
-// Usage reports the cache's population: entry count, estimated bytes,
-// and entries evicted by the limit.
+// Usage reports the cache's population: entry count, estimated bytes
+// of the completed entries, and entries evicted by the limit.
 func (r *Runs) Usage() (entries int, bytes, evictions uint64) {
 	r = r.orDefault()
-	return r.cache.Len(), r.cache.Bytes(), r.cache.Evictions()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.entries), r.bytes, r.evictions.Load()
 }
 
 // Computes reports how many cache misses actually simulated (as
 // opposed to loading from the store), derived runs included. Zero
 // computes over a warm store is the restart-resilience acceptance
 // criterion.
-func (r *Runs) Computes() uint64 { return r.orDefault().cache.Computes() }
+func (r *Runs) Computes() uint64 { return r.orDefault().computes.Load() }
 
 // Derived reports how many of the Computes were derived from a
 // sibling's training record instead of simulated.
@@ -132,10 +244,7 @@ func (r *Runs) Energy() float64 {
 // ResetRunCache drops every run the package default memoized and
 // zeroes its statistics. It exists for cmd/fdtbench until ROADMAP item
 // 2 moves that call to a value fdtbench owns.
-func ResetRunCache() {
-	defaultRuns.cache.Reset()
-	defaultRuns.derived.Store(0)
-}
+func ResetRunCache() { defaultRuns.reset() }
 
 // RunCacheStats is Stats of the package default. It exists for
 // cmd/fdtbench until ROADMAP item 2 moves that call.

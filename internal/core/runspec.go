@@ -261,7 +261,7 @@ func (s RunSpec) Run(runs *Runs) RunResult {
 	if !s.named() {
 		return runs.simulate(s, false).res
 	}
-	return runs.cache.Do(s.key(), func() runEntry { return runs.compute(s) }).res
+	return runs.do(s.key(), func() runEntry { return runs.compute(s) }).res
 }
 
 // RunOn executes the spec on a fresh caller-built machine, uncached:

@@ -1,8 +1,7 @@
 // Package runner provides the host-side execution layer for the
 // simulation suite: a worker pool that fans independent simulated
-// runs out across host cores, and a content-addressed cache that
-// memoizes deterministic runs so figures sharing baselines simulate
-// them once per process.
+// runs out across host cores. The run cache that memoizes them is
+// core.Runs.
 //
 // Parallelism lives strictly here, across independent simulations.
 // One sim.Engine is single-threaded by design (determinism depends on

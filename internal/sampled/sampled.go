@@ -11,7 +11,7 @@
 //
 // The package knows nothing about policies or kernels; it provides
 // the measurement (Probe/Window), decision (Detector) and
-// fast-forward arithmetic (Window.Extrapolate) that the FDT
+// fast-forward arithmetic (Detector.Extrapolate) that the FDT
 // controller's sampled executor composes.
 package sampled
 
@@ -169,33 +169,6 @@ func (pr Probe) End(m *machine.Machine, iters int) Window {
 // scale rounds v*ratio to the nearest integer.
 func scale(v uint64, ratio float64) uint64 {
 	return uint64(float64(v)*ratio + 0.5)
-}
-
-// Extrapolate applies this window's per-iteration profile to the
-// machine for iters analytically-skipped iterations: every counter
-// that moved during the window and every core's power integral
-// advance by the scaled window delta. It returns the cycles the
-// skipped iterations are modeled to take; the caller advances the
-// clock (thread.Ctx.FastForward) by that amount.
-//
-// The master core's (core 0) window delta is always zero mid-kernel —
-// its occupancy span folds into the power meter only when the run
-// ends — so the master's activity across the skip is accounted by
-// that final fold, not here.
-func (w Window) Extrapolate(m *machine.Machine, iters int) uint64 {
-	if w.Iters <= 0 || iters <= 0 {
-		return 0
-	}
-	ratio := float64(iters) / float64(w.Iters)
-	for name, d := range w.Ctrs {
-		m.Ctrs.Counter(name).Add(scale(d, ratio))
-	}
-	for core, d := range w.PerCore {
-		if d != 0 {
-			m.Power.AddActiveCycles(core, scale(d, ratio))
-		}
-	}
-	return scale(w.Cycles, ratio)
 }
 
 // signals is the detector's per-window view: the rates whose
@@ -567,22 +540,9 @@ func (d *Detector) Extrapolate(m *machine.Machine, iters int) uint64 {
 	return uint64(ff + 0.5)
 }
 
-// Reset clears all detector state (a new region begins).
-func (d *Detector) Reset() {
-	d.have = false
-	d.prev = signals{}
-	d.last = Window{}
-	d.prevWin = Window{}
-	d.havePrev = false
-	d.stable = 0
-	d.steady = false
-	d.hist = nil
-	d.histIters = 0
-	d.fitOK = false
-	d.fitSlope = 0
-	d.fitAt = 0
-	d.fitSpan = 0
-}
+// Reset clears all detector state (a new region begins); the
+// parameters and the fork/join overhead stay.
+func (d *Detector) Reset() { *d = Detector{p: d.p, oh: d.oh} }
 
 func relDiff(a, b float64) float64 {
 	diff := absDiff(a, b)

@@ -129,9 +129,13 @@ func TestDetectorFitSteady(t *testing.T) {
 	if got := d.MaxSkipIters(); got != 24 {
 		t.Errorf("fit-steady MaxSkipIters = %d, want evidence span 24", got)
 	}
+	d.SetOverhead(100)
 	d.Reset()
 	if d.Steady() || d.StableRun() != 0 || d.MaxSkipIters() != 0 {
 		t.Error("Reset left detector state behind")
+	}
+	if d.p != DefaultParams() || d.oh != 100 {
+		t.Errorf("Reset dropped the tolerance or the fork/join overhead: p=%+v oh=%d", d.p, d.oh)
 	}
 }
 
@@ -206,21 +210,6 @@ func TestOverheadCompensation(t *testing.T) {
 	}
 	if ff := d.Extrapolate(m, 8); ff != 7900 {
 		t.Errorf("ff = %d, want 8*1000 - 100 = 7900", ff)
-	}
-}
-
-func TestWindowExtrapolateScales(t *testing.T) {
-	m := machine.MustNew(machine.DefaultConfig())
-	w := win(0, 8, 1000)
-	w.Ctrs["y"] = 10
-	if ff := w.Extrapolate(m, 16); ff != 2000 {
-		t.Errorf("ff = %d, want 2000", ff)
-	}
-	if got := m.Ctrs.Counter("y").Read(); got != 20 {
-		t.Errorf("counter y advanced by %d, want 20", got)
-	}
-	if ff := w.Extrapolate(m, 0); ff != 0 {
-		t.Errorf("zero-iteration extrapolation returned %d", ff)
 	}
 }
 

@@ -25,7 +25,7 @@
 //     exists to corrupt or lock.
 //
 // Eviction is intentionally absent here: bounded memory is the
-// in-memory cache's job (runner.Cache.SetLimit); bounded disk is the
+// in-memory cache's job (core.NewRuns' limit); bounded disk is the
 // operator's (the store directory can be deleted wholesale at any
 // time, it is only ever a cache).
 package store
